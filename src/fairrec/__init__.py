@@ -40,13 +40,9 @@ from .core import (
 )
 from .factorization import (
     Gradient,
-    entry_gradient,
     objective,
     objective_gradient,
-    predict,
     predict_entries,
-    scatter_rows,
-    scatter_sum,
 )
 from .metrics import (
     EXPECTED_VALUES,
@@ -56,7 +52,6 @@ from .metrics import (
     absolute_unfairness,
     full_report,
     group_item_averages,
-    hinge,
     mse,
     non_parity,
     overestimation_unfairness,
@@ -88,7 +83,6 @@ from .trainer import (
 )
 from .synthgen import (
     BlockModels,
-    ExpectedRatings,
     REGIMES,
     RegimeConfig,
     default_block_models,

@@ -253,10 +253,12 @@ class Hyperparams:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("latent dimension must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and >= 0")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not self.init_scale > 0:
@@ -333,6 +335,13 @@ def parse_dataset(text: str) -> Dataset:
         scale = (float(lo_s), float(hi_s))
     except (ValueError, KeyError) as exc:
         raise MalformedLineError(1, f"bad header: {exc}") from exc
+    # checked before anything is allocated by these counts
+    if num_users < 0 or num_items < 0:
+        raise MalformedLineError(1, "user and item counts must be >= 0")
+    if num_users > len(lines) - 1:
+        raise MalformedLineError(
+            1, f"header declares {num_users} users but only {len(lines) - 1} lines follow; "
+               "every user needs a 'u' line")
 
     protected = np.zeros(num_users, dtype=bool)
     seen_user = np.zeros(num_users, dtype=bool)

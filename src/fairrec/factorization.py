@@ -1,5 +1,5 @@
 """Biased matrix-factorization prediction, its squared-error objective, and
-the analytic gradient of that objective.
+the gradient of any loss that depends on the model through its predictions.
 
 The objective is  lam/2 * (||P||_F^2 + ||Q||_F^2) + mean over observed
 entries of (prediction - rating)^2.  Bias terms are deliberately left out of
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .core import (
     Dataset,
@@ -29,36 +30,18 @@ class Gradient:
     d_user_bias: np.ndarray
     d_item_bias: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, model: FactorModel) -> "Gradient":
-        return cls(
-            np.zeros_like(model.user_factors),
-            np.zeros_like(model.item_factors),
-            np.zeros_like(model.user_bias),
-            np.zeros_like(model.item_bias),
-        )
 
-    def plus(self, other: "Gradient", weight: float = 1.0) -> "Gradient":
-        return Gradient(
-            self.d_user_factors + weight * other.d_user_factors,
-            self.d_item_factors + weight * other.d_item_factors,
-            self.d_user_bias + weight * other.d_user_bias,
-            self.d_item_bias + weight * other.d_item_bias,
-        )
+def flat_params(model: FactorModel) -> np.ndarray:
+    """All parameters as one vector: P, Q (row-major), then bu and bi."""
+    return np.concatenate([model.user_factors.ravel(), model.item_factors.ravel(),
+                           model.user_bias, model.item_bias])
 
 
-def predict(model: FactorModel, user: int, item: int) -> float:
-    """Predicted score for one (user, item) pair; never clamped to the
-    rating scale."""
-    if not 0 <= user < model.num_users:
-        raise IndexOutOfRangeError(f"user {user} outside [0, {model.num_users})")
-    if not 0 <= item < model.num_items:
-        raise IndexOutOfRangeError(f"item {item} outside [0, {model.num_items})")
-    return float(
-        model.user_factors[user] @ model.item_factors[item]
-        + model.user_bias[user]
-        + model.item_bias[item]
-    )
+def param_blocks(flat: np.ndarray, num_users: int, num_items: int, d: int) -> tuple:
+    """Views of the four blocks (P, Q, bu, bi) of a flat_params-layout vector."""
+    nd, md = num_users * d, num_items * d
+    return (flat[:nd].reshape(num_users, d), flat[nd:nd + md].reshape(num_items, d),
+            flat[nd + md:nd + md + num_users], flat[nd + md + num_users:])
 
 
 def predict_entries(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarray) -> np.ndarray:
@@ -77,48 +60,64 @@ def _check_bounds(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarray
         raise IndexOutOfRangeError(f"item index outside [0, {model.num_items})")
 
 
-def scatter_sum(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    return np.bincount(idx, weights=weights, minlength=size)
-
-
-def scatter_rows(idx: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
-    """Sum the (k, d) rows into a (size, d) array grouped by idx."""
-    out = np.empty((size, rows.shape[1]))
-    for c in range(rows.shape[1]):
-        out[:, c] = np.bincount(idx, weights=rows[:, c], minlength=size)
-    return out
-
-
-def entry_gradient(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarray,
-                   coeffs: np.ndarray) -> Gradient:
-    """Gradient of sum_e coeffs[e] * prediction_e over all parameters.
+class EntryGradient:
+    """Gradient of sum_e coeffs[e] * prediction_e over one dataset's entries.
 
     Every loss here differentiates through predictions only, so its gradient
-    is fully described by one coefficient per observed entry; this routine
-    turns those coefficients into per-parameter sums.
+    is fully described by one coefficient per observed entry. The
+    coefficients become the data of a user x item CSR matrix C whose
+    structure is built once: Dataset entries are sorted by (user, item), so
+    CSR data order is entry order. Then dP = C Q, dQ = C^T P, and the bias
+    gradients are the row and column sums of C.
     """
-    w = coeffs[:, None]
-    return Gradient(
-        scatter_rows(user_idx, w * model.item_factors[item_idx], model.num_users),
-        scatter_rows(item_idx, w * model.user_factors[user_idx], model.num_items),
-        scatter_sum(user_idx, coeffs, model.num_users),
-        scatter_sum(item_idx, coeffs, model.num_items),
-    )
+
+    def __init__(self, data: Dataset):
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(data.user_idx,
+                                                            minlength=data.num_users))))
+        self._matrix = csr_matrix((np.zeros(data.num_ratings), data.item_idx, indptr),
+                                  shape=(data.num_users, data.num_items))
+        self._user_idx = data.user_idx
+        self._item_idx = data.item_idx
+
+    def __call__(self, model: FactorModel, coeffs: np.ndarray, lam: float = 0.0) -> np.ndarray:
+        """The flat_params-layout gradient, plus that of the Frobenius term
+        lam/2 * (||P||^2 + ||Q||^2) when lam is given."""
+        C = self._matrix
+        C.data = coeffs
+        return np.concatenate([
+            (C @ model.item_factors + lam * model.user_factors).ravel(),
+            (C.T @ model.user_factors + lam * model.item_factors).ravel(),
+            np.bincount(self._user_idx, weights=coeffs, minlength=model.num_users),
+            np.bincount(self._item_idx, weights=coeffs, minlength=model.num_items),
+        ])
 
 
-def objective(model: FactorModel, train: Dataset, lam: float) -> float:
-    """Regularized mean squared reconstruction error on the training set."""
-    if train.num_ratings == 0:
-        raise EmptyTrainingSetError("objective needs at least one rating")
-    _check_bounds(model, train.user_idx, train.item_idx)
-    resid = predict_entries(model, train.user_idx, train.item_idx) - train.values
+def squared_error(model: FactorModel, preds: np.ndarray, train: Dataset,
+                  lam: float) -> tuple[float, np.ndarray]:
+    """The objective at the given training predictions, and its derivative
+    with respect to each prediction, (2/k) * residual."""
+    resid = preds - train.values
     # a diverging model overflows to inf here; the trainer turns that into
     # a DivergenceError, so the overflow itself is not worth a warning
     with np.errstate(over="ignore"):
         reg = 0.5 * lam * (
             float(np.sum(model.user_factors**2)) + float(np.sum(model.item_factors**2))
         )
-        return reg + float(np.mean(resid**2))
+        value = reg + float(np.mean(resid**2))
+    return value, (2.0 / train.num_ratings) * resid
+
+
+def _training_predictions(model: FactorModel, train: Dataset, what: str) -> np.ndarray:
+    if train.num_ratings == 0:
+        raise EmptyTrainingSetError(f"{what} needs at least one rating")
+    _check_bounds(model, train.user_idx, train.item_idx)
+    return predict_entries(model, train.user_idx, train.item_idx)
+
+
+def objective(model: FactorModel, train: Dataset, lam: float) -> float:
+    """Regularized mean squared reconstruction error on the training set."""
+    preds = _training_predictions(model, train, "objective")
+    return squared_error(model, preds, train, lam)[0]
 
 
 def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> Gradient:
@@ -128,15 +127,7 @@ def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> Gradie
     the Frobenius term adds lam * P and lam * Q for every row, including rows
     untouched by any rating. Biases receive no regularization.
     """
-    if train.num_ratings == 0:
-        raise EmptyTrainingSetError("objective gradient needs at least one rating")
-    _check_bounds(model, train.user_idx, train.item_idx)
-    resid = predict_entries(model, train.user_idx, train.item_idx) - train.values
-    coeffs = (2.0 / train.num_ratings) * resid
-    g = entry_gradient(model, train.user_idx, train.item_idx, coeffs)
-    return Gradient(
-        g.d_user_factors + lam * model.user_factors,
-        g.d_item_factors + lam * model.item_factors,
-        g.d_user_bias,
-        g.d_item_bias,
-    )
+    preds = _training_predictions(model, train, "objective gradient")
+    _, coeffs = squared_error(model, preds, train, lam)
+    flat = EntryGradient(train)(model, coeffs, lam)
+    return Gradient(*param_blocks(flat, model.num_users, model.num_items, model.d))

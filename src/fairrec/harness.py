@@ -91,6 +91,9 @@ class ExperimentConfig:
                 f"genre_mode must be one of {GENRE_MODES}, got {self.genre_mode!r}")
         if self.source == "movielens" and not self.ml_path:
             raise ValueError("movielens experiments need ml_path")
+        if self.source == "synthetic":
+            # fails here, not at the first trial, on sizes the shares cannot split
+            RegimeConfig(self.regime, self.num_users, self.num_items)
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie strictly between 0 and 1")
         if self.trials < 1:

@@ -1,4 +1,5 @@
-"""Evaluation-time unfairness metrics and prediction error.
+"""Evaluation-time unfairness metrics and prediction error, and the term
+code that defines each unfairness score for the training penalties too.
 
 All five unfairness scores compare the disadvantaged (protected) user group
 against the advantaged group. The four per-item scores average over items
@@ -22,7 +23,7 @@ from .core import (
     NoComparableItemsError,
     UnsupportedFormatError,
 )
-from .factorization import _check_bounds, predict_entries, scatter_sum
+from .factorization import _check_bounds, predict_entries
 
 HELD_OUT = "held-out-ratings"
 EXPECTED_VALUES = "expected-values"
@@ -70,7 +71,7 @@ class GroupItemAverages:
     """Per-item mean predicted and true scores, split by user group.
 
     Averages are meaningful only where the matching count is positive; absent
-    cells are filled with 0.0 and must be gated on the presence masks.
+    cells are filled with 0.0 and must be gated on the counts.
     """
 
     pred_protected: np.ndarray
@@ -81,83 +82,117 @@ class GroupItemAverages:
     count_advantaged: np.ndarray
 
     @property
-    def protected_present(self) -> np.ndarray:
-        return self.count_protected > 0
-
-    @property
-    def advantaged_present(self) -> np.ndarray:
-        return self.count_advantaged > 0
-
-    @property
     def comparable(self) -> np.ndarray:
         """Items with evaluation entries from both groups."""
-        return self.protected_present & self.advantaged_present
+        return (self.count_protected > 0) & (self.count_advantaged > 0)
 
 
-def hinge(x: float) -> float:
-    """x for x >= 0, else 0."""
-    return x if x >= 0 else 0.0
+class GroupCells:
+    """The (group, item) cell of every entry of a triple set.
+
+    Cell i holds the advantaged group's entries for item i and cell
+    num_items + i the protected group's, so one bincount yields the per-item
+    sums of both groups. It depends on the indices alone, so the trainer
+    builds it once per run.
+    """
+
+    def __init__(self, user_idx: np.ndarray, item_idx: np.ndarray,
+                 protected: np.ndarray, num_items: int):
+        self.num_items = num_items
+        self.in_protected = np.asarray(protected, dtype=bool)[user_idx]
+        self.cell = item_idx + num_items * self.in_protected
+        self.count = np.bincount(self.cell, minlength=2 * num_items).astype(np.float64)
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell means of one value per entry; 0.0 in empty cells."""
+        sums = np.bincount(self.cell, weights=values, minlength=2 * self.num_items)
+        return sums / np.maximum(self.count, 1.0)
 
 
-def _averages_from_arrays(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarray,
-                          values: np.ndarray, protected: np.ndarray) -> GroupItemAverages:
-    """Shared core of group_item_averages, also reused for training penalties."""
-    _check_bounds(model, user_idx, item_idx)
-    m = model.num_items
-    preds = predict_entries(model, user_idx, item_idx)
-    in_protected = np.asarray(protected, dtype=bool)[user_idx]
+def smooth_abs(x, eps: float):
+    """|x| and its derivative, smoothed to sqrt(x^2 + eps^2) when eps > 0.
 
-    def side(mask):
-        items = item_idx[mask]
-        count = scatter_sum(items, np.ones(mask.sum()), m)
-        denom = np.maximum(count, 1.0)
-        avg_pred = scatter_sum(items, preds[mask], m) / denom
-        avg_true = scatter_sum(items, values[mask], m) / denom
-        return avg_pred, avg_true, count
+    At eps = 0 the derivative at 0 is sign(0) = 0.
+    """
+    if eps > 0.0:
+        root = np.sqrt(x * x + eps * eps)
+        return root, x / root
+    return np.abs(x), np.sign(x)
 
-    pp, tp, cp = side(in_protected)
-    pa, ta, ca = side(~in_protected)
-    return GroupItemAverages(pp, tp, cp, pa, ta, ca)
+
+def item_terms(kind: str, dp: np.ndarray, da: np.ndarray, eps: float = 0.0):
+    """Per-item unfairness terms and their derivatives w.r.t. each group's D.
+
+    D is a group's signed estimation error on an item: its average prediction
+    minus its average truth. Returns (phi, dphi/dDp, dphi/dDa). A per-item
+    metric is the mean of phi at eps = 0; the matching training penalty is
+    the same mean at the spec's smoothing.
+    """
+    if kind == "value":
+        inner_p, slope_p = dp, 1.0
+        inner_a, slope_a = da, 1.0
+    elif kind == "absolute":
+        inner_p, slope_p = smooth_abs(dp, eps)
+        inner_a, slope_a = smooth_abs(da, eps)
+    elif kind == "under":
+        inner_p, slope_p = np.maximum(-dp, 0.0), -(dp < 0).astype(np.float64)
+        inner_a, slope_a = np.maximum(-da, 0.0), -(da < 0).astype(np.float64)
+    elif kind == "over":
+        inner_p, slope_p = np.maximum(dp, 0.0), (dp > 0).astype(np.float64)
+        inner_a, slope_a = np.maximum(da, 0.0), (da > 0).astype(np.float64)
+    else:
+        raise ValueError(f"unknown per-item unfairness kind {kind!r}")
+    phi, outer = smooth_abs(inner_p - inner_a, eps)
+    return phi, outer * slope_p, -outer * slope_a
+
+
+def group_gap(preds: np.ndarray, in_protected: np.ndarray) -> float:
+    """Protected minus advantaged mean prediction, the argument of the parity
+    term |gap|."""
+    if not in_protected.any() or in_protected.all():
+        raise EmptyGroupError("both groups need at least one entry")
+    return np.mean(preds[in_protected]) - np.mean(preds[~in_protected])
 
 
 def group_item_averages(model: FactorModel, eval_set: EvalSet,
                         protected: np.ndarray) -> GroupItemAverages:
     """Average predictions and truths per item, separately per user group."""
-    return _averages_from_arrays(model, eval_set.user_idx, eval_set.item_idx,
-                                 eval_set.values, protected)
+    _check_bounds(model, eval_set.user_idx, eval_set.item_idx)
+    cells = GroupCells(eval_set.user_idx, eval_set.item_idx, protected, model.num_items)
+    pred = cells.means(predict_entries(model, eval_set.user_idx, eval_set.item_idx))
+    true = cells.means(eval_set.values)
+    m = model.num_items
+    return GroupItemAverages(pred[m:], true[m:], cells.count[m:],
+                             pred[:m], true[:m], cells.count[:m])
 
 
-def _signed_errors(avgs: GroupItemAverages) -> tuple[np.ndarray, np.ndarray]:
+def _item_unfairness(kind: str, avgs: GroupItemAverages) -> float:
     valid = avgs.comparable
     if not valid.any():
         raise NoComparableItemsError("no item has evaluation entries from both groups")
-    dp = avgs.pred_protected[valid] - avgs.true_protected[valid]
-    da = avgs.pred_advantaged[valid] - avgs.true_advantaged[valid]
-    return dp, da
+    phi, _, _ = item_terms(kind, avgs.pred_protected[valid] - avgs.true_protected[valid],
+                           avgs.pred_advantaged[valid] - avgs.true_advantaged[valid])
+    return float(np.mean(phi))
 
 
 def value_unfairness(avgs: GroupItemAverages) -> float:
     """Mean per-item gap between the groups' signed estimation errors."""
-    dp, da = _signed_errors(avgs)
-    return float(np.mean(np.abs(dp - da)))
+    return _item_unfairness("value", avgs)
 
 
 def absolute_unfairness(avgs: GroupItemAverages) -> float:
     """Mean per-item gap between the groups' unsigned estimation errors."""
-    dp, da = _signed_errors(avgs)
-    return float(np.mean(np.abs(np.abs(dp) - np.abs(da))))
+    return _item_unfairness("absolute", avgs)
 
 
 def underestimation_unfairness(avgs: GroupItemAverages) -> float:
     """Mean per-item gap between how much each group is underestimated."""
-    dp, da = _signed_errors(avgs)
-    return float(np.mean(np.abs(np.maximum(-dp, 0.0) - np.maximum(-da, 0.0))))
+    return _item_unfairness("under", avgs)
 
 
 def overestimation_unfairness(avgs: GroupItemAverages) -> float:
     """Mean per-item gap between how much each group is overestimated."""
-    dp, da = _signed_errors(avgs)
-    return float(np.mean(np.abs(np.maximum(dp, 0.0) - np.maximum(da, 0.0))))
+    return _item_unfairness("over", avgs)
 
 
 def non_parity(model: FactorModel, eval_set: EvalSet, protected: np.ndarray) -> float:
@@ -165,9 +200,8 @@ def non_parity(model: FactorModel, eval_set: EvalSet, protected: np.ndarray) -> 
     _check_bounds(model, eval_set.user_idx, eval_set.item_idx)
     preds = predict_entries(model, eval_set.user_idx, eval_set.item_idx)
     in_protected = np.asarray(protected, dtype=bool)[eval_set.user_idx]
-    if not in_protected.any() or in_protected.all():
-        raise EmptyGroupError("both groups need at least one evaluation entry")
-    return float(abs(np.mean(preds[in_protected]) - np.mean(preds[~in_protected])))
+    phi, _ = smooth_abs(group_gap(preds, in_protected), 0.0)
+    return float(phi)
 
 
 def rmse(model: FactorModel, eval_set: EvalSet) -> float:

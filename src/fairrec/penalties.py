@@ -1,10 +1,12 @@
-"""Training-time unfairness penalties and their analytic subgradients.
+"""Training-time unfairness penalties, their analytic subgradients, and the
+combined training objective.
 
 A penalty is a weighted sum of the unfairness scores, computed over the
 observed training ratings only (held-out truth must stay invisible to the
-learner). Each score is piecewise smooth; at kinks the subgradient
-conventions are sign(0) = 0 and hinge'(0) = 0, so a perfectly fair model is
-a stationary point. An optional smoothing mode replaces every absolute value
+learner). Each score is the evaluation metric of the same name, computed by
+the same term code in ``metrics``. Each score is piecewise smooth; at kinks
+the subgradient conventions are sign(0) = 0 and hinge'(0) = 0, so a
+perfectly fair model is a stationary point. An optional smoothing mode replaces every absolute value
 with sqrt(x^2 + eps^2) for kink-sensitivity studies; it is off by default so
 the penalty equals the literal metric.
 """
@@ -18,15 +20,24 @@ import numpy as np
 from .core import (
     Dataset,
     EmptyGroupError,
+    EmptyTrainingSetError,
     FactorModel,
     NoComparableItemsError,
+    ShapeMismatchError,
     UnsupportedFormatError,
+    validate_dataset,
 )
-from .factorization import Gradient, _check_bounds, entry_gradient, predict_entries
-from .metrics import GroupItemAverages, _averages_from_arrays
+from .factorization import (
+    EntryGradient,
+    Gradient,
+    _training_predictions,
+    param_blocks,
+    predict_entries,
+    squared_error,
+)
+from .metrics import GroupCells, group_gap, item_terms, smooth_abs
 
 PENALTY_KINDS = ("value", "absolute", "under", "over", "parity")
-_PER_ITEM_KINDS = ("value", "absolute", "under", "over")
 
 
 @dataclass(frozen=True)
@@ -94,128 +105,104 @@ def parse_penalty(text: str, smoothing: float = 0.0) -> PenaltySpec:
     return PenaltySpec(tuple(terms), smoothing)
 
 
-def _abs_and_slope(x, eps: float):
-    """|x| and its derivative, smoothed to sqrt(x^2 + eps^2) when eps > 0."""
-    if eps > 0.0:
-        root = np.sqrt(x * x + eps * eps)
-        return root, x / root
-    return np.abs(x), np.sign(x)
+class _PenaltyTerms:
+    """The active terms of one penalty spec on one training set.
 
-
-def _per_item_terms(kind: str, dp: np.ndarray, da: np.ndarray, eps: float):
-    """Per-item penalty terms and their derivatives w.r.t. each group's D.
-
-    D is the group's (average prediction - average truth) on comparable
-    items. Returns (phi, dphi/dDp, dphi/dDa).
-    """
-    if kind == "value":
-        inner_p, slope_p = dp, 1.0
-        inner_a, slope_a = da, 1.0
-    elif kind == "absolute":
-        inner_p, slope_p = _abs_and_slope(dp, eps)
-        inner_a, slope_a = _abs_and_slope(da, eps)
-    elif kind == "under":
-        inner_p, slope_p = np.maximum(-dp, 0.0), -(dp < 0).astype(np.float64)
-        inner_a, slope_a = np.maximum(-da, 0.0), -(da < 0).astype(np.float64)
-    elif kind == "over":
-        inner_p, slope_p = np.maximum(dp, 0.0), (dp > 0).astype(np.float64)
-        inner_a, slope_a = np.maximum(da, 0.0), (da > 0).astype(np.float64)
-    else:
-        raise ValueError(f"unknown per-item penalty kind {kind!r}")
-    phi, outer = _abs_and_slope(inner_p - inner_a, eps)
-    return phi, outer * slope_p, -outer * slope_a
-
-
-class _TrainingView:
-    """Predictions and group structure of one (model, training set) pair.
-
-    Group-item averages and overall group means are computed on demand so a
-    parity-only penalty never trips the comparable-items requirement and
-    vice versa.
+    Everything the terms need besides the predictions (group cells, true
+    group-item averages, comparable items, group sizes) depends on the data
+    alone, so it is computed once here and reused at every call.
     """
 
-    def __init__(self, model: FactorModel, train: Dataset):
-        _check_bounds(model, train.user_idx, train.item_idx)
-        self.model = model
-        self.train = train
-        self.preds = predict_entries(model, train.user_idx, train.item_idx)
-        self.in_protected = train.protected[train.user_idx]
-        self._avgs = None
+    def __init__(self, train: Dataset, spec: PenaltySpec):
+        self._terms = spec.terms
+        self._eps = spec.smoothing
+        self._cells = cells = GroupCells(train.user_idx, train.item_idx, train.protected,
+                                         train.num_items)
+        kinds = {kind for kind, _ in spec.terms}
+        if kinds - {"parity"}:
+            # items with entries from both groups, in both halves of the cells
+            self._valid = np.tile((cells.count.reshape(2, -1) > 0).all(axis=0), 2)
+            if not self._valid.any():
+                raise NoComparableItemsError("no item has training ratings from both groups")
+            self._true = cells.means(train.values)
+        if "parity" in kinds:
+            self._n_p = int(cells.in_protected.sum())
+            self._n_a = train.num_ratings - self._n_p
+            if self._n_p == 0 or self._n_a == 0:
+                raise EmptyGroupError("both groups need at least one training rating")
 
-    @property
-    def avgs(self) -> GroupItemAverages:
-        if self._avgs is None:
-            self._avgs = _averages_from_arrays(
-                self.model, self.train.user_idx, self.train.item_idx,
-                self.train.values, self.train.protected)
-        return self._avgs
+    def __call__(self, preds: np.ndarray) -> tuple[float, np.ndarray]:
+        """The weighted penalty and its derivative w.r.t. each prediction.
 
-    def signed_errors(self):
-        """(valid mask, D_protected, D_advantaged) over comparable items."""
-        valid = self.avgs.comparable
-        if not valid.any():
-            raise NoComparableItemsError("no item has training ratings from both groups")
-        dp = self.avgs.pred_protected[valid] - self.avgs.true_protected[valid]
-        da = self.avgs.pred_advantaged[valid] - self.avgs.true_advantaged[valid]
-        return valid, dp, da
-
-    def group_sizes(self):
-        n_p = int(self.in_protected.sum())
-        n_a = len(self.in_protected) - n_p
-        if n_p == 0 or n_a == 0:
-            raise EmptyGroupError("both groups need at least one training rating")
-        return n_p, n_a
-
-
-def _term_value(view: _TrainingView, kind: str, eps: float) -> float:
-    if kind == "parity":
-        view.group_sizes()
-        gap = np.mean(view.preds[view.in_protected]) - np.mean(view.preds[~view.in_protected])
-        phi, _ = _abs_and_slope(gap, eps)
-        return float(phi)
-    _, dp, da = view.signed_errors()
-    phi, _, _ = _per_item_terms(kind, dp, da, eps)
-    return float(np.mean(phi))
-
-
-def _term_entry_coeffs(view: _TrainingView, kind: str, eps: float) -> np.ndarray:
-    """d(term)/d(prediction of each training entry), via the chain rule.
-
-    Each entry feeds its group's per-item average with weight 1/(raters of
-    that item in the group), and each comparable item feeds the mean with
-    weight 1/(number of comparable items).
-    """
-    if kind == "parity":
-        n_p, n_a = view.group_sizes()
-        gap = np.mean(view.preds[view.in_protected]) - np.mean(view.preds[~view.in_protected])
-        _, slope = _abs_and_slope(gap, eps)
-        return np.where(view.in_protected, slope / n_p, -slope / n_a)
-    valid, dp, da = view.signed_errors()
-    _, g_dp, g_da = _per_item_terms(kind, dp, da, eps)
-    num_valid = int(valid.sum())
-    per_item_p = np.zeros(view.model.num_items)
-    per_item_a = np.zeros(view.model.num_items)
-    per_item_p[valid] = g_dp / (num_valid * view.avgs.count_protected[valid])
-    per_item_a[valid] = g_da / (num_valid * view.avgs.count_advantaged[valid])
-    items = view.train.item_idx
-    return np.where(view.in_protected, per_item_p[items], per_item_a[items])
+        Each entry feeds its cell's average with weight 1/(entries in the
+        cell), and each comparable item feeds the mean with weight
+        1/(number of comparable items).
+        """
+        cells, eps = self._cells, self._eps
+        total = 0.0
+        coeffs = np.zeros(len(preds))
+        cell_coeffs = None
+        for kind, weight in self._terms:
+            if kind == "parity":
+                phi, slope = smooth_abs(group_gap(preds, cells.in_protected), eps)
+                coeffs += weight * np.where(cells.in_protected, slope / self._n_p,
+                                            -slope / self._n_a)
+            else:
+                if cell_coeffs is None:
+                    errors = (cells.means(preds) - self._true)[self._valid]
+                    da, dp = np.split(errors, 2)
+                    scale = len(dp) * cells.count[self._valid]
+                    cell_coeffs = np.zeros_like(self._true)
+                phi, g_dp, g_da = item_terms(kind, dp, da, eps)
+                phi = np.mean(phi)
+                cell_coeffs[self._valid] += weight * (np.concatenate([g_da, g_dp]) / scale)
+            total += weight * float(phi)
+        if cell_coeffs is not None:
+            coeffs += cell_coeffs[cells.cell]
+        return total, coeffs
 
 
 def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> float:
     """Weighted sum of the active unfairness scores on the training set."""
     if spec.is_none:
         return 0.0
-    view = _TrainingView(model, train)
-    return float(sum(weight * _term_value(view, kind, spec.smoothing)
-                     for kind, weight in spec.terms))
+    return _PenaltyTerms(train, spec)(_training_predictions(model, train, "penalty"))[0]
 
 
 def penalty_gradient(model: FactorModel, train: Dataset, spec: PenaltySpec) -> Gradient:
     """Analytic subgradient of penalty_value w.r.t. the model parameters."""
-    if spec.is_none:
-        return Gradient.zeros_like(model)
-    view = _TrainingView(model, train)
-    coeffs = np.zeros(train.num_ratings)
-    for kind, weight in spec.terms:
-        coeffs += weight * _term_entry_coeffs(view, kind, spec.smoothing)
-    return entry_gradient(model, train.user_idx, train.item_idx, coeffs)
+    preds = _training_predictions(model, train, "penalty gradient")
+    _, coeffs = _PenaltyTerms(train, spec)(preds)
+    flat = EntryGradient(train)(model, coeffs)
+    return Gradient(*param_blocks(flat, model.num_users, model.num_items, model.d))
+
+
+class TrainingObjective:
+    """objective + alpha * penalty on one training set, valued and
+    differentiated from a single prediction pass.
+
+    Construction validates the dataset and does all data-only work once
+    (group cells, CSR structure), so the trainer builds one per run and calls
+    it once per iteration.
+    """
+
+    def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):
+        validate_dataset(train)
+        if train.num_ratings == 0:
+            raise EmptyTrainingSetError("training needs at least one rating")
+        self._train, self._lam, self._alpha = train, lam, alpha
+        self._penalty = _PenaltyTerms(train, spec)
+        self._gradient = EntryGradient(train)
+
+    def __call__(self, model: FactorModel) -> tuple[float, float, np.ndarray]:
+        """(objective, penalty, flat_params-layout gradient of the combination)."""
+        train = self._train
+        if (model.num_users, model.num_items) != (train.num_users, train.num_items):
+            raise ShapeMismatchError(
+                f"model is {model.num_users} x {model.num_items}, "
+                f"data {train.num_users} x {train.num_items}")
+        preds = predict_entries(model, train.user_idx, train.item_idx)
+        obj, coeffs = squared_error(model, preds, train, self._lam)
+        pen, pen_coeffs = self._penalty(preds)
+        coeffs += self._alpha * pen_coeffs
+        return obj, pen, self._gradient(model, coeffs, self._lam)

@@ -74,6 +74,8 @@ class RegimeConfig:
             raise ValueError("need at least one user per group")
         if self.num_items < len(ITEM_GROUPS):
             raise ValueError("need at least one item per group")
+        _exact_counts(self.num_users, _user_shares(self.regime))
+        _items_per_group(self.num_items)
 
 
 def default_block_models() -> BlockModels:
@@ -102,19 +104,26 @@ def _exact_counts(n: int, shares: dict) -> list:
     return [counts[g] for g in shares]
 
 
-def sample_user_groups(n: int, regime: str, seed) -> tuple:
-    """Fine labels and protected flags for n users, shuffled per seed.
-
-    Uniform-population regimes (U, O) use exact quarters; biased ones
-    (P, P+O) use exact 0.4/0.1/0.4/0.1 shares over (W, WS, MS, M).
-    """
+def _user_shares(regime: str) -> dict:
+    """Uniform-population regimes (U, O) use exact quarters; biased ones
+    (P, P+O) use exact 0.4/0.1/0.4/0.1 shares over (W, WS, MS, M)."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if regime in ("U", "O"):
-        shares = {g: 0.25 for g in USER_FINE_GROUPS}
-    else:
-        shares = dict(_BIASED_POPULATION)
-    counts = _exact_counts(n, shares)
+        return {g: 0.25 for g in USER_FINE_GROUPS}
+    return dict(_BIASED_POPULATION)
+
+
+def _items_per_group(m: int) -> int:
+    if m % len(ITEM_GROUPS) != 0:
+        raise IndivisibleCountError(f"{m} items cannot be split into exact thirds")
+    return m // len(ITEM_GROUPS)
+
+
+def sample_user_groups(n: int, regime: str, seed) -> tuple:
+    """Fine labels and protected flags for n users in the regime's exact
+    shares, shuffled per seed."""
+    counts = _exact_counts(n, _user_shares(regime))
     labels = np.repeat(np.array(USER_FINE_GROUPS, dtype=object), counts)
     labels = np.random.default_rng(seed).permutation(labels)
     protected = np.isin(labels, _PROTECTED_GROUPS)
@@ -123,31 +132,17 @@ def sample_user_groups(n: int, regime: str, seed) -> tuple:
 
 def sample_item_groups(m: int, seed) -> tuple:
     """Item labels in exact thirds over (Fem, STEM, Masc), shuffled per seed."""
-    if m % len(ITEM_GROUPS) != 0:
-        raise IndivisibleCountError(f"{m} items cannot be split into exact thirds")
-    labels = np.repeat(np.array(ITEM_GROUPS, dtype=object), m // len(ITEM_GROUPS))
+    labels = np.repeat(np.array(ITEM_GROUPS, dtype=object), _items_per_group(m))
     return tuple(np.random.default_rng(seed).permutation(labels))
 
 
-@dataclass(frozen=True)
-class ExpectedRatings:
-    """Per-pair expected ratings L[g_i][h_j]; callable on any (user, item)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix, dtype=np.float64)))
-
-    def __call__(self, user: int, item: int) -> float:
-        return float(self.matrix[user, item])
-
-
 def generate(config: RegimeConfig, blocks: BlockModels = None) -> tuple:
-    """Sample one dataset for the regime; returns (Dataset, ExpectedRatings).
+    """Sample one dataset for the regime; returns (Dataset, expected).
 
     Every (user, item) pair is observed with probability O[g_i][h_j]; an
-    observed rating is Bernoulli(L[g_i][h_j]) in {0, 1}. The expected-rating
-    accessor covers ALL pairs, observed or not.
+    observed rating is Bernoulli(L[g_i][h_j]) in {0, 1}. ``expected`` is the
+    n x m matrix of expected ratings L[g_i][h_j] over ALL pairs, observed or
+    not.
     """
     if blocks is None:
         blocks = default_block_models()
@@ -174,15 +169,15 @@ def generate(config: RegimeConfig, blocks: BlockModels = None) -> tuple:
         user_group_fine=user_labels,
         item_group=item_labels,
     )
-    return data, ExpectedRatings(like_prob)
+    return data, like_prob
 
 
-def expected_value_eval(train: Dataset, expected: ExpectedRatings) -> EvalSet:
+def expected_value_eval(train: Dataset, expected: np.ndarray) -> EvalSet:
     """Evaluation set over every pair NOT in train, truths from the block model."""
     unseen = np.ones((train.num_users, train.num_items), dtype=bool)
     unseen[train.user_idx, train.item_idx] = False
     user_idx, item_idx = np.nonzero(unseen)
-    return EvalSet(user_idx, item_idx, expected.matrix[unseen], source=EXPECTED_VALUES)
+    return EvalSet(user_idx, item_idx, expected[unseen], source=EXPECTED_VALUES)
 
 
 def write_sidecar(path, blocks: BlockModels, regime: str) -> None:

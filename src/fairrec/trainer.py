@@ -7,7 +7,7 @@ inputs, bit-identical model out, regardless of thread counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,10 +19,9 @@ from .core import (
     MalformedLineError,
     ShapeMismatchError,
     _fmt,
-    validate_dataset,
 )
-from .factorization import Gradient, objective, objective_gradient
-from .penalties import PenaltySpec, penalty_gradient, penalty_value
+from .factorization import flat_params, param_blocks
+from .penalties import PenaltySpec, TrainingObjective
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -31,20 +30,19 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moment accumulators; one per parameter block, plus the step count."""
+    """Adam moment accumulators over the flat parameter vector, plus the step
+    count."""
 
-    first: Gradient
-    second: Gradient
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
 
     @classmethod
-    def fresh(cls, model: FactorModel, beta1: float = ADAM_BETA1,
-              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> "AdamState":
-        return cls(Gradient.zeros_like(model), Gradient.zeros_like(model),
-                   0, beta1, beta2, eps)
+    def fresh(cls, params: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params))
 
 
 @dataclass(frozen=True)
@@ -81,61 +79,43 @@ def init_model(num_users: int, num_items: int, d: int, seed: int,
     )
 
 
-def _model_blocks(model: FactorModel):
-    return (model.user_factors, model.item_factors, model.user_bias, model.item_bias)
-
-
-def _grad_blocks(grad: Gradient):
-    return (grad.d_user_factors, grad.d_item_factors, grad.d_user_bias, grad.d_item_bias)
-
-
-def adam_step(state: AdamState, params: FactorModel, grad: Gradient,
-              learning_rate: float) -> tuple[AdamState, FactorModel]:
-    """One bias-corrected Adam update; returns the new (state, params)."""
-    for p, g, m in zip(_model_blocks(params), _grad_blocks(grad), _grad_blocks(state.first)):
-        if not (p.shape == g.shape == m.shape):
-            raise ShapeMismatchError(
-                f"parameter/gradient/state shapes disagree: {p.shape} {g.shape} {m.shape}")
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
+              learning_rate: float) -> tuple[AdamState, np.ndarray]:
+    """One bias-corrected Adam update of a flat parameter vector; returns the
+    new (state, params)."""
+    if not (params.shape == grad.shape == state.first.shape):
+        raise ShapeMismatchError(
+            f"parameter/gradient/state shapes disagree: "
+            f"{params.shape} {grad.shape} {state.first.shape}")
     t = state.step + 1
-    firsts, seconds, updated = [], [], []
-    for p, g, m, v in zip(_model_blocks(params), _grad_blocks(grad),
-                          _grad_blocks(state.first), _grad_blocks(state.second)):
-        m_new = state.beta1 * m + (1.0 - state.beta1) * g
-        v_new = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m_new / (1.0 - state.beta1**t)
-        v_hat = v_new / (1.0 - state.beta2**t)
-        firsts.append(m_new)
-        seconds.append(v_new)
-        updated.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + state.eps))
-    new_state = AdamState(Gradient(*firsts), Gradient(*seconds), t,
-                          state.beta1, state.beta2, state.eps)
-    return new_state, FactorModel(*updated)
+    first = state.beta1 * state.first + (1.0 - state.beta1) * grad
+    second = state.beta2 * state.second + (1.0 - state.beta2) * grad * grad
+    m_hat = first / (1.0 - state.beta1**t)
+    v_hat = second / (1.0 - state.beta2**t)
+    updated = params - learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    return replace(state, first=first, second=second, step=t), updated
 
 
 def train(train_set: Dataset, hyper: Hyperparams,
           spec: PenaltySpec = PenaltySpec.none()) -> tuple[FactorModel, TrainTrace]:
     """Full-batch Adam on objective + alpha * penalty for hyper.iterations steps."""
-    validate_dataset(train_set)
+    loss = TrainingObjective(train_set, hyper.lam, spec, hyper.alpha)
     model = init_model(train_set.num_users, train_set.num_items, hyper.d,
                        hyper.seed, hyper.init_scale)
-    state = AdamState.fresh(model)
+    params = flat_params(model)
+    state = AdamState.fresh(params)
     obj_trace = np.empty(hyper.iterations)
     pen_trace = np.empty(hyper.iterations)
     for it in range(hyper.iterations):
-        obj = objective(model, train_set, hyper.lam)
-        pen = penalty_value(model, train_set, spec)
-        combined = obj + hyper.alpha * pen
-        if not np.isfinite(combined):
+        obj, pen, grad = loss(model)
+        if not np.isfinite(obj + hyper.alpha * pen):
             raise DivergenceError(f"combined objective became non-finite at iteration {it}")
         obj_trace[it] = obj
         pen_trace[it] = pen
-        grad = objective_gradient(model, train_set, hyper.lam)
-        if not spec.is_none and hyper.alpha != 0.0:
-            grad = grad.plus(penalty_gradient(model, train_set, spec), hyper.alpha)
-        state, model = adam_step(state, model, grad, hyper.learning_rate)
-    final = objective(model, train_set, hyper.lam) + hyper.alpha * penalty_value(
-        model, train_set, spec)
-    if not np.isfinite(final):
+        state, params = adam_step(state, params, grad, hyper.learning_rate)
+        model = FactorModel(*param_blocks(params, model.num_users, model.num_items, model.d))
+    obj, pen, _ = loss(model)
+    if not np.isfinite(obj + hyper.alpha * pen):
         raise DivergenceError("combined objective became non-finite after the last step")
     return model, TrainTrace(obj_trace, pen_trace, obj_trace + hyper.alpha * pen_trace)
 

@@ -101,7 +101,11 @@ def _smooth_abs(x, eps):
 
 def oracle_penalty(P, Q, bu, bi, triples, protected_flags, num_items, terms,
                    smoothing=0.0):
-    """Weighted sum of the training-set scores for the requested terms."""
+    """Weighted sum of the training-set scores for the requested terms.
+
+    With smoothing > 0 every absolute value becomes sqrt(x^2 + eps^2); the
+    hinges max(0, x) stay exact.
+    """
     prot, adv = _per_group_item_averages(
         P, Q, bu, bi, triples, protected_flags, num_items)
     both = sorted(set(prot) & set(adv))
@@ -113,8 +117,8 @@ def oracle_penalty(P, Q, bu, bi, triples, protected_flags, num_items, terms,
                 group = bool(protected_flags[user])
                 sums[group][0] += oracle_predict(P, Q, bu, bi, user, item)
                 sums[group][1] += 1
-            term = abs(sums[True][0] / sums[True][1]
-                       - sums[False][0] / sums[False][1])
+            term = _smooth_abs(sums[True][0] / sums[True][1]
+                               - sums[False][0] / sums[False][1], smoothing)
         else:
             acc = 0.0
             for item in both:
@@ -123,12 +127,12 @@ def oracle_penalty(P, Q, bu, bi, triples, protected_flags, num_items, terms,
                 if kind == "value":
                     acc += _smooth_abs(dp - da, smoothing)
                 elif kind == "absolute":
-                    acc += abs(_smooth_abs(dp, smoothing)
-                               - _smooth_abs(da, smoothing))
+                    acc += _smooth_abs(_smooth_abs(dp, smoothing)
+                                       - _smooth_abs(da, smoothing), smoothing)
                 elif kind == "under":
-                    acc += abs(max(0.0, -dp) - max(0.0, -da))
+                    acc += _smooth_abs(max(0.0, -dp) - max(0.0, -da), smoothing)
                 elif kind == "over":
-                    acc += abs(max(0.0, dp) - max(0.0, da))
+                    acc += _smooth_abs(max(0.0, dp) - max(0.0, da), smoothing)
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
             term = acc / len(both) if both else 0.0

@@ -168,6 +168,20 @@ class TestTrain:
         assert code == 2
         assert stderr.startswith("error:")
 
+    def test_negative_learning_rate_exits_two(self, synth_file, tmp_path, capsys):
+        code, _, stderr = run(capsys, "train", "--data", str(synth_file), "--lr", "-1",
+                              "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert stderr.startswith("error:") and "Traceback" not in stderr
+
+    def test_huge_user_count_header_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("users=100000000000 items=1 scale=0.0,5.0\nu 0 1\n")
+        code, _, stderr = run(capsys, "train", "--data", str(bad),
+                              "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert stderr.startswith("error: line 1:")
+
     def test_bad_penalty_exits_two(self, synth_file, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "--data", str(synth_file),
                               "--penalty", "sideways", "--out", str(tmp_path / "m.txt"))
@@ -287,6 +301,19 @@ class TestReproductions:
         table = parse_table_csv(out.read_text())
         assert table.rows == ("none", "value", "absolute", "under", "over",
                               "parity", "under:2+over")
+
+    def test_table1_indivisible_users_exit_two_before_training(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("fairrec.harness.train", no_training)
+        out = tmp_path / "t1.csv"
+        code, _, stderr = run(capsys, "reproduce-table1", "--users", "401",
+                              "--out", str(out))
+        assert code == 2
+        assert "401 users" in stderr
+        assert not out.exists()
 
     def test_table2_csv(self, ml_dir, tmp_path, capsys):
         out = tmp_path / "t2.csv"

@@ -131,6 +131,10 @@ class TestHyperparams:
         dict(alpha=-1.0),
         dict(iterations=0),
         dict(init_scale=0.0),
+        dict(lam=float("nan")),
+        dict(alpha=float("nan")),
+        dict(learning_rate=-1.0),
+        dict(learning_rate=float("inf")),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -195,3 +199,18 @@ class TestDatasetFormat:
         text = "users=1 items=1 scale=0.0,5.0\nu 0 2\n"
         with pytest.raises(MalformedLineError):
             parse_dataset(text)
+
+    @pytest.mark.parametrize("header", ["users=-1 items=1 scale=0.0,5.0",
+                                        "users=1 items=-2 scale=0.0,5.0",
+                                        "users=3 items=1 scale=0.0,5.0"])
+    def test_header_counts_checked_on_line_one(self, header):
+        with pytest.raises(MalformedLineError) as exc:
+            parse_dataset(header + "\nu 0 1\nu 1 0\n")
+        assert exc.value.line_no == 1
+
+    def test_huge_user_count_rejected_before_allocation(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("users=100000000000 items=1 scale=0.0,5.0\nu 0 1\n")
+        with pytest.raises(MalformedLineError) as exc:
+            load_dataset(path)
+        assert exc.value.line_no == 1

@@ -1,21 +1,24 @@
-"""Prediction, scatter helpers, and objective gradients."""
+"""Prediction, the entry-coefficient scatter, and objective gradients."""
 
 import numpy as np
 import pytest
 
 from fairrec import (
+    Dataset,
     EmptyTrainingSetError,
+    EvalSet,
     FactorModel,
-    Gradient,
     IndexOutOfRangeError,
-    entry_gradient,
+    PenaltySpec,
+    full_report,
     objective,
     objective_gradient,
-    predict,
+    penalty_gradient,
+    penalty_value,
     predict_entries,
-    scatter_rows,
-    scatter_sum,
 )
+from fairrec.factorization import EntryGradient, flat_params, param_blocks
+from fairrec.penalties import TrainingObjective
 
 from conftest import (
     dataset_triples,
@@ -36,22 +39,31 @@ class TestPredict:
             user_bias=np.array([0.5]),
             item_bias=np.array([-0.5]),
         )
-        assert predict(m, 0, 0) == pytest.approx(11.0)
+        assert predict_entries(m, np.array([0]), np.array([0])).tolist() \
+            == pytest.approx([11.0])
 
     def test_matches_oracle(self, rng):
         m = make_model(rng, 5, 4, d=3)
-        for u in range(5):
-            for i in range(4):
-                want = oracle_predict(m.user_factors, m.item_factors,
-                                      m.user_bias, m.item_bias, u, i)
-                assert predict(m, u, i) == pytest.approx(want, abs=1e-12)
+        users, items = np.divmod(np.arange(20), 4)
+        batch = predict_entries(m, users, items)
+        for u, i, got in zip(users, items, batch):
+            want = oracle_predict(m.user_factors, m.item_factors,
+                                  m.user_bias, m.item_bias, u, i)
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_out_of_range_rejected(self, rng):
-        m = make_model(rng, 3, 3)
-        with pytest.raises(IndexOutOfRangeError):
-            predict(m, 3, 0)
-        with pytest.raises(IndexOutOfRangeError):
-            predict(m, 0, -1)
+        """Every public entry point that predicts on a triple set checks its
+        indices against the model before predicting."""
+        d = Dataset.from_ratings(3, 3, [(0, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0)],
+                                 [True, False, True], rating_scale=(0.0, 5.0))
+        for small in (make_model(rng, 2, 3), make_model(rng, 3, 2)):
+            for call in (lambda: objective(small, d, 0.1),
+                         lambda: objective_gradient(small, d, 0.1),
+                         lambda: penalty_value(small, d, PenaltySpec.single("parity")),
+                         lambda: penalty_gradient(small, d, PenaltySpec.single("parity")),
+                         lambda: full_report(small, EvalSet.from_dataset(d), d.protected)):
+                with pytest.raises(IndexOutOfRangeError):
+                    call()
 
     def test_predict_entries_matches_scalar(self, rng):
         m = make_model(rng, 6, 5, d=2)
@@ -59,70 +71,106 @@ class TestPredict:
         items = rng.integers(0, 5, size=20)
         batch = predict_entries(m, users, items)
         for k in range(20):
-            assert batch[k] == pytest.approx(predict(m, users[k], items[k]),
-                                             abs=1e-12)
+            want = oracle_predict(m.user_factors, m.item_factors,
+                                  m.user_bias, m.item_bias, users[k], items[k])
+            assert batch[k] == pytest.approx(want, abs=1e-12)
+
+
+def loop_gradient(model, data, coeffs):
+    """sum_e coeffs[e] * d(prediction_e)/d(parameters), one entry at a time."""
+    dP = np.zeros_like(model.user_factors)
+    dQ = np.zeros_like(model.item_factors)
+    dbu = np.zeros(model.num_users)
+    dbi = np.zeros(model.num_items)
+    for u, i, c in zip(data.user_idx, data.item_idx, coeffs):
+        dP[u] += c * model.item_factors[i]
+        dQ[i] += c * model.user_factors[u]
+        dbu[u] += c
+        dbi[i] += c
+    return dP, dQ, dbu, dbi
 
 
 class TestScatter:
-    def test_scatter_sum_matches_loop(self, rng):
-        idx = rng.integers(0, 7, size=30)
-        w = rng.normal(size=30)
-        want = np.zeros(7)
-        for k in range(30):
-            want[idx[k]] += w[k]
-        assert np.allclose(scatter_sum(idx, w, 7), want, atol=1e-12)
+    """EntryGradient against an entry-by-entry loop on random datasets."""
 
-    def test_scatter_sum_empty_bucket(self):
-        out = scatter_sum(np.array([0, 0, 2]), np.array([1.0, 2.0, 3.0]), 4)
-        assert out.tolist() == [3.0, 0.0, 3.0, 0.0]
+    def test_scatter_sum_matches_loop(self, rng):
+        for _ in range(10):
+            d, _ = make_train_dataset(rng)
+            m = make_model(rng, d.num_users, d.num_items, d=2)
+            coeffs = rng.normal(size=d.num_ratings)
+            _, _, bu, bi = param_blocks(EntryGradient(d)(m, coeffs),
+                                        m.num_users, m.num_items, m.d)
+            _, _, want_bu, want_bi = loop_gradient(m, d, coeffs)
+            assert np.allclose(bu, want_bu, atol=1e-12)
+            assert np.allclose(bi, want_bi, atol=1e-12)
+
+    def test_scatter_sum_empty_bucket(self, rng):
+        d = Dataset.from_ratings(4, 3, [(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0)],
+                                 [True, False, True, False], rating_scale=(0.0, 5.0))
+        m = make_model(rng, 4, 3, d=2)
+        dP, dQ, dbu, dbi = param_blocks(EntryGradient(d)(m, np.array([1.0, 2.0, 3.0])),
+                                        4, 3, 2)
+        assert dbu.tolist() == [3.0, 0.0, 3.0, 0.0]
+        assert dbi.tolist() == [4.0, 0.0, 2.0]
+        assert not dP[[1, 3]].any() and not dQ[1].any()
 
     def test_scatter_rows_matches_loop(self, rng):
-        idx = rng.integers(0, 5, size=20)
-        rows = rng.normal(size=(20, 3))
-        want = np.zeros((5, 3))
-        for k in range(20):
-            want[idx[k]] += rows[k]
-        assert np.allclose(scatter_rows(idx, rows, 5), want, atol=1e-12)
+        for _ in range(10):
+            d, _ = make_train_dataset(rng)
+            m = make_model(rng, d.num_users, d.num_items, d=3)
+            coeffs = rng.normal(size=d.num_ratings)
+            dP, dQ, _, _ = param_blocks(EntryGradient(d)(m, coeffs),
+                                        m.num_users, m.num_items, m.d)
+            want_dP, want_dQ, _, _ = loop_gradient(m, d, coeffs)
+            assert np.allclose(dP, want_dP, atol=1e-12)
+            assert np.allclose(dQ, want_dQ, atol=1e-12)
 
 
 class TestEntryGradient:
     def test_matches_explicit_accumulation(self, rng):
         m = make_model(rng, 4, 3, d=2)
-        users = np.array([0, 1, 1, 3])
-        items = np.array([2, 0, 2, 1])
+        d = Dataset.from_ratings(4, 3, [(0, 2, 1.0), (1, 0, 1.0), (1, 2, 1.0), (3, 1, 1.0)],
+                                 [True, False, True, False], rating_scale=(0.0, 5.0))
         coeffs = np.array([0.5, -1.0, 2.0, 0.25])
-        g = entry_gradient(m, users, items, coeffs)
-        dP = np.zeros_like(m.user_factors)
-        dQ = np.zeros_like(m.item_factors)
+        lam = 0.5
+        g = EntryGradient(d)(m, coeffs, lam)
+        dP = lam * m.user_factors
+        dQ = lam * m.item_factors
         dbu = np.zeros(4)
         dbi = np.zeros(3)
-        for u, i, c in zip(users, items, coeffs):
+        for u, i, c in zip([0, 1, 1, 3], [2, 0, 2, 1], coeffs):
             dP[u] += c * m.item_factors[i]
             dQ[i] += c * m.user_factors[u]
             dbu[u] += c
             dbi[i] += c
-        assert np.allclose(g.d_user_factors, dP, atol=1e-12)
-        assert np.allclose(g.d_item_factors, dQ, atol=1e-12)
-        assert np.allclose(g.d_user_bias, dbu, atol=1e-12)
-        assert np.allclose(g.d_item_bias, dbi, atol=1e-12)
+        assert np.allclose(g, np.concatenate([dP.ravel(), dQ.ravel(), dbu, dbi]),
+                           atol=1e-12)
 
 
 class TestGradientContainer:
-    def test_zeros_like_shapes(self, rng):
-        m = make_model(rng, 3, 5, d=2)
-        z = Gradient.zeros_like(m)
-        assert z.d_user_factors.shape == (3, 2)
-        assert z.d_item_factors.shape == (5, 2)
-        assert not z.d_user_bias.any() and not z.d_item_bias.any()
-
     def test_plus_weights(self, rng):
-        m = make_model(rng, 2, 2, d=1)
-        a = entry_gradient(m, np.array([0]), np.array([1]), np.array([1.0]))
-        b = entry_gradient(m, np.array([1]), np.array([0]), np.array([2.0]))
-        s = a.plus(b, weight=0.5)
-        assert np.allclose(
-            gradient_to_vector(s),
-            gradient_to_vector(a) + 0.5 * gradient_to_vector(b), atol=1e-12)
+        """The fused training step's gradient is the objective gradient plus
+        alpha times the penalty gradient, both returned as Gradient blocks."""
+        for kind in ("value", "parity"):
+            d, _ = make_train_dataset(rng)
+            m = make_model(rng, d.num_users, d.num_items, d=2)
+            spec = PenaltySpec.single(kind)
+            _, _, fused = TrainingObjective(d, 0.1, spec, 0.5)(m)
+            want = (gradient_to_vector(objective_gradient(m, d, 0.1))
+                    + 0.5 * gradient_to_vector(penalty_gradient(m, d, spec)))
+            assert np.allclose(fused, want, rtol=0, atol=1e-12)
+
+
+class TestFlatLayout:
+    def test_blocks_are_views_in_conftest_order(self, rng):
+        m = make_model(rng, 3, 5, d=2)
+        flat = flat_params(m)
+        assert np.array_equal(flat, model_to_vector(m))
+        blocks = param_blocks(flat, 3, 5, 2)
+        for block, want in zip(blocks, (m.user_factors, m.item_factors,
+                                        m.user_bias, m.item_bias)):
+            assert np.array_equal(block, want)
+            assert np.shares_memory(block, flat)
 
 
 class TestObjective:

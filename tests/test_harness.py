@@ -8,6 +8,7 @@ from fairrec import (
     DEFAULT_PENALTIES,
     ExperimentConfig,
     Hyperparams,
+    IndivisibleCountError,
     InsufficientSamplesError,
     MalformedLineError,
     METRIC_FIELDS,
@@ -85,6 +86,12 @@ class TestExperimentConfig:
     def test_rejects_bad_split(self):
         with pytest.raises(ValueError):
             tiny_config(split_fraction=1.5)
+
+    @pytest.mark.parametrize("sizes", [dict(num_users=401), dict(num_items=301),
+                                       dict(regime="U", num_users=42)])
+    def test_rejects_indivisible_sizes_when_built(self, sizes):
+        with pytest.raises(IndivisibleCountError):
+            tiny_config(**sizes)
 
 
 class TestRunTrials:

@@ -16,7 +16,6 @@ from fairrec import (
     absolute_unfairness,
     full_report,
     group_item_averages,
-    hinge,
     mse,
     non_parity,
     overestimation_unfairness,
@@ -50,12 +49,6 @@ class TestEvalSet:
     def test_default_source(self):
         e = EvalSet(np.array([0]), np.array([0]), np.array([1.0]))
         assert e.source == HELD_OUT
-
-
-class TestHinge:
-    @pytest.mark.parametrize("x,want", [(-1.0, 0.0), (0.0, 0.0), (2.5, 2.5)])
-    def test_values(self, x, want):
-        assert hinge(x) == want
 
 
 class TestGroupItemAverages:

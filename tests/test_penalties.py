@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fairrec import (
     PENALTY_KINDS,
+    EvalSet,
     PenaltySpec,
     UnsupportedFormatError,
+    full_report,
     parse_penalty,
     penalty_gradient,
     penalty_value,
 )
+from fairrec.penalties import TrainingObjective
 
 from conftest import (
     dataset_triples,
@@ -20,7 +24,7 @@ from conftest import (
     model_to_vector,
     vector_to_model,
 )
-from oracles import central_difference, oracle_penalty
+from oracles import central_difference, oracle_objective, oracle_penalty
 
 
 class TestPenaltySpec:
@@ -183,3 +187,50 @@ class TestPenaltyGradient:
         m = make_model(rng, d.num_users, d.num_items)
         g = penalty_gradient(m, d, PenaltySpec.none())
         assert not gradient_to_vector(g).any()
+
+
+class TestSharedDefinition:
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_penalty_equals_metric_on_the_training_set(self, rng, kind):
+        """At smoothing 0 a penalty is the metric of the same name, evaluated
+        on the training ratings."""
+        for _ in range(10):
+            d, _ = make_train_dataset(rng)
+            m = make_model(rng, d.num_users, d.num_items)
+            report = full_report(m, EvalSet.from_dataset(d), d.protected)
+            assert penalty_value(m, d, PenaltySpec.single(kind)) \
+                == pytest.approx(getattr(report, kind), abs=1e-12)
+
+
+TERM_SETS = [((kind, 1.0),) for kind in PENALTY_KINDS] + [(("under", 2.0), ("over", 1.0))]
+
+
+class TestTrainingObjective:
+    @pytest.mark.parametrize("smoothing", [0.0, 0.05])
+    @pytest.mark.parametrize("terms", TERM_SETS,
+                             ids=[PenaltySpec(t).label for t in TERM_SETS])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 0.5),
+           alpha=st.floats(0.0, 2.0))
+    def test_matches_oracles_and_differences(self, terms, smoothing, seed, lam, alpha):
+        rng = np.random.default_rng(seed)
+        d, protected = make_train_dataset(rng)
+        m = make_model(rng, d.num_users, d.num_items, d=2)
+        obj, pen, grad = TrainingObjective(d, lam, PenaltySpec(terms, smoothing), alpha)(m)
+
+        def oracle(vec, alpha=alpha):
+            mm = vector_to_model(vec, m)
+            args = (mm.user_factors, mm.item_factors, mm.user_bias, mm.item_bias,
+                    dataset_triples(d))
+            return (oracle_objective(*args, lam) + alpha * oracle_penalty(
+                *args, protected, d.num_items, terms, smoothing))
+
+        x = model_to_vector(m).tolist()
+        assert obj == pytest.approx(oracle(x, alpha=0.0), rel=1e-12, abs=1e-12)
+        assert obj + alpha * pen == pytest.approx(oracle(x), rel=1e-12, abs=1e-12)
+        # away from kinks, differences at two step sizes agree
+        assume(np.allclose(central_difference(oracle, x, h=1e-4),
+                           central_difference(oracle, x, h=5e-5), rtol=0.05, atol=1e-9))
+        num = np.asarray(central_difference(oracle, x, h=1e-6))
+        rel = np.linalg.norm(grad - num, np.inf) / max(np.linalg.norm(num, np.inf), 1e-12)
+        assert rel < 1e-6

@@ -129,7 +129,7 @@ class TestGenerate:
             g = USER_FINE_GROUPS.index(data.user_group_fine[u])
             for i in (0, 13, 29):
                 h = ITEM_GROUPS.index(data.item_group[i])
-                assert expected(u, i) == blocks.L[g, h]
+                assert expected[u, i] == blocks.L[g, h]
 
     def test_observation_rate_tracks_regime(self):
         # W users see Fem items with probability 0.6 under bias, 0.4 uniform
@@ -164,7 +164,7 @@ class TestExpectedValueEval:
         assert not observed & listed
         assert len(listed) == len(ev)
         for k in range(len(ev)):
-            assert ev.values[k] == expected(int(ev.user_idx[k]), int(ev.item_idx[k]))
+            assert ev.values[k] == expected[ev.user_idx[k], ev.item_idx[k]]
 
 
 class TestSidecar:
