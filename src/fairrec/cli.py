@@ -285,6 +285,10 @@ def main(argv=None) -> int:
     except (FairrecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # sizes read from a file can ask for more memory than the host has
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -87,6 +87,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _by_user_item(u: np.ndarray, i: np.ndarray, v: np.ndarray) -> tuple:
+    """Copies of parallel (user, item, value) arrays in stable (user, item)
+    order. Input already in that order is only copied, because a stable sort
+    of sorted input is the identity."""
+    if len(u) > 1 and not np.all(
+            (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (i[1:] >= i[:-1]))):
+        order = np.lexsort((i, u))
+        return u[order], i[order], v[order]
+    return u.copy(), i.copy(), v.copy()
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Sparse observed ratings plus per-user group labels.
@@ -138,10 +149,10 @@ class Dataset:
             bad = set(groups) - set(ITEM_GROUPS)
             if bad:
                 raise ValueError(f"unknown item groups: {sorted(bad)}")
-        order = np.lexsort((i, u))
-        object.__setattr__(self, "user_idx", _frozen(u[order]))
-        object.__setattr__(self, "item_idx", _frozen(i[order]))
-        object.__setattr__(self, "values", _frozen(v[order]))
+        u, i, v = _by_user_item(u, i, v)
+        object.__setattr__(self, "user_idx", _frozen(u))
+        object.__setattr__(self, "item_idx", _frozen(i))
+        object.__setattr__(self, "values", _frozen(v))
         object.__setattr__(self, "protected", _frozen(p))
         object.__setattr__(self, "rating_scale", (lo, hi))
         object.__setattr__(self, "user_group_fine", fine)
@@ -299,6 +310,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# Rating lines are read this many file lines at a time, which bounds the
+# token lists held at once.
+_CHUNK_LINES = 1 << 16
+
+
+def _map_distinct(func, keys: list) -> list:
+    """func(key) for every key, called once per distinct key."""
+    cache = {key: func(key) for key in set(keys)}
+    return list(map(cache.__getitem__, keys))
+
+
+def _value_text(bits: int) -> str:
+    return _fmt(np.int64(bits).view(np.float64)) + "\n"
+
+
 def format_dataset(d: Dataset) -> str:
     """Serialize a dataset to its text form.
 
@@ -307,19 +333,52 @@ def format_dataset(d: Dataset) -> str:
     Rating values round-trip bit-exactly.
     """
     lo, hi = d.rating_scale
-    lines = [f"users={d.num_users} items={d.num_items} scale={_fmt(lo)},{_fmt(hi)}"]
-    for u in range(d.num_users):
-        flag = 1 if d.protected[u] else 0
-        if d.user_group_fine is not None:
-            lines.append(f"u {u} {flag} {d.user_group_fine[u]}")
-        else:
-            lines.append(f"u {u} {flag}")
+    head = [f"users={d.num_users} items={d.num_items} scale={_fmt(lo)},{_fmt(hi)}\n"]
+    flags = d.protected.astype(np.int64).tolist()
+    if d.user_group_fine is not None:
+        head += map("u {} {} {}\n".format, range(d.num_users), flags, d.user_group_fine)
+    else:
+        head += map("u {} {}\n".format, range(d.num_users), flags)
     if d.item_group is not None:
-        for i in range(d.num_items):
-            lines.append(f"g {i} {d.item_group[i]}")
-    for u, i, v in zip(d.user_idx, d.item_idx, d.values):
-        lines.append(f"r {u} {i} {_fmt(v)}")
-    return "\n".join(lines) + "\n"
+        head += map("g {} {}\n".format, range(d.num_items), d.item_group)
+    # The rating lines are three interleaved columns of text. Values are keyed
+    # by their bits, not compared as floats: -0.0 == 0.0 but their text differs.
+    ratings = [""] * (3 * d.num_ratings)
+    ratings[0::3] = _map_distinct("r {} ".format, d.user_idx.tolist())
+    ratings[1::3] = _map_distinct("{} ".format, d.item_idx.tolist())
+    ratings[2::3] = _map_distinct(_value_text, d.values.view(np.int64).tolist())
+    return "".join(head) + "".join(ratings)
+
+
+def _rating_columns(text: str, count: int) -> tuple:
+    """User, item and value arrays of ``count`` rating lines joined in text.
+
+    Every rating line starts with the token ``r``, which neither int nor
+    float accepts. So when there are four tokens per line and every column
+    converts, no line starts inside a column and each has exactly four
+    fields. Raises ValueError otherwise, or OverflowError for an index
+    outside the int64 range. A token's text alone sets its value, so each
+    distinct text is converted once.
+    """
+    tokens = text.split()
+    if len(tokens) != 4 * count:
+        raise ValueError("a rating line does not have four fields")
+    return (np.array(_map_distinct(int, tokens[1::4]), dtype=np.int64),
+            np.array(_map_distinct(int, tokens[2::4]), dtype=np.int64),
+            np.array(_map_distinct(float, tokens[3::4]), dtype=np.float64))
+
+
+def _raise_first_bad_rating(lines: list, first_no: int) -> None:
+    """Raise MalformedLineError for the first malformed rating line."""
+    for no, line in enumerate(lines, start=first_no):
+        parts = line.split()
+        if parts and parts[0] == "r":
+            try:
+                _rating_columns(line, 1)
+            except (ValueError, OverflowError) as exc:
+                if len(parts) != 4:
+                    raise MalformedLineError(no, f"unrecognized line {line!r}") from exc
+                raise MalformedLineError(no, str(exc)) from exc
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -347,11 +406,8 @@ def parse_dataset(text: str) -> Dataset:
     seen_user = np.zeros(num_users, dtype=bool)
     fine: dict[int, str] = {}
     groups: dict[int, str] = {}
-    triples: list[tuple[int, int, float]] = []
-    for no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
+
+    def label_line(no: int, line: str, parts: list) -> None:
         kind = parts[0]
         try:
             if kind == "u" and len(parts) in (3, 4):
@@ -369,12 +425,43 @@ def parse_dataset(text: str) -> Dataset:
                 if not 0 <= i < num_items:
                     raise MalformedLineError(no, f"item index {i} out of range")
                 groups[i] = parts[2]
-            elif kind == "r" and len(parts) == 4:
-                triples.append((int(parts[1]), int(parts[2]), float(parts[3])))
             else:
                 raise MalformedLineError(no, f"unrecognized line {line!r}")
         except ValueError as exc:
             raise MalformedLineError(no, str(exc)) from exc
+
+    # Each chunk's rating lines are converted together, in file order. A
+    # malformed line is reported only once every line before it has been
+    # checked, so the first one in the file is the one reported.
+    columns = [_rating_columns("", 0)]  # a file may hold no ratings
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        rows, end, error = chunk, len(chunk), None
+        joined = "\n".join(chunk)
+        if joined.startswith("r ") + joined.count("\nr ") != len(chunk):
+            rows, prev = [], 0
+            for k in [k for k, line in enumerate(chunk) if line[:2] != "r "]:
+                rows += chunk[prev:k]
+                prev = k + 1
+                parts = chunk[k].split()
+                if parts and parts[0] == "r":
+                    rows.append(chunk[k])
+                elif parts:
+                    try:
+                        label_line(start + k + 1, chunk[k], parts)
+                    except MalformedLineError as exc:
+                        end, error = k, exc
+                        break
+            else:
+                rows += chunk[prev:]
+            joined = "\n".join(rows)
+        try:
+            columns.append(_rating_columns(joined, len(rows)))
+        except (ValueError, OverflowError):
+            _raise_first_bad_rating(chunk[:end], start + 1)
+            raise
+        if error is not None:
+            raise error
     if not seen_user.all():
         missing = int(np.flatnonzero(~seen_user)[0])
         raise MalformedLineError(len(lines), f"no 'u' line for user {missing}")
@@ -382,8 +469,9 @@ def parse_dataset(text: str) -> Dataset:
         raise MalformedLineError(len(lines), "fine labels must cover all users or none")
     if groups and len(groups) != num_items:
         raise MalformedLineError(len(lines), "item labels must cover all items or none")
-    return Dataset.from_ratings(
-        num_users, num_items, triples, protected, scale,
+    user_idx, item_idx, values = (np.concatenate(c) for c in zip(*columns))
+    return Dataset(
+        num_users, num_items, user_idx, item_idx, values, protected, scale,
         tuple(fine[u] for u in range(num_users)) if fine else None,
         tuple(groups[i] for i in range(num_items)) if groups else None,
     )

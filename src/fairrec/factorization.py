@@ -46,9 +46,10 @@ def param_blocks(flat: np.ndarray, num_users: int, num_items: int, d: int) -> tu
 
 def predict_entries(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarray) -> np.ndarray:
     """Vectorized predictions for parallel index arrays (assumed in bounds)."""
-    P = model.user_factors[user_idx]
-    Q = model.item_factors[item_idx]
-    return np.einsum("ij,ij->i", P, Q) + model.user_bias[user_idx] + model.item_bias[item_idx]
+    P = model.user_factors.take(user_idx, axis=0)
+    Q = model.item_factors.take(item_idx, axis=0)
+    return (np.einsum("ij,ij->i", P, Q)
+            + model.user_bias.take(user_idx) + model.item_bias.take(item_idx))
 
 
 def _check_bounds(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarray) -> None:

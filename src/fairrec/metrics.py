@@ -22,6 +22,7 @@ from .core import (
     MetricReport,
     NoComparableItemsError,
     UnsupportedFormatError,
+    _by_user_item,
 )
 from .factorization import _check_bounds, predict_entries
 
@@ -52,8 +53,7 @@ class EvalSet:
             raise EmptyEvalSetError("evaluation set has no entries")
         if u.min() < 0 or i.min() < 0:
             raise ValueError("negative evaluation indices")
-        order = np.lexsort((i, u))
-        for name, arr in (("user_idx", u[order]), ("item_idx", i[order]), ("values", v[order])):
+        for name, arr in zip(("user_idx", "item_idx", "values"), _by_user_item(u, i, v)):
             arr = np.ascontiguousarray(arr)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -154,16 +154,25 @@ def group_gap(preds: np.ndarray, in_protected: np.ndarray) -> float:
     return np.mean(preds[in_protected]) - np.mean(preds[~in_protected])
 
 
+def _predictions(model: FactorModel, eval_set: EvalSet) -> np.ndarray:
+    _check_bounds(model, eval_set.user_idx, eval_set.item_idx)
+    return predict_entries(model, eval_set.user_idx, eval_set.item_idx)
+
+
+def _averages(preds: np.ndarray, eval_set: EvalSet, protected: np.ndarray,
+              num_items: int) -> GroupItemAverages:
+    cells = GroupCells(eval_set.user_idx, eval_set.item_idx, protected, num_items)
+    pred = cells.means(preds)
+    true = cells.means(eval_set.values)
+    m = num_items
+    return GroupItemAverages(pred[m:], true[m:], cells.count[m:],
+                             pred[:m], true[:m], cells.count[:m])
+
+
 def group_item_averages(model: FactorModel, eval_set: EvalSet,
                         protected: np.ndarray) -> GroupItemAverages:
     """Average predictions and truths per item, separately per user group."""
-    _check_bounds(model, eval_set.user_idx, eval_set.item_idx)
-    cells = GroupCells(eval_set.user_idx, eval_set.item_idx, protected, model.num_items)
-    pred = cells.means(predict_entries(model, eval_set.user_idx, eval_set.item_idx))
-    true = cells.means(eval_set.values)
-    m = model.num_items
-    return GroupItemAverages(pred[m:], true[m:], cells.count[m:],
-                             pred[:m], true[:m], cells.count[:m])
+    return _averages(_predictions(model, eval_set), eval_set, protected, model.num_items)
 
 
 def _item_unfairness(kind: str, avgs: GroupItemAverages) -> float:
@@ -195,43 +204,45 @@ def overestimation_unfairness(avgs: GroupItemAverages) -> float:
     return _item_unfairness("over", avgs)
 
 
-def non_parity(model: FactorModel, eval_set: EvalSet, protected: np.ndarray) -> float:
-    """Absolute difference between the groups' overall mean predictions."""
-    _check_bounds(model, eval_set.user_idx, eval_set.item_idx)
-    preds = predict_entries(model, eval_set.user_idx, eval_set.item_idx)
+def _parity(preds: np.ndarray, eval_set: EvalSet, protected: np.ndarray) -> float:
     in_protected = np.asarray(protected, dtype=bool)[eval_set.user_idx]
     phi, _ = smooth_abs(group_gap(preds, in_protected), 0.0)
     return float(phi)
 
 
+def non_parity(model: FactorModel, eval_set: EvalSet, protected: np.ndarray) -> float:
+    """Absolute difference between the groups' overall mean predictions."""
+    return _parity(_predictions(model, eval_set), eval_set, protected)
+
+
+def _mse(preds: np.ndarray, eval_set: EvalSet) -> float:
+    return float(np.mean((preds - eval_set.values) ** 2))
+
+
 def rmse(model: FactorModel, eval_set: EvalSet) -> float:
     """Root mean squared prediction error over the evaluation entries."""
-    _check_bounds(model, eval_set.user_idx, eval_set.item_idx)
-    resid = predict_entries(model, eval_set.user_idx, eval_set.item_idx) - eval_set.values
-    return float(np.sqrt(np.mean(resid**2)))
+    return float(np.sqrt(_mse(_predictions(model, eval_set), eval_set)))
 
 
 def mse(model: FactorModel, eval_set: EvalSet) -> float:
     """Mean squared prediction error, for setups that avoid the square root."""
-    return rmse(model, eval_set) ** 2
+    return _mse(_predictions(model, eval_set), eval_set)
 
 
 def full_report(model: FactorModel, eval_set: EvalSet, protected: np.ndarray,
                 error_metric: str = "rmse") -> MetricReport:
     """Bundle prediction error and all five unfairness scores."""
-    if error_metric == "rmse":
-        err = rmse(model, eval_set)
-    elif error_metric == "mse":
-        err = mse(model, eval_set)
-    else:
+    if error_metric not in ("rmse", "mse"):
         raise UnsupportedFormatError(f"unknown error metric {error_metric!r}")
-    avgs = group_item_averages(model, eval_set, protected)
+    preds = _predictions(model, eval_set)
+    err = _mse(preds, eval_set)
+    avgs = _averages(preds, eval_set, protected, model.num_items)
     return MetricReport(
-        error=err,
+        error=float(np.sqrt(err)) if error_metric == "rmse" else err,
         value=value_unfairness(avgs),
         absolute=absolute_unfairness(avgs),
         under=underestimation_unfairness(avgs),
         over=overestimation_unfairness(avgs),
-        parity=non_parity(model, eval_set, protected),
+        parity=_parity(preds, eval_set, protected),
         items_counted=int(avgs.comparable.sum()),
     )

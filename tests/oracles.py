@@ -3,10 +3,15 @@
 Everything here is written with plain Python loops and scalar math so that
 agreement with the vectorized library code is meaningful. The functions take
 bare lists and arrays rather than library types on purpose: they must not
-share any code path with the implementation under test.
+share any code path with the implementation under test. The dataset text
+codec oracles are the exception: a Dataset is what the format describes.
 """
 
 import math
+
+import numpy as np
+
+from fairrec import Dataset, MalformedLineError
 
 
 def oracle_predict(P, Q, bu, bi, user, item):
@@ -163,3 +168,95 @@ def oracle_welch(a, b):
     t = (ma - mb) / math.sqrt(se2)
     df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     return t, df
+
+
+def oracle_format_dataset(d):
+    """The dataset text format written one line at a time."""
+    def fmt(x):
+        return repr(float(x))
+
+    lo, hi = d.rating_scale
+    lines = [f"users={d.num_users} items={d.num_items} scale={fmt(lo)},{fmt(hi)}"]
+    for u in range(d.num_users):
+        flag = 1 if d.protected[u] else 0
+        if d.user_group_fine is not None:
+            lines.append(f"u {u} {flag} {d.user_group_fine[u]}")
+        else:
+            lines.append(f"u {u} {flag}")
+    if d.item_group is not None:
+        for i in range(d.num_items):
+            lines.append(f"g {i} {d.item_group[i]}")
+    for u, i, v in zip(d.user_idx, d.item_idx, d.values):
+        lines.append(f"r {u} {i} {fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_parse_dataset(text):
+    """The dataset text format read one line at a time.
+
+    It returns the library's Dataset and raises its MalformedLineError, so
+    that results and failures compare directly with parse_dataset's.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise MalformedLineError(1, "empty dataset file")
+    header = lines[0].split()
+    try:
+        fields = dict(part.split("=", 1) for part in header)
+        num_users = int(fields["users"])
+        num_items = int(fields["items"])
+        lo_s, hi_s = fields["scale"].split(",")
+        scale = (float(lo_s), float(hi_s))
+    except (ValueError, KeyError) as exc:
+        raise MalformedLineError(1, f"bad header: {exc}") from exc
+    if num_users < 0 or num_items < 0:
+        raise MalformedLineError(1, "user and item counts must be >= 0")
+    if num_users > len(lines) - 1:
+        raise MalformedLineError(
+            1, f"header declares {num_users} users but only {len(lines) - 1} lines follow; "
+               "every user needs a 'u' line")
+
+    protected = np.zeros(num_users, dtype=bool)
+    seen_user = np.zeros(num_users, dtype=bool)
+    fine = {}
+    groups = {}
+    triples = []
+    for no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        kind = parts[0]
+        try:
+            if kind == "u" and len(parts) in (3, 4):
+                u = int(parts[1])
+                if not 0 <= u < num_users:
+                    raise MalformedLineError(no, f"user index {u} out of range")
+                if parts[2] not in ("0", "1"):
+                    raise MalformedLineError(no, "protected flag must be 0 or 1")
+                protected[u] = parts[2] == "1"
+                seen_user[u] = True
+                if len(parts) == 4:
+                    fine[u] = parts[3]
+            elif kind == "g" and len(parts) == 3:
+                i = int(parts[1])
+                if not 0 <= i < num_items:
+                    raise MalformedLineError(no, f"item index {i} out of range")
+                groups[i] = parts[2]
+            elif kind == "r" and len(parts) == 4:
+                triples.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            else:
+                raise MalformedLineError(no, f"unrecognized line {line!r}")
+        except ValueError as exc:
+            raise MalformedLineError(no, str(exc)) from exc
+    if not seen_user.all():
+        missing = int(np.flatnonzero(~seen_user)[0])
+        raise MalformedLineError(len(lines), f"no 'u' line for user {missing}")
+    if fine and len(fine) != num_users:
+        raise MalformedLineError(len(lines), "fine labels must cover all users or none")
+    if groups and len(groups) != num_items:
+        raise MalformedLineError(len(lines), "item labels must cover all items or none")
+    return Dataset.from_ratings(
+        num_users, num_items, triples, protected, scale,
+        tuple(fine[u] for u in range(num_users)) if fine else None,
+        tuple(groups[i] for i in range(num_items)) if groups else None,
+    )

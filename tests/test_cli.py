@@ -3,6 +3,7 @@
 import pytest
 
 from fairrec import METRIC_FIELDS, REGIMES, load_dataset, load_model, parse_table_csv
+from fairrec import cli
 from fairrec.cli import main
 
 
@@ -181,6 +182,16 @@ class TestTrain:
                               "--out", str(tmp_path / "m.txt"))
         assert code == 2
         assert stderr.startswith("error: line 1:")
+
+    def test_memory_error_exits_two(self, synth_file, tmp_path, capsys, monkeypatch):
+        def out_of_memory(path):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli, "load_dataset", out_of_memory)
+        code, _, stderr = run(capsys, "train", "--data", str(synth_file),
+                              "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert stderr.startswith("error: out of memory:") and "Traceback" not in stderr
 
     def test_bad_penalty_exits_two(self, synth_file, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "--data", str(synth_file),

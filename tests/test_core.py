@@ -1,8 +1,13 @@
 """Domain types, validation, and the dataset text format."""
 
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fairrec.core as core
 from fairrec import (
     Dataset,
     DuplicateRatingError,
@@ -20,8 +25,10 @@ from fairrec import (
     save_dataset,
     validate_dataset,
 )
+from fairrec.core import ITEM_GROUPS, USER_FINE_GROUPS
 
 from conftest import make_train_dataset
+from oracles import oracle_format_dataset, oracle_parse_dataset
 
 
 def small_dataset(**overrides):
@@ -71,6 +78,31 @@ class TestDataset:
 
     def test_num_ratings(self):
         assert small_dataset().num_ratings == 4
+
+    def test_sorted_and_shuffled_input_give_identical_arrays(self, rng):
+        # duplicate (user, item) keys keep their input order in both cases
+        ratings = [(u, i, float(k)) for k, (u, i) in enumerate(
+            [(0, 0), (0, 1), (0, 1), (1, 0), (1, 0), (1, 0), (2, 1)])]
+        in_order = small_dataset(ratings=ratings)
+        assert in_order.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        for _ in range(5):
+            shuffled = list(ratings)
+            rng.shuffle(shuffled)
+            d = small_dataset(ratings=shuffled)
+            assert d.user_idx.tolist() == in_order.user_idx.tolist()
+            assert d.item_idx.tolist() == in_order.item_idx.tolist()
+            keys = [(u, i) for u, i, _ in shuffled]
+            for key in set(keys):
+                got = [v for u, i, v in zip(d.user_idx, d.item_idx, d.values)
+                       if (u, i) == key]
+                assert got == [v for u, i, v in shuffled if (u, i) == key]
+
+    def test_sorted_input_is_copied(self):
+        u, i, v = np.array([0, 1]), np.array([0, 0]), np.array([1.0, 2.0])
+        d = Dataset(2, 1, u, i, v, [True, False])
+        v[0] = 9.0
+        assert d.values.tolist() == [1.0, 2.0]
+        assert v.flags.writeable
 
 
 class TestValidateDataset:
@@ -214,3 +246,116 @@ class TestDatasetFormat:
         with pytest.raises(MalformedLineError) as exc:
             load_dataset(path)
         assert exc.value.line_no == 1
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, 0.1, 1 / 3, -7.25, 5e-324, 1e300]
+# Field texts that int() or float() rejects, and some that they accept in
+# unusual spellings.
+ODD_TOKENS = ["x", "1.5", "0x1", "1e3", "+3", "007", "1_0", "-0", "1.0.0",
+              "inf", "NaN", "-0.0", "1e-400", "r", "u", "\u0663"]
+SEPARATORS = [" ", "\t", "  ", " \t "]
+
+
+@st.composite
+def datasets(draw):
+    """Small datasets, with or without labels; indices may lie outside the
+    counts, which Dataset allows and the format must write as they are."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    value = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False)
+    ratings = draw(st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, m + 1), value),
+                            max_size=12))
+    protected = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    fine = draw(st.none() | st.lists(st.sampled_from(USER_FINE_GROUPS), min_size=n, max_size=n))
+    items = draw(st.none() | st.lists(st.sampled_from(ITEM_GROUPS), min_size=m, max_size=m))
+    scale = draw(st.sampled_from([(0.0, 1.0), (1.0, 5.0), (-0.0, 0.5)]))
+    return Dataset.from_ratings(n, m, ratings, protected, scale, fine, items)
+
+
+EDITS = st.tuples(
+    st.sampled_from(["drop_field", "add_field", "replace_field", "whitespace",
+                     "blank", "join", "move", "shuffle"]),
+    st.integers(0, 2**16), st.sampled_from(ODD_TOKENS), st.sampled_from(SEPARATORS))
+
+
+def apply_edit(lines, edit):
+    """One random change to the lines after the header, faulty or not."""
+    kind, pos, token, sep = edit
+    body = lines[1:]
+    if not body:
+        return lines
+    k = pos % len(body)
+    parts = body[k].split() or ["r"]
+    if kind == "drop_field":
+        del parts[pos % len(parts)]
+        body[k] = " ".join(parts)
+    elif kind == "add_field":
+        body[k] = " ".join(parts + [token])
+    elif kind == "replace_field":
+        parts[pos % len(parts)] = token
+        body[k] = " ".join(parts)
+    elif kind == "whitespace":
+        body[k] = sep[pos % len(sep):] + sep.join(parts)
+    elif kind == "blank":
+        body.insert(k, sep.strip(" ") if pos % 2 else "")
+    elif kind == "join":  # a lost line break
+        body[k:k + 2] = [sep.join(body[k:k + 2])]
+    elif kind == "move":
+        body.insert(pos % (len(body) + 1), body.pop(k))
+    else:
+        random.Random(pos).shuffle(body)
+    return lines[:1] + body
+
+
+def outcome(parse, text):
+    """The parsed dataset's fields, or the failure's type and line number."""
+    try:
+        d = parse(text)
+    except Exception as exc:  # every failure must match the oracle's
+        return type(exc), getattr(exc, "line_no", None)
+    return (d.num_users, d.num_items, d.user_idx.tobytes(), d.item_idx.tobytes(),
+            d.values.tobytes(), d.protected.tobytes(), d.rating_scale,
+            d.user_group_fine, d.item_group)
+
+
+class TestCodecAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(d=datasets())
+    def test_format_matches_line_by_line_writer(self, d):
+        assert format_dataset(d) == oracle_format_dataset(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=datasets(), edits=st.lists(EDITS, max_size=3),
+           chunk=st.sampled_from([1, 2, 3, 5, core._CHUNK_LINES]))
+    def test_parse_matches_line_by_line_reader(self, d, edits, chunk):
+        lines = oracle_format_dataset(d).splitlines()
+        for edit in edits:
+            lines = apply_edit(lines, edit)
+        text = "\n".join(lines) + "\n"
+        with mock.patch.object(core, "_CHUNK_LINES", chunk):
+            assert outcome(parse_dataset, text) == outcome(oracle_parse_dataset, text)
+
+    @pytest.mark.parametrize("bad", [(7, 8), (8, 7), (8, 9), (9, 8), (6, 8)])
+    def test_first_fault_reported_across_chunk_boundaries(self, bad):
+        # lines 2-3 are u lines, then ratings; chunks of 3 end at lines 4, 7, ...
+        lines = ["users=2 items=2 scale=0.0,5.0", "u 0 1", "u 1 0"]
+        lines += [f"r {k % 2} {k // 2 % 2} 1.0" for k in range(8)]
+        faults = {bad[0]: "r 0 x 1.0", bad[1]: "u 0 1 W extra"}
+        for no, line in faults.items():
+            lines[no - 1] = line
+        with mock.patch.object(core, "_CHUNK_LINES", 3):
+            with pytest.raises(MalformedLineError) as exc:
+                parse_dataset("\n".join(lines))
+        assert exc.value.line_no == min(bad)
+
+    def test_index_beyond_int64_reports_its_line(self):
+        text = "users=1 items=1 scale=0.0,5.0\nu 0 1\nr 0 0 1.0\nr 0 99999999999999999999 1.0\n"
+        with pytest.raises(MalformedLineError) as exc:
+            parse_dataset(text)
+        assert exc.value.line_no == 4
+
+    def test_noncanonical_rating_lines_keep_file_order(self):
+        text = ("users=1 items=3 scale=0.0,5.0\nr 0 2 1.0\n\t r\t0 1  2.0\n"
+                "u 0 1\nr 0 1 3.0\n  r 0 0 4.0\n")
+        d = parse_dataset(text)
+        assert d.item_idx.tolist() == [0, 1, 1, 2]
+        assert d.values.tolist() == [4.0, 2.0, 3.0, 1.0]

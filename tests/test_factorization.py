@@ -51,6 +51,19 @@ class TestPredict:
                                   m.user_bias, m.item_bias, u, i)
             assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_take_gathers_match_fancy_indexing(self, rng, d):
+        m = make_model(rng, 6, 5, d=d)
+        users, items = rng.integers(0, 6, size=40), rng.integers(0, 5, size=40)
+        got = predict_entries(m, users, items)
+        fancy = (np.einsum("ij,ij->i", m.user_factors[users], m.item_factors[items])
+                 + m.user_bias[users] + m.item_bias[items])
+        assert got.tobytes() == fancy.tobytes()
+        if d <= 2:  # a dot product of width <= 2 has one summation order
+            assert got.tolist() == [
+                oracle_predict(m.user_factors, m.item_factors, m.user_bias, m.item_bias, u, i)
+                for u, i in zip(users, items)]
+
     def test_out_of_range_rejected(self, rng):
         """Every public entry point that predicts on a triple set checks its
         indices against the model before predicting."""
