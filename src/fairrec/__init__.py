@@ -44,21 +44,7 @@ from .factorization import (
     objective_gradient,
     predict_entries,
 )
-from .metrics import (
-    EXPECTED_VALUES,
-    EvalSet,
-    GroupItemAverages,
-    HELD_OUT,
-    absolute_unfairness,
-    full_report,
-    group_item_averages,
-    mse,
-    non_parity,
-    overestimation_unfairness,
-    rmse,
-    underestimation_unfairness,
-    value_unfairness,
-)
+from .metrics import full_report
 from .penalties import (
     PENALTY_KINDS,
     PenaltySpec,

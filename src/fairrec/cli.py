@@ -28,7 +28,7 @@ from .harness import (
     regime_comparison,
     run_experiment,
 )
-from .metrics import EvalSet, full_report
+from .metrics import full_report
 from .movielens import (
     DEFAULT_GENRE_MODE,
     GENRE_MODES,
@@ -224,8 +224,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data)
-    report = full_report(model, EvalSet.from_dataset(data), data.protected,
-                         error_metric=args.error_metric)
+    report = full_report(model, data, error_metric=args.error_metric)
     for name in METRIC_FIELDS:
         print(f"{name}={_fmt(getattr(report, name))}")
     print(f"items_counted={report.items_counted}")

@@ -162,6 +162,9 @@ class Dataset:
     def num_ratings(self) -> int:
         return len(self.values)
 
+    def __len__(self) -> int:
+        return self.num_ratings
+
     @classmethod
     def from_ratings(
         cls,

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .core import (
+    DivergenceError,
     Hyperparams,
     InsufficientSamplesError,
     MalformedLineError,
@@ -122,8 +123,12 @@ def run_trial(config: ExperimentConfig, trial_index: int, spec: PenaltySpec) -> 
                                   config.genre_mode, config.min_ratings)
         train_set, eval_set = split(filtered, config.split_fraction, seed)
     hyper = replace(config.hyper, seed=seed)
-    model, _ = train(train_set, hyper, spec)
-    return full_report(model, eval_set, train_set.protected)
+    try:
+        model, _ = train(train_set, hyper, spec)
+    except DivergenceError as exc:
+        raise DivergenceError(
+            f"trial {trial_index} (seed {seed}, penalty {spec.label}): {exc}") from exc
+    return full_report(model, eval_set)
 
 
 def _thread_cap(trials: int) -> int:

@@ -10,8 +10,6 @@ items is reported alongside the scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -21,70 +19,10 @@ from .core import (
     FactorModel,
     MetricReport,
     NoComparableItemsError,
+    ShapeMismatchError,
     UnsupportedFormatError,
-    _by_user_item,
 )
 from .factorization import _check_bounds, predict_entries
-
-HELD_OUT = "held-out-ratings"
-EXPECTED_VALUES = "expected-values"
-
-
-@dataclass(frozen=True)
-class EvalSet:
-    """Triples to evaluate a model on, canonically sorted by (user, item).
-
-    ``source`` records whether the truths are held-out observed ratings or
-    block-model expected values; it does not change any computation.
-    """
-
-    user_idx: np.ndarray
-    item_idx: np.ndarray
-    values: np.ndarray
-    source: str = HELD_OUT
-
-    def __post_init__(self):
-        u = np.asarray(self.user_idx, dtype=np.int64)
-        i = np.asarray(self.item_idx, dtype=np.int64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if not (u.ndim == i.ndim == v.ndim == 1 and len(u) == len(i) == len(v)):
-            raise ValueError("user_idx, item_idx, values must be 1-d and equally long")
-        if len(u) == 0:
-            raise EmptyEvalSetError("evaluation set has no entries")
-        if u.min() < 0 or i.min() < 0:
-            raise ValueError("negative evaluation indices")
-        for name, arr in zip(("user_idx", "item_idx", "values"), _by_user_item(u, i, v)):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def from_dataset(cls, d: Dataset, source: str = HELD_OUT) -> "EvalSet":
-        return cls(d.user_idx, d.item_idx, d.values, source)
-
-
-@dataclass(frozen=True)
-class GroupItemAverages:
-    """Per-item mean predicted and true scores, split by user group.
-
-    Averages are meaningful only where the matching count is positive; absent
-    cells are filled with 0.0 and must be gated on the counts.
-    """
-
-    pred_protected: np.ndarray
-    true_protected: np.ndarray
-    count_protected: np.ndarray
-    pred_advantaged: np.ndarray
-    true_advantaged: np.ndarray
-    count_advantaged: np.ndarray
-
-    @property
-    def comparable(self) -> np.ndarray:
-        """Items with evaluation entries from both groups."""
-        return (self.count_protected > 0) & (self.count_advantaged > 0)
 
 
 class GroupCells:
@@ -102,6 +40,11 @@ class GroupCells:
         self.in_protected = np.asarray(protected, dtype=bool)[user_idx]
         self.cell = item_idx + num_items * self.in_protected
         self.count = np.bincount(self.cell, minlength=2 * num_items).astype(np.float64)
+
+    @property
+    def comparable(self) -> np.ndarray:
+        """Items with entries from both groups."""
+        return (self.count.reshape(2, -1) > 0).all(axis=0)
 
     def means(self, values: np.ndarray) -> np.ndarray:
         """Per-cell means of one value per entry; 0.0 in empty cells."""
@@ -154,95 +97,29 @@ def group_gap(preds: np.ndarray, in_protected: np.ndarray) -> float:
     return np.mean(preds[in_protected]) - np.mean(preds[~in_protected])
 
 
-def _predictions(model: FactorModel, eval_set: EvalSet) -> np.ndarray:
-    _check_bounds(model, eval_set.user_idx, eval_set.item_idx)
-    return predict_entries(model, eval_set.user_idx, eval_set.item_idx)
-
-
-def _averages(preds: np.ndarray, eval_set: EvalSet, protected: np.ndarray,
-              num_items: int) -> GroupItemAverages:
-    cells = GroupCells(eval_set.user_idx, eval_set.item_idx, protected, num_items)
-    pred = cells.means(preds)
-    true = cells.means(eval_set.values)
-    m = num_items
-    return GroupItemAverages(pred[m:], true[m:], cells.count[m:],
-                             pred[:m], true[:m], cells.count[:m])
-
-
-def group_item_averages(model: FactorModel, eval_set: EvalSet,
-                        protected: np.ndarray) -> GroupItemAverages:
-    """Average predictions and truths per item, separately per user group."""
-    return _averages(_predictions(model, eval_set), eval_set, protected, model.num_items)
-
-
-def _item_unfairness(kind: str, avgs: GroupItemAverages) -> float:
-    valid = avgs.comparable
-    if not valid.any():
-        raise NoComparableItemsError("no item has evaluation entries from both groups")
-    phi, _, _ = item_terms(kind, avgs.pred_protected[valid] - avgs.true_protected[valid],
-                           avgs.pred_advantaged[valid] - avgs.true_advantaged[valid])
-    return float(np.mean(phi))
-
-
-def value_unfairness(avgs: GroupItemAverages) -> float:
-    """Mean per-item gap between the groups' signed estimation errors."""
-    return _item_unfairness("value", avgs)
-
-
-def absolute_unfairness(avgs: GroupItemAverages) -> float:
-    """Mean per-item gap between the groups' unsigned estimation errors."""
-    return _item_unfairness("absolute", avgs)
-
-
-def underestimation_unfairness(avgs: GroupItemAverages) -> float:
-    """Mean per-item gap between how much each group is underestimated."""
-    return _item_unfairness("under", avgs)
-
-
-def overestimation_unfairness(avgs: GroupItemAverages) -> float:
-    """Mean per-item gap between how much each group is overestimated."""
-    return _item_unfairness("over", avgs)
-
-
-def _parity(preds: np.ndarray, eval_set: EvalSet, protected: np.ndarray) -> float:
-    in_protected = np.asarray(protected, dtype=bool)[eval_set.user_idx]
-    phi, _ = smooth_abs(group_gap(preds, in_protected), 0.0)
-    return float(phi)
-
-
-def non_parity(model: FactorModel, eval_set: EvalSet, protected: np.ndarray) -> float:
-    """Absolute difference between the groups' overall mean predictions."""
-    return _parity(_predictions(model, eval_set), eval_set, protected)
-
-
-def _mse(preds: np.ndarray, eval_set: EvalSet) -> float:
-    return float(np.mean((preds - eval_set.values) ** 2))
-
-
-def rmse(model: FactorModel, eval_set: EvalSet) -> float:
-    """Root mean squared prediction error over the evaluation entries."""
-    return float(np.sqrt(_mse(_predictions(model, eval_set), eval_set)))
-
-
-def mse(model: FactorModel, eval_set: EvalSet) -> float:
-    """Mean squared prediction error, for setups that avoid the square root."""
-    return _mse(_predictions(model, eval_set), eval_set)
-
-
-def full_report(model: FactorModel, eval_set: EvalSet, protected: np.ndarray,
+def full_report(model: FactorModel, eval_data: Dataset,
                 error_metric: str = "rmse") -> MetricReport:
-    """Bundle prediction error and all five unfairness scores."""
+    """Prediction error and all five unfairness scores of a model on the
+    entries of ``eval_data``, split into groups by its protected flags."""
     if error_metric not in ("rmse", "mse"):
         raise UnsupportedFormatError(f"unknown error metric {error_metric!r}")
-    preds = _predictions(model, eval_set)
-    err = _mse(preds, eval_set)
-    avgs = _averages(preds, eval_set, protected, model.num_items)
-    return MetricReport(
-        error=float(np.sqrt(err)) if error_metric == "rmse" else err,
-        value=value_unfairness(avgs),
-        absolute=absolute_unfairness(avgs),
-        under=underestimation_unfairness(avgs),
-        over=overestimation_unfairness(avgs),
-        parity=_parity(preds, eval_set, protected),
-        items_counted=int(avgs.comparable.sum()),
-    )
+    if (model.num_users, model.num_items) != (eval_data.num_users, eval_data.num_items):
+        raise ShapeMismatchError(
+            f"model is {model.num_users} x {model.num_items}, "
+            f"data {eval_data.num_users} x {eval_data.num_items}")
+    if eval_data.num_ratings == 0:
+        raise EmptyEvalSetError("evaluation set has no entries")
+    u, i, truth = eval_data.user_idx, eval_data.item_idx, eval_data.values
+    _check_bounds(model, u, i)
+    preds = predict_entries(model, u, i)
+    err = float(np.mean((preds - truth) ** 2))
+    cells = GroupCells(u, i, eval_data.protected, eval_data.num_items)
+    valid = cells.comparable
+    if not valid.any():
+        raise NoComparableItemsError("no item has evaluation entries from both groups")
+    da, dp = (cells.means(preds) - cells.means(truth)).reshape(2, -1)[:, valid]
+    scores = {kind: float(np.mean(item_terms(kind, dp, da)[0]))
+              for kind in ("value", "absolute", "under", "over")}
+    parity, _ = smooth_abs(group_gap(preds, cells.in_protected), 0.0)
+    return MetricReport(error=float(np.sqrt(err)) if error_metric == "rmse" else err,
+                        parity=float(parity), items_counted=int(valid.sum()), **scores)

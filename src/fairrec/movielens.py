@@ -9,7 +9,7 @@ F maps to the protected flag.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .core import (
     UnknownReferenceError,
     _frozen,
 )
-from .metrics import HELD_OUT, EvalSet
 
 GENRE_VOCABULARY = (
     "Action", "Adventure", "Animation", "Children's", "Comedy", "Crime",
@@ -171,7 +170,8 @@ def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int =
 
 
 def split(d: Dataset, train_fraction: float, seed) -> tuple:
-    """Random disjoint (train Dataset, test EvalSet) over the same index space."""
+    """Random disjoint (train, test) Datasets of d's ratings; both keep d's
+    users, items, protected flags and labels."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
     k = d.num_ratings
@@ -182,8 +182,5 @@ def split(d: Dataset, train_fraction: float, seed) -> tuple:
     perm = np.random.default_rng(seed).permutation(k)
     take = np.zeros(k, dtype=bool)
     take[perm[:n_train]] = True
-    train = Dataset(d.num_users, d.num_items, d.user_idx[take], d.item_idx[take],
-                    d.values[take], d.protected, d.rating_scale,
-                    d.user_group_fine, d.item_group)
-    test = EvalSet(d.user_idx[~take], d.item_idx[~take], d.values[~take], HELD_OUT)
-    return train, test
+    return tuple(replace(d, user_idx=d.user_idx[side], item_idx=d.item_idx[side],
+                         values=d.values[side]) for side in (take, ~take))

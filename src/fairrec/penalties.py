@@ -121,7 +121,7 @@ class _PenaltyTerms:
         kinds = {kind for kind, _ in spec.terms}
         if kinds - {"parity"}:
             # items with entries from both groups, in both halves of the cells
-            self._valid = np.tile((cells.count.reshape(2, -1) > 0).all(axis=0), 2)
+            self._valid = np.tile(cells.comparable, 2)
             if not self._valid.any():
                 raise NoComparableItemsError("no item has training ratings from both groups")
             self._true = cells.means(train.values)

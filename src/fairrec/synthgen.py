@@ -14,7 +14,7 @@ regimes control where unfairness comes from:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .core import (
     _fmt,
     _frozen,
 )
-from .metrics import EXPECTED_VALUES, EvalSet
 
 REGIMES = ("U", "O", "P", "P+O")
 _BIASED_POPULATION = {"W": 0.4, "WS": 0.1, "MS": 0.4, "M": 0.1}
@@ -172,12 +171,13 @@ def generate(config: RegimeConfig, blocks: BlockModels = None) -> tuple:
     return data, like_prob
 
 
-def expected_value_eval(train: Dataset, expected: np.ndarray) -> EvalSet:
-    """Evaluation set over every pair NOT in train, truths from the block model."""
+def expected_value_eval(train: Dataset, expected: np.ndarray) -> Dataset:
+    """Evaluation Dataset over every pair NOT in train, with the block
+    model's expected ratings as truths and train's users, items and labels."""
     unseen = np.ones((train.num_users, train.num_items), dtype=bool)
     unseen[train.user_idx, train.item_idx] = False
     user_idx, item_idx = np.nonzero(unseen)
-    return EvalSet(user_idx, item_idx, expected[unseen], source=EXPECTED_VALUES)
+    return replace(train, user_idx=user_idx, item_idx=item_idx, values=expected[unseen])
 
 
 def write_sidecar(path, blocks: BlockModels, regime: str) -> None:

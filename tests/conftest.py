@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairrec import Dataset, EvalSet, FactorModel
+from fairrec import Dataset, FactorModel
 
 
 def make_model(rng, num_users, num_items, d=3, scale=1.0):
@@ -37,7 +37,8 @@ def make_triples(rng, num_users, num_items, density=0.6, lo=0.0, hi=5.0):
 
 
 def make_eval_instance(rng, num_users=None, num_items=None, d=None):
-    """A random model plus eval set where every item has both groups."""
+    """A random model plus an evaluation Dataset of the same shape where
+    every item has entries from both groups."""
     num_users = num_users or int(rng.integers(2, 9))
     num_items = num_items or int(rng.integers(1, 9))
     d = d or int(rng.integers(1, 4))
@@ -52,12 +53,8 @@ def make_eval_instance(rng, num_users=None, num_items=None, d=None):
     for u, i, v in make_triples(rng, num_users, num_items, density=0.3):
         if not any(t[0] == u and t[1] == i for t in triples):
             triples.append((u, i, v))
-    eval_set = EvalSet(
-        user_idx=np.array([t[0] for t in triples], dtype=np.int64),
-        item_idx=np.array([t[1] for t in triples], dtype=np.int64),
-        values=np.array([t[2] for t in triples], dtype=np.float64),
-    )
-    return model, eval_set, protected
+    return model, Dataset.from_ratings(num_users, num_items, triples, protected,
+                                       rating_scale=(0.0, 5.0))
 
 
 def make_train_dataset(rng, num_users=None, num_items=None, scale=(0.0, 5.0)):
@@ -116,11 +113,6 @@ def gradient_to_vector(grad):
 def dataset_triples(d):
     return [(int(u), int(i), float(v))
             for u, i, v in zip(d.user_idx, d.item_idx, d.values)]
-
-
-def evalset_triples(e):
-    return [(int(u), int(i), float(v))
-            for u, i, v in zip(e.user_idx, e.item_idx, e.values)]
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ are skipped with a notice.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ import pytest
 
 from fairrec import (
     DEFAULT_GENRE_MODE,
-    EvalSet,
     ExperimentConfig,
     FactorModel,
     METRIC_FIELDS,
@@ -41,13 +41,13 @@ from fairrec import (
 from fairrec.cli import main as cli_main
 
 from conftest import (
+    dataset_triples,
     gradient_to_vector,
     make_eval_instance,
     make_model,
     make_train_dataset,
     model_to_vector,
     vector_to_model,
-    evalset_triples,
 )
 from oracles import central_difference, oracle_metrics
 
@@ -89,12 +89,12 @@ def test_criterion_1_metric_oracle_equivalence(capsys):
     start = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        model, eval_set, protected = make_eval_instance(rng)
-        report = full_report(model, eval_set, protected)
+        model, eval_data = make_eval_instance(rng)
+        report = full_report(model, eval_data)
         expect = oracle_metrics(
             model.user_factors, model.item_factors,
             model.user_bias, model.item_bias,
-            evalset_triples(eval_set), protected.tolist(),
+            dataset_triples(eval_data), eval_data.protected.tolist(),
             model.item_factors.shape[0])
         assert report.items_counted == expect["items_counted"]
         for name in METRIC_FIELDS:
@@ -170,19 +170,18 @@ def test_criterion_3_metric_inequalities_and_invariances(capsys):
     worst_gap = 0.0
     worst_inv = 0.0
     for _ in range(200):
-        model, eval_set, protected = make_eval_instance(rng)
-        r = full_report(model, eval_set, protected)
+        model, eval_data = make_eval_instance(rng)
+        r = full_report(model, eval_data)
         worst_gap = max(worst_gap,
                         r.absolute - r.value,
                         r.value - (r.under + r.over))
 
-        swapped = full_report(model, eval_set, ~protected)
+        swapped = full_report(model, replace(eval_data, protected=~eval_data.protected))
         shift = 7.25
         shifted_model = FactorModel(model.user_factors, model.item_factors,
                                     model.user_bias + shift, model.item_bias)
-        shifted_eval = EvalSet(eval_set.user_idx, eval_set.item_idx,
-                               eval_set.values + shift)
-        shifted = full_report(shifted_model, shifted_eval, protected)
+        shifted_eval = replace(eval_data, values=eval_data.values + shift)
+        shifted = full_report(shifted_model, shifted_eval)
         for name in METRIC_FIELDS:
             base = getattr(r, name)
             worst_inv = max(worst_inv,

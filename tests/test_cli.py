@@ -1,10 +1,22 @@
 """Command-line workflows, exercised in process through cli.main()."""
 
+import numpy as np
 import pytest
 
-from fairrec import METRIC_FIELDS, REGIMES, load_dataset, load_model, parse_table_csv
+from fairrec import (
+    Dataset,
+    METRIC_FIELDS,
+    REGIMES,
+    load_dataset,
+    load_model,
+    parse_table_csv,
+    save_dataset,
+    save_model,
+)
 from fairrec import cli
 from fairrec.cli import main
+
+from conftest import make_model
 
 
 def run(capsys, *argv):
@@ -228,6 +240,22 @@ class TestEval:
                               "--data", str(synth_file))
         assert code == 2
         assert stderr.startswith("error:")
+
+    @pytest.mark.parametrize("model_shape, ratings, message", [
+        ((7, 9), [(0, 0, 1.0), (1, 0, 2.0)], "model is 7 x 9, data 3 x 3"),
+        ((3, 3), [], "no entries"),
+    ], ids=["shape-mismatch", "no-ratings"])
+    def test_unusable_eval_data_exits_two(self, tmp_path, capsys, model_shape, ratings,
+                                          message):
+        rng = np.random.default_rng(0)
+        n, m = model_shape
+        save_model(make_model(rng, n, m), tmp_path / "m.txt")
+        save_dataset(Dataset.from_ratings(3, 3, ratings, [True, False, True]),
+                     tmp_path / "d.txt")
+        code, stdout, stderr = run(capsys, "eval", "--model", str(tmp_path / "m.txt"),
+                                   "--data", str(tmp_path / "d.txt"))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:") and message in stderr
 
 
 class TestConfigFile:

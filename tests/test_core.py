@@ -77,7 +77,7 @@ class TestDataset:
             small_dataset(item_group=("Fem", "Other"))
 
     def test_num_ratings(self):
-        assert small_dataset().num_ratings == 4
+        assert small_dataset().num_ratings == len(small_dataset()) == 4
 
     def test_sorted_and_shuffled_input_give_identical_arrays(self, rng):
         # duplicate (user, item) keys keep their input order in both cases

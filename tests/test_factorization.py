@@ -6,7 +6,6 @@ import pytest
 from fairrec import (
     Dataset,
     EmptyTrainingSetError,
-    EvalSet,
     FactorModel,
     IndexOutOfRangeError,
     PenaltySpec,
@@ -70,11 +69,15 @@ class TestPredict:
         d = Dataset.from_ratings(3, 3, [(0, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0)],
                                  [True, False, True], rating_scale=(0.0, 5.0))
         for small in (make_model(rng, 2, 3), make_model(rng, 3, 2)):
+            # a Dataset checks its indices only when validated, so one can
+            # declare the small model's shape and still hold larger indices
+            shrunk = Dataset(small.num_users, small.num_items, d.user_idx, d.item_idx,
+                             d.values, d.protected[:small.num_users])
             for call in (lambda: objective(small, d, 0.1),
                          lambda: objective_gradient(small, d, 0.1),
                          lambda: penalty_value(small, d, PenaltySpec.single("parity")),
                          lambda: penalty_gradient(small, d, PenaltySpec.single("parity")),
-                         lambda: full_report(small, EvalSet.from_dataset(d), d.protected)):
+                         lambda: full_report(small, shrunk)):
                 with pytest.raises(IndexOutOfRangeError):
                     call()
 

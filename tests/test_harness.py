@@ -6,6 +6,7 @@ from scipy import stats
 
 from fairrec import (
     DEFAULT_PENALTIES,
+    DivergenceError,
     ExperimentConfig,
     Hyperparams,
     IndivisibleCountError,
@@ -118,6 +119,16 @@ class TestRunTrials:
         config = tiny_config(trials=2)
         reports = run_penalty_trials(config, PenaltySpec.none())
         assert len(reports) == 2
+
+    def test_divergence_names_trial_seed_and_penalty(self):
+        config = tiny_config(
+            hyper=Hyperparams(learning_rate=1e200, iterations=5),
+            penalties=(PenaltySpec.single("value"),), trials=2, base_seed=7)
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(config)
+        assert str(info.value).startswith("trial 0 (seed 7, penalty value): ")
+        assert isinstance(info.value.__cause__, DivergenceError)
+        assert str(info.value).endswith(str(info.value.__cause__))
 
 
 class TestAggregate:

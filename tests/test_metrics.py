@@ -1,163 +1,146 @@
 """Evaluation scores against the loop-based reference implementation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairrec import (
     Dataset,
     EmptyEvalSetError,
     EmptyGroupError,
-    EvalSet,
-    HELD_OUT,
-    EXPECTED_VALUES,
+    FactorModel,
+    METRIC_FIELDS,
     MetricReport,
     NoComparableItemsError,
+    ShapeMismatchError,
     UnsupportedFormatError,
-    absolute_unfairness,
     full_report,
-    group_item_averages,
-    mse,
-    non_parity,
-    overestimation_unfairness,
-    rmse,
-    underestimation_unfairness,
-    value_unfairness,
 )
+from fairrec.metrics import GroupCells, group_gap
 
-from conftest import evalset_triples, make_eval_instance, make_model
+from conftest import dataset_triples, make_eval_instance, make_model
 from oracles import oracle_metrics
 
 
-class TestEvalSet:
-    def test_sorted_canonically(self):
-        e = EvalSet(np.array([2, 0, 1]), np.array([0, 1, 0]),
-                    np.array([1.0, 2.0, 3.0]))
-        assert e.user_idx.tolist() == [0, 1, 2]
-        assert e.values.tolist() == [2.0, 3.0, 1.0]
+def oracle_report(model, data):
+    return oracle_metrics(model.user_factors, model.item_factors,
+                          model.user_bias, model.item_bias,
+                          dataset_triples(data), data.protected, data.num_items)
 
-    def test_empty_rejected(self):
+
+class TestEvalData:
+    def test_empty_rejected(self, rng):
+        empty = Dataset(2, 2, [], [], [], [True, False])
         with pytest.raises(EmptyEvalSetError):
-            EvalSet(np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+            full_report(make_model(rng, 2, 2), empty)
 
-    def test_from_dataset_keeps_entries(self):
-        d = Dataset.from_ratings(2, 2, [(0, 0, 1.0), (1, 1, 2.0)],
-                                 [True, False], rating_scale=(0.0, 5.0))
-        e = EvalSet.from_dataset(d, source=EXPECTED_VALUES)
-        assert len(e) == 2
-        assert e.source == EXPECTED_VALUES
-
-    def test_default_source(self):
-        e = EvalSet(np.array([0]), np.array([0]), np.array([1.0]))
-        assert e.source == HELD_OUT
+    def test_model_shape_must_match(self, rng):
+        data = Dataset.from_ratings(3, 3, [(0, 0, 1.0), (1, 0, 2.0)], [True, False, True])
+        with pytest.raises(ShapeMismatchError, match="model is 7 x 9, data 3 x 3"):
+            full_report(make_model(rng, 7, 9), data)
 
 
-class TestGroupItemAverages:
+class TestGroupCells:
     def test_counts_and_means(self, rng):
-        model, eval_set, protected = make_eval_instance(rng, 5, 3, d=2)
-        avgs = group_item_averages(model, eval_set, protected)
-        ref_p, ref_a = {}, {}
-        for u, i, v in evalset_triples(eval_set):
-            bucket = ref_p if protected[u] else ref_a
-            bucket.setdefault(i, []).append(v)
-        for item, vals in ref_p.items():
-            assert avgs.count_protected[item] == len(vals)
-            assert avgs.true_protected[item] == pytest.approx(np.mean(vals))
-        for item, vals in ref_a.items():
-            assert avgs.count_advantaged[item] == len(vals)
-            assert avgs.true_advantaged[item] == pytest.approx(np.mean(vals))
-        assert avgs.comparable.all()
+        _, data = make_eval_instance(rng, 5, 3, d=2)
+        cells = GroupCells(data.user_idx, data.item_idx, data.protected, data.num_items)
+        means = cells.means(data.values)
+        ref = {}
+        for u, i, v in dataset_triples(data):
+            # advantaged cells first, then protected ones
+            ref.setdefault(i + 3 * bool(data.protected[u]), []).append(v)
+        assert sorted(ref) == list(range(6))
+        for cell, vals in ref.items():
+            assert cells.count[cell] == len(vals)
+            assert means[cell] == pytest.approx(np.mean(vals))
+        assert cells.comparable.all()
 
     def test_partial_coverage(self, rng):
         model = make_model(rng, 4, 3, d=2)
-        protected = np.array([True, True, False, False])
-        e = EvalSet(np.array([0, 1, 2]), np.array([0, 1, 1]),
-                    np.array([1.0, 2.0, 3.0]))
-        avgs = group_item_averages(model, e, protected)
-        assert avgs.comparable.tolist() == [False, True, False]
+        data = Dataset(4, 3, [0, 1, 2], [0, 1, 1], [1.0, 2.0, 3.0],
+                       [True, True, False, False])
+        cells = GroupCells(data.user_idx, data.item_idx, data.protected, data.num_items)
+        assert cells.comparable.tolist() == [False, True, False]
+        assert full_report(model, data).items_counted == 1
 
 
 class TestMetricsAgainstOracle:
     def test_random_instances(self, rng):
         for _ in range(40):
-            model, eval_set, protected = make_eval_instance(rng)
-            want = oracle_metrics(model.user_factors, model.item_factors,
-                                  model.user_bias, model.item_bias,
-                                  evalset_triples(eval_set), protected,
-                                  model.num_items)
-            avgs = group_item_averages(model, eval_set, protected)
-            assert value_unfairness(avgs) == pytest.approx(want["value"], abs=1e-12)
-            assert absolute_unfairness(avgs) == pytest.approx(want["absolute"], abs=1e-12)
-            assert underestimation_unfairness(avgs) == pytest.approx(want["under"], abs=1e-12)
-            assert overestimation_unfairness(avgs) == pytest.approx(want["over"], abs=1e-12)
-            assert non_parity(model, eval_set, protected) == pytest.approx(want["parity"], abs=1e-12)
-            assert rmse(model, eval_set) == pytest.approx(want["error"], abs=1e-12)
+            model, data = make_eval_instance(rng)
+            want = oracle_report(model, data)
+            rep = full_report(model, data)
+            for field in METRIC_FIELDS:
+                assert getattr(rep, field) == pytest.approx(want[field], abs=1e-12)
+            assert rep.items_counted == want["items_counted"]
 
     def test_full_report_fields(self, rng):
-        model, eval_set, protected = make_eval_instance(rng, 6, 4)
-        want = oracle_metrics(model.user_factors, model.item_factors,
-                              model.user_bias, model.item_bias,
-                              evalset_triples(eval_set), protected,
-                              model.num_items)
-        rep = full_report(model, eval_set, protected)
+        model, data = make_eval_instance(rng, 6, 4)
+        want = oracle_report(model, data)
+        rep = full_report(model, data)
         assert isinstance(rep, MetricReport)
         for field in ("error", "value", "absolute", "under", "over", "parity"):
             assert getattr(rep, field) == pytest.approx(want[field], abs=1e-12)
         assert rep.items_counted == want["items_counted"]
 
     def test_full_report_mse_option(self, rng):
-        model, eval_set, protected = make_eval_instance(rng, 5, 3)
-        rep = full_report(model, eval_set, protected, error_metric="mse")
-        assert rep.error == pytest.approx(mse(model, eval_set), abs=1e-12)
+        model, data = make_eval_instance(rng, 5, 3)
+        rep = full_report(model, data, error_metric="mse")
+        assert rep.error == pytest.approx(oracle_report(model, data)["error"] ** 2, abs=1e-12)
         with pytest.raises(UnsupportedFormatError):
-            full_report(model, eval_set, protected, error_metric="mae")
+            full_report(model, data, error_metric="mae")
 
 
 class TestMetricEdgeCases:
     def test_no_comparable_items(self, rng):
         model = make_model(rng, 2, 2, d=1)
-        protected = np.array([True, False])
-        e = EvalSet(np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
-        avgs = group_item_averages(model, e, protected)
+        data = Dataset(2, 2, [0, 1], [0, 1], [1.0, 2.0], [True, False])
         with pytest.raises(NoComparableItemsError):
-            value_unfairness(avgs)
+            full_report(model, data)
 
-    def test_parity_needs_both_groups(self, rng):
-        model = make_model(rng, 2, 2, d=1)
-        e = EvalSet(np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
+    def test_parity_needs_both_groups(self):
         with pytest.raises(EmptyGroupError):
-            non_parity(model, e, np.array([True, True]))
+            group_gap(np.array([1.0, 2.0]), np.array([True, True]))
 
     def test_rmse_is_sqrt_of_mse(self, rng):
-        model, eval_set, _ = make_eval_instance(rng, 4, 3)
-        assert rmse(model, eval_set) == pytest.approx(
-            np.sqrt(mse(model, eval_set)), abs=1e-12)
+        model, data = make_eval_instance(rng, 4, 3)
+        assert full_report(model, data).error == pytest.approx(
+            np.sqrt(full_report(model, data, error_metric="mse").error), abs=1e-12)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestInvariances:
-    def test_group_swap_symmetry(self, rng):
-        """All four per-item scores are symmetric in the two groups."""
-        for _ in range(10):
-            model, eval_set, protected = make_eval_instance(rng)
-            a = group_item_averages(model, eval_set, protected)
-            b = group_item_averages(model, eval_set, ~protected)
-            assert value_unfairness(a) == pytest.approx(value_unfairness(b), abs=1e-12)
-            assert absolute_unfairness(a) == pytest.approx(absolute_unfairness(b), abs=1e-12)
-            assert underestimation_unfairness(a) == pytest.approx(
-                underestimation_unfairness(b), abs=1e-12)
-            assert overestimation_unfairness(a) == pytest.approx(
-                overestimation_unfairness(b), abs=1e-12)
-            assert non_parity(model, eval_set, protected) == pytest.approx(
-                non_parity(model, eval_set, ~protected), abs=1e-12)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS)
+    def test_group_swap_symmetry(self, seed):
+        """Every score is symmetric in the two groups."""
+        model, data = make_eval_instance(np.random.default_rng(seed))
+        a = full_report(model, data)
+        b = full_report(model, replace(data, protected=~data.protected))
+        for field in METRIC_FIELDS:
+            assert getattr(b, field) == pytest.approx(getattr(a, field), abs=1e-12)
+        assert b.items_counted == a.items_counted
 
-    def test_value_shift_invariance(self, rng):
-        """Adding one constant to every prediction and truth leaves the
-        signed-difference score unchanged."""
-        model, eval_set, protected = make_eval_instance(rng, 5, 4)
-        shifted = EvalSet(eval_set.user_idx, eval_set.item_idx,
-                          eval_set.values + 2.5, eval_set.source)
-        from fairrec import FactorModel
-        model2 = FactorModel(model.user_factors, model.item_factors,
-                             model.user_bias + 2.5, model.item_bias)
-        a = group_item_averages(model, eval_set, protected)
-        b = group_item_averages(model2, shifted, protected)
-        assert value_unfairness(a) == pytest.approx(value_unfairness(b), abs=1e-12)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS, shift=st.floats(-10.0, 10.0))
+    def test_value_shift_invariance(self, seed, shift):
+        """Adding one constant to every prediction and truth changes no score."""
+        model, data = make_eval_instance(np.random.default_rng(seed))
+        shifted_model = FactorModel(model.user_factors, model.item_factors,
+                                    model.user_bias + shift, model.item_bias)
+        a = full_report(model, data)
+        b = full_report(shifted_model, replace(data, values=data.values + shift))
+        for field in METRIC_FIELDS:
+            assert getattr(b, field) == pytest.approx(getattr(a, field), abs=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS)
+    def test_absolute_below_value_below_under_plus_over(self, seed):
+        model, data = make_eval_instance(np.random.default_rng(seed))
+        r = full_report(model, data)
+        assert r.absolute <= r.value + 1e-12
+        assert r.value <= r.under + r.over + 1e-12

@@ -11,7 +11,6 @@ import pytest
 from fairrec import (
     DegenerateSplitError,
     EmptyResultError,
-    HELD_OUT,
     MalformedLineError,
     SELECTED_GENRES,
     UnknownReferenceError,
@@ -164,9 +163,11 @@ class TestSplit:
 
     def test_metadata_carried(self, filtered):
         train, test = split(filtered, 0.8, seed=0)
-        assert train.protected.tolist() == filtered.protected.tolist()
-        assert train.rating_scale == filtered.rating_scale
-        assert test.source == HELD_OUT
+        for side in (train, test):
+            assert (side.num_users, side.num_items) == (filtered.num_users,
+                                                        filtered.num_items)
+            assert side.protected.tolist() == filtered.protected.tolist()
+            assert side.rating_scale == filtered.rating_scale
 
     def test_degenerate_rejected(self, filtered):
         with pytest.raises(DegenerateSplitError):

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fairrec import (
     PENALTY_KINDS,
-    EvalSet,
     PenaltySpec,
     UnsupportedFormatError,
     full_report,
@@ -197,7 +196,7 @@ class TestSharedDefinition:
         for _ in range(10):
             d, _ = make_train_dataset(rng)
             m = make_model(rng, d.num_users, d.num_items)
-            report = full_report(m, EvalSet.from_dataset(d), d.protected)
+            report = full_report(m, d)
             assert penalty_value(m, d, PenaltySpec.single(kind)) \
                 == pytest.approx(getattr(report, kind), abs=1e-12)
 

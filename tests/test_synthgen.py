@@ -5,7 +5,6 @@ import pytest
 
 from fairrec import (
     BlockModels,
-    EXPECTED_VALUES,
     IndivisibleCountError,
     ITEM_GROUPS,
     REGIMES,
@@ -157,7 +156,8 @@ class TestExpectedValueEval:
     def test_covers_exactly_the_unobserved_pairs(self):
         data, expected = generate(RegimeConfig("U", 8, 6, seed=3))
         ev = expected_value_eval(data, expected)
-        assert ev.source == EXPECTED_VALUES
+        assert (ev.num_users, ev.num_items) == (data.num_users, data.num_items)
+        assert ev.protected.tolist() == data.protected.tolist()
         assert len(ev) == 8 * 6 - data.num_ratings
         observed = set(zip(data.user_idx.tolist(), data.item_idx.tolist()))
         listed = set(zip(ev.user_idx.tolist(), ev.item_idx.tolist()))
