@@ -107,8 +107,6 @@ from .harness import (
     parse_table_csv,
     regime_comparison,
     run_experiment,
-    run_penalty_trials,
-    run_trial,
     welch_t_test,
 )
 

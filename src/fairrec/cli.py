@@ -18,25 +18,18 @@ from .core import (
     save_dataset,
 )
 from .harness import (
-    DEFAULT_PENALTIES,
-    ExperimentConfig,
+    CONFIG_KEYS,
     config_experiment,
     config_hyper,
     default_alpha,
     emit,
+    load_movielens,
     parse_config_file,
     regime_comparison,
     run_experiment,
 )
 from .metrics import full_report
-from .movielens import (
-    DEFAULT_GENRE_MODE,
-    GENRE_MODES,
-    SELECTED_GENRES,
-    canonical_genres,
-    filter_dataset,
-    parse_ml1m_dir,
-)
+from .movielens import GENRE_MODES
 from .penalties import parse_penalty
 from .synthgen import REGIMES, RegimeConfig, default_block_models, generate, write_sidecar
 from .trainer import load_model, save_model, save_trace, train
@@ -116,24 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig1 = subs.add_parser("reproduce-fig1",
                            help="regime comparison without penalties, bar-data CSV")
-    fig1.add_argument("--users", type=int, help="number of users (default 400)")
-    fig1.add_argument("--items", type=int, help="number of items (default 300)")
-    fig1.add_argument("--trials", type=int, help="trials per regime (default 5)")
-    _add_hyper_flags(fig1)
-    fig1.add_argument("--out", required=True, help="CSV to write")
-    _add_config_flag(fig1)
-    fig1.set_defaults(func=_cmd_fig1)
-
     t1 = subs.add_parser("reproduce-table1",
                          help="penalty comparison on one synthetic regime")
     t1.add_argument("--regime", choices=REGIMES, help="regime (default P+O)")
-    t1.add_argument("--users", type=int, help="number of users (default 400)")
-    t1.add_argument("--items", type=int, help="number of items (default 300)")
-    t1.add_argument("--trials", type=int, help="trials per penalty (default 5)")
-    _add_hyper_flags(t1)
-    t1.add_argument("--out", required=True, help="CSV to write")
-    _add_config_flag(t1)
-    t1.set_defaults(func=_cmd_table1)
+    for sub, row in ((fig1, "regime"), (t1, "penalty")):
+        sub.add_argument("--users", type=int, help="number of users (default 400)")
+        sub.add_argument("--items", type=int, help="number of items (default 300)")
+        sub.add_argument("--trials", type=int, help=f"trials per {row} (default 5)")
 
     t2 = subs.add_parser("reproduce-table2",
                          help="penalty comparison on filtered MovieLens-1M")
@@ -143,26 +125,28 @@ def build_parser() -> argparse.ArgumentParser:
     t2.add_argument("--mode", choices=GENRE_MODES, help="genre matching mode")
     t2.add_argument("--split", type=float, help="train fraction (default 0.8)")
     t2.add_argument("--trials", type=int, help="trials (default 3)")
-    _add_hyper_flags(t2)
-    t2.add_argument("--out", required=True, help="CSV to write")
-    _add_config_flag(t2)
-    t2.set_defaults(func=_cmd_table2)
+
+    for sub in (fig1, t1, t2):
+        _add_hyper_flags(sub)
+        sub.add_argument("--out", required=True, help="CSV to write")
+        _add_config_flag(sub)
+        sub.set_defaults(func=_cmd_reproduce)
 
     return parser
 
 
-def _merged_mapping(args, keys) -> dict:
+# argparse attributes of the flags whose names differ from their config keys
+_FLAG_ATTRS = {"lambda": "lam", "genre_mode": "mode"}
+
+
+def _merged_mapping(args) -> dict:
     """Config-file values overridden by whichever flags were actually given."""
     mapping = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, attr in keys.items():
-        value = getattr(args, attr, None)
+    for key in CONFIG_KEYS:
+        value = getattr(args, _FLAG_ATTRS.get(key, key), None)
         if value is not None:
             mapping[key] = str(value)
     return mapping
-
-
-_HYPER_KEYS = {"d": "d", "lambda": "lam", "alpha": "alpha", "lr": "lr",
-               "iterations": "iterations", "init_scale": "init_scale", "seed": "seed"}
 
 
 def _write_text(path, text) -> None:
@@ -170,9 +154,7 @@ def _write_text(path, text) -> None:
         fh.write(text)
 
 
-def _cmd_synth_gen(args) -> int:
-    mapping = _merged_mapping(args, {"regime": "regime", "users": "users",
-                                     "items": "items", "seed": "seed"})
+def _cmd_synth_gen(args, mapping) -> int:
     config = RegimeConfig(
         regime=mapping.get("regime", "P+O"),
         num_users=int(mapping.get("users", 400)),
@@ -187,21 +169,8 @@ def _cmd_synth_gen(args) -> int:
     return 0
 
 
-def _resolve_filter(mapping):
-    genres = mapping.get("genres")
-    return (canonical_genres(genres.split(",")) if genres else SELECTED_GENRES,
-            int(mapping.get("min_ratings", 50)),
-            mapping.get("genre_mode", DEFAULT_GENRE_MODE))
-
-
-def _cmd_ml_prepare(args) -> int:
-    mapping = _merged_mapping(args, {"ml_path": "ml_path", "genres": "genres",
-                                     "min_ratings": "min_ratings", "genre_mode": "mode"})
-    if not mapping.get("ml_path"):
-        print("error: --ml-path is required (flag or config)", file=sys.stderr)
-        return 1
-    genres, min_ratings, mode = _resolve_filter(mapping)
-    data = filter_dataset(parse_ml1m_dir(mapping["ml_path"]), genres, min_ratings, mode)
+def _cmd_ml_prepare(args, mapping) -> int:
+    data = load_movielens(config_experiment(dict(mapping, source="movielens")))
     print(f"users={data.num_users} movies={data.num_items}")
     print(f"ratings={data.num_ratings}")
     if args.out:
@@ -209,8 +178,7 @@ def _cmd_ml_prepare(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    mapping = _merged_mapping(args, dict(_HYPER_KEYS, penalty="penalty"))
+def _cmd_train(args, mapping) -> int:
     hyper = config_hyper(mapping, mapping.get("source", "synthetic"))
     spec = parse_penalty(mapping.get("penalty", "none"), args.smoothing)
     data = load_dataset(args.data)
@@ -221,7 +189,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, mapping) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data)
     report = full_report(model, data, error_metric=args.error_metric)
@@ -231,44 +199,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _experiment_mapping(args, extra=None) -> dict:
-    keys = dict(_HYPER_KEYS, trials="trials")
-    keys.update(extra or {})
-    return _merged_mapping(args, keys)
+# reproduce command -> (data source, experiment, emit format)
+_REPRODUCTIONS = {
+    "reproduce-fig1": ("synthetic", regime_comparison, "bar-data"),
+    "reproduce-table1": ("synthetic", run_experiment, "csv"),
+    "reproduce-table2": ("movielens", run_experiment, "csv"),
+}
 
 
-def _cmd_fig1(args) -> int:
-    mapping = _experiment_mapping(args, {"users": "users", "items": "items"})
-    mapping["source"] = "synthetic"
-    config = config_experiment(mapping)
-    table = regime_comparison(config)
-    _write_text(args.out, emit(table, "bar-data"))
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_table1(args) -> int:
-    mapping = _experiment_mapping(args, {"users": "users", "items": "items",
-                                         "regime": "regime"})
-    mapping["source"] = "synthetic"
-    config = config_experiment(mapping, penalties=DEFAULT_PENALTIES)
-    table = run_experiment(config)
-    _write_text(args.out, emit(table, "csv"))
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    mapping = _experiment_mapping(args, {"ml_path": "ml_path", "genres": "genres",
-                                         "min_ratings": "min_ratings",
-                                         "genre_mode": "mode", "split": "split"})
-    mapping["source"] = "movielens"
-    if not mapping.get("ml_path"):
-        print("error: --ml-path is required (flag or config)", file=sys.stderr)
-        return 1
-    config = config_experiment(mapping, penalties=DEFAULT_PENALTIES)
-    table = run_experiment(config)
-    _write_text(args.out, emit(table, "csv"))
+def _cmd_reproduce(args, mapping) -> int:
+    source, experiment, fmt = _REPRODUCTIONS[args.command]
+    table = experiment(config_experiment(dict(mapping, source=source)))
+    _write_text(args.out, emit(table, fmt))
     print(f"wrote {args.out}")
     return 0
 
@@ -280,7 +222,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        mapping = _merged_mapping(args)
+        if hasattr(args, "ml_path") and not mapping.get("ml_path"):
+            print("error: --ml-path is required (flag or config)", file=sys.stderr)
+            return 1
+        return args.func(args, mapping)
     except (FairrecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

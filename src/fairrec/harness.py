@@ -1,9 +1,11 @@
 """Multi-trial experiment orchestration, aggregation, and result emission.
 
-A trial is a pure function of (config, trial index): the trial seed is
-base_seed + index and drives data generation or splitting as well as model
-initialization. Trials may run on a small thread pool (FAIRREC_THREADS);
-results are keyed by trial index, so the schedule never affects output.
+A trial is a pure function of (config, trial index): one seed's data plus
+every penalty spec of the config. The trial seed is base_seed + index; it
+drives data generation or splitting once, and model initialization for each
+spec trained and scored on that data. Trials may run on a small thread pool
+(FAIRREC_THREADS); results are keyed by trial index, so the schedule never
+affects output.
 """
 
 from __future__ import annotations
@@ -11,17 +13,16 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy import stats
 
 from .core import (
+    Dataset,
     DivergenceError,
     Hyperparams,
     InsufficientSamplesError,
     MalformedLineError,
-    MetricReport,
     METRIC_FIELDS,
     UnsupportedFormatError,
     _fmt,
@@ -105,30 +106,38 @@ class ExperimentConfig:
         object.__setattr__(self, "penalties", tuple(self.penalties))
 
 
-@lru_cache(maxsize=4)
-def _load_filtered(ml_path: str, genres: tuple, mode: str, min_ratings: int):
-    raw = parse_ml1m_dir(ml_path)
-    return filter_dataset(raw, genres, min_ratings, mode)
+def load_movielens(config: ExperimentConfig) -> Dataset:
+    """Parse the files at config.ml_path and apply the config's filters."""
+    return filter_dataset(parse_ml1m_dir(config.ml_path), config.genres,
+                          config.min_ratings, config.genre_mode)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int, spec: PenaltySpec) -> MetricReport:
-    """Generate or split data at seed base_seed + trial_index, train, report."""
+def run_trial(config: ExperimentConfig, trial_index: int, source: Dataset | None) -> tuple:
+    """Build the data of seed base_seed + trial_index once, then train and
+    score every penalty spec on it: one report per spec, in config order.
+
+    Synthetic data is generated; MovieLens data is a split of ``source``,
+    the filtered dataset from load_movielens.
+    """
     seed = config.base_seed + trial_index
     if config.source == "synthetic":
         data, expected = generate(RegimeConfig(
             config.regime, config.num_users, config.num_items, seed))
         train_set, eval_set = data, expected_value_eval(data, expected)
+        where = f"seed {seed}, regime {config.regime}"
     else:
-        filtered = _load_filtered(config.ml_path, tuple(config.genres),
-                                  config.genre_mode, config.min_ratings)
-        train_set, eval_set = split(filtered, config.split_fraction, seed)
+        train_set, eval_set = split(source, config.split_fraction, seed)
+        where = f"seed {seed}"
     hyper = replace(config.hyper, seed=seed)
-    try:
-        model, _ = train(train_set, hyper, spec)
-    except DivergenceError as exc:
-        raise DivergenceError(
-            f"trial {trial_index} (seed {seed}, penalty {spec.label}): {exc}") from exc
-    return full_report(model, eval_set)
+    reports = []
+    for spec in config.penalties:
+        try:
+            model, _ = train(train_set, hyper, spec)
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"trial {trial_index} ({where}, penalty {spec.label}): {exc}") from exc
+        reports.append(full_report(model, eval_set))
+    return tuple(reports)
 
 
 def _thread_cap(trials: int) -> int:
@@ -140,14 +149,18 @@ def _thread_cap(trials: int) -> int:
     return max(1, min(cap, trials))
 
 
-def run_penalty_trials(config: ExperimentConfig, spec: PenaltySpec) -> tuple:
-    """All trials for one penalty spec, in trial-index order."""
-    workers = _thread_cap(config.trials)
+def _run_trials(config: ExperimentConfig, source: Dataset | None = None) -> dict:
+    """Every trial of the config, on up to FAIRREC_THREADS threads, with the
+    reports regrouped by penalty label, each in trial-index order."""
+    n = config.trials
+    workers = _thread_cap(n)
+    args = ([config] * n, range(n), [source] * n)
     if workers == 1:
-        return tuple(run_trial(config, t, spec) for t in range(config.trials))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_trial, config, t, spec) for t in range(config.trials)]
-        return tuple(f.result() for f in futures)
+        per_trial = list(map(run_trial, *args))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(run_trial, *args))
+    return dict(zip((spec.label for spec in config.penalties), zip(*per_trial)))
 
 
 @dataclass(frozen=True)
@@ -227,16 +240,16 @@ def aggregate(reports_by_row: dict, row_kind: str = "penalty") -> ResultTable:
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Train and evaluate every penalty spec in the config, trials times."""
-    reports = {spec.label: run_penalty_trials(config, spec) for spec in config.penalties}
-    return aggregate(reports, row_kind="penalty")
+    source = load_movielens(config) if config.source == "movielens" else None
+    return aggregate(_run_trials(config, source), row_kind="penalty")
 
 
 def regime_comparison(config: ExperimentConfig) -> ResultTable:
     """Penalty-free runs across all four regimes, aggregated per regime."""
     if config.source != "synthetic":
         raise ValueError("the regime comparison is defined for synthetic data only")
-    none = PenaltySpec.none()
-    reports = {regime: run_penalty_trials(replace(config, regime=regime), none)
+    none = (PenaltySpec.none(),)
+    reports = {regime: _run_trials(replace(config, regime=regime, penalties=none))["none"]
                for regime in REGIMES}
     return aggregate(reports, row_kind="regime")
 
@@ -358,14 +371,12 @@ def config_hyper(mapping: dict, source: str) -> Hyperparams:
     )
 
 
-def config_experiment(mapping: dict, penalties: tuple = None) -> ExperimentConfig:
+def config_experiment(mapping: dict) -> ExperimentConfig:
     """ExperimentConfig from a config mapping (CLI flag merging happens upstream)."""
     unknown = set(mapping) - set(CONFIG_KEYS)
     if unknown:
         raise UnsupportedFormatError(f"unknown config keys: {sorted(unknown)}")
     source = mapping.get("source", "synthetic")
-    if penalties is None:
-        penalties = DEFAULT_PENALTIES
     genres = mapping.get("genres")
     return ExperimentConfig(
         source=source,
@@ -378,7 +389,6 @@ def config_experiment(mapping: dict, penalties: tuple = None) -> ExperimentConfi
         min_ratings=int(mapping.get("min_ratings", 50)),
         split_fraction=float(mapping.get("split", 0.8)),
         hyper=config_hyper(mapping, source),
-        penalties=penalties,
         trials=int(mapping.get("trials", default_trials(source))),
         base_seed=int(mapping.get("seed", 0)),
     )

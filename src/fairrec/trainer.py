@@ -141,6 +141,8 @@ def parse_model(text: str) -> FactorModel:
         d, n, m = int(header["d"]), int(header["n"]), int(header["m"])
     except (ValueError, KeyError) as exc:
         raise MalformedLineError(1, f"bad checkpoint header: {exc}") from exc
+    if min(d, n, m) < 1:
+        raise MalformedLineError(1, f"checkpoint sizes must be >= 1, got d={d} n={n} m={m}")
     expected = 1 + n + m + 2
     if len(lines) != expected:
         raise MalformedLineError(len(lines), f"expected {expected} lines, got {len(lines)}")

@@ -113,6 +113,21 @@ class TestMlPrepare:
         assert code == 1
         assert "--ml-path" in stderr
 
+    def test_unknown_config_key_exits_two(self, ml_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_ratings = 2\nbogus = 1\n")
+        code, stdout, stderr = run(capsys, "ml-prepare", "--ml-path", str(ml_dir),
+                                   "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert "bogus" in stderr
+
+    def test_config_supplies_path_and_filters(self, ml_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"ml_path = {ml_dir}\nmin_ratings = 1\ngenre_mode = only-genres\n")
+        code, stdout, _ = run(capsys, "ml-prepare", "--config", str(cfg))
+        assert code == 0
+        assert stdout == "users=3 movies=1\nratings=3\n"
+
     def test_missing_directory_exits_two(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "ml-prepare", "--ml-path",
                               str(tmp_path / "nowhere"))
@@ -234,6 +249,14 @@ class TestEval:
 
         rmse, mse = error_of("rmse"), error_of("mse")
         assert mse == pytest.approx(rmse ** 2, rel=1e-12)
+
+    def test_nonpositive_checkpoint_size_exits_two(self, synth_file, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_text("d=-1 n=1 m=1\n\n\nbu 0\nbi 0\n")
+        code, stdout, stderr = run(capsys, "eval", "--model", str(model),
+                                   "--data", str(synth_file))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:") and "line 1" in stderr
 
     def test_missing_model_exits_two(self, synth_file, tmp_path, capsys):
         code, _, stderr = run(capsys, "eval", "--model", str(tmp_path / "no.txt"),

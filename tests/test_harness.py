@@ -1,7 +1,10 @@
 """Experiment orchestration, statistics, and table formats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from fairrec import (
@@ -28,9 +31,10 @@ from fairrec import (
     parse_table_csv,
     regime_comparison,
     run_experiment,
-    run_penalty_trials,
     welch_t_test,
 )
+from fairrec import harness
+from fairrec.harness import run_trial
 
 from oracles import oracle_welch
 
@@ -95,30 +99,74 @@ class TestExperimentConfig:
             tiny_config(**sizes)
 
 
+def counting(monkeypatch, name):
+    """Count the calls through the fairrec.harness binding ``name``."""
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def copy_ml_dir(src, dst, ratings=None):
+    dst.mkdir(exist_ok=True)
+    for name in ("users.dat", "movies.dat", "ratings.dat"):
+        text = (src / name).read_text(encoding="latin-1")
+        if name == "ratings.dat" and ratings is not None:
+            text = ratings(text)
+        (dst / name).write_text(text, encoding="latin-1")
+    return dst
+
+
+def flip_stars(text):
+    """Every rating r becomes 6 - r."""
+    lines = []
+    for line in text.splitlines():
+        u, i, r, t = line.split("::")
+        lines.append(f"{u}::{i}::{6 - int(r)}::{t}")
+    return "\n".join(lines) + "\n"
+
+
 class TestRunTrials:
     def test_reports_per_trial_and_deterministic(self):
         config = tiny_config()
-        reports = run_penalty_trials(config, PenaltySpec.none())
-        again = run_penalty_trials(config, PenaltySpec.none())
-        assert len(reports) == 3
-        assert [r.error for r in reports] == [r.error for r in again]
+        table = run_experiment(config)
+        again = run_experiment(config)
+        assert table.raw.shape == (2, len(METRIC_FIELDS), 3)
+        np.testing.assert_array_equal(table.raw, again.raw)
         # different seeds per trial produce different data and models
-        assert len({r.error for r in reports}) == 3
+        assert len(set(table.values("none", "error"))) == 3
+
+    def test_run_trial_reports_every_spec_in_config_order(self):
+        config = tiny_config()
+        table = run_experiment(config)
+        for t in range(config.trials):
+            reports = run_trial(config, t, None)
+            assert len(reports) == len(config.penalties)
+            for spec, report in zip(config.penalties, reports):
+                assert report.error == table.values(spec.label, "error")[t]
 
     def test_thread_pool_matches_sequential(self, monkeypatch):
         config = tiny_config(trials=3)
         monkeypatch.delenv("FAIRREC_THREADS", raising=False)
-        sequential = run_penalty_trials(config, PenaltySpec.single("value"))
+        sequential = run_experiment(config)
         monkeypatch.setenv("FAIRREC_THREADS", "3")
-        threaded = run_penalty_trials(config, PenaltySpec.single("value"))
-        for a, b in zip(sequential, threaded):
-            assert a == b
+        threaded = run_experiment(config)
+        np.testing.assert_array_equal(sequential.raw, threaded.raw)
+        assert emit(sequential, "csv") == emit(threaded, "csv")
 
     def test_bogus_thread_env_means_sequential(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
         monkeypatch.setenv("FAIRREC_THREADS", "many")
-        config = tiny_config(trials=2)
-        reports = run_penalty_trials(config, PenaltySpec.none())
-        assert len(reports) == 2
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        table = run_experiment(tiny_config(trials=2))
+        assert table.trials == 2
 
     def test_divergence_names_trial_seed_and_penalty(self):
         config = tiny_config(
@@ -126,9 +174,58 @@ class TestRunTrials:
             penalties=(PenaltySpec.single("value"),), trials=2, base_seed=7)
         with pytest.raises(DivergenceError) as info:
             run_experiment(config)
-        assert str(info.value).startswith("trial 0 (seed 7, penalty value): ")
+        assert str(info.value).startswith("trial 0 (seed 7, regime P+O, penalty value): ")
         assert isinstance(info.value.__cause__, DivergenceError)
         assert str(info.value).endswith(str(info.value.__cause__))
+
+    def test_divergence_in_regime_comparison_names_regime(self):
+        config = tiny_config(hyper=Hyperparams(learning_rate=1e200, iterations=5),
+                             trials=2, base_seed=3)
+        with pytest.raises(DivergenceError) as info:
+            regime_comparison(config)
+        assert str(info.value).startswith(
+            f"trial 0 (seed 3, regime {REGIMES[0]}, penalty none): ")
+
+    def test_divergence_on_movielens_names_trial_seed_and_penalty(self, ml_dir):
+        config = tiny_config(source="movielens", ml_path=str(ml_dir), min_ratings=2,
+                             hyper=Hyperparams(learning_rate=1e200, iterations=5),
+                             trials=2, base_seed=5)
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(config)
+        assert str(info.value).startswith("trial 0 (seed 5, penalty none): ")
+
+    def test_synthetic_data_built_once_per_trial(self, monkeypatch):
+        generated = counting(monkeypatch, "generate")
+        evals = counting(monkeypatch, "expected_value_eval")
+        trained = counting(monkeypatch, "train")
+        reported = counting(monkeypatch, "full_report")
+        run_experiment(tiny_config(trials=3))
+        assert [args[0].seed for args in generated] == [0, 1, 2]
+        assert len(evals) == 3
+        assert len(trained) == len(reported) == 3 * 2
+
+    def test_movielens_parsed_once_per_run_and_split_per_trial(self, ml_dir, monkeypatch):
+        parsed = counting(monkeypatch, "parse_ml1m_dir")
+        filtered = counting(monkeypatch, "filter_dataset")
+        splits = counting(monkeypatch, "split")
+        config = tiny_config(source="movielens", ml_path=str(ml_dir), min_ratings=2,
+                             trials=3)
+        run_experiment(config)
+        assert (len(parsed), len(filtered), len(splits)) == (1, 1, 3)
+        run_experiment(config)
+        assert (len(parsed), len(filtered), len(splits)) == (2, 2, 6)
+
+    def test_movielens_rereads_rewritten_files(self, ml_dir, tmp_path):
+        config = tiny_config(source="movielens", ml_path=str(tmp_path / "ml"),
+                             min_ratings=2, trials=2, penalties=(PenaltySpec.none(),))
+        copy_ml_dir(ml_dir, tmp_path / "ml")
+        before = run_experiment(config)
+        copy_ml_dir(ml_dir, tmp_path / "ml", ratings=flip_stars)
+        after = run_experiment(config)
+        fresh = run_experiment(replace(config, ml_path=str(
+            copy_ml_dir(ml_dir, tmp_path / "fresh", ratings=flip_stars))))
+        np.testing.assert_array_equal(after.raw, fresh.raw)
+        assert not np.array_equal(after.raw, before.raw)
 
 
 class TestAggregate:
@@ -235,6 +332,31 @@ class TestEmit:
         broken = "\n".join([lines[0], "none,1.0,2.0"])
         with pytest.raises(MalformedLineError):
             parse_table_csv(broken)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.lists(st.text("abcdefghijklmnopqrstuvwxyz:+_", min_size=1, max_size=8),
+                         min_size=1, max_size=4, unique=True))
+    shape = (len(rows), len(METRIC_FIELDS))
+    size = shape[0] * shape[1]
+    means = draw(st.lists(FINITE, min_size=size, max_size=size))
+    stderrs = draw(st.lists(FINITE.map(abs), min_size=size, max_size=size))
+    return ResultTable("penalty", rows, np.reshape(means, shape),
+                       np.reshape(stderrs, shape), trials=2)
+
+
+class TestCsvProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables())
+    def test_parse_of_emit_is_exact(self, table):
+        back = parse_table_csv(emit(table, "csv"))
+        assert back.rows == table.rows
+        assert back.means.tobytes() == table.means.tobytes()
+        assert back.stderrs.tobytes() == table.stderrs.tobytes()
 
 
 class TestRunExperiment:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairrec import (
     ADAM_BETA1,
@@ -9,6 +10,7 @@ from fairrec import (
     ADAM_EPS,
     AdamState,
     DivergenceError,
+    FactorModel,
     Hyperparams,
     MalformedLineError,
     PenaltySpec,
@@ -188,6 +190,41 @@ class TestModelFormat:
         lines = format_model(m).splitlines()
         with pytest.raises(MalformedLineError):
             parse_model("\n".join(mutate(lines)) + "\n")
+
+    @pytest.mark.parametrize("header", ["d=-1 n=1 m=1", "d=0 n=1 m=1",
+                                        "d=1 n=0 m=1", "d=1 n=1 m=-2"])
+    def test_nonpositive_sizes_rejected_on_line_one(self, header):
+        text = "\n".join([header, "", "", "bu 0", "bi 0"]) + "\n"
+        with pytest.raises(MalformedLineError) as info:
+            parse_model(text)
+        assert info.value.line_no == 1
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def models(draw):
+    n, m, d = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def block(*shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(st.one_of(FLOATS, st.sampled_from([-0.0, 5e-324, -2.5e-310])),
+                               min_size=size, max_size=size))
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    return FactorModel(block(n, d), block(m, d), block(n), block(m))
+
+
+class TestModelFormatProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(model=models())
+    def test_round_trip_is_bit_exact_and_byte_stable(self, model):
+        text = format_model(model)
+        back = parse_model(text)
+        for name in ("user_factors", "item_factors", "user_bias", "item_bias"):
+            assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
+        assert format_model(back) == text
 
 
 class TestTraceFile:
