@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -313,9 +314,38 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# Rating lines are read this many file lines at a time, which bounds the
-# token lists held at once.
+# Input files are read in pieces of about 16 * _CHUNK_LINES characters, cut
+# at line ends, and their lines are converted at most _CHUNK_LINES at a time.
+# This bounds the text and the token lists held at once.
 _CHUNK_LINES = 1 << 16
+
+
+def _text_pieces(text: str) -> Iterator[str]:
+    """Consecutive slices of text, each ending at a line feed or at the end."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + 16 * _CHUNK_LINES - 1) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
+def _file_pieces(fh) -> Iterator[str]:
+    """The text of an open file in slices, each ending at a line feed or at
+    the end of the file."""
+    while piece := fh.read(16 * _CHUNK_LINES):
+        yield piece if piece.endswith("\n") else piece + fh.readline()
+
+
+def _line_chunks(pieces: Iterable[str]) -> Iterator[tuple[int, list]]:
+    """(number of the first line, lines) for runs of at most _CHUNK_LINES
+    lines, in order. Lines are split and numbered as str.splitlines splits
+    the whole text, because every piece ends at a line break."""
+    first_no = 1
+    for piece in pieces:
+        lines = piece.splitlines()
+        for k in range(0, len(lines), _CHUNK_LINES):
+            yield first_no + k, lines[k:k + _CHUNK_LINES]
+        first_no += len(lines)
 
 
 def _map_distinct(func, keys: list) -> list:
@@ -385,7 +415,8 @@ def _raise_first_bad_rating(lines: list, first_no: int) -> None:
 
 
 def parse_dataset(text: str) -> Dataset:
-    lines = text.splitlines()
+    chunks = _line_chunks(_text_pieces(text))
+    _, lines = next(chunks, (1, []))
     if not lines:
         raise MalformedLineError(1, "empty dataset file")
     header = lines[0].split()
@@ -400,9 +431,11 @@ def parse_dataset(text: str) -> Dataset:
     # checked before anything is allocated by these counts
     if num_users < 0 or num_items < 0:
         raise MalformedLineError(1, "user and item counts must be >= 0")
-    if num_users > len(lines) - 1:
+    # Every line feed ends a line, so the line count is only needed when the
+    # count of line feeds alone does not clear the header.
+    if num_users >= text.count("\n") and num_users > (total := len(text.splitlines())) - 1:
         raise MalformedLineError(
-            1, f"header declares {num_users} users but only {len(lines) - 1} lines follow; "
+            1, f"header declares {num_users} users but only {total - 1} lines follow; "
                "every user needs a 'u' line")
 
     protected = np.zeros(num_users, dtype=bool)
@@ -437,8 +470,9 @@ def parse_dataset(text: str) -> Dataset:
     # malformed line is reported only once every line before it has been
     # checked, so the first one in the file is the one reported.
     columns = [_rating_columns("", 0)]  # a file may hold no ratings
-    for start in range(1, len(lines), _CHUNK_LINES):
-        chunk = lines[start:start + _CHUNK_LINES]
+    last_no = 1
+    for first_no, chunk in chain([(2, lines[1:])], chunks):
+        last_no = first_no + len(chunk) - 1
         rows, end, error = chunk, len(chunk), None
         joined = "\n".join(chunk)
         if joined.startswith("r ") + joined.count("\nr ") != len(chunk):
@@ -451,7 +485,7 @@ def parse_dataset(text: str) -> Dataset:
                     rows.append(chunk[k])
                 elif parts:
                     try:
-                        label_line(start + k + 1, chunk[k], parts)
+                        label_line(first_no + k, chunk[k], parts)
                     except MalformedLineError as exc:
                         end, error = k, exc
                         break
@@ -461,17 +495,17 @@ def parse_dataset(text: str) -> Dataset:
         try:
             columns.append(_rating_columns(joined, len(rows)))
         except (ValueError, OverflowError):
-            _raise_first_bad_rating(chunk[:end], start + 1)
+            _raise_first_bad_rating(chunk[:end], first_no)
             raise
         if error is not None:
             raise error
     if not seen_user.all():
         missing = int(np.flatnonzero(~seen_user)[0])
-        raise MalformedLineError(len(lines), f"no 'u' line for user {missing}")
+        raise MalformedLineError(last_no, f"no 'u' line for user {missing}")
     if fine and len(fine) != num_users:
-        raise MalformedLineError(len(lines), "fine labels must cover all users or none")
+        raise MalformedLineError(last_no, "fine labels must cover all users or none")
     if groups and len(groups) != num_items:
-        raise MalformedLineError(len(lines), "item labels must cover all items or none")
+        raise MalformedLineError(last_no, "item labels must cover all items or none")
     user_idx, item_idx, values = (np.concatenate(c) for c in zip(*columns))
     return Dataset(
         num_users, num_items, user_idx, item_idx, values, protected, scale,

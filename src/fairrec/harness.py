@@ -104,6 +104,11 @@ class ExperimentConfig:
             raise ValueError("need at least one penalty spec")
         object.__setattr__(self, "genres", tuple(self.genres))
         object.__setattr__(self, "penalties", tuple(self.penalties))
+        # results are keyed by label, so a repeated one would lose a row
+        labels = [spec.label for spec in self.penalties]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"penalty {label!r} is listed more than once")
 
 
 def load_movielens(config: ExperimentConfig) -> Dataset:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +20,10 @@ from .core import (
     EmptyResultError,
     MalformedLineError,
     UnknownReferenceError,
+    _file_pieces,
     _frozen,
+    _line_chunks,
+    _map_distinct,
 )
 
 GENRE_VOCABULARY = (
@@ -30,6 +34,7 @@ GENRE_VOCABULARY = (
 SELECTED_GENRES = ("Action", "Crime", "Musical", "Romance", "Sci-Fi")
 GENRE_MODES = ("any-genre", "only-genres")
 DEFAULT_GENRE_MODE = "any-genre"
+_INT64 = range(-2**63, 2**63)
 
 
 @dataclass(frozen=True)
@@ -66,60 +71,104 @@ def canonical_genres(names) -> tuple:
     return tuple(result)
 
 
-def _read_lines(path):
+def _file_chunks(path) -> Iterator[tuple[int, list]]:
+    """(number of the first line, lines) for each chunk of a file's lines."""
     # titles may contain ISO-8859-1 characters; all structure is ASCII
     with open(path, "r", encoding="latin-1") as fh:
-        return fh.read().splitlines()
+        yield from _line_chunks(_file_pieces(fh))
 
 
-def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
-    """Parse the three "::"-separated ML-1M files."""
-    users = {}
-    for no, line in enumerate(_read_lines(users_file), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("::")
-        if len(parts) != 5 or parts[1] not in ("M", "F"):
-            raise MalformedLineError(no, f"bad users line {line!r}")
+def _file_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every line of a file that is not blank."""
+    for first_no, lines in _file_chunks(path):
+        for no, line in enumerate(lines, start=first_no):
+            if line.strip():
+                yield no, line
+
+
+def _new_id(no: int, text: str, seen: dict) -> int:
+    """The id in text, which must fit int64 and be absent from seen."""
+    try:
+        key = int(text)
+    except ValueError as exc:
+        raise MalformedLineError(no, str(exc)) from exc
+    if key not in _INT64:
+        raise MalformedLineError(no, f"id {key} outside the int64 range")
+    if key in seen:
+        raise MalformedLineError(no, f"repeated id {key}")
+    return key
+
+
+def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np.ndarray:
+    """Columns (user, movie, star, timestamp) of a chunk of rating lines.
+
+    The chunk is converted by whole columns. If any line fails, the chunk is
+    read again one line at a time, which raises for its first bad line or,
+    when blank lines were all that failed, gives its columns.
+    """
+    # "\n" occurs in no line, so each line has four fields exactly when
+    # every fifth token is the "\n" that joins two lines
+    tokens = "::\n::".join(lines).split("::")
+    if len(tokens) == 5 * len(lines) - 1 and tokens[4::5].count("\n") == len(lines) - 1:
         try:
-            users[int(parts[0])] = parts[1]
-        except ValueError as exc:
-            raise MalformedLineError(no, str(exc)) from exc
-
-    movies = {}
-    for no, line in enumerate(_read_lines(movies_file), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("::")
-        if len(parts) != 3:
-            raise MalformedLineError(no, f"bad movies line {line!r}")
-        try:
-            movies[int(parts[0])] = frozenset(parts[2].split("|"))
-        except ValueError as exc:
-            raise MalformedLineError(no, str(exc)) from exc
-
-    user_ids, movie_ids, values, stamps = [], [], [], []
-    for no, line in enumerate(_read_lines(ratings_file), start=1):
+            # nearly every timestamp is distinct, so a cache would only cost
+            columns = np.array([_map_distinct(int, tokens[k::5]) for k in range(3)]
+                               + [list(map(int, tokens[3::5]))], dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            uid, mid, val, _ = columns
+            if ((1 <= val) & (val <= 5)).all() and np.isin(uid, list(users)).all() \
+                    and np.isin(mid, list(movies)).all():
+                return columns
+    rows = []
+    for no, line in enumerate(lines, start=first_no):
         if not line.strip():
             continue
         parts = line.split("::")
         if len(parts) != 4:
             raise MalformedLineError(no, f"bad ratings line {line!r}")
         try:
-            uid, mid, val, ts = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+            uid, mid, val, ts = map(int, parts)
         except ValueError as exc:
             raise MalformedLineError(no, str(exc)) from exc
         if not 1 <= val <= 5:
             raise MalformedLineError(no, f"rating {val} outside [1, 5]")
+        if ts not in _INT64:
+            raise MalformedLineError(no, f"timestamp {ts} outside the int64 range")
         if uid not in users:
             raise UnknownReferenceError(f"rating references unknown user {uid}")
         if mid not in movies:
             raise UnknownReferenceError(f"rating references unknown movie {mid}")
-        user_ids.append(uid)
-        movie_ids.append(mid)
-        values.append(val)
-        stamps.append(ts)
-    return MovieLensRaw(users, movies, user_ids, movie_ids, values, stamps)
+        rows.append((uid, mid, val, ts))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+
+
+def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
+    """Parse the three "::"-separated ML-1M files.
+
+    Blank lines are skipped but counted. The first bad line raises
+    MalformedLineError with its number, or UnknownReferenceError for a
+    rating of an unknown user or movie; an id may occur once per file.
+    """
+    users = {}
+    for no, line in _file_lines(users_file):
+        parts = line.split("::")
+        if len(parts) != 5 or parts[1] not in ("M", "F"):
+            raise MalformedLineError(no, f"bad users line {line!r}")
+        users[_new_id(no, parts[0], users)] = parts[1]
+
+    movies = {}
+    for no, line in _file_lines(movies_file):
+        parts = line.split("::")
+        if len(parts) != 3:
+            raise MalformedLineError(no, f"bad movies line {line!r}")
+        movies[_new_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
+
+    columns = [np.zeros((4, 0), dtype=np.int64)]  # a file may hold no ratings
+    for first_no, lines in _file_chunks(ratings_file):
+        columns.append(_rating_columns(lines, first_no, users, movies))
+    return MovieLensRaw(users, movies, *np.concatenate(columns, axis=1))
 
 
 def parse_ml1m_dir(directory) -> MovieLensRaw:

@@ -3,15 +3,17 @@
 Everything here is written with plain Python loops and scalar math so that
 agreement with the vectorized library code is meaningful. The functions take
 bare lists and arrays rather than library types on purpose: they must not
-share any code path with the implementation under test. The dataset text
-codec oracles are the exception: a Dataset is what the format describes.
+share any code path with the implementation under test. The file reader
+oracles are the exception: they return the library's Dataset and
+MovieLensRaw, which are what the files describe.
 """
 
 import math
 
 import numpy as np
 
-from fairrec import Dataset, MalformedLineError
+from fairrec import Dataset, MalformedLineError, UnknownReferenceError
+from fairrec.movielens import MovieLensRaw
 
 
 def oracle_predict(P, Q, bu, bi, user, item):
@@ -260,3 +262,71 @@ def oracle_parse_dataset(text):
         tuple(fine[u] for u in range(num_users)) if fine else None,
         tuple(groups[i] for i in range(num_items)) if groups else None,
     )
+
+
+def _ml_lines(path):
+    with open(path, "r", encoding="latin-1") as fh:
+        return fh.read().splitlines()
+
+
+def _ml_id(no, text, seen):
+    try:
+        key = int(text)
+    except ValueError as exc:
+        raise MalformedLineError(no, str(exc)) from exc
+    if not -2**63 <= key < 2**63:
+        raise MalformedLineError(no, f"id {key} outside the int64 range")
+    if key in seen:
+        raise MalformedLineError(no, f"repeated id {key}")
+    return key
+
+
+def oracle_parse_ml1m(users_file, movies_file, ratings_file):
+    """The three ML-1M files read one line at a time.
+
+    This is the per-line reader that the columnar one replaced, plus its two
+    later checks: an id may occur once per file, and ids and timestamps must
+    fit int64.
+    """
+    users = {}
+    for no, line in enumerate(_ml_lines(users_file), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("::")
+        if len(parts) != 5 or parts[1] not in ("M", "F"):
+            raise MalformedLineError(no, f"bad users line {line!r}")
+        users[_ml_id(no, parts[0], users)] = parts[1]
+
+    movies = {}
+    for no, line in enumerate(_ml_lines(movies_file), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("::")
+        if len(parts) != 3:
+            raise MalformedLineError(no, f"bad movies line {line!r}")
+        movies[_ml_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
+
+    user_ids, movie_ids, values, stamps = [], [], [], []
+    for no, line in enumerate(_ml_lines(ratings_file), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("::")
+        if len(parts) != 4:
+            raise MalformedLineError(no, f"bad ratings line {line!r}")
+        try:
+            uid, mid, val, ts = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise MalformedLineError(no, str(exc)) from exc
+        if not 1 <= val <= 5:
+            raise MalformedLineError(no, f"rating {val} outside [1, 5]")
+        if not -2**63 <= ts < 2**63:
+            raise MalformedLineError(no, f"timestamp {ts} outside the int64 range")
+        if uid not in users:
+            raise UnknownReferenceError(f"rating references unknown user {uid}")
+        if mid not in movies:
+            raise UnknownReferenceError(f"rating references unknown movie {mid}")
+        user_ids.append(uid)
+        movie_ids.append(mid)
+        values.append(val)
+        stamps.append(ts)
+    return MovieLensRaw(users, movies, user_ids, movie_ids, values, stamps)

@@ -92,6 +92,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_config(split_fraction=1.5)
 
+    def test_rejects_repeated_penalty_label(self):
+        value = PenaltySpec.single("value")
+        with pytest.raises(ValueError, match="'value'"):
+            tiny_config(penalties=(PenaltySpec.none(), value, value))
+
     @pytest.mark.parametrize("sizes", [dict(num_users=401), dict(num_items=301),
                                        dict(regime="U", num_users=42)])
     def test_rejects_indivisible_sizes_when_built(self, sizes):

@@ -5,9 +5,15 @@ The fixtures in conftest.py define a miniature corpus: eight movies of which
 expectations below are hand-derived from those files.
 """
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fairrec.core as core
 from fairrec import (
     DegenerateSplitError,
     EmptyResultError,
@@ -15,10 +21,13 @@ from fairrec import (
     SELECTED_GENRES,
     UnknownReferenceError,
     filter_dataset,
+    parse_ml1m,
     parse_ml1m_dir,
     split,
 )
 from fairrec.movielens import canonical_genres
+
+from oracles import oracle_parse_ml1m
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +90,141 @@ class TestParse:
         from fairrec import parse_ml1m
         with pytest.raises(UnknownReferenceError):
             parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
+
+    def test_repeated_user_id_rejected(self, tmp_path, ml_dir):
+        bad = tmp_path / "users.dat"
+        bad.write_text("1::F::1::10::48067\n2::M::56::16::70072\n1::M::25::15::55117\n",
+                       encoding="latin-1")
+        with pytest.raises(MalformedLineError, match="repeated id 1") as exc:
+            parse_ml1m(bad, ml_dir / "movies.dat", ml_dir / "ratings.dat")
+        assert exc.value.line_no == 3
+
+    def test_repeated_movie_id_rejected(self, tmp_path, ml_dir):
+        bad = tmp_path / "movies.dat"
+        bad.write_text((ml_dir / "movies.dat").read_text(encoding="latin-1")
+                       + "\n3::Heat again (1995)::Drama\n", encoding="latin-1")
+        with pytest.raises(MalformedLineError, match="repeated id 3") as exc:
+            parse_ml1m(ml_dir / "users.dat", bad, ml_dir / "ratings.dat")
+        assert exc.value.line_no == 10  # after eight movies and a blank line
+
+    def test_five_field_line_before_three_field_line(self, tmp_path, ml_dir):
+        # together they hold eight fields, as two good lines would
+        bad = tmp_path / "ratings.dat"
+        bad.write_text("1::3::5::978300760\n1::5::3::978302109::7\n1::6::4\n",
+                       encoding="latin-1")
+        with pytest.raises(MalformedLineError) as exc:
+            parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
+        assert exc.value.line_no == 2
+
+    def test_line_ending_in_colon_before_another_line(self, tmp_path, ml_dir):
+        # joined with the next line, its colon takes in the line break token
+        bad = tmp_path / "ratings.dat"
+        bad.write_text("1::3::5::978300760:\n1::5::3::978302109\n", encoding="latin-1")
+        with pytest.raises(MalformedLineError) as exc:
+            parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
+        assert exc.value.line_no == 1
+
+    def test_timestamp_beyond_int64_reports_its_line(self, tmp_path, ml_dir):
+        bad = tmp_path / "ratings.dat"
+        bad.write_text("1::3::5::978300760\n1::5::3::99999999999999999999\n",
+                       encoding="latin-1")
+        with pytest.raises(MalformedLineError) as exc:
+            parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
+        assert exc.value.line_no == 2
+
+
+# Field texts that int() rejects, accepts in unusual spellings, or reads as a
+# star outside 1..5 or an id beyond int64; "5:" ends a line in a colon.
+ODD_FIELDS = ["x", "+5", " 5", "5_0", "1.5", "", "5:", "0", "6", "1" * 20]
+ML_EDITS = st.tuples(
+    st.sampled_from(["drop_field", "add_field", "replace_field", "star", "unknown",
+                     "repeat", "blank", "crlf", "colon_end", "no_final_newline",
+                     "title_char"]),
+    st.integers(0, 2), st.integers(0, 2**16), st.sampled_from(ODD_FIELDS))
+
+
+@st.composite
+def ml_files(draw):
+    """The lines of small users.dat, movies.dat and ratings.dat files that
+    parse; ids stay below 100."""
+    uids = draw(st.lists(st.integers(1, 99), min_size=1, max_size=5, unique=True))
+    mids = draw(st.lists(st.integers(1, 99), min_size=1, max_size=5, unique=True))
+    genres = st.sampled_from(["Action", "Comedy|Drama", "Crime|Romance|Sci-Fi"])
+    users = [f"{u}::{draw(st.sampled_from('MF'))}::25::0::00000" for u in uids]
+    movies = [f"{m}::Movie {m} (2000)::{draw(genres)}" for m in mids]
+    ratings = draw(st.lists(st.builds("{}::{}::{}::{}".format, st.sampled_from(uids),
+                                      st.sampled_from(mids), st.integers(1, 5),
+                                      st.integers(0, 2**40)), max_size=12))
+    return [users, movies, ratings]
+
+
+def apply_ml_edit(files, ends, edit):
+    """One random change to one of the three files, faulty or not."""
+    kind, target, pos, token = edit
+    if kind in ("star", "unknown"):
+        target = 2
+    elif kind == "title_char":
+        target = 1
+    lines = files[target]
+    if kind == "blank":
+        lines.insert(pos % (len(lines) + 1), ["", " ", "\t ", "  "][pos % 4])
+        return
+    if kind == "no_final_newline":
+        ends[target] = ""
+        return
+    if not lines:
+        return
+    k = pos % len(lines)
+    if kind == "repeat":
+        lines.insert(pos % (len(lines) + 1), lines[k])
+        return
+    parts = lines[k].split("::")
+    if kind == "drop_field":
+        del parts[pos % len(parts)]
+    elif kind == "add_field":
+        parts.insert(pos % (len(parts) + 1), token)
+    elif kind == "replace_field":
+        parts[pos % len(parts)] = token
+    elif kind == "star" and len(parts) > 2:
+        parts[2] = "06"[pos % 2]
+    elif kind == "unknown":
+        parts[pos % 2] = "100"
+    elif kind == "title_char" and len(parts) > 1:
+        at = pos % (len(parts[1]) + 1)
+        parts[1] = parts[1][:at] + "\x85\x0c"[pos % 2] + parts[1][at:]
+    elif kind == "crlf":
+        parts[-1] += "\r"
+    elif kind == "colon_end":
+        parts[-1] += ":"
+    lines[k] = "::".join(parts)
+
+
+def ml_outcome(parse, paths):
+    """The parsed files' fields, or the failure's type, line and message."""
+    try:
+        raw = parse(*paths)
+    except Exception as exc:  # every failure must match the oracle's
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return (list(raw.users.items()), list(raw.movies.items()), raw.user_ids.tobytes(),
+            raw.movie_ids.tobytes(), raw.values.tobytes(), raw.timestamps.tobytes())
+
+
+class TestParseAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(files=ml_files(), edits=st.lists(ML_EDITS, max_size=3),
+           chunk=st.sampled_from([1, 2, 3, 5, core._CHUNK_LINES]))
+    def test_matches_line_by_line_reader(self, files, edits, chunk):
+        ends = ["\n"] * 3
+        for edit in edits:
+            apply_ml_edit(files, ends, edit)
+        with tempfile.TemporaryDirectory() as root:
+            paths = [os.path.join(root, name)
+                     for name in ("users.dat", "movies.dat", "ratings.dat")]
+            for path, lines, end in zip(paths, files, ends):
+                with open(path, "wb") as fh:
+                    fh.write(("\n".join(lines) + end).encode("latin-1"))
+            with mock.patch.object(core, "_CHUNK_LINES", chunk):
+                assert ml_outcome(parse_ml1m, paths) == ml_outcome(oracle_parse_ml1m, paths)
 
 
 class TestFilter:
