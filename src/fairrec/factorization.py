@@ -18,7 +18,22 @@ from .core import (
     EmptyTrainingSetError,
     FactorModel,
     IndexOutOfRangeError,
+    ShapeMismatchError,
 )
+
+# Fill from which the score matrix is the faster path. With d = 4 on a
+# 2-core host, the matrix plus one read-out overtook the gathers near 10% fill
+# at 400 x 300 (0.20 against 0.29 ms) and at 3000 x 1005 (9.1 against 9.4 ms),
+# and took a quarter of their time at 30%. At the MovieLens-1M shape (6040 x
+# 3706, 4.5% fill) it took twice as long (91 against 45 ms).
+DENSE_FILL = 0.1
+
+# OpenBLAS runs a matrix product of at most 2**18 multiply-adds on the calling
+# thread alone. The score matrix is built from row blocks of that size, so its
+# bits do not depend on the BLAS thread count (a product split across threads
+# can differ in the last bit). A one-row block exceeds it only beyond
+# 2**18 / (d + 2) items.
+_BLOCK_MULADDS = 2**18
 
 
 @dataclass(frozen=True)
@@ -50,6 +65,49 @@ def predict_entries(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarr
     Q = model.item_factors.take(item_idx, axis=0)
     return (np.einsum("ij,ij->i", P, Q)
             + model.user_bias.take(user_idx) + model.item_bias.take(item_idx))
+
+
+def score_matrix(model: FactorModel) -> np.ndarray:
+    """Predictions for every (user, item) pair, as [P | bu | 1] @ [Q | 1 | bi].T,
+    which folds both bias adds into the product."""
+    n, m = model.num_users, model.num_items
+    left = np.hstack([model.user_factors, model.user_bias[:, None], np.ones((n, 1))])
+    right = np.hstack([model.item_factors, np.ones((m, 1)), model.item_bias[:, None]]).T
+    scores = np.empty((n, m))
+    rows = max(1, _BLOCK_MULADDS // (m * left.shape[1]))
+    # a diverging model overflows here; the trainer turns that into a
+    # DivergenceError, so the overflow itself is not worth a warning
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            np.matmul(left[start:start + rows], right, out=scores[start:start + rows])
+    return scores
+
+
+class EntryPredictor:
+    """Predictions at one dataset's entries, for models of the data's shape.
+
+    The path is chosen here, once, by the data's fill (observed fraction of
+    the user x item grid): from DENSE_FILL up, the entries are read out of
+    score_matrix at flat indices u * m + i, built once; below it they are
+    gathered by predict_entries. The two agree to rounding. The dataset's
+    indices must already be checked against its shape.
+    """
+
+    def __init__(self, data: Dataset):
+        self._shape = (data.num_users, data.num_items)
+        self._user_idx, self._item_idx = data.user_idx, data.item_idx
+        self.dense = data.num_ratings >= DENSE_FILL * data.num_users * data.num_items
+        if self.dense:
+            self._flat = data.user_idx * data.num_items + data.item_idx
+
+    def __call__(self, model: FactorModel) -> np.ndarray:
+        if (model.num_users, model.num_items) != self._shape:
+            raise ShapeMismatchError(
+                f"model is {model.num_users} x {model.num_items}, "
+                f"data {self._shape[0]} x {self._shape[1]}")
+        if self.dense:
+            return score_matrix(model).ravel().take(self._flat)
+        return predict_entries(model, self._user_idx, self._item_idx)
 
 
 def _check_bounds(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarray) -> None:
@@ -112,7 +170,7 @@ def _training_predictions(model: FactorModel, train: Dataset, what: str) -> np.n
     if train.num_ratings == 0:
         raise EmptyTrainingSetError(f"{what} needs at least one rating")
     _check_bounds(model, train.user_idx, train.item_idx)
-    return predict_entries(model, train.user_idx, train.item_idx)
+    return EntryPredictor(train)(model)
 
 
 def objective(model: FactorModel, train: Dataset, lam: float) -> float:

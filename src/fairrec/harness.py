@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     Dataset,
@@ -266,6 +265,10 @@ def welch_t_test(samples_a, samples_b) -> float:
     samples are indistinguishable (p = 1), different constants are perfectly
     distinguishable (p = 0).
     """
+    # imported here, its only use: scipy.stats takes most of a cold
+    # `import fairrec`, and no CLI command runs this test
+    from scipy import stats
+
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:

@@ -19,10 +19,9 @@ from .core import (
     FactorModel,
     MetricReport,
     NoComparableItemsError,
-    ShapeMismatchError,
     UnsupportedFormatError,
 )
-from .factorization import _check_bounds, predict_entries
+from .factorization import EntryPredictor, _check_bounds
 
 
 class GroupCells:
@@ -103,15 +102,11 @@ def full_report(model: FactorModel, eval_data: Dataset,
     entries of ``eval_data``, split into groups by its protected flags."""
     if error_metric not in ("rmse", "mse"):
         raise UnsupportedFormatError(f"unknown error metric {error_metric!r}")
-    if (model.num_users, model.num_items) != (eval_data.num_users, eval_data.num_items):
-        raise ShapeMismatchError(
-            f"model is {model.num_users} x {model.num_items}, "
-            f"data {eval_data.num_users} x {eval_data.num_items}")
     if eval_data.num_ratings == 0:
         raise EmptyEvalSetError("evaluation set has no entries")
     u, i, truth = eval_data.user_idx, eval_data.item_idx, eval_data.values
     _check_bounds(model, u, i)
-    preds = predict_entries(model, u, i)
+    preds = EntryPredictor(eval_data)(model)
     err = float(np.mean((preds - truth) ** 2))
     cells = GroupCells(u, i, eval_data.protected, eval_data.num_items)
     valid = cells.comparable

@@ -23,16 +23,15 @@ from .core import (
     EmptyTrainingSetError,
     FactorModel,
     NoComparableItemsError,
-    ShapeMismatchError,
     UnsupportedFormatError,
     validate_dataset,
 )
 from .factorization import (
     EntryGradient,
+    EntryPredictor,
     Gradient,
     _training_predictions,
     param_blocks,
-    predict_entries,
     squared_error,
 )
 from .metrics import GroupCells, group_gap, item_terms, smooth_abs
@@ -182,8 +181,8 @@ class TrainingObjective:
     differentiated from a single prediction pass.
 
     Construction validates the dataset and does all data-only work once
-    (group cells, CSR structure), so the trainer builds one per run and calls
-    it once per iteration.
+    (prediction path and indices, group cells, CSR structure), so the trainer
+    builds one per run and calls it once per iteration.
     """
 
     def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):
@@ -191,18 +190,14 @@ class TrainingObjective:
         if train.num_ratings == 0:
             raise EmptyTrainingSetError("training needs at least one rating")
         self._train, self._lam, self._alpha = train, lam, alpha
+        self._predict = EntryPredictor(train)
         self._penalty = _PenaltyTerms(train, spec)
         self._gradient = EntryGradient(train)
 
     def __call__(self, model: FactorModel) -> tuple[float, float, np.ndarray]:
         """(objective, penalty, flat_params-layout gradient of the combination)."""
-        train = self._train
-        if (model.num_users, model.num_items) != (train.num_users, train.num_items):
-            raise ShapeMismatchError(
-                f"model is {model.num_users} x {model.num_items}, "
-                f"data {train.num_users} x {train.num_items}")
-        preds = predict_entries(model, train.user_idx, train.item_idx)
-        obj, coeffs = squared_error(model, preds, train, self._lam)
+        preds = self._predict(model)
+        obj, coeffs = squared_error(model, preds, self._train, self._lam)
         pen, pen_coeffs = self._penalty(preds)
         coeffs += self._alpha * pen_coeffs
         return obj, pen, self._gradient(model, coeffs, self._lam)

@@ -69,6 +69,9 @@ class RegimeConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        # group sizes and indices are int64 arrays
+        if max(self.num_users, self.num_items) > np.iinfo(np.int64).max:
+            raise ValueError("user and item counts must fit in int64")
         if self.num_users < len(USER_FINE_GROUPS):
             raise ValueError("need at least one user per group")
         if self.num_items < len(ITEM_GROUPS):

@@ -1,8 +1,13 @@
 """Model initialization, a from-scratch Adam optimizer, and the training loop.
 
 Training minimizes objective + alpha * penalty with full-batch gradients, so
-a run is a pure function of (dataset, hyperparameters, penalty spec): same
-inputs, bit-identical model out, regardless of thread counts.
+a run is a pure function of (dataset, hyperparameters, penalty spec): on one
+numpy and BLAS build, the same inputs give a bit-identical model, however many
+trials run at once. The only BLAS call of a step is the dense score matrix
+(``factorization.score_matrix``), built from products small enough for
+OpenBLAS to run on one thread, so under OpenBLAS the model also does not
+depend on its thread count; other BLAS libraries are held only to agreement
+within rounding across their thread settings.
 """
 
 from __future__ import annotations

@@ -1,8 +1,13 @@
 """Command-line workflows, exercised in process through cli.main()."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fairrec
 from fairrec import (
     Dataset,
     METRIC_FIELDS,
@@ -84,6 +89,14 @@ class TestSynthGen:
                               "--out", str(tmp_path / "x.txt"))
         assert code == 2
         assert stderr.startswith("error:")
+
+    def test_count_beyond_int64_exits_two(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "synth-gen", "--regime", "U",
+                              "--users", "400000000000000000000", "--items", "300",
+                              "--out", str(tmp_path / "x.txt"))
+        assert code == 2
+        assert stderr == "error: user and item counts must fit in int64\n"
+        assert not (tmp_path / "x.txt").exists()
 
 
 class TestMlPrepare:
@@ -391,6 +404,15 @@ class TestReproductions:
                               "--out", str(tmp_path / "t2.csv"))
         assert code == 1
         assert "--ml-path" in stderr
+
+
+def test_cold_import_skips_scipy_stats():
+    """scipy.stats takes most of a cold import and no command needs it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fairrec.__file__)))
+    code = "import sys, fairrec, fairrec.cli; sys.exit('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], timeout=120,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0
 
 
 class TestUsageErrors:

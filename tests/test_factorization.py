@@ -1,23 +1,44 @@
 """Prediction, the entry-coefficient scatter, and objective gradients."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fairrec
 from fairrec import (
+    METRIC_FIELDS,
     Dataset,
     EmptyTrainingSetError,
     FactorModel,
     IndexOutOfRangeError,
     PenaltySpec,
+    RegimeConfig,
+    ShapeMismatchError,
+    expected_value_eval,
     full_report,
+    generate,
+    init_model,
     objective,
     objective_gradient,
     penalty_gradient,
     penalty_value,
     predict_entries,
 )
-from fairrec.factorization import EntryGradient, flat_params, param_blocks
-from fairrec.penalties import TrainingObjective
+from fairrec import factorization
+from fairrec.factorization import (
+    DENSE_FILL,
+    EntryGradient,
+    EntryPredictor,
+    flat_params,
+    param_blocks,
+    score_matrix,
+)
+from fairrec.penalties import PENALTY_KINDS, TrainingObjective
 
 from conftest import (
     dataset_triples,
@@ -80,6 +101,15 @@ class TestPredict:
                          lambda: full_report(small, shrunk)):
                 with pytest.raises(IndexOutOfRangeError):
                     call()
+
+    def test_model_shape_must_match_data(self, rng):
+        """A model of another shape is rejected even when every index fits it."""
+        d, _ = make_train_dataset(rng, num_users=3, num_items=2)
+        big = make_model(rng, 4, 2)
+        for call in (lambda: objective(big, d, 0.1),
+                     lambda: penalty_gradient(big, d, PenaltySpec.single("parity"))):
+            with pytest.raises(ShapeMismatchError, match="model is 4 x 2, data 3 x 2"):
+                call()
 
     def test_predict_entries_matches_scalar(self, rng):
         m = make_model(rng, 6, 5, d=2)
@@ -250,3 +280,124 @@ class TestObjectiveGradient:
             denom = max(float(np.linalg.norm(num, np.inf)), 1e-12)
             rel = float(np.linalg.norm(ana - num, np.inf)) / denom
             assert rel < 1e-7
+
+
+ALL_TERMS = PenaltySpec(tuple((kind, 1.0) for kind in PENALTY_KINDS))
+
+
+def scaled_close(got, want) -> bool:
+    """Agreement within 1e-12 times the larger of 1 and the oracle's largest
+    magnitude."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    return float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+
+
+@st.composite
+def filled_instances(draw):
+    """A dataset of random shape and fill, with item 0 rated by both groups,
+    and a model of its shape with biases up to 1e6."""
+    n, m = draw(st.integers(2, 60)), draw(st.integers(1, 60))
+    d = draw(st.integers(1, 8))
+    fill = draw(st.floats(0.0, 1.0))
+    bias_scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    protected = np.zeros(n, dtype=bool)
+    protected[rng.permutation(n)[:int(rng.integers(1, n))]] = True
+    observed = rng.random((n, m)) < fill
+    observed[np.flatnonzero(protected)[0], 0] = True
+    observed[np.flatnonzero(~protected)[0], 0] = True
+    u, i = np.nonzero(observed)
+    data = Dataset(n, m, u, i, rng.uniform(0.0, 5.0, len(u)), protected,
+                   rating_scale=(0.0, 5.0))
+    model = make_model(rng, n, m, d)
+    model = replace(model, user_bias=bias_scale * model.user_bias,
+                    item_bias=bias_scale * model.item_bias)
+    return data, model
+
+
+class TestDensePath:
+    """The score-matrix read-out against the gather path on the same inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(filled_instances(), st.sampled_from([1, 40, 2**18]))
+    def test_matches_gather_path(self, instance, block_muladds):
+        data, model = instance
+        n, m = data.num_users, data.num_items
+        assert EntryPredictor(data).dense == (data.num_ratings >= DENSE_FILL * n * m)
+        results = {}
+        with pytest.MonkeyPatch.context() as patch:
+            # small blocks split even these shapes into several products
+            patch.setattr(factorization, "_BLOCK_MULADDS", block_muladds)
+            for path, fill in (("dense", 0.0), ("gather", np.inf)):
+                patch.setattr(factorization, "DENSE_FILL", fill)
+                assert EntryPredictor(data).dense == (path == "dense")
+                results[path] = (EntryPredictor(data)(model),
+                                 TrainingObjective(data, 0.1, ALL_TERMS, 0.3)(model),
+                                 full_report(model, data))
+        preds, loss, report = results["dense"]
+        want_preds, want_loss, want_report = results["gather"]
+        assert scaled_close(preds, predict_entries(model, data.user_idx, data.item_idx))
+        assert scaled_close(preds, want_preds)
+        for got, want in zip(loss, want_loss):
+            assert scaled_close(got, want)
+        for field in METRIC_FIELDS:
+            assert scaled_close(getattr(report, field), getattr(want_report, field))
+        assert report.items_counted == want_report.items_counted
+
+    @pytest.mark.parametrize("n, m", [(400, 300), (3000, 1005)])
+    def test_synthetic_train_and_eval_sets_are_dense(self, monkeypatch, n, m):
+        def no_gather(*args):
+            raise AssertionError("gathered on dense data")
+
+        data, expected = generate(RegimeConfig("P+O", n, m, seed=0))
+        eval_set = expected_value_eval(data, expected)
+        model = init_model(n, m, 4, seed=0)
+        monkeypatch.setattr(factorization, "predict_entries", no_gather)
+        TrainingObjective(data, 1e-3, PenaltySpec.single("value"), 0.3)(model)
+        full_report(model, eval_set)
+
+    def test_sparse_data_gathers(self, monkeypatch):
+        def no_scores(*args):
+            raise AssertionError("score matrix built for sparse data")
+
+        rng = np.random.default_rng(0)
+        n, m = 200, 100
+        flat = rng.choice(n * m, size=900, replace=False)  # 4.5% fill
+        data = Dataset(n, m, flat // m, flat % m, rng.uniform(1, 5, 900),
+                       np.arange(n) % 3 == 0)
+        model = init_model(n, m, 4, seed=0)
+        monkeypatch.setattr(factorization, "score_matrix", no_scores)
+        TrainingObjective(data, 1e-3, PenaltySpec.single("value"), 0.3)(model)
+        full_report(model, data)
+
+    def test_scores_do_not_depend_on_blas_threads(self):
+        """The score matrix has the same bits under one and two OpenBLAS
+        threads (a setting other BLAS libraries ignore)."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from fairrec import FactorModel\n"
+            "from fairrec.factorization import score_matrix\n"
+            "rng = np.random.default_rng(0)\n"
+            "digest = hashlib.sha256()\n"
+            "for n, m, d in ((400, 300, 4), (3000, 1005, 4), (980, 636, 1), (1787, 1225, 8)):\n"
+            "    model = FactorModel(rng.normal(size=(n, d)), rng.normal(size=(m, d)),\n"
+            "                        rng.normal(size=n), rng.normal(size=m))\n"
+            "    digest.update(score_matrix(model).tobytes())\n"
+            "print(digest.hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fairrec.__file__)))
+        digests = {
+            threads: subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                timeout=120,
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            ).stdout
+            for threads in ("1", "2")}
+        assert digests["1"] == digests["2"] != ""
+
+    def test_score_matrix_hand_example(self):
+        model = FactorModel(np.array([[1.0, 2.0], [0.0, 1.0]]),
+                            np.array([[3.0, 4.0], [1.0, -1.0], [0.5, 0.5]]),
+                            np.array([0.5, -2.0]), np.array([-0.5, 0.0, 1.0]))
+        assert score_matrix(model).tolist() == [[11.0, -0.5, 3.0],
+                                                [1.5, -3.0, -0.5]]

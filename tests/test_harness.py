@@ -164,6 +164,16 @@ class TestRunTrials:
         np.testing.assert_array_equal(sequential.raw, threaded.raw)
         assert emit(sequential, "csv") == emit(threaded, "csv")
 
+    def test_paper_scale_tables_identical_with_two_threads(self, monkeypatch):
+        """At 400 x 300 both data sets are dense, and each score matrix is
+        built from several BLAS products."""
+        config = ExperimentConfig(hyper=Hyperparams(iterations=4), trials=2)
+        monkeypatch.delenv("FAIRREC_THREADS", raising=False)
+        sequential = run_experiment(config)
+        monkeypatch.setenv("FAIRREC_THREADS", "2")
+        threaded = run_experiment(config)
+        assert sequential.raw.tobytes() == threaded.raw.tobytes()
+
     def test_bogus_thread_env_means_sequential(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started")
@@ -173,6 +183,7 @@ class TestRunTrials:
         table = run_experiment(tiny_config(trials=2))
         assert table.trials == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_trial_seed_and_penalty(self):
         config = tiny_config(
             hyper=Hyperparams(learning_rate=1e200, iterations=5),
@@ -183,6 +194,7 @@ class TestRunTrials:
         assert isinstance(info.value.__cause__, DivergenceError)
         assert str(info.value).endswith(str(info.value.__cause__))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_in_regime_comparison_names_regime(self):
         config = tiny_config(hyper=Hyperparams(learning_rate=1e200, iterations=5),
                              trials=2, base_seed=3)
@@ -191,6 +203,7 @@ class TestRunTrials:
         assert str(info.value).startswith(
             f"trial 0 (seed 3, regime {REGIMES[0]}, penalty none): ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_on_movielens_names_trial_seed_and_penalty(self, ml_dir):
         config = tiny_config(source="movielens", ml_path=str(ml_dir), min_ratings=2,
                              hyper=Hyperparams(learning_rate=1e200, iterations=5),

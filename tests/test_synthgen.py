@@ -58,6 +58,11 @@ class TestRegimeConfig:
         with pytest.raises(ValueError):
             RegimeConfig("U", num_users=2)
 
+    @pytest.mark.parametrize("users, items", [(2**63, 300), (400, 3 * 2**62)])
+    def test_rejects_counts_beyond_int64(self, users, items):
+        with pytest.raises(ValueError, match="must fit in int64"):
+            RegimeConfig("U", users, items)
+
 
 class TestUserGroups:
     def test_uniform_quarters(self):

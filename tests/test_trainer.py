@@ -133,6 +133,7 @@ class TestTrain:
         model, trace = train(d, Hyperparams(d=2, iterations=5, seed=1))
         assert not trace.penalty.any()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_detected(self, rng):
         # Adam moves parameters by at most the learning rate per step, so a
         # rate this size overflows the squared residuals within a few steps
