@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -16,43 +16,7 @@ class FairrecError(Exception):
     """Base class for every error this package raises on bad data or usage."""
 
 
-class IndexOutOfRangeError(FairrecError):
-    pass
-
-
-class DuplicateRatingError(FairrecError):
-    pass
-
-
-class EmptyGroupError(FairrecError):
-    pass
-
-
-class RatingOutOfScaleError(FairrecError):
-    pass
-
-
-class EmptyTrainingSetError(FairrecError):
-    pass
-
-
-class NoComparableItemsError(FairrecError):
-    pass
-
-
-class EmptyEvalSetError(FairrecError):
-    pass
-
-
-class ShapeMismatchError(FairrecError):
-    pass
-
-
 class DivergenceError(FairrecError):
-    pass
-
-
-class IndivisibleCountError(FairrecError):
     pass
 
 
@@ -60,26 +24,6 @@ class MalformedLineError(FairrecError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class UnknownReferenceError(FairrecError):
-    pass
-
-
-class EmptyResultError(FairrecError):
-    pass
-
-
-class DegenerateSplitError(FairrecError):
-    pass
-
-
-class InsufficientSamplesError(FairrecError):
-    pass
-
-
-class UnsupportedFormatError(FairrecError):
-    pass
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -166,52 +110,33 @@ class Dataset:
     def __len__(self) -> int:
         return self.num_ratings
 
-    @classmethod
-    def from_ratings(
-        cls,
-        num_users: int,
-        num_items: int,
-        ratings: Iterable[tuple[int, int, float]],
-        protected: Sequence[bool],
-        rating_scale: tuple[float, float] = (1.0, 5.0),
-        user_group_fine: Sequence[str] | None = None,
-        item_group: Sequence[str] | None = None,
-    ) -> "Dataset":
-        triples = list(ratings)
-        u = np.array([t[0] for t in triples], dtype=np.int64)
-        i = np.array([t[1] for t in triples], dtype=np.int64)
-        v = np.array([t[2] for t in triples], dtype=np.float64)
-        return cls(num_users, num_items, u, i, v, np.asarray(protected, dtype=bool),
-                   rating_scale, user_group_fine, item_group)
-
 
 def validate_dataset(d: Dataset) -> Dataset:
     """Check all dataset invariants and return the dataset unchanged.
 
-    Raises IndexOutOfRangeError, DuplicateRatingError, RatingOutOfScaleError,
-    or EmptyGroupError. Validation is idempotent and has no side effects.
+    Raises FairrecError for an index outside the dataset's shape, a repeated
+    (user, item) pair, a rating outside the scale (NaN included), or an empty
+    user group. Validation is idempotent and has no side effects.
     """
     if d.num_ratings:
         if d.user_idx.min() < 0 or d.user_idx.max() >= d.num_users:
-            raise IndexOutOfRangeError(
-                f"user index outside [0, {d.num_users})")
+            raise FairrecError(f"user index outside [0, {d.num_users})")
         if d.item_idx.min() < 0 or d.item_idx.max() >= d.num_items:
-            raise IndexOutOfRangeError(
-                f"item index outside [0, {d.num_items})")
+            raise FairrecError(f"item index outside [0, {d.num_items})")
         # entries are sorted by (user, item), so duplicates are adjacent
         dup = (np.diff(d.user_idx) == 0) & (np.diff(d.item_idx) == 0)
         if dup.any():
             k = int(np.flatnonzero(dup)[0])
-            raise DuplicateRatingError(
+            raise FairrecError(
                 f"duplicate rating for user {d.user_idx[k]}, item {d.item_idx[k]}")
         lo, hi = d.rating_scale
-        if d.values.min() < lo or d.values.max() > hi:
-            raise RatingOutOfScaleError(
-                f"rating outside scale [{lo}, {hi}]")
+        # written so that a NaN rating fails it
+        if not (lo <= d.values.min() and d.values.max() <= hi):
+            raise FairrecError(f"rating outside scale [{lo}, {hi}]")
     if not d.protected.any():
-        raise EmptyGroupError("no user is in the protected group")
+        raise FairrecError("no user is in the protected group")
     if d.protected.all():
-        raise EmptyGroupError("no user is in the advantaged group")
+        raise FairrecError("no user is in the advantaged group")
     return d
 
 
@@ -266,6 +191,8 @@ class Hyperparams:
     init_scale: float = 0.5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.d < 1:
             raise ValueError("latent dimension must be >= 1")
         if not (np.isfinite(self.lam) and self.lam >= 0):
@@ -276,8 +203,8 @@ class Hyperparams:
             raise ValueError("learning_rate must be finite and > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not self.init_scale > 0:
-            raise ValueError("init_scale must be > 0")
+        if not (np.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError("init_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -294,16 +221,6 @@ class MetricReport:
     over: float
     parity: float
     items_counted: int
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "error": self.error,
-            "value": self.value,
-            "absolute": self.absolute,
-            "under": self.under,
-            "over": self.over,
-            "parity": self.parity,
-        }
 
 
 METRIC_FIELDS = ("error", "value", "absolute", "under", "over", "parity")

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .core import (
-    Dataset,
-    EmptyTrainingSetError,
-    FactorModel,
-    IndexOutOfRangeError,
-    ShapeMismatchError,
-)
+from .core import Dataset, FactorModel, FairrecError, validate_dataset
 
 # Fill from which the score matrix is the faster path. With d = 4 on a
 # 2-core host, the matrix plus one read-out overtook the gathers near 10% fill
@@ -102,21 +96,12 @@ class EntryPredictor:
 
     def __call__(self, model: FactorModel) -> np.ndarray:
         if (model.num_users, model.num_items) != self._shape:
-            raise ShapeMismatchError(
+            raise FairrecError(
                 f"model is {model.num_users} x {model.num_items}, "
                 f"data {self._shape[0]} x {self._shape[1]}")
         if self.dense:
             return score_matrix(model).ravel().take(self._flat)
         return predict_entries(model, self._user_idx, self._item_idx)
-
-
-def _check_bounds(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarray) -> None:
-    if len(user_idx) == 0:
-        return
-    if user_idx.min() < 0 or user_idx.max() >= model.num_users:
-        raise IndexOutOfRangeError(f"user index outside [0, {model.num_users})")
-    if item_idx.min() < 0 or item_idx.max() >= model.num_items:
-        raise IndexOutOfRangeError(f"item index outside [0, {model.num_items})")
 
 
 class EntryGradient:
@@ -168,9 +153,8 @@ def squared_error(model: FactorModel, preds: np.ndarray, train: Dataset,
 
 def _training_predictions(model: FactorModel, train: Dataset, what: str) -> np.ndarray:
     if train.num_ratings == 0:
-        raise EmptyTrainingSetError(f"{what} needs at least one rating")
-    _check_bounds(model, train.user_idx, train.item_idx)
-    return EntryPredictor(train)(model)
+        raise FairrecError(f"{what} needs at least one rating")
+    return EntryPredictor(validate_dataset(train))(model)
 
 
 def objective(model: FactorModel, train: Dataset, lam: float) -> float:

@@ -19,11 +19,10 @@ import numpy as np
 from .core import (
     Dataset,
     DivergenceError,
+    FairrecError,
     Hyperparams,
-    InsufficientSamplesError,
     MalformedLineError,
     METRIC_FIELDS,
-    UnsupportedFormatError,
     _fmt,
 )
 from .metrics import full_report
@@ -51,8 +50,6 @@ DEFAULT_PENALTIES = (
     PenaltySpec.single("parity"),
     PenaltySpec((("under", 2.0), ("over", 1.0))),
 )
-
-EMIT_FORMATS = ("csv", "markdown", "bar-data")
 
 
 def default_trials(source: str) -> int:
@@ -99,6 +96,8 @@ class ExperimentConfig:
             raise ValueError("split_fraction must lie strictly between 0 and 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if not self.penalties:
             raise ValueError("need at least one penalty spec")
         object.__setattr__(self, "genres", tuple(self.genres))
@@ -200,11 +199,6 @@ class ResultTable:
                 raise ValueError("raw must be (rows, metrics, trials)")
             object.__setattr__(self, "raw", raw)
 
-    @property
-    def degenerate(self) -> bool:
-        """Single-trial tables have zero standard error by convention."""
-        return self.trials == 1
-
     def _cell(self, row: str, metric: str) -> tuple:
         return self.rows.index(row), METRIC_FIELDS.index(metric)
 
@@ -272,7 +266,7 @@ def welch_t_test(samples_a, samples_b) -> float:
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
-        raise InsufficientSamplesError("each sample needs at least two values")
+        raise FairrecError("each sample needs at least two values")
     mean_a, mean_b = a.mean(), b.mean()
     var_a, var_b = a.var(ddof=1), b.var(ddof=1)
     sa, sb = var_a / len(a), var_b / len(b)
@@ -315,7 +309,7 @@ def emit(table: ResultTable, fmt: str = "csv") -> str:
             for c, f in enumerate(METRIC_FIELDS):
                 lines.append(f"{row},{f},{_fmt(table.means[r, c])}")
         return "\n".join(lines) + "\n"
-    raise UnsupportedFormatError(f"unknown emit format {fmt!r}")
+    raise FairrecError(f"unknown emit format {fmt!r}")
 
 
 def parse_table_csv(text: str) -> ResultTable:
@@ -383,7 +377,7 @@ def config_experiment(mapping: dict) -> ExperimentConfig:
     """ExperimentConfig from a config mapping (CLI flag merging happens upstream)."""
     unknown = set(mapping) - set(CONFIG_KEYS)
     if unknown:
-        raise UnsupportedFormatError(f"unknown config keys: {sorted(unknown)}")
+        raise FairrecError(f"unknown config keys: {sorted(unknown)}")
     source = mapping.get("source", "synthetic")
     genres = mapping.get("genres")
     return ExperimentConfig(

@@ -12,16 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    EmptyEvalSetError,
-    EmptyGroupError,
-    FactorModel,
-    MetricReport,
-    NoComparableItemsError,
-    UnsupportedFormatError,
-)
-from .factorization import EntryPredictor, _check_bounds
+from .core import Dataset, FactorModel, FairrecError, MetricReport, validate_dataset
+from .factorization import EntryPredictor
 
 
 class GroupCells:
@@ -92,7 +84,7 @@ def group_gap(preds: np.ndarray, in_protected: np.ndarray) -> float:
     """Protected minus advantaged mean prediction, the argument of the parity
     term |gap|."""
     if not in_protected.any() or in_protected.all():
-        raise EmptyGroupError("both groups need at least one entry")
+        raise FairrecError("both groups need at least one entry")
     return np.mean(preds[in_protected]) - np.mean(preds[~in_protected])
 
 
@@ -101,17 +93,17 @@ def full_report(model: FactorModel, eval_data: Dataset,
     """Prediction error and all five unfairness scores of a model on the
     entries of ``eval_data``, split into groups by its protected flags."""
     if error_metric not in ("rmse", "mse"):
-        raise UnsupportedFormatError(f"unknown error metric {error_metric!r}")
+        raise FairrecError(f"unknown error metric {error_metric!r}")
     if eval_data.num_ratings == 0:
-        raise EmptyEvalSetError("evaluation set has no entries")
+        raise FairrecError("evaluation set has no entries")
+    validate_dataset(eval_data)
     u, i, truth = eval_data.user_idx, eval_data.item_idx, eval_data.values
-    _check_bounds(model, u, i)
     preds = EntryPredictor(eval_data)(model)
     err = float(np.mean((preds - truth) ** 2))
     cells = GroupCells(u, i, eval_data.protected, eval_data.num_items)
     valid = cells.comparable
     if not valid.any():
-        raise NoComparableItemsError("no item has evaluation entries from both groups")
+        raise FairrecError("no item has evaluation entries from both groups")
     da, dp = (cells.means(preds) - cells.means(truth)).reshape(2, -1)[:, valid]
     scores = {kind: float(np.mean(item_terms(kind, dp, da)[0]))
               for kind in ("value", "absolute", "under", "over")}

@@ -16,10 +16,8 @@ import numpy as np
 
 from .core import (
     Dataset,
-    DegenerateSplitError,
-    EmptyResultError,
+    FairrecError,
     MalformedLineError,
-    UnknownReferenceError,
     _file_pieces,
     _frozen,
     _line_chunks,
@@ -66,7 +64,7 @@ def canonical_genres(names) -> tuple:
     for name in names:
         key = str(name).strip().lower()
         if key not in lookup:
-            raise UnknownReferenceError(f"unknown genre {name!r}")
+            raise FairrecError(f"unknown genre {name!r}")
         result.append(lookup[key])
     return tuple(result)
 
@@ -137,9 +135,9 @@ def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np
         if ts not in _INT64:
             raise MalformedLineError(no, f"timestamp {ts} outside the int64 range")
         if uid not in users:
-            raise UnknownReferenceError(f"rating references unknown user {uid}")
+            raise MalformedLineError(no, f"rating references unknown user {uid}")
         if mid not in movies:
-            raise UnknownReferenceError(f"rating references unknown movie {mid}")
+            raise MalformedLineError(no, f"rating references unknown movie {mid}")
         rows.append((uid, mid, val, ts))
     return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
@@ -147,9 +145,9 @@ def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np
 def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
     """Parse the three "::"-separated ML-1M files.
 
-    Blank lines are skipped but counted. The first bad line raises
-    MalformedLineError with its number, or UnknownReferenceError for a
-    rating of an unknown user or movie; an id may occur once per file.
+    Blank lines are skipped but counted. The first bad line, a rating of an
+    unknown user or movie included, raises MalformedLineError with its
+    number; an id may occur once per file.
     """
     users = {}
     for no, line in _file_lines(users_file):
@@ -204,7 +202,7 @@ def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int =
         user_order = np.array(sorted(raw.users), dtype=np.int64)
     keep = on_kept & np.isin(raw.user_ids, user_order)
     if len(user_order) == 0 or not keep.any():
-        raise EmptyResultError("no users or movies survive the filter")
+        raise FairrecError("no users or movies survive the filter")
     movie_order = np.unique(raw.movie_ids[keep])
 
     return Dataset(
@@ -226,7 +224,7 @@ def split(d: Dataset, train_fraction: float, seed) -> tuple:
     k = d.num_ratings
     n_train = int(round(train_fraction * k))
     if n_train == 0 or n_train == k:
-        raise DegenerateSplitError(
+        raise FairrecError(
             f"fraction {train_fraction} leaves one side of a {k}-rating split empty")
     perm = np.random.default_rng(seed).permutation(k)
     take = np.zeros(k, dtype=bool)

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    EmptyGroupError,
-    EmptyTrainingSetError,
-    FactorModel,
-    NoComparableItemsError,
-    UnsupportedFormatError,
-    validate_dataset,
-)
+from .core import Dataset, FactorModel, FairrecError, validate_dataset
 from .factorization import (
     EntryGradient,
     EntryPredictor,
@@ -55,7 +47,7 @@ class PenaltySpec:
         terms = tuple((str(kind), float(weight)) for kind, weight in self.terms)
         for kind, weight in terms:
             if kind not in PENALTY_KINDS:
-                raise UnsupportedFormatError(f"unknown penalty kind {kind!r}")
+                raise FairrecError(f"unknown penalty kind {kind!r}")
             if not np.isfinite(weight) or weight < 0:
                 raise ValueError(f"penalty weight for {kind!r} must be finite and >= 0")
         kinds = [kind for kind, _ in terms]
@@ -122,13 +114,13 @@ class _PenaltyTerms:
             # items with entries from both groups, in both halves of the cells
             self._valid = np.tile(cells.comparable, 2)
             if not self._valid.any():
-                raise NoComparableItemsError("no item has training ratings from both groups")
+                raise FairrecError("no item has training ratings from both groups")
             self._true = cells.means(train.values)
         if "parity" in kinds:
             self._n_p = int(cells.in_protected.sum())
             self._n_a = train.num_ratings - self._n_p
             if self._n_p == 0 or self._n_a == 0:
-                raise EmptyGroupError("both groups need at least one training rating")
+                raise FairrecError("both groups need at least one training rating")
 
     def __call__(self, preds: np.ndarray) -> tuple[float, np.ndarray]:
         """The weighted penalty and its derivative w.r.t. each prediction.
@@ -165,7 +157,8 @@ def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> floa
     """Weighted sum of the active unfairness scores on the training set."""
     if spec.is_none:
         return 0.0
-    return _PenaltyTerms(train, spec)(_training_predictions(model, train, "penalty"))[0]
+    preds = _training_predictions(model, train, "penalty")
+    return _PenaltyTerms(train, spec)(preds)[0]
 
 
 def penalty_gradient(model: FactorModel, train: Dataset, spec: PenaltySpec) -> Gradient:
@@ -188,7 +181,7 @@ class TrainingObjective:
     def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):
         validate_dataset(train)
         if train.num_ratings == 0:
-            raise EmptyTrainingSetError("training needs at least one rating")
+            raise FairrecError("training needs at least one rating")
         self._train, self._lam, self._alpha = train, lam, alpha
         self._predict = EntryPredictor(train)
         self._penalty = _PenaltyTerms(train, spec)

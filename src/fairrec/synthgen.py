@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (
     Dataset,
-    IndivisibleCountError,
+    FairrecError,
     ITEM_GROUPS,
     USER_FINE_GROUPS,
     _fmt,
@@ -76,6 +76,8 @@ class RegimeConfig:
             raise ValueError("need at least one user per group")
         if self.num_items < len(ITEM_GROUPS):
             raise ValueError("need at least one item per group")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         _exact_counts(self.num_users, _user_shares(self.regime))
         _items_per_group(self.num_items)
 
@@ -100,7 +102,7 @@ def _exact_counts(n: int, shares: dict) -> list:
         exact = n * share
         count = round(exact)
         if abs(exact - count) > 1e-9:
-            raise IndivisibleCountError(
+            raise FairrecError(
                 f"{n} users cannot be split as {shares} with exact counts")
         counts[label] = count
     return [counts[g] for g in shares]
@@ -118,7 +120,7 @@ def _user_shares(regime: str) -> dict:
 
 def _items_per_group(m: int) -> int:
     if m % len(ITEM_GROUPS) != 0:
-        raise IndivisibleCountError(f"{m} items cannot be split into exact thirds")
+        raise FairrecError(f"{m} items cannot be split into exact thirds")
     return m // len(ITEM_GROUPS)
 
 

@@ -13,6 +13,7 @@ within rounding across their thread settings.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .core import (
     Dataset,
     DivergenceError,
     FactorModel,
+    FairrecError,
     Hyperparams,
     MalformedLineError,
-    ShapeMismatchError,
     _fmt,
 )
 from .factorization import flat_params, param_blocks
@@ -41,9 +42,6 @@ class AdamState:
     first: np.ndarray
     second: np.ndarray
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def fresh(cls, params: np.ndarray) -> "AdamState":
@@ -89,15 +87,15 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
     """One bias-corrected Adam update of a flat parameter vector; returns the
     new (state, params)."""
     if not (params.shape == grad.shape == state.first.shape):
-        raise ShapeMismatchError(
+        raise FairrecError(
             f"parameter/gradient/state shapes disagree: "
             f"{params.shape} {grad.shape} {state.first.shape}")
     t = state.step + 1
-    first = state.beta1 * state.first + (1.0 - state.beta1) * grad
-    second = state.beta2 * state.second + (1.0 - state.beta2) * grad * grad
-    m_hat = first / (1.0 - state.beta1**t)
-    v_hat = second / (1.0 - state.beta2**t)
-    updated = params - learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    first = ADAM_BETA1 * state.first + (1.0 - ADAM_BETA1) * grad
+    second = ADAM_BETA2 * state.second + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = first / (1.0 - ADAM_BETA1**t)
+    v_hat = second / (1.0 - ADAM_BETA2**t)
+    updated = params - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return replace(state, first=first, second=second, step=t), updated
 
 
@@ -157,9 +155,12 @@ def parse_model(text: str) -> FactorModel:
         if len(fields) != width + 1 or fields[0] != tag:
             raise MalformedLineError(line_no, f"expected '{tag}' row with {width} values")
         try:
-            return [float(x) for x in fields[1:]]
+            values = [float(x) for x in fields[1:]]
         except ValueError as exc:
             raise MalformedLineError(line_no, f"bad number: {exc}") from exc
+        if not all(map(isfinite, values)):
+            raise MalformedLineError(line_no, "parameters must be finite")
+        return values
 
     user_factors = np.array([row(2 + i, "p", d) for i in range(n)])
     item_factors = np.array([row(2 + n + j, "q", d) for j in range(m)])

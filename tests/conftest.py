@@ -6,6 +6,17 @@ import pytest
 from fairrec import Dataset, FactorModel
 
 
+def dataset_from_ratings(num_users, num_items, ratings, protected,
+                         rating_scale=(1.0, 5.0), user_group_fine=None, item_group=None):
+    """A Dataset from (user, item, value) triples."""
+    triples = list(ratings)
+    return Dataset(num_users, num_items,
+                   np.array([t[0] for t in triples], dtype=np.int64),
+                   np.array([t[1] for t in triples], dtype=np.int64),
+                   np.array([t[2] for t in triples], dtype=np.float64),
+                   np.asarray(protected, dtype=bool), rating_scale, user_group_fine, item_group)
+
+
 def make_model(rng, num_users, num_items, d=3, scale=1.0):
     return FactorModel(
         user_factors=rng.normal(0.0, scale, size=(num_users, d)),
@@ -53,8 +64,10 @@ def make_eval_instance(rng, num_users=None, num_items=None, d=None):
     for u, i, v in make_triples(rng, num_users, num_items, density=0.3):
         if not any(t[0] == u and t[1] == i for t in triples):
             triples.append((u, i, v))
-    return model, Dataset.from_ratings(num_users, num_items, triples, protected,
-                                       rating_scale=(0.0, 5.0))
+    # truths lie in [0, 5]; the declared scale leaves room for acceptance
+    # criterion 3, which shifts them by 7.25 and scores the shifted set
+    return model, dataset_from_ratings(num_users, num_items, triples, protected,
+                                       rating_scale=(0.0, 15.0))
 
 
 def make_train_dataset(rng, num_users=None, num_items=None, scale=(0.0, 5.0)):
@@ -77,7 +90,7 @@ def make_train_dataset(rng, num_users=None, num_items=None, scale=(0.0, 5.0)):
         if (u, i) not in seen:
             seen.add((u, i))
             triples.append((u, i, v))
-    return Dataset.from_ratings(num_users, num_items, triples, protected,
+    return dataset_from_ratings(num_users, num_items, triples, protected,
                                 rating_scale=scale), protected
 
 

@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
-from fairrec import Dataset, MalformedLineError, UnknownReferenceError
+from fairrec import MalformedLineError
 from fairrec.movielens import MovieLensRaw
+
+from conftest import dataset_from_ratings
 
 
 def oracle_predict(P, Q, bu, bi, user, item):
@@ -257,7 +259,7 @@ def oracle_parse_dataset(text):
         raise MalformedLineError(len(lines), "fine labels must cover all users or none")
     if groups and len(groups) != num_items:
         raise MalformedLineError(len(lines), "item labels must cover all items or none")
-    return Dataset.from_ratings(
+    return dataset_from_ratings(
         num_users, num_items, triples, protected, scale,
         tuple(fine[u] for u in range(num_users)) if fine else None,
         tuple(groups[i] for i in range(num_items)) if groups else None,
@@ -322,9 +324,9 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
         if not -2**63 <= ts < 2**63:
             raise MalformedLineError(no, f"timestamp {ts} outside the int64 range")
         if uid not in users:
-            raise UnknownReferenceError(f"rating references unknown user {uid}")
+            raise MalformedLineError(no, f"rating references unknown user {uid}")
         if mid not in movies:
-            raise UnknownReferenceError(f"rating references unknown movie {mid}")
+            raise MalformedLineError(no, f"rating references unknown movie {mid}")
         user_ids.append(uid)
         movie_ids.append(mid)
         values.append(val)

@@ -9,7 +9,6 @@ import pytest
 
 import fairrec
 from fairrec import (
-    Dataset,
     METRIC_FIELDS,
     REGIMES,
     load_dataset,
@@ -21,7 +20,7 @@ from fairrec import (
 from fairrec import cli
 from fairrec.cli import main
 
-from conftest import make_model
+from conftest import dataset_from_ratings, make_model
 
 
 def run(capsys, *argv):
@@ -96,6 +95,13 @@ class TestSynthGen:
                               "--out", str(tmp_path / "x.txt"))
         assert code == 2
         assert stderr == "error: user and item counts must fit in int64\n"
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "synth-gen", "--seed", "-1",
+                              "--out", str(tmp_path / "x.txt"))
+        assert code == 2
+        assert stderr == "error: seed must be >= 0\n"
         assert not (tmp_path / "x.txt").exists()
 
 
@@ -233,6 +239,29 @@ class TestTrain:
         assert code == 2
         assert stderr.startswith("error: out of memory:") and "Traceback" not in stderr
 
+    def test_nan_rating_exits_two(self, synth_file, tmp_path, capsys):
+        lines = synth_file.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith("r "))
+        lines[k] = lines[k].rsplit(" ", 1)[0] + " nan"
+        bad = tmp_path / "nan.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "train", "--data", str(bad),
+                              "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert stderr == "error: rating outside scale [0.0, 1.0]\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--init-scale", "inf", "init_scale must be finite and > 0"),
+        ("--init-scale", "nan", "init_scale must be finite and > 0"),
+    ])
+    def test_bad_seed_or_init_scale_exits_two(self, synth_file, tmp_path, capsys,
+                                              flag, value, message):
+        code, _, stderr = run(capsys, "train", "--data", str(synth_file), flag, value,
+                              "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert stderr == f"error: {message}\n"
+
     def test_bad_penalty_exits_two(self, synth_file, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "--data", str(synth_file),
                               "--penalty", "sideways", "--out", str(tmp_path / "m.txt"))
@@ -277,16 +306,31 @@ class TestEval:
         assert code == 2
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_checkpoint_exits_two(self, synth_file, model_file, tmp_path,
+                                             capsys, bad):
+        lines = model_file.read_text().splitlines()
+        lines[1] = "p " + " ".join([bad] * (len(lines[1].split()) - 1))
+        model = tmp_path / "m.txt"
+        model.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(capsys, "eval", "--model", str(model),
+                                   "--data", str(synth_file))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: line 2: parameters must be finite\n"
+
     @pytest.mark.parametrize("model_shape, ratings, message", [
         ((7, 9), [(0, 0, 1.0), (1, 0, 2.0)], "model is 7 x 9, data 3 x 3"),
         ((3, 3), [], "no entries"),
-    ], ids=["shape-mismatch", "no-ratings"])
+        ((3, 3), [(0, 0, 1.0), (1, 0, float("nan"))], "rating outside scale [1.0, 5.0]"),
+        ((3, 3), [(0, 0, 1.0), (1, 0, 6.0)], "rating outside scale [1.0, 5.0]"),
+        ((3, 3), [(0, 0, 1.0), (1, 0, 2.0), (1, 0, 3.0)], "duplicate rating for user 1, item 0"),
+    ], ids=["shape-mismatch", "no-ratings", "nan-rating", "out-of-scale", "duplicate-pair"])
     def test_unusable_eval_data_exits_two(self, tmp_path, capsys, model_shape, ratings,
                                           message):
         rng = np.random.default_rng(0)
         n, m = model_shape
         save_model(make_model(rng, n, m), tmp_path / "m.txt")
-        save_dataset(Dataset.from_ratings(3, 3, ratings, [True, False, True]),
+        save_dataset(dataset_from_ratings(3, 3, ratings, [True, False, True]),
                      tmp_path / "d.txt")
         code, stdout, stderr = run(capsys, "eval", "--model", str(tmp_path / "m.txt"),
                                    "--data", str(tmp_path / "d.txt"))
@@ -398,6 +442,19 @@ class TestReproductions:
         assert code == 0
         table = parse_table_csv(out.read_text())
         assert len(table.rows) == 7
+
+    def test_table2_negative_seed_exits_two_before_loading(self, ml_dir, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("MovieLens files loaded")
+
+        monkeypatch.setattr("fairrec.harness.parse_ml1m_dir", no_loading)
+        out = tmp_path / "t2.csv"
+        code, _, stderr = run(capsys, "reproduce-table2", "--ml-path", str(ml_dir),
+                              "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert stderr == "error: seed must be >= 0\n"
+        assert not out.exists()
 
     def test_table2_requires_path(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "reproduce-table2",

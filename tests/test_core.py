@@ -10,24 +10,22 @@ from hypothesis import given, settings, strategies as st
 import fairrec.core as core
 from fairrec import (
     Dataset,
-    DuplicateRatingError,
-    EmptyGroupError,
     FactorModel,
+    FairrecError,
     Hyperparams,
-    IndexOutOfRangeError,
     MalformedLineError,
-    MetricReport,
-    METRIC_FIELDS,
-    RatingOutOfScaleError,
-    format_dataset,
     load_dataset,
-    parse_dataset,
     save_dataset,
+)
+from fairrec.core import (
+    ITEM_GROUPS,
+    USER_FINE_GROUPS,
+    format_dataset,
+    parse_dataset,
     validate_dataset,
 )
-from fairrec.core import ITEM_GROUPS, USER_FINE_GROUPS
 
-from conftest import make_train_dataset
+from conftest import dataset_from_ratings, make_train_dataset
 from oracles import oracle_format_dataset, oracle_parse_dataset
 
 
@@ -40,7 +38,7 @@ def small_dataset(**overrides):
         rating_scale=(1.0, 5.0),
     )
     kwargs.update(overrides)
-    return Dataset.from_ratings(**kwargs)
+    return dataset_from_ratings(**kwargs)
 
 
 class TestDataset:
@@ -112,32 +110,37 @@ class TestValidateDataset:
 
     def test_user_index_out_of_range(self):
         d = small_dataset(ratings=[(0, 0, 2.0), (7, 1, 3.0)])
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(FairrecError, match=r"user index outside \[0, 3\)"):
             validate_dataset(d)
 
     def test_item_index_out_of_range(self):
         d = small_dataset(ratings=[(0, 0, 2.0), (1, 5, 3.0)])
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(FairrecError, match=r"item index outside \[0, 2\)"):
             validate_dataset(d)
 
     def test_duplicate_rating(self):
         d = small_dataset(ratings=[(0, 0, 2.0), (0, 0, 3.0)])
-        with pytest.raises(DuplicateRatingError):
+        with pytest.raises(FairrecError, match="duplicate rating for user 0, item 0"):
             validate_dataset(d)
 
     def test_rating_outside_scale(self):
         d = small_dataset(ratings=[(0, 0, 0.5)])
-        with pytest.raises(RatingOutOfScaleError):
+        with pytest.raises(FairrecError, match="rating outside scale"):
+            validate_dataset(d)
+
+    def test_nan_rating_outside_scale(self):
+        d = small_dataset(ratings=[(0, 0, 2.0), (1, 1, float("nan"))])
+        with pytest.raises(FairrecError, match="rating outside scale"):
             validate_dataset(d)
 
     def test_all_protected_rejected(self):
         d = small_dataset(protected=[True, True, True])
-        with pytest.raises(EmptyGroupError):
+        with pytest.raises(FairrecError, match="no user is in the advantaged group"):
             validate_dataset(d)
 
     def test_none_protected_rejected(self):
         d = small_dataset(protected=[False, False, False])
-        with pytest.raises(EmptyGroupError):
+        with pytest.raises(FairrecError, match="no user is in the protected group"):
             validate_dataset(d)
 
 
@@ -167,17 +170,12 @@ class TestHyperparams:
         dict(alpha=float("nan")),
         dict(learning_rate=-1.0),
         dict(learning_rate=float("inf")),
+        dict(seed=-1),
+        dict(init_scale=float("inf")),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             Hyperparams(**bad)
-
-
-class TestMetricReport:
-    def test_as_dict_matches_field_order(self):
-        r = MetricReport(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, items_counted=7)
-        assert tuple(r.as_dict()) == METRIC_FIELDS
-        assert r.as_dict()["parity"] == 0.6
 
 
 class TestDatasetFormat:
@@ -268,7 +266,7 @@ def datasets(draw):
     fine = draw(st.none() | st.lists(st.sampled_from(USER_FINE_GROUPS), min_size=n, max_size=n))
     items = draw(st.none() | st.lists(st.sampled_from(ITEM_GROUPS), min_size=m, max_size=m))
     scale = draw(st.sampled_from([(0.0, 1.0), (1.0, 5.0), (-0.0, 0.5)]))
-    return Dataset.from_ratings(n, m, ratings, protected, scale, fine, items)
+    return dataset_from_ratings(n, m, ratings, protected, scale, fine, items)
 
 
 EDITS = st.tuples(

@@ -13,16 +13,13 @@ import fairrec
 from fairrec import (
     METRIC_FIELDS,
     Dataset,
-    EmptyTrainingSetError,
     FactorModel,
-    IndexOutOfRangeError,
+    FairrecError,
     PenaltySpec,
     RegimeConfig,
-    ShapeMismatchError,
     expected_value_eval,
     full_report,
     generate,
-    init_model,
     objective,
     objective_gradient,
     penalty_gradient,
@@ -39,8 +36,10 @@ from fairrec.factorization import (
     score_matrix,
 )
 from fairrec.penalties import PENALTY_KINDS, TrainingObjective
+from fairrec.trainer import init_model
 
 from conftest import (
+    dataset_from_ratings,
     dataset_triples,
     gradient_to_vector,
     make_model,
@@ -85,21 +84,21 @@ class TestPredict:
                 for u, i in zip(users, items)]
 
     def test_out_of_range_rejected(self, rng):
-        """Every public entry point that predicts on a triple set checks its
-        indices against the model before predicting."""
-        d = Dataset.from_ratings(3, 3, [(0, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0)],
+        """Every public entry point that predicts on a triple set validates it
+        before predicting, so indices outside its declared shape are caught."""
+        d = dataset_from_ratings(3, 3, [(0, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0)],
                                  [True, False, True], rating_scale=(0.0, 5.0))
-        for small in (make_model(rng, 2, 3), make_model(rng, 3, 2)):
+        for small, axis in ((make_model(rng, 2, 3), "user"), (make_model(rng, 3, 2), "item")):
             # a Dataset checks its indices only when validated, so one can
             # declare the small model's shape and still hold larger indices
             shrunk = Dataset(small.num_users, small.num_items, d.user_idx, d.item_idx,
                              d.values, d.protected[:small.num_users])
-            for call in (lambda: objective(small, d, 0.1),
-                         lambda: objective_gradient(small, d, 0.1),
-                         lambda: penalty_value(small, d, PenaltySpec.single("parity")),
-                         lambda: penalty_gradient(small, d, PenaltySpec.single("parity")),
+            for call in (lambda: objective(small, shrunk, 0.1),
+                         lambda: objective_gradient(small, shrunk, 0.1),
+                         lambda: penalty_value(small, shrunk, PenaltySpec.single("parity")),
+                         lambda: penalty_gradient(small, shrunk, PenaltySpec.single("parity")),
                          lambda: full_report(small, shrunk)):
-                with pytest.raises(IndexOutOfRangeError):
+                with pytest.raises(FairrecError, match=f"{axis} index outside"):
                     call()
 
     def test_model_shape_must_match_data(self, rng):
@@ -108,7 +107,7 @@ class TestPredict:
         big = make_model(rng, 4, 2)
         for call in (lambda: objective(big, d, 0.1),
                      lambda: penalty_gradient(big, d, PenaltySpec.single("parity"))):
-            with pytest.raises(ShapeMismatchError, match="model is 4 x 2, data 3 x 2"):
+            with pytest.raises(FairrecError, match="model is 4 x 2, data 3 x 2"):
                 call()
 
     def test_predict_entries_matches_scalar(self, rng):
@@ -151,7 +150,7 @@ class TestScatter:
             assert np.allclose(bi, want_bi, atol=1e-12)
 
     def test_scatter_sum_empty_bucket(self, rng):
-        d = Dataset.from_ratings(4, 3, [(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0)],
+        d = dataset_from_ratings(4, 3, [(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0)],
                                  [True, False, True, False], rating_scale=(0.0, 5.0))
         m = make_model(rng, 4, 3, d=2)
         dP, dQ, dbu, dbi = param_blocks(EntryGradient(d)(m, np.array([1.0, 2.0, 3.0])),
@@ -175,7 +174,7 @@ class TestScatter:
 class TestEntryGradient:
     def test_matches_explicit_accumulation(self, rng):
         m = make_model(rng, 4, 3, d=2)
-        d = Dataset.from_ratings(4, 3, [(0, 2, 1.0), (1, 0, 1.0), (1, 2, 1.0), (3, 1, 1.0)],
+        d = dataset_from_ratings(4, 3, [(0, 2, 1.0), (1, 0, 1.0), (1, 2, 1.0), (3, 1, 1.0)],
                                  [True, False, True, False], rating_scale=(0.0, 5.0))
         coeffs = np.array([0.5, -1.0, 2.0, 0.25])
         lam = 0.5
@@ -241,7 +240,7 @@ class TestObjective:
             rating_scale=d.rating_scale,
         )
         m = make_model(rng, 3, 2)
-        with pytest.raises(EmptyTrainingSetError):
+        with pytest.raises(FairrecError, match="objective needs at least one rating"):
             objective(m, empty, 0.1)
 
     def test_biases_are_not_regularized(self, rng):

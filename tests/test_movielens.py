@@ -15,17 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import fairrec.core as core
 from fairrec import (
-    DegenerateSplitError,
-    EmptyResultError,
+    FairrecError,
     MalformedLineError,
     SELECTED_GENRES,
-    UnknownReferenceError,
     filter_dataset,
-    parse_ml1m,
     parse_ml1m_dir,
     split,
 )
-from fairrec.movielens import canonical_genres
+from fairrec.movielens import canonical_genres, parse_ml1m
 
 from oracles import oracle_parse_ml1m
 
@@ -40,7 +37,7 @@ class TestCanonicalGenres:
         assert canonical_genres(["action", "SCI-FI"]) == ("Action", "Sci-Fi")
 
     def test_unknown_rejected(self):
-        with pytest.raises(UnknownReferenceError):
+        with pytest.raises(FairrecError, match="unknown genre 'Cooking'"):
             canonical_genres(["Action", "Cooking"])
 
 
@@ -64,7 +61,6 @@ class TestParse:
     def test_malformed_users_line(self, tmp_path, ml_dir):
         bad = tmp_path / "users.dat"
         bad.write_text("1::X::1::10::48067\n", encoding="latin-1")
-        from fairrec import parse_ml1m
         with pytest.raises(MalformedLineError) as exc:
             parse_ml1m(bad, ml_dir / "movies.dat", ml_dir / "ratings.dat")
         assert exc.value.line_no == 1
@@ -72,7 +68,6 @@ class TestParse:
     def test_malformed_ratings_line(self, tmp_path, ml_dir):
         bad = tmp_path / "ratings.dat"
         bad.write_text("1::3::5::978300760\n1::5::oops\n", encoding="latin-1")
-        from fairrec import parse_ml1m
         with pytest.raises(MalformedLineError) as exc:
             parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
         assert exc.value.line_no == 2
@@ -80,16 +75,22 @@ class TestParse:
     def test_rating_out_of_range(self, tmp_path, ml_dir):
         bad = tmp_path / "ratings.dat"
         bad.write_text("1::3::6::978300760\n", encoding="latin-1")
-        from fairrec import parse_ml1m
         with pytest.raises(MalformedLineError):
             parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
 
     def test_unknown_movie_reference(self, tmp_path, ml_dir):
         bad = tmp_path / "ratings.dat"
         bad.write_text("1::99::5::978300760\n", encoding="latin-1")
-        from fairrec import parse_ml1m
-        with pytest.raises(UnknownReferenceError):
+        with pytest.raises(MalformedLineError, match="unknown movie 99") as exc:
             parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
+        assert exc.value.line_no == 1
+
+    def test_unknown_user_reference_names_its_line(self, tmp_path, ml_dir):
+        bad = tmp_path / "ratings.dat"
+        bad.write_text("1::3::5::978300760\n\n42::3::5::978300760\n", encoding="latin-1")
+        with pytest.raises(MalformedLineError, match="line 3: .*unknown user 42") as exc:
+            parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
+        assert exc.value.line_no == 3
 
     def test_repeated_user_id_rejected(self, tmp_path, ml_dir):
         bad = tmp_path / "users.dat"
@@ -269,7 +270,7 @@ class TestFilter:
         assert d.num_ratings == 3
 
     def test_nothing_survives(self, raw):
-        with pytest.raises(EmptyResultError):
+        with pytest.raises(FairrecError, match="no users or movies survive the filter"):
             filter_dataset(raw, ("Documentary",), min_ratings=1)
 
     def test_bad_mode_rejected(self, raw):
@@ -314,7 +315,7 @@ class TestSplit:
             assert side.rating_scale == filtered.rating_scale
 
     def test_degenerate_rejected(self, filtered):
-        with pytest.raises(DegenerateSplitError):
+        with pytest.raises(FairrecError, match="leaves one side of a .*-rating split empty"):
             split(filtered, 0.01, seed=0)
 
     def test_bad_fraction_rejected(self, filtered):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fairrec import (
+    FairrecError,
     PENALTY_KINDS,
     PenaltySpec,
-    UnsupportedFormatError,
     full_report,
     parse_penalty,
     penalty_gradient,
@@ -43,7 +43,7 @@ class TestPenaltySpec:
         assert spec.label == "under:2+over"
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(FairrecError, match="unknown penalty kind 'sideways'"):
             PenaltySpec((("sideways", 1.0),))
 
     def test_rejects_negative_weight(self):
@@ -81,10 +81,17 @@ class TestParsePenalty:
             assert parse_penalty(parse_penalty(text).label).terms \
                 == parse_penalty(text).terms
 
-    @pytest.mark.parametrize("bad", ["", "waffle", "value:x", "none+value",
-                                     "value:"])
+    GARBAGE = {
+        "": "empty penalty specification",
+        "waffle": "unknown penalty kind 'waffle'",
+        "value:x": "could not convert string to float: 'x'",
+        "none+value": "cannot be combined",
+        "value:": "could not convert string to float: ''",
+    }
+
+    @pytest.mark.parametrize("bad", list(GARBAGE))
     def test_rejects_garbage(self, bad):
-        with pytest.raises((UnsupportedFormatError, ValueError)):
+        with pytest.raises((FairrecError, ValueError), match=self.GARBAGE[bad]):
             parse_penalty(bad)
 
     def test_smoothing_carried(self):

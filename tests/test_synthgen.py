@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from fairrec import (
+from fairrec import FairrecError, REGIMES, RegimeConfig, expected_value_eval, generate
+from fairrec.core import ITEM_GROUPS, USER_FINE_GROUPS, validate_dataset
+from fairrec.synthgen import (
     BlockModels,
-    IndivisibleCountError,
-    ITEM_GROUPS,
-    REGIMES,
-    RegimeConfig,
-    USER_FINE_GROUPS,
     default_block_models,
-    expected_value_eval,
-    generate,
     sample_item_groups,
     sample_user_groups,
-    validate_dataset,
     write_sidecar,
 )
 
@@ -63,6 +57,10 @@ class TestRegimeConfig:
         with pytest.raises(ValueError, match="must fit in int64"):
             RegimeConfig("U", users, items)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RegimeConfig("U", seed=-1)
+
 
 class TestUserGroups:
     def test_uniform_quarters(self):
@@ -84,9 +82,9 @@ class TestUserGroups:
             assert flag == (lab in ("W", "WS"))
 
     def test_indivisible_counts_rejected(self):
-        with pytest.raises(IndivisibleCountError):
+        with pytest.raises(FairrecError, match="41 users cannot be split"):
             sample_user_groups(41, "U", seed=0)
-        with pytest.raises(IndivisibleCountError):
+        with pytest.raises(FairrecError, match="44 users cannot be split"):
             sample_user_groups(44, "P", seed=0)
 
     def test_seed_shuffles_deterministically(self):
@@ -104,7 +102,7 @@ class TestItemGroups:
             == {"Fem": 10, "STEM": 10, "Masc": 10}
 
     def test_indivisible_rejected(self):
-        with pytest.raises(IndivisibleCountError):
+        with pytest.raises(FairrecError, match="31 items cannot be split into exact thirds"):
             sample_item_groups(31, seed=0)
 
 

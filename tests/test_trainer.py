@@ -5,27 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairrec import (
+    DivergenceError,
+    FactorModel,
+    FairrecError,
+    Hyperparams,
+    MalformedLineError,
+    PenaltySpec,
+    load_model,
+    objective,
+    penalty_value,
+    save_model,
+    train,
+)
+from fairrec.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
-    DivergenceError,
-    FactorModel,
-    Hyperparams,
-    MalformedLineError,
-    PenaltySpec,
-    ShapeMismatchError,
     TrainTrace,
     adam_step,
     format_model,
     init_model,
-    load_model,
-    objective,
     parse_model,
-    penalty_value,
-    save_model,
     save_trace,
-    train,
 )
 
 from conftest import make_model, make_train_dataset, model_to_vector
@@ -83,7 +85,7 @@ class TestAdamStep:
     def test_shape_mismatch_rejected(self, rng):
         params = model_to_vector(make_model(rng, 2, 2, d=1))
         other = model_to_vector(make_model(rng, 3, 2, d=1))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(FairrecError, match="parameter/gradient/state shapes disagree"):
             adam_step(AdamState.fresh(params), params, np.ones_like(other), 0.1)
 
 
@@ -151,8 +153,7 @@ class TestTrain:
             protected=np.zeros(4, dtype=bool),
             rating_scale=d.rating_scale,
         )
-        from fairrec import EmptyGroupError
-        with pytest.raises(EmptyGroupError):
+        with pytest.raises(FairrecError, match="no user is in the protected group"):
             train(bad, Hyperparams(d=2, iterations=1))
 
 
@@ -199,6 +200,17 @@ class TestModelFormat:
         with pytest.raises(MalformedLineError) as info:
             parse_model(text)
         assert info.value.line_no == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("row", [1, 4, 6, 7])  # a p row, a q row, bu, bi
+    def test_non_finite_parameter_rejected_at_its_line(self, rng, bad, row):
+        lines = format_model(make_model(rng, 3, 2, d=2)).splitlines()
+        fields = lines[row].split()
+        fields[-1] = bad
+        lines[row] = " ".join(fields)
+        with pytest.raises(MalformedLineError, match="parameters must be finite") as info:
+            parse_model("\n".join(lines) + "\n")
+        assert info.value.line_no == row + 1
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
