@@ -184,7 +184,7 @@ def _cmd_train(args, mapping) -> int:
     data = load_dataset(args.data)
     model, trace = train(data, hyper, spec)
     save_model(model, args.out)
-    save_trace(trace, args.trace or args.out + ".trace.csv")
+    save_trace(trace, hyper.alpha, args.trace or args.out + ".trace.csv")
     print(f"final objective={_fmt(trace.objective[-1])} penalty={_fmt(trace.penalty[-1])}")
     return 0
 

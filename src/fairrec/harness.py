@@ -1,17 +1,14 @@
 """Multi-trial experiment orchestration, aggregation, and result emission.
 
 A trial is a pure function of (config, trial index): one seed's data plus
-every penalty spec of the config. The trial seed is base_seed + index; it
-drives data generation or splitting once, and model initialization for each
-spec trained and scored on that data. Trials may run on a small thread pool
-(FAIRREC_THREADS); results are keyed by trial index, so the schedule never
-affects output.
+every penalty spec of the config, each trained and scored on that data. The
+trial seed is base_seed + index; it drives data generation or splitting
+once, and model initialization for each spec. Trials run one after another
+in index order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,6 +89,8 @@ class ExperimentConfig:
         if self.source == "synthetic":
             # fails here, not at the first trial, on sizes the shares cannot split
             RegimeConfig(self.regime, self.num_users, self.num_items)
+        if self.min_ratings < 0:
+            raise ValueError("min_ratings must be >= 0")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie strictly between 0 and 1")
         if self.trials < 1:
@@ -100,7 +99,7 @@ class ExperimentConfig:
             raise ValueError("base_seed must be >= 0")
         if not self.penalties:
             raise ValueError("need at least one penalty spec")
-        object.__setattr__(self, "genres", tuple(self.genres))
+        object.__setattr__(self, "genres", canonical_genres(self.genres))
         object.__setattr__(self, "penalties", tuple(self.penalties))
         # results are keyed by label, so a repeated one would lose a row
         labels = [spec.label for spec in self.penalties]
@@ -120,50 +119,31 @@ def run_trial(config: ExperimentConfig, trial_index: int, source: Dataset | None
     score every penalty spec on it: one report per spec, in config order.
 
     Synthetic data is generated; MovieLens data is a split of ``source``,
-    the filtered dataset from load_movielens.
+    the filtered dataset from load_movielens. A FairrecError raised inside
+    the trial is raised again with the trial, seed, regime and penalty
+    prefixed; a DivergenceError stays one.
     """
     seed = config.base_seed + trial_index
-    if config.source == "synthetic":
-        data, expected = generate(RegimeConfig(
-            config.regime, config.num_users, config.num_items, seed))
-        train_set, eval_set = data, expected_value_eval(data, expected)
-        where = f"seed {seed}, regime {config.regime}"
-    else:
-        train_set, eval_set = split(source, config.split_fraction, seed)
-        where = f"seed {seed}"
-    hyper = replace(config.hyper, seed=seed)
-    reports = []
-    for spec in config.penalties:
-        try:
-            model, _ = train(train_set, hyper, spec)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"trial {trial_index} ({where}, penalty {spec.label}): {exc}") from exc
-        reports.append(full_report(model, eval_set))
-    return tuple(reports)
-
-
-def _thread_cap(trials: int) -> int:
-    raw = os.environ.get("FAIRREC_THREADS", "")
+    where = (f"seed {seed}, regime {config.regime}" if config.source == "synthetic"
+             else f"seed {seed}")
+    step = where
     try:
-        cap = int(raw) if raw else 1
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, trials))
-
-
-def _run_trials(config: ExperimentConfig, source: Dataset | None = None) -> dict:
-    """Every trial of the config, on up to FAIRREC_THREADS threads, with the
-    reports regrouped by penalty label, each in trial-index order."""
-    n = config.trials
-    workers = _thread_cap(n)
-    args = ([config] * n, range(n), [source] * n)
-    if workers == 1:
-        per_trial = list(map(run_trial, *args))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(run_trial, *args))
-    return dict(zip((spec.label for spec in config.penalties), zip(*per_trial)))
+        if config.source == "synthetic":
+            data, expected = generate(RegimeConfig(
+                config.regime, config.num_users, config.num_items, seed))
+            train_set, eval_set = data, expected_value_eval(data, expected)
+        else:
+            train_set, eval_set = split(source, config.split_fraction, seed)
+        hyper = replace(config.hyper, seed=seed)
+        reports = []
+        for spec in config.penalties:
+            step = f"{where}, penalty {spec.label}"
+            model, _ = train(train_set, hyper, spec)
+            reports.append(full_report(model, eval_set))
+    except FairrecError as exc:
+        kind = DivergenceError if isinstance(exc, DivergenceError) else FairrecError
+        raise kind(f"trial {trial_index} ({step}): {exc}") from exc
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -239,16 +219,19 @@ def aggregate(reports_by_row: dict, row_kind: str = "penalty") -> ResultTable:
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Train and evaluate every penalty spec in the config, trials times."""
     source = load_movielens(config) if config.source == "movielens" else None
-    return aggregate(_run_trials(config, source), row_kind="penalty")
+    per_trial = [run_trial(config, t, source) for t in range(config.trials)]
+    labels = (spec.label for spec in config.penalties)
+    return aggregate(dict(zip(labels, zip(*per_trial))), row_kind="penalty")
 
 
 def regime_comparison(config: ExperimentConfig) -> ResultTable:
     """Penalty-free runs across all four regimes, aggregated per regime."""
     if config.source != "synthetic":
         raise ValueError("the regime comparison is defined for synthetic data only")
-    none = (PenaltySpec.none(),)
-    reports = {regime: _run_trials(replace(config, regime=regime, penalties=none))["none"]
-               for regime in REGIMES}
+    reports = {}
+    for regime in REGIMES:
+        unpenalized = replace(config, regime=regime, penalties=(PenaltySpec.none(),))
+        reports[regime] = [run_trial(unpenalized, t, None)[0] for t in range(config.trials)]
     return aggregate(reports, row_kind="regime")
 
 
@@ -386,7 +369,7 @@ def config_experiment(mapping: dict) -> ExperimentConfig:
         num_users=int(mapping.get("users", 400)),
         num_items=int(mapping.get("items", 300)),
         ml_path=mapping.get("ml_path"),
-        genres=canonical_genres(genres.split(",")) if genres else SELECTED_GENRES,
+        genres=genres.split(",") if genres else SELECTED_GENRES,
         genre_mode=mapping.get("genre_mode", DEFAULT_GENRE_MODE),
         min_ratings=int(mapping.get("min_ratings", 50)),
         split_fraction=float(mapping.get("split", 0.8)),

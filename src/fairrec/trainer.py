@@ -2,12 +2,12 @@
 
 Training minimizes objective + alpha * penalty with full-batch gradients, so
 a run is a pure function of (dataset, hyperparameters, penalty spec): on one
-numpy and BLAS build, the same inputs give a bit-identical model, however many
-trials run at once. The only BLAS call of a step is the dense score matrix
-(``factorization.score_matrix``), built from products small enough for
-OpenBLAS to run on one thread, so under OpenBLAS the model also does not
-depend on its thread count; other BLAS libraries are held only to agreement
-within rounding across their thread settings.
+numpy and BLAS build, the same inputs give a bit-identical model. The only
+BLAS call of a step is the dense score matrix (``factorization.score_matrix``),
+built from products small enough for OpenBLAS to run on one thread, so under
+OpenBLAS the model also does not depend on its thread count; other BLAS
+libraries are held only to agreement within rounding across their thread
+settings.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ class AdamState:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Per-iteration objective, penalty, and combined values (pre-update)."""
+    """Per-iteration objective and penalty values (pre-update)."""
 
     objective: np.ndarray
     penalty: np.ndarray
-    combined: np.ndarray
 
     def __post_init__(self):
-        for name in ("objective", "penalty", "combined"):
+        for name in ("objective", "penalty"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 1 or len(arr) != len(np.asarray(self.objective)):
                 raise ValueError("trace columns must be 1-d and equally long")
@@ -120,7 +119,7 @@ def train(train_set: Dataset, hyper: Hyperparams,
     obj, pen, _ = loss(model)
     if not np.isfinite(obj + hyper.alpha * pen):
         raise DivergenceError("combined objective became non-finite after the last step")
-    return model, TrainTrace(obj_trace, pen_trace, obj_trace + hyper.alpha * pen_trace)
+    return model, TrainTrace(obj_trace, pen_trace)
 
 
 def format_model(model: FactorModel) -> str:
@@ -180,10 +179,12 @@ def load_model(path) -> FactorModel:
         return parse_model(fh.read())
 
 
-def save_trace(trace: TrainTrace, path) -> None:
-    """Trace CSV: iteration, objective, penalty, combined."""
+def save_trace(trace: TrainTrace, alpha: float, path) -> None:
+    """Trace CSV: iteration, objective, penalty, and the combined objective
+    + alpha * penalty that training minimized."""
+    combined = trace.objective + alpha * trace.penalty
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,objective,penalty,combined\n")
         for it in range(len(trace)):
             fh.write(f"{it},{_fmt(trace.objective[it])},{_fmt(trace.penalty[it])},"
-                     f"{_fmt(trace.combined[it])}\n")
+                     f"{_fmt(combined[it])}\n")

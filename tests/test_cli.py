@@ -153,6 +153,22 @@ class TestMlPrepare:
         assert code == 2
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["ml-prepare", "reproduce-table2"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--genres", "action,bogus", "unknown genre 'bogus'"),
+        ("--min-ratings", "-3", "min_ratings must be >= 0"),
+    ])
+    def test_bad_filter_exits_two_before_loading(self, ml_dir, tmp_path, capsys,
+                                                 monkeypatch, command, flag, value, message):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("MovieLens files loaded")
+
+        monkeypatch.setattr("fairrec.harness.parse_ml1m_dir", no_loading)
+        code, _, stderr = run(capsys, command, "--ml-path", str(ml_dir), flag, value,
+                              "--out", str(tmp_path / "out.txt"))
+        assert code == 2
+        assert stderr == f"error: {message}\n"
+
 
 class TestTrain:
     def test_writes_model_and_trace(self, synth_file, tmp_path, capsys):
@@ -455,6 +471,14 @@ class TestReproductions:
         assert code == 2
         assert stderr == "error: seed must be >= 0\n"
         assert not out.exists()
+
+    def test_table2_unusable_split_names_trial(self, ml_dir, tmp_path, capsys):
+        code, _, stderr = run(capsys, "reproduce-table2", "--ml-path", str(ml_dir),
+                              "--min-ratings", "2", "--split", "0.9", "--trials", "3",
+                              "--iterations", "5", "--out", str(tmp_path / "t2.csv"))
+        assert code == 2
+        assert stderr == ("error: trial 0 (seed 0, penalty none): "
+                          "no item has evaluation entries from both groups\n")
 
     def test_table2_requires_path(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "reproduce-table2",

@@ -107,6 +107,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="base_seed must be >= 0"):
             tiny_config(base_seed=-1)
 
+    def test_rejects_unknown_genre_before_reading(self, tmp_path):
+        with pytest.raises(FairrecError, match="unknown genre 'bogus'"):
+            tiny_config(source="movielens", ml_path=str(tmp_path / "nowhere"),
+                        genres=("Action", "bogus"))
+
+    def test_rejects_negative_min_ratings_before_reading(self, tmp_path):
+        with pytest.raises(ValueError, match="min_ratings must be >= 0"):
+            tiny_config(source="movielens", ml_path=str(tmp_path / "nowhere"),
+                        min_ratings=-1)
+
 
 def counting(monkeypatch, name):
     """Count the calls through the fairrec.harness binding ``name``."""
@@ -159,34 +169,6 @@ class TestRunTrials:
             for spec, report in zip(config.penalties, reports):
                 assert report.error == table.values(spec.label, "error")[t]
 
-    def test_thread_pool_matches_sequential(self, monkeypatch):
-        config = tiny_config(trials=3)
-        monkeypatch.delenv("FAIRREC_THREADS", raising=False)
-        sequential = run_experiment(config)
-        monkeypatch.setenv("FAIRREC_THREADS", "3")
-        threaded = run_experiment(config)
-        np.testing.assert_array_equal(sequential.raw, threaded.raw)
-        assert emit(sequential, "csv") == emit(threaded, "csv")
-
-    def test_paper_scale_tables_identical_with_two_threads(self, monkeypatch):
-        """At 400 x 300 both data sets are dense, and each score matrix is
-        built from several BLAS products."""
-        config = ExperimentConfig(hyper=Hyperparams(iterations=4), trials=2)
-        monkeypatch.delenv("FAIRREC_THREADS", raising=False)
-        sequential = run_experiment(config)
-        monkeypatch.setenv("FAIRREC_THREADS", "2")
-        threaded = run_experiment(config)
-        assert sequential.raw.tobytes() == threaded.raw.tobytes()
-
-    def test_bogus_thread_env_means_sequential(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started")
-
-        monkeypatch.setenv("FAIRREC_THREADS", "many")
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
-        table = run_experiment(tiny_config(trials=2))
-        assert table.trials == 2
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_trial_seed_and_penalty(self):
         config = tiny_config(
@@ -196,6 +178,25 @@ class TestRunTrials:
             run_experiment(config)
         assert str(info.value).startswith("trial 0 (seed 7, regime P+O, penalty value): ")
         assert isinstance(info.value.__cause__, DivergenceError)
+        assert str(info.value).endswith(str(info.value.__cause__))
+
+    def test_scoring_error_names_trial_seed_and_penalty(self, ml_dir):
+        # seed 0 leaves no item rated by both groups in the 10% test split
+        config = tiny_config(source="movielens", ml_path=str(ml_dir), min_ratings=2,
+                             split_fraction=0.9)
+        with pytest.raises(FairrecError) as info:
+            run_experiment(config)
+        assert type(info.value) is FairrecError
+        assert str(info.value).startswith("trial 0 (seed 0, penalty none): ")
+        assert isinstance(info.value.__cause__, FairrecError)
+        assert str(info.value).endswith(str(info.value.__cause__))
+
+    def test_data_error_names_trial_and_seed(self, ml_dir):
+        config = tiny_config(source="movielens", ml_path=str(ml_dir), min_ratings=2,
+                             split_fraction=0.01, base_seed=4)
+        with pytest.raises(FairrecError) as info:
+            run_experiment(config)
+        assert str(info.value).startswith("trial 0 (seed 4): fraction 0.01 leaves")
         assert str(info.value).endswith(str(info.value.__cause__))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -91,14 +91,14 @@ class TestAdamStep:
 
 class TestTrainTrace:
     def test_length_and_readonly(self):
-        tr = TrainTrace(np.arange(3.0), np.zeros(3), np.arange(3.0))
+        tr = TrainTrace(np.arange(3.0), np.zeros(3))
         assert len(tr) == 3
         with pytest.raises(ValueError):
             tr.objective[0] = 5.0
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
-            TrainTrace(np.zeros(3), np.zeros(2), np.zeros(3))
+            TrainTrace(np.zeros(3), np.zeros(2))
 
 
 class TestTrain:
@@ -119,7 +119,7 @@ class TestTrain:
         assert np.array_equal(m1.user_factors, m2.user_factors)
         assert np.array_equal(m1.item_bias, m2.item_bias)
 
-    def test_penalty_recorded_and_reduced(self, rng):
+    def test_penalty_recorded_and_reduced(self, rng, tmp_path):
         d, _ = make_train_dataset(rng, num_users=10, num_items=6)
         spec = PenaltySpec.single("value")
         hyper = Hyperparams(d=2, lam=0.0, alpha=5.0, learning_rate=0.05,
@@ -127,8 +127,10 @@ class TestTrain:
         model, trace = train(d, hyper, spec)
         assert trace.penalty[0] > 0
         assert penalty_value(model, d, spec) < trace.penalty[0]
-        assert np.allclose(trace.combined,
-                           trace.objective + 5.0 * trace.penalty, atol=1e-12)
+        path = tmp_path / "trace.csv"
+        save_trace(trace, hyper.alpha, path)
+        combined = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3)
+        assert np.allclose(combined, trace.objective + 5.0 * trace.penalty, atol=1e-12)
 
     def test_none_penalty_trace_is_zero(self, rng):
         d, _ = make_train_dataset(rng)
@@ -242,10 +244,9 @@ class TestModelFormatProperties:
 
 class TestTraceFile:
     def test_save_trace_schema(self, tmp_path):
-        tr = TrainTrace(np.array([1.0, 0.5]), np.array([0.25, 0.125]),
-                        np.array([1.25, 0.625]))
+        tr = TrainTrace(np.array([1.0, 0.5]), np.array([0.25, 0.125]))
         path = tmp_path / "trace.csv"
-        save_trace(tr, path)
+        save_trace(tr, 1.0, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,objective,penalty,combined"
         assert lines[1] == "0,1.0,0.25,1.25"
