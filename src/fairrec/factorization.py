@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .core import Dataset, FactorModel, FairrecError, validate_dataset
 
@@ -22,8 +21,17 @@ from .core import Dataset, FactorModel, FairrecError, validate_dataset
 # 3706, 4.5% fill) it took twice as long (91 against 45 ms).
 DENSE_FILL = 0.1
 
+# Fill from which the gradient's blocked products beat the CSR scatter. With
+# d = 4 on a 2-core host (medians, products / CSR), both shapes crossed just
+# below 12.5% fill: 400 x 300 went 0.37 / 0.33 ms at 10%, 0.36 / 0.37 ms at
+# 12.5%, 0.38 / 0.44 ms at 15% and 0.46 / 0.57 ms at 20%; 3000 x 1005 went
+# 7.8 / 6.7 ms, 7.6 / 8.0 ms, 7.8 / 9.7 ms and 8.9 / 14.0 ms. 15% keeps clear
+# of the host's noise. At the MovieLens-1M shape (6040 x 3706, 4.5% fill) the
+# products took 2.2 times as long (52 against 24 ms).
+DENSE_GRADIENT_FILL = 0.15
+
 # OpenBLAS runs a matrix product of at most 2**18 multiply-adds on the calling
-# thread alone. The score matrix is built from row blocks of that size, so its
+# thread alone. Dense products are built from row blocks of that size, so their
 # bits do not depend on the BLAS thread count (a product split across threads
 # can differ in the last bit). A one-row block exceeds it only beyond
 # 2**18 / (d + 2) items.
@@ -61,6 +69,13 @@ def predict_entries(model: FactorModel, user_idx: np.ndarray, item_idx: np.ndarr
             + model.user_bias.take(user_idx) + model.item_bias.take(item_idx))
 
 
+def _row_blocks(n: int, m: int, width: int) -> list:
+    """(start, stop) row ranges splitting an n x m matrix so that its product
+    with an m x width matrix stays within _BLOCK_MULADDS per block."""
+    rows = max(1, _BLOCK_MULADDS // (m * width))
+    return [(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
 def score_matrix(model: FactorModel) -> np.ndarray:
     """Predictions for every (user, item) pair, as [P | bu | 1] @ [Q | 1 | bi].T,
     which folds both bias adds into the product."""
@@ -68,12 +83,11 @@ def score_matrix(model: FactorModel) -> np.ndarray:
     left = np.hstack([model.user_factors, model.user_bias[:, None], np.ones((n, 1))])
     right = np.hstack([model.item_factors, np.ones((m, 1)), model.item_bias[:, None]]).T
     scores = np.empty((n, m))
-    rows = max(1, _BLOCK_MULADDS // (m * left.shape[1]))
     # a diverging model overflows here; the trainer turns that into a
     # DivergenceError, so the overflow itself is not worth a warning
     with np.errstate(over="ignore"):
-        for start in range(0, n, rows):
-            np.matmul(left[start:start + rows], right, out=scores[start:start + rows])
+        for start, stop in _row_blocks(n, m, left.shape[1]):
+            np.matmul(left[start:stop], right, out=scores[start:stop])
     return scores
 
 
@@ -108,32 +122,70 @@ class EntryGradient:
     """Gradient of sum_e coeffs[e] * prediction_e over one dataset's entries.
 
     Every loss here differentiates through predictions only, so its gradient
-    is fully described by one coefficient per observed entry. The
-    coefficients become the data of a user x item CSR matrix C whose
-    structure is built once: Dataset entries are sorted by (user, item), so
-    CSR data order is entry order. Then dP = C Q, dQ = C^T P, and the bias
-    gradients are the row and column sums of C.
+    is fully described by one coefficient per observed entry: the entries of
+    a user x item matrix C, with [dP | dbu] = C [Q | 1] and
+    [dQ | dbi] = C^T [P | 1]. The path is chosen here, once, by the data's
+    fill. From DENSE_GRADIENT_FILL up, C is written one row block at a time
+    into a zeroed buffer and multiplied densely, the C^T products summed over
+    the blocks in order. Below it, C is a CSR matrix whose structure is built
+    once, and the bias gradients are bincounts. Both rely on Dataset entries
+    being sorted by (user, item), so a row block's entries are one slice and
+    CSR data order is entry order. The two agree to rounding.
     """
 
     def __init__(self, data: Dataset):
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(data.user_idx,
-                                                            minlength=data.num_users))))
-        self._matrix = csr_matrix((np.zeros(data.num_ratings), data.item_idx, indptr),
-                                  shape=(data.num_users, data.num_items))
-        self._user_idx = data.user_idx
-        self._item_idx = data.item_idx
+        n, m = data.num_users, data.num_items
+        # the entries of user u are row_starts[u]:row_starts[u + 1]
+        self._row_starts = np.concatenate(([0], np.cumsum(np.bincount(data.user_idx,
+                                                                     minlength=n))))
+        self.dense = data.num_ratings >= DENSE_GRADIENT_FILL * n * m
+        if self.dense:
+            self._flat = data.user_idx * m + data.item_idx
+        else:
+            # imported here, its only use: scipy.sparse is most of a cold
+            # start, and dense data never needs it
+            from scipy.sparse import csr_matrix
+
+            self._matrix = csr_matrix((np.zeros(data.num_ratings), data.item_idx,
+                                       self._row_starts), shape=(n, m))
+            self._user_idx = data.user_idx
+            self._item_idx = data.item_idx
 
     def __call__(self, model: FactorModel, coeffs: np.ndarray, lam: float = 0.0) -> np.ndarray:
         """The flat_params-layout gradient, plus that of the Frobenius term
         lam/2 * (||P||^2 + ||Q||^2) when lam is given."""
-        C = self._matrix
-        C.data = coeffs
-        return np.concatenate([
-            (C @ model.item_factors + lam * model.user_factors).ravel(),
-            (C.T @ model.user_factors + lam * model.item_factors).ravel(),
-            np.bincount(self._user_idx, weights=coeffs, minlength=model.num_users),
-            np.bincount(self._item_idx, weights=coeffs, minlength=model.num_items),
-        ])
+        if not self.dense:
+            C = self._matrix
+            C.data = coeffs
+            return np.concatenate([
+                (C @ model.item_factors + lam * model.user_factors).ravel(),
+                (C.T @ model.user_factors + lam * model.item_factors).ravel(),
+                np.bincount(self._user_idx, weights=coeffs, minlength=model.num_users),
+                np.bincount(self._item_idx, weights=coeffs, minlength=model.num_items),
+            ])
+        n, m, d = model.num_users, model.num_items, model.d
+        left = np.hstack([model.user_factors, np.ones((n, 1))])
+        right = np.hstack([model.item_factors, np.ones((m, 1))])
+        user = np.empty((n, d + 1))
+        item = np.zeros((m, d + 1))
+        blocks = _row_blocks(n, m, d + 1)
+        buffer = np.empty((blocks[0][1] - blocks[0][0]) * m)
+        # a diverging model gives inf and 0 * inf here; the trainer turns that
+        # into a DivergenceError, so neither is worth a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, stop in blocks:
+                lo, hi = self._row_starts[start], self._row_starts[stop]
+                C = buffer[:(stop - start) * m]
+                C.fill(0.0)
+                C[self._flat[lo:hi] - start * m] = coeffs[lo:hi]
+                C = C.reshape(stop - start, m)
+                np.matmul(C, right, out=user[start:stop])
+                item += C.T @ left[start:stop]
+            return np.concatenate([
+                (user[:, :d] + lam * model.user_factors).ravel(),
+                (item[:, :d] + lam * model.item_factors).ravel(),
+                user[:, d], item[:, d],
+            ])
 
 
 def squared_error(model: FactorModel, preds: np.ndarray, train: Dataset,

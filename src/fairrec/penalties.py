@@ -155,8 +155,6 @@ class _PenaltyTerms:
 
 def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> float:
     """Weighted sum of the active unfairness scores on the training set."""
-    if spec.is_none:
-        return 0.0
     preds = _training_predictions(model, train, "penalty")
     return _PenaltyTerms(train, spec)(preds)[0]
 
@@ -174,8 +172,8 @@ class TrainingObjective:
     differentiated from a single prediction pass.
 
     Construction validates the dataset and does all data-only work once
-    (prediction path and indices, group cells, CSR structure), so the trainer
-    builds one per run and calls it once per iteration.
+    (prediction and gradient paths and their indices, group cells), so the
+    trainer builds one per run and calls it once per iteration.
     """
 
     def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):

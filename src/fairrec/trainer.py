@@ -2,12 +2,13 @@
 
 Training minimizes objective + alpha * penalty with full-batch gradients, so
 a run is a pure function of (dataset, hyperparameters, penalty spec): on one
-numpy and BLAS build, the same inputs give a bit-identical model. The only
-BLAS call of a step is the dense score matrix (``factorization.score_matrix``),
-built from products small enough for OpenBLAS to run on one thread, so under
-OpenBLAS the model also does not depend on its thread count; other BLAS
-libraries are held only to agreement within rounding across their thread
-settings.
+numpy and BLAS build, the same inputs give a bit-identical model. The BLAS
+calls of a step are those of the dense paths, which dense enough data takes:
+the score matrix (``factorization.score_matrix``) and the gradient's two
+products (``factorization.EntryGradient``). Both are built from products small
+enough for OpenBLAS to run on one thread, so under OpenBLAS the model also
+does not depend on its thread count; other BLAS libraries are held only to
+agreement within rounding across their thread settings.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import fairrec
 from fairrec import (
     METRIC_FIELDS,
     REGIMES,
+    Dataset,
     load_dataset,
     load_model,
     parse_table_csv,
@@ -487,13 +488,34 @@ class TestReproductions:
         assert "--ml-path" in stderr
 
 
-def test_cold_import_skips_scipy_stats():
-    """scipy.stats takes most of a cold import and no command needs it."""
+def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):
+    """scipy is most of a cold start. Importing the package and the CLI, and
+    generating, training on and scoring dense data in one process, load none
+    of it; training on 4.5%-fill data loads scipy.sparse."""
+    rng = np.random.default_rng(0)
+    flat = rng.choice(200 * 100, size=900, replace=False)
+    save_dataset(Dataset(200, 100, flat // 100, flat % 100, rng.uniform(1, 5, 900),
+                         np.arange(200) % 3 == 0), tmp_path / "sparse.txt")
+    code = (
+        "import sys\n"
+        "import fairrec, fairrec.cli\n"
+        "def scipy_modules():\n"
+        "    return [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "for argv in (['synth-gen', '--regime', 'P+O', '--users', '400', '--items', '300',\n"
+        "              '--out', 'dense.txt'],\n"
+        "             ['train', '--data', 'dense.txt', '--penalty', 'value',\n"
+        "              '--iterations', '2', '--out', 'dense.model'],\n"
+        "             ['eval', '--model', 'dense.model', '--data', 'dense.txt']):\n"
+        "    assert fairrec.cli.main(argv) == 0, argv\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "assert fairrec.cli.main(['train', '--data', 'sparse.txt', '--iterations', '2',\n"
+        "                         '--out', 'sparse.model']) == 0\n"
+        "assert 'scipy.sparse' in sys.modules\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(fairrec.__file__)))
-    code = "import sys, fairrec, fairrec.cli; sys.exit('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], timeout=120,
-                            env=dict(os.environ, PYTHONPATH=src))
-    assert result.returncode == 0
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
 
 
 class TestUsageErrors:

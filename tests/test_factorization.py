@@ -1,5 +1,6 @@
 """Prediction, the entry-coefficient scatter, and objective gradients."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from fairrec import (
 from fairrec import factorization
 from fairrec.factorization import (
     DENSE_FILL,
+    DENSE_GRADIENT_FILL,
     EntryGradient,
     EntryPredictor,
     flat_params,
@@ -135,40 +137,56 @@ def loop_gradient(model, data, coeffs):
     return dP, dQ, dbu, dbi
 
 
+def gradients_on_both_paths(data):
+    """EntryGradient for data, forced onto the dense products and onto the CSR
+    scatter, whatever the data's fill."""
+    gradients = []
+    with pytest.MonkeyPatch.context() as patch:
+        for fill in (0.0, np.inf):
+            patch.setattr(factorization, "DENSE_GRADIENT_FILL", fill)
+            gradients.append(EntryGradient(data))
+    assert [gradient.dense for gradient in gradients] == [True, False]
+    return gradients
+
+
 class TestScatter:
-    """EntryGradient against an entry-by-entry loop on random datasets."""
+    """EntryGradient on both paths against an entry-by-entry loop on random
+    datasets."""
 
     def test_scatter_sum_matches_loop(self, rng):
         for _ in range(10):
             d, _ = make_train_dataset(rng)
             m = make_model(rng, d.num_users, d.num_items, d=2)
             coeffs = rng.normal(size=d.num_ratings)
-            _, _, bu, bi = param_blocks(EntryGradient(d)(m, coeffs),
-                                        m.num_users, m.num_items, m.d)
             _, _, want_bu, want_bi = loop_gradient(m, d, coeffs)
-            assert np.allclose(bu, want_bu, atol=1e-12)
-            assert np.allclose(bi, want_bi, atol=1e-12)
+            for gradient in gradients_on_both_paths(d):
+                _, _, bu, bi = param_blocks(gradient(m, coeffs),
+                                            m.num_users, m.num_items, m.d)
+                assert np.allclose(bu, want_bu, atol=1e-12)
+                assert np.allclose(bi, want_bi, atol=1e-12)
 
     def test_scatter_sum_empty_bucket(self, rng):
         d = dataset_from_ratings(4, 3, [(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0)],
                                  [True, False, True, False], rating_scale=(0.0, 5.0))
         m = make_model(rng, 4, 3, d=2)
-        dP, dQ, dbu, dbi = param_blocks(EntryGradient(d)(m, np.array([1.0, 2.0, 3.0])),
-                                        4, 3, 2)
-        assert dbu.tolist() == [3.0, 0.0, 3.0, 0.0]
-        assert dbi.tolist() == [4.0, 0.0, 2.0]
-        assert not dP[[1, 3]].any() and not dQ[1].any()
+        for gradient in gradients_on_both_paths(d):
+            dP, dQ, dbu, dbi = param_blocks(gradient(m, np.array([1.0, 2.0, 3.0])),
+                                            4, 3, 2)
+            assert dbu.tolist() == [3.0, 0.0, 3.0, 0.0]
+            assert dbi.tolist() == [4.0, 0.0, 2.0]
+            assert not dP[[1, 3]].any() and not dQ[1].any()
 
     def test_scatter_rows_matches_loop(self, rng):
         for _ in range(10):
             d, _ = make_train_dataset(rng)
             m = make_model(rng, d.num_users, d.num_items, d=3)
             coeffs = rng.normal(size=d.num_ratings)
-            dP, dQ, _, _ = param_blocks(EntryGradient(d)(m, coeffs),
-                                        m.num_users, m.num_items, m.d)
             want_dP, want_dQ, _, _ = loop_gradient(m, d, coeffs)
-            assert np.allclose(dP, want_dP, atol=1e-12)
-            assert np.allclose(dQ, want_dQ, atol=1e-12)
+            for gradient in gradients_on_both_paths(d):
+                dP, dQ, _, _ = param_blocks(gradient(m, coeffs),
+                                            m.num_users, m.num_items, m.d)
+                assert np.allclose(dP, want_dP, atol=1e-12)
+                assert np.allclose(dQ, want_dQ, atol=1e-12)
 
 
 class TestEntryGradient:
@@ -178,7 +196,6 @@ class TestEntryGradient:
                                  [True, False, True, False], rating_scale=(0.0, 5.0))
         coeffs = np.array([0.5, -1.0, 2.0, 0.25])
         lam = 0.5
-        g = EntryGradient(d)(m, coeffs, lam)
         dP = lam * m.user_factors
         dQ = lam * m.item_factors
         dbu = np.zeros(4)
@@ -188,8 +205,10 @@ class TestEntryGradient:
             dQ[i] += c * m.user_factors[u]
             dbu[u] += c
             dbi[i] += c
-        assert np.allclose(g, np.concatenate([dP.ravel(), dQ.ravel(), dbu, dbi]),
-                           atol=1e-12)
+        for gradient in gradients_on_both_paths(d):
+            assert np.allclose(gradient(m, coeffs, lam),
+                               np.concatenate([dP.ravel(), dQ.ravel(), dbu, dbi]),
+                               atol=1e-12)
 
 
 class TestGradientContainer:
@@ -316,7 +335,8 @@ def filled_instances(draw):
 
 
 class TestDensePath:
-    """The score-matrix read-out against the gather path on the same inputs."""
+    """The score-matrix read-out against the gathers, and the gradient's dense
+    products against the CSR scatter, on the same inputs."""
 
     @settings(max_examples=200, deadline=None)
     @given(filled_instances(), st.sampled_from([1, 40, 2**18]))
@@ -324,25 +344,36 @@ class TestDensePath:
         data, model = instance
         n, m = data.num_users, data.num_items
         assert EntryPredictor(data).dense == (data.num_ratings >= DENSE_FILL * n * m)
+        assert EntryGradient(data).dense == (data.num_ratings >= DENSE_GRADIENT_FILL * n * m)
         results = {}
         with pytest.MonkeyPatch.context() as patch:
             # small blocks split even these shapes into several products
             patch.setattr(factorization, "_BLOCK_MULADDS", block_muladds)
-            for path, fill in (("dense", 0.0), ("gather", np.inf)):
-                patch.setattr(factorization, "DENSE_FILL", fill)
-                assert EntryPredictor(data).dense == (path == "dense")
-                results[path] = (EntryPredictor(data)(model),
-                                 TrainingObjective(data, 0.1, ALL_TERMS, 0.3)(model),
-                                 full_report(model, data))
-        preds, loss, report = results["dense"]
-        want_preds, want_loss, want_report = results["gather"]
-        assert scaled_close(preds, predict_entries(model, data.user_idx, data.item_idx))
-        assert scaled_close(preds, want_preds)
-        for got, want in zip(loss, want_loss):
-            assert scaled_close(got, want)
-        for field in METRIC_FIELDS:
-            assert scaled_close(getattr(report, field), getattr(want_report, field))
-        assert report.items_counted == want_report.items_counted
+            for predict, scatter in itertools.product(("dense", "gather"), ("dense", "csr")):
+                patch.setattr(factorization, "DENSE_FILL",
+                              0.0 if predict == "dense" else np.inf)
+                patch.setattr(factorization, "DENSE_GRADIENT_FILL",
+                              0.0 if scatter == "dense" else np.inf)
+                assert EntryPredictor(data).dense == (predict == "dense")
+                assert EntryGradient(data).dense == (scatter == "dense")
+                results[predict, scatter] = (
+                    EntryPredictor(data)(model),
+                    TrainingObjective(data, 0.1, ALL_TERMS, 0.3)(model),
+                    gradient_to_vector(objective_gradient(model, data, 0.1)),
+                    gradient_to_vector(penalty_gradient(model, data, ALL_TERMS)),
+                    full_report(model, data))
+        want_preds, want_loss, want_obj_grad, want_pen_grad, want_report = \
+            results["gather", "csr"]
+        assert scaled_close(want_preds, predict_entries(model, data.user_idx, data.item_idx))
+        for preds, loss, obj_grad, pen_grad, report in results.values():
+            assert scaled_close(preds, want_preds)
+            for got, want in zip(loss, want_loss):
+                assert scaled_close(got, want)
+            assert scaled_close(obj_grad, want_obj_grad)
+            assert scaled_close(pen_grad, want_pen_grad)
+            for field in METRIC_FIELDS:
+                assert scaled_close(getattr(report, field), getattr(want_report, field))
+            assert report.items_counted == want_report.items_counted
 
     @pytest.mark.parametrize("n, m", [(400, 300), (3000, 1005)])
     def test_synthetic_train_and_eval_sets_are_dense(self, monkeypatch, n, m):
@@ -352,6 +383,7 @@ class TestDensePath:
         data, expected = generate(RegimeConfig("P+O", n, m, seed=0))
         eval_set = expected_value_eval(data, expected)
         model = init_model(n, m, 4, seed=0)
+        assert EntryGradient(data).dense
         monkeypatch.setattr(factorization, "predict_entries", no_gather)
         TrainingObjective(data, 1e-3, PenaltySpec.single("value"), 0.3)(model)
         full_report(model, eval_set)
@@ -366,23 +398,29 @@ class TestDensePath:
         data = Dataset(n, m, flat // m, flat % m, rng.uniform(1, 5, 900),
                        np.arange(n) % 3 == 0)
         model = init_model(n, m, 4, seed=0)
+        assert not EntryGradient(data).dense
         monkeypatch.setattr(factorization, "score_matrix", no_scores)
         TrainingObjective(data, 1e-3, PenaltySpec.single("value"), 0.3)(model)
         full_report(model, data)
 
     def test_scores_do_not_depend_on_blas_threads(self):
-        """The score matrix has the same bits under one and two OpenBLAS
-        threads (a setting other BLAS libraries ignore)."""
+        """The score matrix and the dense gradient have the same bits under one
+        and two OpenBLAS threads (a setting other BLAS libraries ignore)."""
         code = (
             "import hashlib, numpy as np\n"
-            "from fairrec import FactorModel\n"
-            "from fairrec.factorization import score_matrix\n"
+            "from fairrec import Dataset, FactorModel\n"
+            "from fairrec.factorization import EntryGradient, score_matrix\n"
             "rng = np.random.default_rng(0)\n"
             "digest = hashlib.sha256()\n"
             "for n, m, d in ((400, 300, 4), (3000, 1005, 4), (980, 636, 1), (1787, 1225, 8)):\n"
             "    model = FactorModel(rng.normal(size=(n, d)), rng.normal(size=(m, d)),\n"
             "                        rng.normal(size=n), rng.normal(size=m))\n"
             "    digest.update(score_matrix(model).tobytes())\n"
+            "    u, i = np.nonzero(rng.random((n, m)) < 0.3)\n"
+            "    gradient = EntryGradient(Dataset(n, m, u, i, rng.uniform(1, 5, len(u)),\n"
+            "                                     np.arange(n) % 2 == 0))\n"
+            "    assert gradient.dense\n"
+            "    digest.update(gradient(model, rng.normal(size=len(u)), 0.1).tobytes())\n"
             "print(digest.hexdigest())\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(fairrec.__file__)))
         digests = {

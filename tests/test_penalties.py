@@ -16,6 +16,7 @@ from fairrec import (
 from fairrec.penalties import TrainingObjective
 
 from conftest import (
+    dataset_from_ratings,
     dataset_triples,
     gradient_to_vector,
     make_model,
@@ -103,6 +104,18 @@ class TestPenaltyValue:
         d, _ = make_train_dataset(rng)
         m = make_model(rng, d.num_users, d.num_items)
         assert penalty_value(m, d, PenaltySpec.none()) == 0.0
+
+    def test_none_still_checks_data_and_model(self, rng):
+        """With no terms, the value still validates the data and the model's
+        shape first, as the gradient does."""
+        dup = dataset_from_ratings(3, 2, [(0, 0, 1.0), (0, 0, 2.0), (1, 1, 3.0)],
+                                   [True, False, True], rating_scale=(0.0, 5.0))
+        d, _ = make_train_dataset(rng, num_users=3, num_items=2)
+        for call in (penalty_value, penalty_gradient):
+            with pytest.raises(FairrecError, match="duplicate rating for user 0, item 0"):
+                call(make_model(rng, 3, 2), dup, PenaltySpec.none())
+            with pytest.raises(FairrecError, match="model is 7 x 9, data 3 x 2"):
+                call(make_model(rng, 7, 9), d, PenaltySpec.none())
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_single_kinds_match_oracle(self, rng, kind):
