@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="checkpoint file to write")
     tr.add_argument("--trace", help="trace CSV path (default OUT.trace.csv)")
     _add_config_flag(tr)
-    tr.set_defaults(func=_cmd_train)
+    # source has no flag; a config file may set it to pick the default alpha
+    tr.set_defaults(func=_cmd_train, source=None)
 
     ev = subs.add_parser("eval", help="report metrics for a checkpoint on a dataset")
     ev.add_argument("--model", required=True, help="checkpoint file")
@@ -140,9 +141,13 @@ _FLAG_ATTRS = {"lambda": "lam", "genre_mode": "mode"}
 
 
 def _merged_mapping(args) -> dict:
-    """Config-file values overridden by whichever flags were actually given."""
-    mapping = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in CONFIG_KEYS:
+    """Config-file values overridden by whichever flags were actually given.
+
+    A command reads the config keys of its own arguments; a config file with
+    any other key is rejected."""
+    keys = tuple(key for key in CONFIG_KEYS if hasattr(args, _FLAG_ATTRS.get(key, key)))
+    mapping = parse_config_file(args.config, keys) if getattr(args, "config", None) else {}
+    for key in keys:
         value = getattr(args, _FLAG_ATTRS.get(key, key), None)
         if value is not None:
             mapping[key] = str(value)

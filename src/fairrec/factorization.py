@@ -91,95 +91,91 @@ def score_matrix(model: FactorModel) -> np.ndarray:
     return scores
 
 
-class EntryPredictor:
-    """Predictions at one dataset's entries, for models of the data's shape.
+class Entries:
+    """Predictions at one dataset's entries, and the gradient of any loss that
+    reaches the model through them only: with one coefficient per entry, the
+    entries of a user x item matrix C, [dP | dbu] = C [Q | 1] and
+    [dQ | dbi] = C^T [P | 1].
 
-    The path is chosen here, once, by the data's fill (observed fraction of
-    the user x item grid): from DENSE_FILL up, the entries are read out of
-    score_matrix at flat indices u * m + i, built once; below it they are
-    gathered by predict_entries. The two agree to rounding. The dataset's
-    indices must already be checked against its shape.
+    Each use picks its path once, by the data's fill (observed fraction of
+    the grid). From DENSE_FILL up, predictions are read out of score_matrix at
+    flat indices u * m + i; below it they are gathered by predict_entries.
+    From DENSE_GRADIENT_FILL up, C is written into zeroed row blocks; below
+    it, C is one CSR matrix, a single block. Both storages run the same two
+    products, the C^T ones summed over the blocks in order, and rely on
+    entries sorted by (user, item): a row block's entries are one slice, and
+    CSR data order is entry order. The paths agree to rounding. The
+    gradient's structure is built at its first use, so prediction alone never
+    loads scipy. The dataset's indices must already be checked against its
+    shape.
     """
 
     def __init__(self, data: Dataset):
-        self._shape = (data.num_users, data.num_items)
-        self._user_idx, self._item_idx = data.user_idx, data.item_idx
-        self.dense = data.num_ratings >= DENSE_FILL * data.num_users * data.num_items
-        if self.dense:
+        self._data = data
+        grid = data.num_users * data.num_items
+        self.dense_predict = data.num_ratings >= DENSE_FILL * grid
+        self.dense_gradient = data.num_ratings >= DENSE_GRADIENT_FILL * grid
+        if self.dense_predict or self.dense_gradient:
             self._flat = data.user_idx * data.num_items + data.item_idx
+        self._row_starts = None
 
-    def __call__(self, model: FactorModel) -> np.ndarray:
-        if (model.num_users, model.num_items) != self._shape:
-            raise FairrecError(
-                f"model is {model.num_users} x {model.num_items}, "
-                f"data {self._shape[0]} x {self._shape[1]}")
-        if self.dense:
+    def _check(self, model: FactorModel) -> None:
+        data = self._data
+        if (model.num_users, model.num_items) != (data.num_users, data.num_items):
+            raise FairrecError(f"model is {model.num_users} x {model.num_items}, "
+                               f"data {data.num_users} x {data.num_items}")
+
+    def predict(self, model: FactorModel) -> np.ndarray:
+        self._check(model)
+        if self.dense_predict:
             return score_matrix(model).ravel().take(self._flat)
-        return predict_entries(model, self._user_idx, self._item_idx)
+        return predict_entries(model, self._data.user_idx, self._data.item_idx)
 
-
-class EntryGradient:
-    """Gradient of sum_e coeffs[e] * prediction_e over one dataset's entries.
-
-    Every loss here differentiates through predictions only, so its gradient
-    is fully described by one coefficient per observed entry: the entries of
-    a user x item matrix C, with [dP | dbu] = C [Q | 1] and
-    [dQ | dbi] = C^T [P | 1]. The path is chosen here, once, by the data's
-    fill. From DENSE_GRADIENT_FILL up, C is written one row block at a time
-    into a zeroed buffer and multiplied densely, the C^T products summed over
-    the blocks in order. Below it, C is a CSR matrix whose structure is built
-    once, and the bias gradients are bincounts. Both rely on Dataset entries
-    being sorted by (user, item), so a row block's entries are one slice and
-    CSR data order is entry order. The two agree to rounding.
-    """
-
-    def __init__(self, data: Dataset):
+    def _blocks(self, coeffs: np.ndarray, width: int):
+        """C as (start, stop, rows start:stop of C), in row order; a dense
+        block's product with a width-column matrix stays within
+        _BLOCK_MULADDS. Each block is valid until the next is drawn."""
+        data = self._data
         n, m = data.num_users, data.num_items
-        # the entries of user u are row_starts[u]:row_starts[u + 1]
-        self._row_starts = np.concatenate(([0], np.cumsum(np.bincount(data.user_idx,
-                                                                     minlength=n))))
-        self.dense = data.num_ratings >= DENSE_GRADIENT_FILL * n * m
-        if self.dense:
-            self._flat = data.user_idx * m + data.item_idx
-        else:
-            # imported here, its only use: scipy.sparse is most of a cold
-            # start, and dense data never needs it
-            from scipy.sparse import csr_matrix
+        if self._row_starts is None:
+            # the entries of user u are row_starts[u]:row_starts[u + 1]
+            self._row_starts = np.concatenate(
+                ([0], np.cumsum(np.bincount(data.user_idx, minlength=n))))
+            if not self.dense_gradient:
+                # imported here, its only use: scipy.sparse is most of a
+                # cold start, and dense data never needs it
+                from scipy.sparse import csr_matrix
 
-            self._matrix = csr_matrix((np.zeros(data.num_ratings), data.item_idx,
-                                       self._row_starts), shape=(n, m))
-            self._user_idx = data.user_idx
-            self._item_idx = data.item_idx
+                self._matrix = csr_matrix((np.zeros(data.num_ratings), data.item_idx,
+                                           self._row_starts), shape=(n, m))
+        if not self.dense_gradient:
+            self._matrix.data = coeffs
+            yield 0, n, self._matrix
+            return
+        blocks = _row_blocks(n, m, width)
+        buffer = np.empty((blocks[0][1] - blocks[0][0]) * m)
+        for start, stop in blocks:
+            lo, hi = self._row_starts[start], self._row_starts[stop]
+            C = buffer[:(stop - start) * m]
+            C.fill(0.0)
+            C[self._flat[lo:hi] - start * m] = coeffs[lo:hi]
+            yield start, stop, C.reshape(stop - start, m)
 
-    def __call__(self, model: FactorModel, coeffs: np.ndarray, lam: float = 0.0) -> np.ndarray:
-        """The flat_params-layout gradient, plus that of the Frobenius term
-        lam/2 * (||P||^2 + ||Q||^2) when lam is given."""
-        if not self.dense:
-            C = self._matrix
-            C.data = coeffs
-            return np.concatenate([
-                (C @ model.item_factors + lam * model.user_factors).ravel(),
-                (C.T @ model.user_factors + lam * model.item_factors).ravel(),
-                np.bincount(self._user_idx, weights=coeffs, minlength=model.num_users),
-                np.bincount(self._item_idx, weights=coeffs, minlength=model.num_items),
-            ])
+    def gradient(self, model: FactorModel, coeffs: np.ndarray, lam: float = 0.0) -> np.ndarray:
+        """The flat_params-layout gradient of sum_e coeffs[e] * prediction_e,
+        plus that of the Frobenius term lam/2 * (||P||^2 + ||Q||^2) when lam
+        is given."""
+        self._check(model)
         n, m, d = model.num_users, model.num_items, model.d
         left = np.hstack([model.user_factors, np.ones((n, 1))])
         right = np.hstack([model.item_factors, np.ones((m, 1))])
         user = np.empty((n, d + 1))
         item = np.zeros((m, d + 1))
-        blocks = _row_blocks(n, m, d + 1)
-        buffer = np.empty((blocks[0][1] - blocks[0][0]) * m)
         # a diverging model gives inf and 0 * inf here; the trainer turns that
         # into a DivergenceError, so neither is worth a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for start, stop in blocks:
-                lo, hi = self._row_starts[start], self._row_starts[stop]
-                C = buffer[:(stop - start) * m]
-                C.fill(0.0)
-                C[self._flat[lo:hi] - start * m] = coeffs[lo:hi]
-                C = C.reshape(stop - start, m)
-                np.matmul(C, right, out=user[start:stop])
+            for start, stop, C in self._blocks(coeffs, d + 1):
+                user[start:stop] = C @ right
                 item += C.T @ left[start:stop]
             return np.concatenate([
                 (user[:, :d] + lam * model.user_factors).ravel(),
@@ -203,15 +199,15 @@ def squared_error(model: FactorModel, preds: np.ndarray, train: Dataset,
     return value, (2.0 / train.num_ratings) * resid
 
 
-def _training_predictions(model: FactorModel, train: Dataset, what: str) -> np.ndarray:
+def _training_entries(train: Dataset, what: str) -> Entries:
     if train.num_ratings == 0:
         raise FairrecError(f"{what} needs at least one rating")
-    return EntryPredictor(validate_dataset(train))(model)
+    return Entries(validate_dataset(train))
 
 
 def objective(model: FactorModel, train: Dataset, lam: float) -> float:
     """Regularized mean squared reconstruction error on the training set."""
-    preds = _training_predictions(model, train, "objective")
+    preds = _training_entries(train, "objective").predict(model)
     return squared_error(model, preds, train, lam)[0]
 
 
@@ -222,7 +218,7 @@ def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> Gradie
     the Frobenius term adds lam * P and lam * Q for every row, including rows
     untouched by any rating. Biases receive no regularization.
     """
-    preds = _training_predictions(model, train, "objective gradient")
-    _, coeffs = squared_error(model, preds, train, lam)
-    flat = EntryGradient(train)(model, coeffs, lam)
+    entries = _training_entries(train, "objective gradient")
+    _, coeffs = squared_error(model, entries.predict(model), train, lam)
+    flat = entries.gradient(model, coeffs, lam)
     return Gradient(*param_blocks(flat, model.num_users, model.num_items, model.d))

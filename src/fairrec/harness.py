@@ -319,8 +319,14 @@ def parse_table_csv(text: str) -> ResultTable:
     return ResultTable(row_kind, tuple(rows), np.array(means), np.array(stderrs), trials=0)
 
 
-def parse_config_file(path) -> dict:
-    """Flat key=value experiment config; # comments and blank lines skipped."""
+CONFIG_KEYS = ("source", "regime", "users", "items", "ml_path", "genres",
+               "genre_mode", "min_ratings", "d", "lambda", "alpha", "lr",
+               "iterations", "init_scale", "trials", "seed", "penalty", "split")
+
+
+def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
+    """Flat key=value experiment config; # comments and blank lines skipped.
+    A key outside ``keys`` is rejected at its line."""
     mapping = {}
     with open(path, "r", encoding="utf-8") as fh:
         for no, line in enumerate(fh.read().splitlines(), start=1):
@@ -333,13 +339,11 @@ def parse_config_file(path) -> dict:
             key, value = key.strip(), value.strip()
             if not key or not value:
                 raise MalformedLineError(no, f"expected 'key = value', got {line!r}")
+            if key not in keys:
+                raise MalformedLineError(
+                    no, f"config key {key!r} is not read here; keys: {', '.join(keys)}")
             mapping[key] = value
     return mapping
-
-
-CONFIG_KEYS = ("source", "regime", "users", "items", "ml_path", "genres",
-               "genre_mode", "min_ratings", "d", "lambda", "alpha", "lr",
-               "iterations", "init_scale", "trials", "seed", "penalty", "split")
 
 
 def config_hyper(mapping: dict, source: str) -> Hyperparams:

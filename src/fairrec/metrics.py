@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, FactorModel, FairrecError, MetricReport, validate_dataset
-from .factorization import EntryPredictor
+from .factorization import Entries
 
 
 class GroupCells:
@@ -98,7 +98,7 @@ def full_report(model: FactorModel, eval_data: Dataset,
         raise FairrecError("evaluation set has no entries")
     validate_dataset(eval_data)
     u, i, truth = eval_data.user_idx, eval_data.item_idx, eval_data.values
-    preds = EntryPredictor(eval_data)(model)
+    preds = Entries(eval_data).predict(model)
     err = float(np.mean((preds - truth) ** 2))
     cells = GroupCells(u, i, eval_data.protected, eval_data.num_items)
     valid = cells.comparable

@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, FactorModel, FairrecError, validate_dataset
-from .factorization import (
-    EntryGradient,
-    EntryPredictor,
-    Gradient,
-    _training_predictions,
-    param_blocks,
-    squared_error,
-)
+from .core import Dataset, FactorModel, FairrecError
+from .factorization import Gradient, _training_entries, param_blocks, squared_error
 from .metrics import GroupCells, group_gap, item_terms, smooth_abs
 
 PENALTY_KINDS = ("value", "absolute", "under", "over", "parity")
@@ -155,15 +148,15 @@ class _PenaltyTerms:
 
 def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> float:
     """Weighted sum of the active unfairness scores on the training set."""
-    preds = _training_predictions(model, train, "penalty")
+    preds = _training_entries(train, "penalty").predict(model)
     return _PenaltyTerms(train, spec)(preds)[0]
 
 
 def penalty_gradient(model: FactorModel, train: Dataset, spec: PenaltySpec) -> Gradient:
     """Analytic subgradient of penalty_value w.r.t. the model parameters."""
-    preds = _training_predictions(model, train, "penalty gradient")
-    _, coeffs = _PenaltyTerms(train, spec)(preds)
-    flat = EntryGradient(train)(model, coeffs)
+    entries = _training_entries(train, "penalty gradient")
+    _, coeffs = _PenaltyTerms(train, spec)(entries.predict(model))
+    flat = entries.gradient(model, coeffs)
     return Gradient(*param_blocks(flat, model.num_users, model.num_items, model.d))
 
 
@@ -171,24 +164,21 @@ class TrainingObjective:
     """objective + alpha * penalty on one training set, valued and
     differentiated from a single prediction pass.
 
-    Construction validates the dataset and does all data-only work once
-    (prediction and gradient paths and their indices, group cells), so the
-    trainer builds one per run and calls it once per iteration.
+    Construction validates the dataset and does the data-only work once
+    (prediction and gradient paths, group cells; the gradient's structure
+    at the first call), so the trainer builds one per run and calls it once
+    per iteration.
     """
 
     def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):
-        validate_dataset(train)
-        if train.num_ratings == 0:
-            raise FairrecError("training needs at least one rating")
+        self._entries = _training_entries(train, "training")
         self._train, self._lam, self._alpha = train, lam, alpha
-        self._predict = EntryPredictor(train)
         self._penalty = _PenaltyTerms(train, spec)
-        self._gradient = EntryGradient(train)
 
     def __call__(self, model: FactorModel) -> tuple[float, float, np.ndarray]:
         """(objective, penalty, flat_params-layout gradient of the combination)."""
-        preds = self._predict(model)
+        preds = self._entries.predict(model)
         obj, coeffs = squared_error(model, preds, self._train, self._lam)
         pen, pen_coeffs = self._penalty(preds)
         coeffs += self._alpha * pen_coeffs
-        return obj, pen, self._gradient(model, coeffs, self._lam)
+        return obj, pen, self._entries.gradient(model, coeffs, self._lam)

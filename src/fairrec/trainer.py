@@ -5,10 +5,11 @@ a run is a pure function of (dataset, hyperparameters, penalty spec): on one
 numpy and BLAS build, the same inputs give a bit-identical model. The BLAS
 calls of a step are those of the dense paths, which dense enough data takes:
 the score matrix (``factorization.score_matrix``) and the gradient's two
-products (``factorization.EntryGradient``). Both are built from products small
-enough for OpenBLAS to run on one thread, so under OpenBLAS the model also
-does not depend on its thread count; other BLAS libraries are held only to
-agreement within rounding across their thread settings.
+products over dense row blocks (``factorization.Entries.gradient``). Both are
+built from products small enough for OpenBLAS to run on one thread, so under
+OpenBLAS the model also does not depend on its thread count; other BLAS
+libraries are held only to agreement within rounding across their thread
+settings.
 """
 
 from __future__ import annotations

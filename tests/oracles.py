@@ -4,8 +4,10 @@ Everything here is written with plain Python loops and scalar math so that
 agreement with the vectorized library code is meaningful. The functions take
 bare lists and arrays rather than library types on purpose: they must not
 share any code path with the implementation under test. The file reader
-oracles are the exception: they return the library's Dataset and
-MovieLensRaw, which are what the files describe.
+oracles are one exception: they return the library's Dataset and
+MovieLensRaw, which are what the files describe. The sparse gradient
+formula is the other: it is the package's former code, which the current
+one must match bit for bit.
 """
 
 import math
@@ -147,6 +149,25 @@ def oracle_penalty(P, Q, bu, bi, triples, protected_flags, num_items, terms,
             term = acc / len(both) if both else 0.0
         total += float(weight) * term
     return total
+
+
+def oracle_csr_gradient(P, Q, user_idx, item_idx, coeffs, lam):
+    """sum_e coeffs[e] * d(prediction_e)/d(parameters), plus lam * P and
+    lam * Q, in the flat (P, Q, bu, bi) layout, by the sparse formula the
+    package used before the bias sums were folded into its products: C @ Q
+    and C.T @ P for C in CSR form, and the bias gradients as weighted
+    bincounts. Entries must be sorted by (user, item)."""
+    from scipy.sparse import csr_matrix
+
+    n, m = len(P), len(Q)
+    row_starts = np.concatenate(([0], np.cumsum(np.bincount(user_idx, minlength=n))))
+    C = csr_matrix((coeffs, item_idx, row_starts), shape=(n, m))
+    return np.concatenate([
+        (C @ Q + lam * P).ravel(),
+        (C.T @ P + lam * Q).ravel(),
+        np.bincount(user_idx, weights=coeffs, minlength=n),
+        np.bincount(item_idx, weights=coeffs, minlength=m),
+    ])
 
 
 def central_difference(func, x, h=1e-5):

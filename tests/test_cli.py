@@ -397,6 +397,24 @@ class TestConfigFile:
         assert code == 2
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("command, key", [
+        ("train", "iteratons"),
+        ("synth-gen", "d"),
+        ("reproduce-table1", "penalty"),
+        ("reproduce-fig1", "regime"),
+    ])
+    def test_key_the_command_does_not_read_exits_two(self, synth_file, tmp_path, capsys,
+                                                     command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# fast\nseed = 1\n{key} = U\n")
+        out = tmp_path / "out.txt"
+        data = ["--data", str(synth_file)] if command == "train" else []
+        code, stdout, stderr = run(capsys, command, *data, "--config", str(cfg),
+                                   "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: line 3: config key {key!r} is not read here")
+        assert not out.exists()
+
     def test_unknown_key_rejected_by_experiments(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -489,13 +507,15 @@ class TestReproductions:
 
 
 def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):
-    """scipy is most of a cold start. Importing the package and the CLI, and
-    generating, training on and scoring dense data in one process, load none
-    of it; training on 4.5%-fill data loads scipy.sparse."""
+    """scipy is most of a cold start. Importing the package and the CLI,
+    generating, training on and scoring dense data, and scoring sparse data,
+    all in one process, load none of it; training on 4.5%-fill data loads
+    scipy.sparse."""
     rng = np.random.default_rng(0)
     flat = rng.choice(200 * 100, size=900, replace=False)
     save_dataset(Dataset(200, 100, flat // 100, flat % 100, rng.uniform(1, 5, 900),
                          np.arange(200) % 3 == 0), tmp_path / "sparse.txt")
+    save_model(make_model(rng, 200, 100), tmp_path / "start.model")
     code = (
         "import sys\n"
         "import fairrec, fairrec.cli\n"
@@ -506,7 +526,8 @@ def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):
         "              '--out', 'dense.txt'],\n"
         "             ['train', '--data', 'dense.txt', '--penalty', 'value',\n"
         "              '--iterations', '2', '--out', 'dense.model'],\n"
-        "             ['eval', '--model', 'dense.model', '--data', 'dense.txt']):\n"
+        "             ['eval', '--model', 'dense.model', '--data', 'dense.txt'],\n"
+        "             ['eval', '--model', 'start.model', '--data', 'sparse.txt']):\n"
         "    assert fairrec.cli.main(argv) == 0, argv\n"
         "assert not scipy_modules(), scipy_modules()\n"
         "assert fairrec.cli.main(['train', '--data', 'sparse.txt', '--iterations', '2',\n"

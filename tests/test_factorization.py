@@ -31,8 +31,7 @@ from fairrec import factorization
 from fairrec.factorization import (
     DENSE_FILL,
     DENSE_GRADIENT_FILL,
-    EntryGradient,
-    EntryPredictor,
+    Entries,
     flat_params,
     param_blocks,
     score_matrix,
@@ -49,7 +48,7 @@ from conftest import (
     model_to_vector,
     vector_to_model,
 )
-from oracles import central_difference, oracle_objective, oracle_predict
+from oracles import central_difference, oracle_csr_gradient, oracle_objective, oracle_predict
 
 
 class TestPredict:
@@ -138,20 +137,20 @@ def loop_gradient(model, data, coeffs):
 
 
 def gradients_on_both_paths(data):
-    """EntryGradient for data, forced onto the dense products and onto the CSR
-    scatter, whatever the data's fill."""
-    gradients = []
+    """Entries.gradient for data, with C forced into dense row blocks and into
+    one CSR matrix, whatever the data's fill."""
+    entries = []
     with pytest.MonkeyPatch.context() as patch:
         for fill in (0.0, np.inf):
             patch.setattr(factorization, "DENSE_GRADIENT_FILL", fill)
-            gradients.append(EntryGradient(data))
-    assert [gradient.dense for gradient in gradients] == [True, False]
-    return gradients
+            entries.append(Entries(data))
+    assert [e.dense_gradient for e in entries] == [True, False]
+    return [e.gradient for e in entries]
 
 
 class TestScatter:
-    """EntryGradient on both paths against an entry-by-entry loop on random
-    datasets."""
+    """Entries.gradient on both storages of C against an entry-by-entry loop
+    on random datasets."""
 
     def test_scatter_sum_matches_loop(self, rng):
         for _ in range(10):
@@ -209,6 +208,27 @@ class TestEntryGradient:
             assert np.allclose(gradient(m, coeffs, lam),
                                np.concatenate([dP.ravel(), dQ.ravel(), dbu, dbi]),
                                atol=1e-12)
+
+    @pytest.mark.parametrize("n, m, fill, d", [(50, 40, 0.10, 1), (300, 200, 0.12, 8),
+                                               (400, 300, 0.05, 4), (2953, 1006, 0.08, 4)])
+    def test_csr_matches_bincount_formula_bit_for_bit(self, n, m, fill, d):
+        """The bias sums folded into the CSR products, against the former
+        formula's bincounts, with users, items and coefficients that are 0."""
+        rng = np.random.default_rng(n)
+        observed = rng.random((n, m)) < fill
+        observed[::7] = False
+        observed[:, ::5] = False
+        u, i = np.nonzero(observed)
+        data = Dataset(n, m, u, i, rng.uniform(1, 5, len(u)), np.arange(n) % 2 == 0)
+        model = make_model(rng, n, m, d)
+        coeffs = rng.normal(size=len(u))
+        coeffs[::3] = 0.0
+        entries = Entries(data)
+        assert not entries.dense_gradient
+        for lam in (0.0, 0.1):
+            want = oracle_csr_gradient(model.user_factors, model.item_factors,
+                                       u, i, coeffs, lam)
+            assert np.array_equal(entries.gradient(model, coeffs, lam), want)
 
 
 class TestGradientContainer:
@@ -343,8 +363,9 @@ class TestDensePath:
     def test_matches_gather_path(self, instance, block_muladds):
         data, model = instance
         n, m = data.num_users, data.num_items
-        assert EntryPredictor(data).dense == (data.num_ratings >= DENSE_FILL * n * m)
-        assert EntryGradient(data).dense == (data.num_ratings >= DENSE_GRADIENT_FILL * n * m)
+        entries = Entries(data)
+        assert entries.dense_predict == (data.num_ratings >= DENSE_FILL * n * m)
+        assert entries.dense_gradient == (data.num_ratings >= DENSE_GRADIENT_FILL * n * m)
         results = {}
         with pytest.MonkeyPatch.context() as patch:
             # small blocks split even these shapes into several products
@@ -354,10 +375,11 @@ class TestDensePath:
                               0.0 if predict == "dense" else np.inf)
                 patch.setattr(factorization, "DENSE_GRADIENT_FILL",
                               0.0 if scatter == "dense" else np.inf)
-                assert EntryPredictor(data).dense == (predict == "dense")
-                assert EntryGradient(data).dense == (scatter == "dense")
+                entries = Entries(data)
+                assert entries.dense_predict == (predict == "dense")
+                assert entries.dense_gradient == (scatter == "dense")
                 results[predict, scatter] = (
-                    EntryPredictor(data)(model),
+                    entries.predict(model),
                     TrainingObjective(data, 0.1, ALL_TERMS, 0.3)(model),
                     gradient_to_vector(objective_gradient(model, data, 0.1)),
                     gradient_to_vector(penalty_gradient(model, data, ALL_TERMS)),
@@ -383,7 +405,7 @@ class TestDensePath:
         data, expected = generate(RegimeConfig("P+O", n, m, seed=0))
         eval_set = expected_value_eval(data, expected)
         model = init_model(n, m, 4, seed=0)
-        assert EntryGradient(data).dense
+        assert Entries(data).dense_gradient
         monkeypatch.setattr(factorization, "predict_entries", no_gather)
         TrainingObjective(data, 1e-3, PenaltySpec.single("value"), 0.3)(model)
         full_report(model, eval_set)
@@ -398,29 +420,31 @@ class TestDensePath:
         data = Dataset(n, m, flat // m, flat % m, rng.uniform(1, 5, 900),
                        np.arange(n) % 3 == 0)
         model = init_model(n, m, 4, seed=0)
-        assert not EntryGradient(data).dense
+        assert not Entries(data).dense_gradient
         monkeypatch.setattr(factorization, "score_matrix", no_scores)
         TrainingObjective(data, 1e-3, PenaltySpec.single("value"), 0.3)(model)
         full_report(model, data)
 
     def test_scores_do_not_depend_on_blas_threads(self):
-        """The score matrix and the dense gradient have the same bits under one
-        and two OpenBLAS threads (a setting other BLAS libraries ignore)."""
+        """The score matrix and the gradient on both storages of C have the same
+        bits under one and two OpenBLAS threads (a setting other BLAS libraries
+        ignore)."""
         code = (
             "import hashlib, numpy as np\n"
             "from fairrec import Dataset, FactorModel\n"
-            "from fairrec.factorization import EntryGradient, score_matrix\n"
+            "from fairrec.factorization import Entries, score_matrix\n"
             "rng = np.random.default_rng(0)\n"
             "digest = hashlib.sha256()\n"
-            "for n, m, d in ((400, 300, 4), (3000, 1005, 4), (980, 636, 1), (1787, 1225, 8)):\n"
+            "for n, m, d, fill in ((400, 300, 4, 0.3), (3000, 1005, 4, 0.3), (980, 636, 1, 0.3),\n"
+            "                      (1787, 1225, 8, 0.3), (3000, 1005, 4, 0.05)):\n"
             "    model = FactorModel(rng.normal(size=(n, d)), rng.normal(size=(m, d)),\n"
             "                        rng.normal(size=n), rng.normal(size=m))\n"
             "    digest.update(score_matrix(model).tobytes())\n"
-            "    u, i = np.nonzero(rng.random((n, m)) < 0.3)\n"
-            "    gradient = EntryGradient(Dataset(n, m, u, i, rng.uniform(1, 5, len(u)),\n"
-            "                                     np.arange(n) % 2 == 0))\n"
-            "    assert gradient.dense\n"
-            "    digest.update(gradient(model, rng.normal(size=len(u)), 0.1).tobytes())\n"
+            "    u, i = np.nonzero(rng.random((n, m)) < fill)\n"
+            "    entries = Entries(Dataset(n, m, u, i, rng.uniform(1, 5, len(u)),\n"
+            "                              np.arange(n) % 2 == 0))\n"
+            "    assert entries.dense_gradient == (fill > 0.15)\n"
+            "    digest.update(entries.gradient(model, rng.normal(size=len(u)), 0.1).tobytes())\n"
             "print(digest.hexdigest())\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(fairrec.__file__)))
         digests = {

@@ -17,15 +17,17 @@ from fairrec import (
     MetricReport,
     PenaltySpec,
     REGIMES,
+    RegimeConfig,
     ResultTable,
     config_experiment,
     emit,
+    generate,
     parse_table_csv,
     regime_comparison,
     run_experiment,
     welch_t_test,
 )
-from fairrec import harness
+from fairrec import factorization, harness
 from fairrec.harness import (
     DEFAULT_PENALTIES,
     aggregate,
@@ -409,6 +411,33 @@ class TestRunExperiment:
         assert table.rows == ("none",)
         assert table.mean("none", "error") > 0
 
+    def test_movielens_table_does_not_depend_on_paths(self, tmp_path, monkeypatch):
+        """A generated corpus in the MovieLens layout gives the same table with
+        every prediction and gradient forced onto the dense paths as with all
+        of them forced onto the gathers and the CSR products."""
+        data, _ = generate(RegimeConfig("P+O", 60, 45, seed=0))
+        root = tmp_path / "ml"
+        root.mkdir()
+        (root / "users.dat").write_text("".join(
+            f"{u + 1}::{'F' if flag else 'M'}::25::1::00000\n"
+            for u, flag in enumerate(data.protected)))
+        (root / "movies.dat").write_text("".join(
+            f"{i + 1}::Movie {i + 1} (2000)::Action\n" for i in range(data.num_items)))
+        (root / "ratings.dat").write_text("".join(
+            f"{u + 1}::{i + 1}::{1 + 4 * int(v)}::978300000\n"
+            for u, i, v in zip(data.user_idx, data.item_idx, data.values)))
+        config = tiny_config(source="movielens", ml_path=str(root), min_ratings=1,
+                             trials=2, hyper=replace(tiny_config().hyper, iterations=20))
+        tables = []
+        for fill in (0.0, np.inf):
+            monkeypatch.setattr(factorization, "DENSE_FILL", fill)
+            monkeypatch.setattr(factorization, "DENSE_GRADIENT_FILL", fill)
+            tables.append(run_experiment(config))
+        dense, sparse = tables
+        assert dense.rows == ("none", "value")
+        np.testing.assert_allclose(sparse.means, dense.means, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sparse.stderrs, dense.stderrs, rtol=1e-12, atol=0)
+
 
 class TestConfigParsing:
     def test_file_forms(self, tmp_path):
@@ -429,6 +458,14 @@ class TestConfigParsing:
         path.write_text("penalty\n")
         with pytest.raises(MalformedLineError):
             parse_config_file(path)
+
+    def test_file_rejects_key_outside_keys(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("d = 3\n\npenalty = value\n")
+        assert parse_config_file(path) == {"d": "3", "penalty": "value"}
+        with pytest.raises(MalformedLineError, match="line 3: config key 'penalty'") as info:
+            parse_config_file(path, ("d",))
+        assert info.value.line_no == 3
 
     def test_config_hyper_defaults(self):
         base = Hyperparams()
