@@ -326,7 +326,7 @@ CONFIG_KEYS = ("source", "regime", "users", "items", "ml_path", "genres",
 
 def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
     """Flat key=value experiment config; # comments and blank lines skipped.
-    A key outside ``keys`` is rejected at its line."""
+    A key outside ``keys``, or set a second time, is rejected at its line."""
     mapping = {}
     with open(path, "r", encoding="utf-8") as fh:
         for no, line in enumerate(fh.read().splitlines(), start=1):
@@ -342,6 +342,8 @@ def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
             if key not in keys:
                 raise MalformedLineError(
                     no, f"config key {key!r} is not read here; keys: {', '.join(keys)}")
+            if key in mapping:
+                raise MalformedLineError(no, f"config key {key!r} is set twice")
             mapping[key] = value
     return mapping
 

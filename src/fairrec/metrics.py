@@ -1,46 +1,22 @@
-"""Evaluation-time unfairness metrics and prediction error, and the term
-code that defines each unfairness score for the training penalties too.
+"""The five unfairness measures, each defined once as the evaluation metric
+and the training penalty term of the same name, and the evaluation report.
 
-All five unfairness scores compare the disadvantaged (protected) user group
-against the advantaged group. The four per-item scores average over items
-where BOTH groups have at least one evaluation entry; items lacking a group
-are dropped from numerator and denominator alike, and the count of surviving
-items is reported alongside the scores.
+All five compare the disadvantaged (protected) user group against the
+advantaged group. The four per-item measures average over items where BOTH
+groups have at least one entry; items lacking a group are dropped from
+numerator and denominator alike, and the count of surviving items is
+reported alongside the scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, FactorModel, FairrecError, MetricReport, validate_dataset
+from .core import Dataset, FactorModel, FairrecError, METRIC_FIELDS, MetricReport, validate_dataset
 from .factorization import Entries
 
-
-class GroupCells:
-    """The (group, item) cell of every entry of a triple set.
-
-    Cell i holds the advantaged group's entries for item i and cell
-    num_items + i the protected group's, so one bincount yields the per-item
-    sums of both groups. It depends on the indices alone, so the trainer
-    builds it once per run.
-    """
-
-    def __init__(self, user_idx: np.ndarray, item_idx: np.ndarray,
-                 protected: np.ndarray, num_items: int):
-        self.num_items = num_items
-        self.in_protected = np.asarray(protected, dtype=bool)[user_idx]
-        self.cell = item_idx + num_items * self.in_protected
-        self.count = np.bincount(self.cell, minlength=2 * num_items).astype(np.float64)
-
-    @property
-    def comparable(self) -> np.ndarray:
-        """Items with entries from both groups."""
-        return (self.count.reshape(2, -1) > 0).all(axis=0)
-
-    def means(self, values: np.ndarray) -> np.ndarray:
-        """Per-cell means of one value per entry; 0.0 in empty cells."""
-        sums = np.bincount(self.cell, weights=values, minlength=2 * self.num_items)
-        return sums / np.maximum(self.count, 1.0)
+# the unfairness measures, in report order after the error
+KINDS = METRIC_FIELDS[1:]
 
 
 def smooth_abs(x, eps: float):
@@ -80,12 +56,62 @@ def item_terms(kind: str, dp: np.ndarray, da: np.ndarray, eps: float = 0.0):
     return phi, outer * slope_p, -outer * slope_a
 
 
-def group_gap(preds: np.ndarray, in_protected: np.ndarray) -> float:
-    """Protected minus advantaged mean prediction, the argument of the parity
-    term |gap|."""
-    if not in_protected.any() or in_protected.all():
-        raise FairrecError("both groups need at least one entry")
-    return np.mean(preds[in_protected]) - np.mean(preds[~in_protected])
+class Unfairness:
+    """The unfairness measures of one dataset's entries, valued and
+    differentiated at any predictions of them. Cell i holds the advantaged
+    group's entries for item i and cell num_items + i the protected group's.
+    The data-only work is done here, once, for the ``kinds`` that calls will
+    ask for; ``what`` names the entries in the error when they cannot be
+    measured.
+    """
+
+    def __init__(self, data: Dataset, kinds, what: str):
+        self._in_protected = data.protected[data.user_idx]
+        self.cell = data.item_idx + data.num_items * self._in_protected
+        self.count = np.bincount(self.cell, minlength=2 * data.num_items).astype(np.float64)
+        self.comparable = (self.count.reshape(2, -1) > 0).all(axis=0)
+        self.n_p = int(self._in_protected.sum())
+        self.n_a = data.num_ratings - self.n_p
+        self.true_means = None
+        if set(kinds) - {"parity"}:
+            if not self.comparable.any():
+                raise FairrecError(f"no item has {what} from both groups")
+            # comparable items, in both halves of the cells
+            self._valid = np.tile(self.comparable, 2)
+            self._scale = int(self.comparable.sum()) * self.count[self._valid]
+            self.true_means = self._means(data.values)
+        if "parity" in kinds and (self.n_p == 0 or self.n_a == 0):
+            raise FairrecError("both groups need at least one training rating")
+
+    def _means(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell means of one value per entry; 0.0 in empty cells."""
+        sums = np.bincount(self.cell, weights=values, minlength=len(self.count))
+        return sums / np.maximum(self.count, 1.0)
+
+    def __call__(self, preds: np.ndarray, terms, eps: float = 0.0) -> tuple[list, np.ndarray]:
+        """The value of each (kind, weight) term at the entries' predictions,
+        and the derivative of the terms' weighted sum w.r.t. the prediction
+        of an entry in each cell. An entry weighs 1/(entries) in its cell's
+        and its group's means, and a comparable item 1/(comparable items).
+        """
+        values, parity = [], None
+        cell_coeffs = np.zeros(len(self.count))
+        if self.true_means is not None:
+            da, dp = np.split((self._means(preds) - self.true_means)[self._valid], 2)
+        for kind, weight in terms:
+            if kind == "parity":
+                phi, slope = smooth_abs(np.mean(preds[self._in_protected])
+                                        - np.mean(preds[~self._in_protected]), eps)
+                parity = weight * (-slope / self.n_a), weight * (slope / self.n_p)
+            else:
+                phi, g_dp, g_da = item_terms(kind, dp, da, eps)
+                phi = np.mean(phi)
+                cell_coeffs[self._valid] += weight * (np.concatenate([g_da, g_dp]) / self._scale)
+            values.append(float(phi))
+        if parity is not None:
+            for half, coeff in zip(cell_coeffs.reshape(2, -1), parity):
+                half += coeff
+        return values, cell_coeffs
 
 
 def full_report(model: FactorModel, eval_data: Dataset,
@@ -97,16 +123,10 @@ def full_report(model: FactorModel, eval_data: Dataset,
     if eval_data.num_ratings == 0:
         raise FairrecError("evaluation set has no entries")
     validate_dataset(eval_data)
-    u, i, truth = eval_data.user_idx, eval_data.item_idx, eval_data.values
     preds = Entries(eval_data).predict(model)
-    err = float(np.mean((preds - truth) ** 2))
-    cells = GroupCells(u, i, eval_data.protected, eval_data.num_items)
-    valid = cells.comparable
-    if not valid.any():
-        raise FairrecError("no item has evaluation entries from both groups")
-    da, dp = (cells.means(preds) - cells.means(truth)).reshape(2, -1)[:, valid]
-    scores = {kind: float(np.mean(item_terms(kind, dp, da)[0]))
-              for kind in ("value", "absolute", "under", "over")}
-    parity, _ = smooth_abs(group_gap(preds, cells.in_protected), 0.0)
+    err = float(np.mean((preds - eval_data.values) ** 2))
+    unfairness = Unfairness(eval_data, KINDS, "evaluation entries")
+    values, _ = unfairness(preds, [(kind, 1.0) for kind in KINDS])
     return MetricReport(error=float(np.sqrt(err)) if error_metric == "rmse" else err,
-                        parity=float(parity), items_counted=int(valid.sum()), **scores)
+                        items_counted=int(unfairness.comparable.sum()),
+                        **dict(zip(KINDS, values)))

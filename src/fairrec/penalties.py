@@ -3,12 +3,13 @@ combined training objective.
 
 A penalty is a weighted sum of the unfairness scores, computed over the
 observed training ratings only (held-out truth must stay invisible to the
-learner). Each score is the evaluation metric of the same name, computed by
-the same term code in ``metrics``. Each score is piecewise smooth; at kinks
-the subgradient conventions are sign(0) = 0 and hinge'(0) = 0, so a
-perfectly fair model is a stationary point. An optional smoothing mode replaces every absolute value
-with sqrt(x^2 + eps^2) for kink-sensitivity studies; it is off by default so
-the penalty equals the literal metric.
+learner). Each score is the evaluation metric of the same name: both are
+valued, and the penalty differentiated, by one ``metrics.Unfairness`` per
+dataset. Each score is piecewise smooth; at kinks the subgradient
+conventions are sign(0) = 0 and hinge'(0) = 0, so a perfectly fair model is
+a stationary point. An optional smoothing mode replaces every absolute
+value with sqrt(x^2 + eps^2) for kink-sensitivity studies; it is off by
+default so the penalty equals the literal metric.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, FactorModel, FairrecError
+from .core import Dataset, FactorModel, FairrecError, _fmt
 from .factorization import Gradient, _training_entries, param_blocks, squared_error
-from .metrics import GroupCells, group_gap, item_terms, smooth_abs
-
-PENALTY_KINDS = ("value", "absolute", "under", "over", "parity")
+from .metrics import KINDS as PENALTY_KINDS, Unfairness
 
 
 @dataclass(frozen=True)
@@ -58,10 +57,12 @@ class PenaltySpec:
     @property
     def label(self) -> str:
         """Canonical name, parseable back by parse_penalty."""
-        if self.is_none:
-            return "none"
-        parts = [kind if weight == 1.0 else f"{kind}:{weight:g}" for kind, weight in self.terms]
-        return "+".join(parts)
+        parts = []
+        for kind, weight in self.terms:
+            # :g text unless it loses digits; "+" separates terms, so no "e+"
+            text = f"{weight:g}" if float(f"{weight:g}") == weight else _fmt(weight)
+            parts.append(kind if weight == 1.0 else f"{kind}:{text.replace('e+', 'e')}")
+        return "+".join(parts) or "none"
 
     @classmethod
     def none(cls) -> "PenaltySpec":
@@ -89,73 +90,29 @@ def parse_penalty(text: str, smoothing: float = 0.0) -> PenaltySpec:
     return PenaltySpec(tuple(terms), smoothing)
 
 
-class _PenaltyTerms:
-    """The active terms of one penalty spec on one training set.
+def _penalty_terms(train: Dataset, spec: PenaltySpec):
+    """The penalty of ``spec`` on the training set: a function of the training
+    predictions giving its value and its derivative w.r.t. each of them."""
+    unfairness = Unfairness(train, [kind for kind, _ in spec.terms], "training ratings")
 
-    Everything the terms need besides the predictions (group cells, true
-    group-item averages, comparable items, group sizes) depends on the data
-    alone, so it is computed once here and reused at every call.
-    """
+    def penalty(preds: np.ndarray) -> tuple[float, np.ndarray]:
+        values, cell_coeffs = unfairness(preds, spec.terms, spec.smoothing)
+        total = sum((weight * value for (_, weight), value in zip(spec.terms, values)), 0.0)
+        return total, cell_coeffs.take(unfairness.cell)
 
-    def __init__(self, train: Dataset, spec: PenaltySpec):
-        self._terms = spec.terms
-        self._eps = spec.smoothing
-        self._cells = cells = GroupCells(train.user_idx, train.item_idx, train.protected,
-                                         train.num_items)
-        kinds = {kind for kind, _ in spec.terms}
-        if kinds - {"parity"}:
-            # items with entries from both groups, in both halves of the cells
-            self._valid = np.tile(cells.comparable, 2)
-            if not self._valid.any():
-                raise FairrecError("no item has training ratings from both groups")
-            self._true = cells.means(train.values)
-        if "parity" in kinds:
-            self._n_p = int(cells.in_protected.sum())
-            self._n_a = train.num_ratings - self._n_p
-            if self._n_p == 0 or self._n_a == 0:
-                raise FairrecError("both groups need at least one training rating")
-
-    def __call__(self, preds: np.ndarray) -> tuple[float, np.ndarray]:
-        """The weighted penalty and its derivative w.r.t. each prediction.
-
-        Each entry feeds its cell's average with weight 1/(entries in the
-        cell), and each comparable item feeds the mean with weight
-        1/(number of comparable items).
-        """
-        cells, eps = self._cells, self._eps
-        total = 0.0
-        coeffs = np.zeros(len(preds))
-        cell_coeffs = None
-        for kind, weight in self._terms:
-            if kind == "parity":
-                phi, slope = smooth_abs(group_gap(preds, cells.in_protected), eps)
-                coeffs += weight * np.where(cells.in_protected, slope / self._n_p,
-                                            -slope / self._n_a)
-            else:
-                if cell_coeffs is None:
-                    errors = (cells.means(preds) - self._true)[self._valid]
-                    da, dp = np.split(errors, 2)
-                    scale = len(dp) * cells.count[self._valid]
-                    cell_coeffs = np.zeros_like(self._true)
-                phi, g_dp, g_da = item_terms(kind, dp, da, eps)
-                phi = np.mean(phi)
-                cell_coeffs[self._valid] += weight * (np.concatenate([g_da, g_dp]) / scale)
-            total += weight * float(phi)
-        if cell_coeffs is not None:
-            coeffs += cell_coeffs[cells.cell]
-        return total, coeffs
+    return penalty
 
 
 def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> float:
     """Weighted sum of the active unfairness scores on the training set."""
     preds = _training_entries(train, "penalty").predict(model)
-    return _PenaltyTerms(train, spec)(preds)[0]
+    return _penalty_terms(train, spec)(preds)[0]
 
 
 def penalty_gradient(model: FactorModel, train: Dataset, spec: PenaltySpec) -> Gradient:
     """Analytic subgradient of penalty_value w.r.t. the model parameters."""
     entries = _training_entries(train, "penalty gradient")
-    _, coeffs = _PenaltyTerms(train, spec)(entries.predict(model))
+    _, coeffs = _penalty_terms(train, spec)(entries.predict(model))
     flat = entries.gradient(model, coeffs)
     return Gradient(*param_blocks(flat, model.num_users, model.num_items, model.d))
 
@@ -173,7 +130,7 @@ class TrainingObjective:
     def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):
         self._entries = _training_entries(train, "training")
         self._train, self._lam, self._alpha = train, lam, alpha
-        self._penalty = _PenaltyTerms(train, spec)
+        self._penalty = _penalty_terms(train, spec)
 
     def __call__(self, model: FactorModel) -> tuple[float, float, np.ndarray]:
         """(objective, penalty, flat_params-layout gradient of the combination)."""

@@ -415,6 +415,16 @@ class TestConfigFile:
         assert stderr.startswith(f"error: line 3: config key {key!r} is not read here")
         assert not out.exists()
 
+    def test_repeated_key_exits_two(self, synth_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 5\nd = 2\niterations = 7\n")
+        out = tmp_path / "m.txt"
+        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file),
+                                   "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: line 3: config key 'iterations' is set twice")
+        assert not out.exists()
+
     def test_unknown_key_rejected_by_experiments(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")

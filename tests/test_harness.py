@@ -22,6 +22,7 @@ from fairrec import (
     config_experiment,
     emit,
     generate,
+    parse_penalty,
     parse_table_csv,
     regime_comparison,
     run_experiment,
@@ -98,6 +99,12 @@ class TestExperimentConfig:
         value = PenaltySpec.single("value")
         with pytest.raises(ValueError, match="'value'"):
             tiny_config(penalties=(PenaltySpec.none(), value, value))
+
+    def test_weights_apart_in_the_seventh_digit_are_two_rows(self):
+        specs = (parse_penalty("value:0.1234567"), parse_penalty("value:0.1234568"))
+        config = tiny_config(penalties=specs)
+        assert [spec.label for spec in config.penalties] == ["value:0.1234567",
+                                                             "value:0.1234568"]
 
     @pytest.mark.parametrize("sizes", [dict(num_users=401), dict(num_items=301),
                                        dict(regime="U", num_users=42)])
@@ -465,6 +472,14 @@ class TestConfigParsing:
         assert parse_config_file(path) == {"d": "3", "penalty": "value"}
         with pytest.raises(MalformedLineError, match="line 3: config key 'penalty'") as info:
             parse_config_file(path, ("d",))
+        assert info.value.line_no == 3
+
+    def test_file_rejects_repeated_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("iterations = 5\nd = 2\niterations = 7\n")
+        with pytest.raises(MalformedLineError,
+                           match="line 3: config key 'iterations' is set twice") as info:
+            parse_config_file(path)
         assert info.value.line_no == 3
 
     def test_config_hyper_defaults(self):

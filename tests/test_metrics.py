@@ -14,7 +14,7 @@ from fairrec import (
     MetricReport,
     full_report,
 )
-from fairrec.metrics import GroupCells, group_gap
+from fairrec.metrics import KINDS, Unfairness
 
 from conftest import dataset_from_ratings, dataset_triples, make_eval_instance, make_model
 from oracles import oracle_metrics
@@ -38,27 +38,28 @@ class TestEvalData:
             full_report(make_model(rng, 7, 9), data)
 
 
-class TestGroupCells:
+class TestUnfairness:
     def test_counts_and_means(self, rng):
         _, data = make_eval_instance(rng, 5, 3, d=2)
-        cells = GroupCells(data.user_idx, data.item_idx, data.protected, data.num_items)
-        means = cells.means(data.values)
+        unfairness = Unfairness(data, KINDS, "evaluation entries")
         ref = {}
         for u, i, v in dataset_triples(data):
             # advantaged cells first, then protected ones
             ref.setdefault(i + 3 * bool(data.protected[u]), []).append(v)
         assert sorted(ref) == list(range(6))
         for cell, vals in ref.items():
-            assert cells.count[cell] == len(vals)
-            assert means[cell] == pytest.approx(np.mean(vals))
-        assert cells.comparable.all()
+            assert unfairness.count[cell] == len(vals)
+            assert unfairness.true_means[cell] == pytest.approx(np.mean(vals))
+        assert unfairness.comparable.all()
+        assert unfairness.n_p == sum(len(ref[cell]) for cell in range(3, 6))
+        assert unfairness.n_p + unfairness.n_a == data.num_ratings
 
     def test_partial_coverage(self, rng):
         model = make_model(rng, 4, 3, d=2)
         data = Dataset(4, 3, [0, 1, 2], [0, 1, 1], [1.0, 2.0, 3.0],
                        [True, True, False, False])
-        cells = GroupCells(data.user_idx, data.item_idx, data.protected, data.num_items)
-        assert cells.comparable.tolist() == [False, True, False]
+        unfairness = Unfairness(data, KINDS, "evaluation entries")
+        assert unfairness.comparable.tolist() == [False, True, False]
         assert full_report(model, data).items_counted == 1
 
 
@@ -97,8 +98,9 @@ class TestMetricEdgeCases:
             full_report(model, data)
 
     def test_parity_needs_both_groups(self):
-        with pytest.raises(FairrecError, match="both groups need at least one entry"):
-            group_gap(np.array([1.0, 2.0]), np.array([True, True]))
+        data = Dataset(3, 2, [0, 1], [0, 1], [1.0, 2.0], [True, True, False])
+        with pytest.raises(FairrecError, match="both groups need at least one training rating"):
+            Unfairness(data, ("parity",), "training ratings")
 
     def test_rmse_is_sqrt_of_mse(self, rng):
         model, data = make_eval_instance(rng, 4, 3)

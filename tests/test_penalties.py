@@ -19,8 +19,11 @@ from conftest import (
     dataset_from_ratings,
     dataset_triples,
     gradient_to_vector,
+    make_eval_instance,
     make_model,
+    make_protected,
     make_train_dataset,
+    make_triples,
     model_to_vector,
     vector_to_model,
 )
@@ -81,6 +84,18 @@ class TestParsePenalty:
                      "absolute:0.25"):
             assert parse_penalty(parse_penalty(text).label).terms \
                 == parse_penalty(text).terms
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                            min_size=1, max_size=len(PENALTY_KINDS)))
+    def test_every_label_parses_back_to_its_spec(self, weights):
+        spec = PenaltySpec(tuple(zip(PENALTY_KINDS, weights)))
+        assert parse_penalty(spec.label) == spec
+
+    def test_label_keeps_the_short_form_that_parses_back(self):
+        assert parse_penalty("value:0.1234567").label == "value:0.1234567"
+        assert parse_penalty("under:2+over:0.5").label == "under:2+over:0.5"
+        assert parse_penalty("value:1e20").label == "value:1e20"
 
     GARBAGE = {
         "": "empty penalty specification",
@@ -208,20 +223,41 @@ class TestPenaltyGradient:
         assert not gradient_to_vector(g).any()
 
 
+def one_sided_instance(rng):
+    """A random model and rating set in which some items have entries from
+    one group only, and at least one item from both."""
+    while True:
+        n, m = int(rng.integers(3, 9)), int(rng.integers(2, 9))
+        protected = make_protected(rng, n)
+        triples = make_triples(rng, n, m, density=0.3)
+        groups = {}
+        for u, i, _ in triples:
+            groups.setdefault(i, set()).add(bool(protected[u]))
+        sides = [len(g) for g in groups.values()]
+        if 2 in sides and 1 in sides:
+            data = dataset_from_ratings(n, m, triples, protected, rating_scale=(0.0, 5.0))
+            return make_model(rng, n, m), data
+
+
 class TestSharedDefinition:
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_penalty_equals_metric_on_the_training_set(self, rng, kind):
         """At smoothing 0 a penalty is the metric of the same name, evaluated
-        on the training ratings."""
+        on the training ratings, whether or not every item has entries from
+        both groups."""
         for _ in range(10):
             d, _ = make_train_dataset(rng)
-            m = make_model(rng, d.num_users, d.num_items)
-            report = full_report(m, d)
-            assert penalty_value(m, d, PenaltySpec.single(kind)) \
-                == pytest.approx(getattr(report, kind), abs=1e-12)
+            for m, data in ((make_model(rng, d.num_users, d.num_items), d),
+                            make_eval_instance(rng), one_sided_instance(rng)):
+                assert penalty_value(m, data, PenaltySpec.single(kind)) \
+                    == getattr(full_report(m, data), kind)
 
 
-TERM_SETS = [((kind, 1.0),) for kind in PENALTY_KINDS] + [(("under", 2.0), ("over", 1.0))]
+TERM_SETS = [((kind, 1.0),) for kind in PENALTY_KINDS] + [
+    (("under", 2.0), ("over", 1.0)),
+    (("value", 1.0), ("parity", 1.0)),
+    (("under", 2.0), ("parity", 1.0), ("over", 1.0)),
+]
 
 
 class TestTrainingObjective:
