@@ -6,8 +6,9 @@ advantaged user group, generates block-model synthetic data under controlled
 underrepresentation regimes, ingests MovieLens-1M, and orchestrates seeded
 multi-trial experiments.
 
-The names below are the public API; every other name stays importable from
-its own module.
+The names below are the public API. Gradients are flat vectors laid out as
+``factorization.flat_params``; every other name, such as the unchecked gather
+``factorization.predict_entries``, stays importable from its own module.
 """
 
 from .core import (
@@ -22,7 +23,7 @@ from .core import (
     load_dataset,
     save_dataset,
 )
-from .factorization import Gradient, objective, objective_gradient, predict_entries
+from .factorization import objective, objective_gradient
 from .metrics import full_report
 from .penalties import PENALTY_KINDS, PenaltySpec, parse_penalty, penalty_gradient, penalty_value
 from .trainer import load_model, save_model, train
@@ -33,7 +34,6 @@ from .harness import (
     ResultTable,
     config_experiment,
     emit,
-    parse_table_csv,
     regime_comparison,
     run_experiment,
     welch_t_test,

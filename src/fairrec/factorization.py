@@ -8,8 +8,6 @@ the Frobenius penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Dataset, FactorModel, FairrecError, validate_dataset
@@ -36,16 +34,6 @@ DENSE_GRADIENT_FILL = 0.15
 # can differ in the last bit). A one-row block exceeds it only beyond
 # 2**18 / (d + 2) items.
 _BLOCK_MULADDS = 2**18
-
-
-@dataclass(frozen=True)
-class Gradient:
-    """Partial derivatives with respect to every model parameter block."""
-
-    d_user_factors: np.ndarray
-    d_item_factors: np.ndarray
-    d_user_bias: np.ndarray
-    d_item_bias: np.ndarray
 
 
 def flat_params(model: FactorModel) -> np.ndarray:
@@ -211,8 +199,8 @@ def objective(model: FactorModel, train: Dataset, lam: float) -> float:
     return squared_error(model, preds, train, lam)[0]
 
 
-def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> Gradient:
-    """Analytic gradient of ``objective``.
+def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> np.ndarray:
+    """Analytic gradient of ``objective``, laid out as ``flat_params``.
 
     Each observed entry contributes (2/k) * residual through the prediction;
     the Frobenius term adds lam * P and lam * Q for every row, including rows
@@ -220,5 +208,4 @@ def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> Gradie
     """
     entries = _training_entries(train, "objective gradient")
     _, coeffs = squared_error(model, entries.predict(model), train, lam)
-    flat = entries.gradient(model, coeffs, lam)
-    return Gradient(*param_blocks(flat, model.num_users, model.num_items, model.d))
+    return entries.gradient(model, coeffs, lam)

@@ -9,7 +9,7 @@ in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("base_seed must be >= 0")
         if not self.penalties:
             raise ValueError("need at least one penalty spec")
+        if not self.genres:
+            raise ValueError("need at least one genre")
         object.__setattr__(self, "genres", canonical_genres(self.genres))
         object.__setattr__(self, "penalties", tuple(self.penalties))
         # results are keyed by label, so a repeated one would lose a row
@@ -148,36 +150,36 @@ def run_trial(config: ExperimentConfig, trial_index: int, source: Dataset | None
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Mean and standard error per (row, metric), plus raw per-trial values.
+    """Per-trial values per (row, metric), with their mean and standard error.
 
     Rows are penalty labels (or regime names for the regime comparison).
-    ``raw`` is (rows, metrics, trials) and is None for tables parsed back
-    from CSV, which only carries the aggregates.
+    ``raw`` is (rows, metrics, trials) with at least one trial; ``means`` and
+    ``stderrs`` are computed from it.
     """
 
     row_kind: str
     rows: tuple
-    means: np.ndarray
-    stderrs: np.ndarray
-    trials: int
-    raw: np.ndarray | None = None
+    raw: np.ndarray
+    means: np.ndarray = field(init=False)
+    stderrs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        shape = (len(self.rows), len(METRIC_FIELDS))
-        means = np.asarray(self.means, dtype=np.float64)
-        stderrs = np.asarray(self.stderrs, dtype=np.float64)
-        if means.shape != shape or stderrs.shape != shape:
-            raise ValueError(f"means and stderrs must have shape {shape}")
-        if np.any(stderrs < 0):
-            raise ValueError("standard errors cannot be negative")
+        raw = np.asarray(self.raw, dtype=np.float64)
+        if (raw.ndim != 3 or raw.shape[:2] != (len(self.rows), len(METRIC_FIELDS))
+                or not raw.shape[2]):
+            raise ValueError("raw must be (rows, metrics, trials) with trials >= 1")
+        trials = raw.shape[2]
+        means = raw.mean(axis=2)
+        stderrs = (raw.std(axis=2, ddof=1) / np.sqrt(trials) if trials > 1
+                   else np.zeros_like(means))
         object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stderrs", stderrs)
-        if self.raw is not None:
-            raw = np.asarray(self.raw, dtype=np.float64)
-            if raw.shape != shape + (self.trials,):
-                raise ValueError("raw must be (rows, metrics, trials)")
-            object.__setattr__(self, "raw", raw)
+
+    @property
+    def trials(self) -> int:
+        return self.raw.shape[2]
 
     def _cell(self, row: str, metric: str) -> tuple:
         return self.rows.index(row), METRIC_FIELDS.index(metric)
@@ -191,29 +193,21 @@ class ResultTable:
         return float(self.stderrs[r, c])
 
     def values(self, row: str, metric: str) -> np.ndarray:
-        if self.raw is None:
-            raise ValueError("this table carries no per-trial values")
         r, c = self._cell(row, metric)
         return self.raw[r, c]
 
 
 def aggregate(reports_by_row: dict, row_kind: str = "penalty") -> ResultTable:
-    """Collapse per-trial reports into means and standard errors."""
+    """A table of per-trial reports: one row per key, one trial per report."""
     if not reports_by_row:
         raise ValueError("nothing to aggregate")
     counts = {len(reports) for reports in reports_by_row.values()}
     if counts == {0} or len(counts) != 1:
         raise ValueError("every row needs the same nonzero number of reports")
-    trials = counts.pop()
     rows = tuple(reports_by_row)
-    raw = np.array([[[getattr(r, f) for r in reports_by_row[row]]
-                     for f in METRIC_FIELDS] for row in rows])
-    means = raw.mean(axis=2)
-    if trials > 1:
-        stderrs = raw.std(axis=2, ddof=1) / np.sqrt(trials)
-    else:
-        stderrs = np.zeros_like(means)
-    return ResultTable(row_kind, rows, means, stderrs, trials, raw)
+    raw = [[[getattr(r, f) for r in reports_by_row[row]] for f in METRIC_FIELDS]
+           for row in rows]
+    return ResultTable(row_kind, rows, raw)
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
@@ -250,6 +244,8 @@ def welch_t_test(samples_a, samples_b) -> float:
     b = np.asarray(samples_b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
         raise FairrecError("each sample needs at least two values")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise FairrecError("samples must be finite")
     mean_a, mean_b = a.mean(), b.mean()
     var_a, var_b = a.var(ddof=1), b.var(ddof=1)
     sa, sb = var_a / len(a), var_b / len(b)
@@ -260,17 +256,11 @@ def welch_t_test(samples_a, samples_b) -> float:
     return float(min(1.0, 2.0 * stats.t.sf(abs(t), df)))
 
 
-def _csv_header(row_kind: str) -> str:
-    cols = [row_kind]
-    for f in METRIC_FIELDS:
-        cols += [f"{f}_mean", f"{f}_se"]
-    return ",".join(cols)
-
-
 def emit(table: ResultTable, fmt: str = "csv") -> str:
     """Render a table as csv, markdown, or bar-data (row, metric, mean) triples."""
     if fmt == "csv":
-        lines = [_csv_header(table.row_kind)]
+        lines = [",".join([table.row_kind]
+                          + [f"{f}_{part}" for f in METRIC_FIELDS for part in ("mean", "se")])]
         for r, row in enumerate(table.rows):
             cells = [row]
             for c in range(len(METRIC_FIELDS)):
@@ -293,30 +283,6 @@ def emit(table: ResultTable, fmt: str = "csv") -> str:
                 lines.append(f"{row},{f},{_fmt(table.means[r, c])}")
         return "\n".join(lines) + "\n"
     raise FairrecError(f"unknown emit format {fmt!r}")
-
-
-def parse_table_csv(text: str) -> ResultTable:
-    """Parse emit(..., "csv") output back into an aggregates-only table."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise MalformedLineError(1, "empty table")
-    header = lines[0].split(",")
-    row_kind = header[0]
-    if header != _csv_header(row_kind).split(","):
-        raise MalformedLineError(1, f"unexpected table header {lines[0]!r}")
-    rows, means, stderrs = [], [], []
-    for no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 1 + 2 * len(METRIC_FIELDS):
-            raise MalformedLineError(no, f"expected {1 + 2 * len(METRIC_FIELDS)} cells")
-        rows.append(cells[0])
-        try:
-            numbers = [float(x) for x in cells[1:]]
-        except ValueError as exc:
-            raise MalformedLineError(no, str(exc)) from exc
-        means.append(numbers[0::2])
-        stderrs.append(numbers[1::2])
-    return ResultTable(row_kind, tuple(rows), np.array(means), np.array(stderrs), trials=0)
 
 
 CONFIG_KEYS = ("source", "regime", "users", "items", "ml_path", "genres",
@@ -375,7 +341,7 @@ def config_experiment(mapping: dict) -> ExperimentConfig:
         num_users=int(mapping.get("users", 400)),
         num_items=int(mapping.get("items", 300)),
         ml_path=mapping.get("ml_path"),
-        genres=genres.split(",") if genres else SELECTED_GENRES,
+        genres=genres.split(",") if genres is not None else SELECTED_GENRES,
         genre_mode=mapping.get("genre_mode", DEFAULT_GENRE_MODE),
         min_ratings=int(mapping.get("min_ratings", 50)),
         split_fraction=float(mapping.get("split", 0.8)),

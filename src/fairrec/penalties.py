@@ -14,12 +14,13 @@ default so the penalty equals the literal metric.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, FactorModel, FairrecError, _fmt
-from .factorization import Gradient, _training_entries, param_blocks, squared_error
+from .factorization import _training_entries, squared_error
 from .metrics import KINDS as PENALTY_KINDS, Unfairness
 
 
@@ -51,10 +52,6 @@ class PenaltySpec:
         object.__setattr__(self, "smoothing", float(self.smoothing))
 
     @property
-    def is_none(self) -> bool:
-        return not self.terms
-
-    @property
     def label(self) -> str:
         """Canonical name, parseable back by parse_penalty."""
         parts = []
@@ -78,7 +75,8 @@ def parse_penalty(text: str, smoothing: float = 0.0) -> PenaltySpec:
     stripped = text.strip().lower()
     if not stripped:
         raise ValueError("empty penalty specification")
-    parts = [p for chunk in stripped.split(",") for p in chunk.split("+")]
+    # "," and "+" separate terms, except the "+" of an exponent such as 1e+3
+    parts = re.split(r",|(?<![\d.]e)\+", stripped)
     if "none" in parts:
         if len(parts) > 1:
             raise ValueError('"none" cannot be combined with other penalty terms')
@@ -109,12 +107,12 @@ def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> floa
     return _penalty_terms(train, spec)(preds)[0]
 
 
-def penalty_gradient(model: FactorModel, train: Dataset, spec: PenaltySpec) -> Gradient:
-    """Analytic subgradient of penalty_value w.r.t. the model parameters."""
+def penalty_gradient(model: FactorModel, train: Dataset, spec: PenaltySpec) -> np.ndarray:
+    """Analytic subgradient of penalty_value w.r.t. the model parameters,
+    laid out as ``flat_params``."""
     entries = _training_entries(train, "penalty gradient")
     _, coeffs = _penalty_terms(train, spec)(entries.predict(model))
-    flat = entries.gradient(model, coeffs)
-    return Gradient(*param_blocks(flat, model.num_users, model.num_items, model.d))
+    return entries.gradient(model, coeffs)
 
 
 class TrainingObjective:

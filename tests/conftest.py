@@ -114,15 +114,6 @@ def vector_to_model(vec, template):
     return FactorModel(P, Q, bu, bi)
 
 
-def gradient_to_vector(grad):
-    return np.concatenate([
-        grad.d_user_factors.ravel(),
-        grad.d_item_factors.ravel(),
-        grad.d_user_bias,
-        grad.d_item_bias,
-    ])
-
-
 def dataset_triples(d):
     return [(int(u), int(i), float(v))
             for u, i, v in zip(d.user_idx, d.item_idx, d.values)]

@@ -42,7 +42,6 @@ from fairrec.cli import main as cli_main
 
 from conftest import (
     dataset_triples,
-    gradient_to_vector,
     make_eval_instance,
     make_model,
     make_train_dataset,
@@ -116,7 +115,7 @@ def _objective_rel_error(rng):
         return objective(vector_to_model(v, model), data, lam)
 
     numeric = np.asarray(central_difference(func, vec.tolist(), h=1e-6))
-    analytic = gradient_to_vector(objective_gradient(model, data, lam))
+    analytic = objective_gradient(model, data, lam)
     denom = max(float(np.linalg.norm(numeric, np.inf)), 1e-12)
     return float(np.linalg.norm(analytic - numeric, np.inf)) / denom
 
@@ -138,7 +137,7 @@ def _penalty_rel_error(rng, spec, margin=1e-3, h=1e-6):
     if not np.allclose(probe, mid, rtol=0.05, atol=1e-9):
         return None
     numeric = np.asarray(central_difference(func, vec.tolist(), h=h))
-    analytic = gradient_to_vector(penalty_gradient(model, data, spec))
+    analytic = penalty_gradient(model, data, spec)
     denom = max(float(np.linalg.norm(numeric, np.inf)), 1e-12)
     return float(np.linalg.norm(analytic - numeric, np.inf)) / denom
 

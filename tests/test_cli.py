@@ -14,7 +14,6 @@ from fairrec import (
     Dataset,
     load_dataset,
     load_model,
-    parse_table_csv,
     save_dataset,
     save_model,
 )
@@ -157,6 +156,7 @@ class TestMlPrepare:
     @pytest.mark.parametrize("command", ["ml-prepare", "reproduce-table2"])
     @pytest.mark.parametrize("flag, value, message", [
         ("--genres", "action,bogus", "unknown genre 'bogus'"),
+        ("--genres", "", "unknown genre ''"),
         ("--min-ratings", "-3", "min_ratings must be >= 0"),
     ])
     def test_bad_filter_exits_two_before_loading(self, ml_dir, tmp_path, capsys,
@@ -462,9 +462,8 @@ class TestReproductions:
         code, _, _ = run(capsys, "reproduce-table1", *self.FAST,
                          "--regime", "P+O", "--out", str(out))
         assert code == 0
-        table = parse_table_csv(out.read_text())
-        assert table.rows == ("none", "value", "absolute", "under", "over",
-                              "parity", "under:2+over")
+        rows = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert rows == ["none", "value", "absolute", "under", "over", "parity", "under:2+over"]
 
     def test_table1_indivisible_users_exit_two_before_training(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -485,8 +484,8 @@ class TestReproductions:
                          "--min-ratings", "2", "--split", "0.7", "--trials", "2",
                          "--d", "2", "--iterations", "15", "--out", str(out))
         assert code == 0
-        table = parse_table_csv(out.read_text())
-        assert len(table.rows) == 7
+        rows = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 7
 
     def test_table2_negative_seed_exits_two_before_loading(self, ml_dir, tmp_path, capsys,
                                                            monkeypatch):

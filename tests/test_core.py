@@ -225,6 +225,17 @@ class TestDatasetFormat:
         with pytest.raises(MalformedLineError):
             parse_dataset(text)
 
+    def test_item_label_index_out_of_range(self):
+        text = "users=2 items=2 scale=0.0,5.0\nu 0 1\nu 1 0\ng 2 Fem\n"
+        with pytest.raises(MalformedLineError, match="item index 2 out of range") as exc:
+            parse_dataset(text)
+        assert exc.value.line_no == 4
+
+    def test_item_labels_must_cover_all_items(self):
+        text = "users=2 items=2 scale=0.0,5.0\nu 0 1\nu 1 0\ng 0 Fem\nr 0 1 3.0\n"
+        with pytest.raises(MalformedLineError, match="cover all items or none"):
+            parse_dataset(text)
+
     def test_bad_protected_flag_rejected(self):
         text = "users=1 items=1 scale=0.0,5.0\nu 0 2\n"
         with pytest.raises(MalformedLineError):

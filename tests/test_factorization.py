@@ -25,7 +25,6 @@ from fairrec import (
     objective_gradient,
     penalty_gradient,
     penalty_value,
-    predict_entries,
 )
 from fairrec import factorization
 from fairrec.factorization import (
@@ -34,6 +33,7 @@ from fairrec.factorization import (
     Entries,
     flat_params,
     param_blocks,
+    predict_entries,
     score_matrix,
 )
 from fairrec.penalties import PENALTY_KINDS, TrainingObjective
@@ -42,7 +42,6 @@ from fairrec.trainer import init_model
 from conftest import (
     dataset_from_ratings,
     dataset_triples,
-    gradient_to_vector,
     make_model,
     make_train_dataset,
     model_to_vector,
@@ -234,14 +233,13 @@ class TestEntryGradient:
 class TestGradientContainer:
     def test_plus_weights(self, rng):
         """The fused training step's gradient is the objective gradient plus
-        alpha times the penalty gradient, both returned as Gradient blocks."""
+        alpha times the penalty gradient, all three laid out as flat_params."""
         for kind in ("value", "parity"):
             d, _ = make_train_dataset(rng)
             m = make_model(rng, d.num_users, d.num_items, d=2)
             spec = PenaltySpec.single(kind)
             _, _, fused = TrainingObjective(d, 0.1, spec, 0.5)(m)
-            want = (gradient_to_vector(objective_gradient(m, d, 0.1))
-                    + 0.5 * gradient_to_vector(penalty_gradient(m, d, spec)))
+            want = objective_gradient(m, d, 0.1) + 0.5 * penalty_gradient(m, d, spec)
             assert np.allclose(fused, want, rtol=0, atol=1e-12)
 
 
@@ -305,7 +303,7 @@ class TestObjectiveGradient:
             d, _ = make_train_dataset(rng)
             m = make_model(rng, d.num_users, d.num_items, d=2)
             lam = float(rng.uniform(0, 0.5))
-            ana = gradient_to_vector(objective_gradient(m, d, lam))
+            ana = objective_gradient(m, d, lam)
 
             def f(vec):
                 mm = vector_to_model(vec, m)
@@ -381,8 +379,8 @@ class TestDensePath:
                 results[predict, scatter] = (
                     entries.predict(model),
                     TrainingObjective(data, 0.1, ALL_TERMS, 0.3)(model),
-                    gradient_to_vector(objective_gradient(model, data, 0.1)),
-                    gradient_to_vector(penalty_gradient(model, data, ALL_TERMS)),
+                    objective_gradient(model, data, 0.1),
+                    penalty_gradient(model, data, ALL_TERMS),
                     full_report(model, data))
         want_preds, want_loss, want_obj_grad, want_pen_grad, want_report = \
             results["gather", "csr"]

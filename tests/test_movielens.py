@@ -92,6 +92,15 @@ class TestParse:
             parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("uid, message", [("1.5", "invalid literal for int"),
+                                              (str(2**63), "outside the int64 range")])
+    def test_bad_user_id_rejected(self, tmp_path, ml_dir, uid, message):
+        bad = tmp_path / "users.dat"
+        bad.write_text(f"1::F::1::10::48067\n{uid}::M::56::16::70072\n", encoding="latin-1")
+        with pytest.raises(MalformedLineError, match=message) as exc:
+            parse_ml1m(bad, ml_dir / "movies.dat", ml_dir / "ratings.dat")
+        assert exc.value.line_no == 2
+
     def test_repeated_user_id_rejected(self, tmp_path, ml_dir):
         bad = tmp_path / "users.dat"
         bad.write_text("1::F::1::10::48067\n2::M::56::16::70072\n1::M::25::15::55117\n",

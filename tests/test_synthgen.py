@@ -51,6 +51,8 @@ class TestRegimeConfig:
     def test_rejects_tiny_sizes(self):
         with pytest.raises(ValueError):
             RegimeConfig("U", num_users=2)
+        with pytest.raises(ValueError, match="need at least one item per group"):
+            RegimeConfig("U", num_items=2)
 
     @pytest.mark.parametrize("users, items", [(2**63, 300), (400, 3 * 2**62)])
     def test_rejects_counts_beyond_int64(self, users, items):

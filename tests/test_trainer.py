@@ -195,6 +195,17 @@ class TestModelFormat:
         with pytest.raises(MalformedLineError):
             parse_model("\n".join(mutate(lines)) + "\n")
 
+    def test_empty_checkpoint_rejected(self):
+        with pytest.raises(MalformedLineError, match="line 1: empty checkpoint"):
+            parse_model("")
+
+    def test_non_numeric_parameter_rejected_at_its_line(self, rng):
+        lines = format_model(make_model(rng, 3, 2, d=2)).splitlines()
+        lines[2] = "p 0.5 half"
+        with pytest.raises(MalformedLineError, match="bad number") as info:
+            parse_model("\n".join(lines) + "\n")
+        assert info.value.line_no == 3
+
     @pytest.mark.parametrize("header", ["d=-1 n=1 m=1", "d=0 n=1 m=1",
                                         "d=1 n=0 m=1", "d=1 n=1 m=-2"])
     def test_nonpositive_sizes_rejected_on_line_one(self, header):
