@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -43,7 +44,7 @@ def _by_user_item(u: np.ndarray, i: np.ndarray, v: np.ndarray) -> tuple:
     return u.copy(), i.copy(), v.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Sparse observed ratings plus per-user group labels.
 
@@ -140,7 +141,7 @@ def validate_dataset(d: Dataset) -> Dataset:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorModel:
     """Learnable parameters of the biased factorization: a rating is modeled
     as the dot product of a user row and an item row plus two scalar biases."""
@@ -265,22 +266,39 @@ def _line_chunks(pieces: Iterable[str]) -> Iterator[tuple[int, list]]:
         first_no += len(lines)
 
 
-def _map_distinct(func, keys: list) -> list:
-    """func(key) for every key, called once per distinct key."""
-    cache = {key: func(key) for key in set(keys)}
-    return list(map(cache.__getitem__, keys))
+def _read_rows(lines: list, dtype: np.dtype, delimiter: str | None = None):
+    """One record of dtype per line, read by numpy's C reader, or None when
+    int() and float() must convert the lines instead.
+
+    The reader gets only ASCII text without NUL or \\x1f: numpy 2.4 segfaults
+    on the field "\\U0009c6ca", reads a NUL in a text field as empty and strips
+    \\x1f around a number, which int() rejects. On such text it accepts only
+    what int() and float() accept. None also means that it rejected a line,
+    warned (numpy 1.x reads "5.0" as an int with a warning) or skipped one.
+    """
+    text = "\n".join(lines)
+    if not text.isascii() or "\x00" in text or "\x1f" in text:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                              ndmin=1) if lines else np.zeros(0, dtype)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return rows if len(rows) == len(lines) else None
 
 
 def _value_text(bits: int) -> str:
     return _fmt(np.int64(bits).view(np.float64)) + "\n"
 
 
-def format_dataset(d: Dataset) -> str:
-    """Serialize a dataset to its text form.
+def _dataset_pieces(d: Dataset) -> Iterator[str]:
+    """The text form of a dataset in consecutive pieces.
 
     Layout: a header, one ``u`` line per user (ascending), optional ``g``
-    lines per item, then one ``r`` line per rating sorted by (user, item).
-    Rating values round-trip bit-exactly.
+    lines per item, then one ``r`` line per rating sorted by (user, item),
+    at most _CHUNK_LINES to a piece. Rating values round-trip bit-exactly.
     """
     lo, hi = d.rating_scale
     head = [f"users={d.num_users} items={d.num_items} scale={_fmt(lo)},{_fmt(hi)}\n"]
@@ -291,44 +309,45 @@ def format_dataset(d: Dataset) -> str:
         head += map("u {} {}\n".format, range(d.num_users), flags)
     if d.item_group is not None:
         head += map("g {} {}\n".format, range(d.num_items), d.item_group)
-    # The rating lines are three interleaved columns of text. Values are keyed
-    # by their bits, not compared as floats: -0.0 == 0.0 but their text differs.
-    ratings = [""] * (3 * d.num_ratings)
-    ratings[0::3] = _map_distinct("r {} ".format, d.user_idx.tolist())
-    ratings[1::3] = _map_distinct("{} ".format, d.item_idx.tolist())
-    ratings[2::3] = _map_distinct(_value_text, d.values.view(np.int64).tolist())
-    return "".join(head) + "".join(ratings)
+    yield "".join(head)
+    # Rating lines are three interleaved columns, gathered from the text of
+    # each distinct key. np.unique finds the keys, because an unvalidated
+    # dataset may hold any index, -1 included; values are keyed by their bits,
+    # since -0.0 == 0.0 but their text differs.
+    columns = []
+    for keys, fmt in ((d.user_idx, "r {} ".format), (d.item_idx, "{} ".format),
+                      (d.values.view(np.int64), _value_text)):
+        distinct, where = np.unique(keys, return_inverse=True)
+        columns.append((np.array(list(map(fmt, distinct.tolist())), dtype=object), where))
+    for k in range(0, d.num_ratings, _CHUNK_LINES):
+        block = np.stack([texts[where[k:k + _CHUNK_LINES]] for texts, where in columns], 1)
+        yield "".join(block.ravel().tolist())
 
 
-def _rating_columns(text: str, count: int) -> tuple:
-    """User, item and value arrays of ``count`` rating lines joined in text.
-
-    Every rating line starts with the token ``r``, which neither int nor
-    float accepts. So when there are four tokens per line and every column
-    converts, no line starts inside a column and each has exactly four
-    fields. Raises ValueError otherwise, or OverflowError for an index
-    outside the int64 range. A token's text alone sets its value, so each
-    distinct text is converted once.
-    """
-    tokens = text.split()
-    if len(tokens) != 4 * count:
-        raise ValueError("a rating line does not have four fields")
-    return (np.array(_map_distinct(int, tokens[1::4]), dtype=np.int64),
-            np.array(_map_distinct(int, tokens[2::4]), dtype=np.int64),
-            np.array(_map_distinct(float, tokens[3::4]), dtype=np.float64))
+def format_dataset(d: Dataset) -> str:
+    """Serialize a dataset to its text form (see _dataset_pieces)."""
+    return "".join(_dataset_pieces(d))
 
 
-def _raise_first_bad_rating(lines: list, first_no: int) -> None:
-    """Raise MalformedLineError for the first malformed rating line."""
+_RATING_ROW = np.dtype([("r", "U1"), ("u", np.int64), ("i", np.int64), ("v", np.float64)])
+
+
+def _checked_ratings(lines: list, first_no: int) -> np.ndarray:
+    """The rating lines among lines as _RATING_ROW records, converted one at
+    a time by int() and float(); raises MalformedLineError for the first one
+    that has not four fields or does not convert."""
+    rows = []
     for no, line in enumerate(lines, start=first_no):
         parts = line.split()
-        if parts and parts[0] == "r":
+        if parts[:1] == ["r"]:
+            if len(parts) != 4:
+                raise MalformedLineError(no, f"unrecognized line {line!r}")
             try:
-                _rating_columns(line, 1)
+                rows.append(("r", np.int64(int(parts[1])), np.int64(int(parts[2])),
+                             float(parts[3])))
             except (ValueError, OverflowError) as exc:
-                if len(parts) != 4:
-                    raise MalformedLineError(no, f"unrecognized line {line!r}") from exc
                 raise MalformedLineError(no, str(exc)) from exc
+    return np.array(rows, dtype=_RATING_ROW)
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -386,7 +405,7 @@ def parse_dataset(text: str) -> Dataset:
     # Each chunk's rating lines are converted together, in file order. A
     # malformed line is reported only once every line before it has been
     # checked, so the first one in the file is the one reported.
-    columns = [_rating_columns("", 0)]  # a file may hold no ratings
+    columns = []
     last_no = 1
     for first_no, chunk in chain([(2, lines[1:])], chunks):
         last_no = first_no + len(chunk) - 1
@@ -408,12 +427,11 @@ def parse_dataset(text: str) -> Dataset:
                         break
             else:
                 rows += chunk[prev:]
-            joined = "\n".join(rows)
-        try:
-            columns.append(_rating_columns(joined, len(rows)))
-        except (ValueError, OverflowError):
-            _raise_first_bad_rating(chunk[:end], first_no)
-            raise
+        # The first token of every row is "r", and numpy splits a line at the
+        # same whitespace as str.split, so the U1 field it reads is "r"; it
+        # would cut a token "rr" to "r".
+        block = _read_rows(rows, _RATING_ROW)
+        columns.append(_checked_ratings(chunk[:end], first_no) if block is None else block)
         if error is not None:
             raise error
     if not seen_user.all():
@@ -423,9 +441,9 @@ def parse_dataset(text: str) -> Dataset:
         raise MalformedLineError(last_no, "fine labels must cover all users or none")
     if groups and len(groups) != num_items:
         raise MalformedLineError(last_no, "item labels must cover all items or none")
-    user_idx, item_idx, values = (np.concatenate(c) for c in zip(*columns))
+    block = np.concatenate(columns)
     return Dataset(
-        num_users, num_items, user_idx, item_idx, values, protected, scale,
+        num_users, num_items, block["u"], block["i"], block["v"], protected, scale,
         tuple(fine[u] for u in range(num_users)) if fine else None,
         tuple(groups[i] for i in range(num_items)) if groups else None,
     )
@@ -433,7 +451,7 @@ def parse_dataset(text: str) -> Dataset:
 
 def save_dataset(d: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_dataset(d))
+        fh.writelines(_dataset_pieces(d))
 
 
 def load_dataset(path) -> Dataset:

@@ -148,7 +148,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, source: Dataset | None
     return tuple(reports)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
     """Per-trial values per (row, metric), with their mean and standard error.
 

@@ -21,7 +21,7 @@ from .core import (
     _file_pieces,
     _frozen,
     _line_chunks,
-    _map_distinct,
+    _read_rows,
 )
 
 GENRE_VOCABULARY = (
@@ -35,7 +35,7 @@ DEFAULT_GENRE_MODE = "any-genre"
 _INT64 = range(-2**63, 2**63)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MovieLensRaw:
     """Parsed ML-1M files: user genders, movie genre sets, rating 4-tuples."""
 
@@ -97,28 +97,32 @@ def _new_id(no: int, text: str, seen: dict) -> int:
     return key
 
 
-def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np.ndarray:
-    """Columns (user, movie, star, timestamp) of a chunk of rating lines.
+# The C reader splits a ratings.dat line at each ":", so each "::" leaves an
+# empty gap between two of its four fields.
+_RATING_LINE = np.dtype([("user", np.int64), ("gap1", "U1"), ("movie", np.int64),
+                         ("gap2", "U1"), ("star", np.int64), ("gap3", "U1"),
+                         ("stamp", np.int64)])
 
-    The chunk is converted by whole columns. If any line fails, the chunk is
-    read again one line at a time, which raises for its first bad line or,
-    when blank lines were all that failed, gives its columns.
-    """
-    # "\n" occurs in no line, so each line has four fields exactly when
-    # every fifth token is the "\n" that joins two lines
-    tokens = "::\n::".join(lines).split("::")
-    if len(tokens) == 5 * len(lines) - 1 and tokens[4::5].count("\n") == len(lines) - 1:
-        try:
-            # nearly every timestamp is distinct, so a cache would only cost
-            columns = np.array([_map_distinct(int, tokens[k::5]) for k in range(3)]
-                               + [list(map(int, tokens[3::5]))], dtype=np.int64)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            uid, mid, val, _ = columns
-            if ((1 <= val) & (val <= 5)).all() and np.isin(uid, list(users)).all() \
-                    and np.isin(mid, list(movies)).all():
-                return columns
+
+def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np.ndarray:
+    """Columns (user, movie, star, timestamp) of a chunk of rating lines,
+    converted whole, or by _checked_ratings when any line fails."""
+    rows = _read_rows(lines, _RATING_LINE, ":")
+    # a gap holding text, which U1 cuts to one character, is a lone ":"
+    if rows is not None and not ((rows["gap1"] != "") | (rows["gap2"] != "")
+                                 | (rows["gap3"] != "")).any():
+        columns = np.stack([rows[name] for name in ("user", "movie", "star", "stamp")])
+        uid, mid, val, _ = columns
+        if ((1 <= val) & (val <= 5)).all() and np.isin(uid, list(users)).all() \
+                and np.isin(mid, list(movies)).all():
+            return columns
+    return _checked_ratings(lines, first_no, users, movies)
+
+
+def _checked_ratings(lines: list, first_no: int, users: dict, movies: dict) -> np.ndarray:
+    """Columns (user, movie, star, timestamp) of a chunk of rating lines, read
+    one line at a time: raises for its first bad line or, when blank lines
+    were all that failed, gives its columns."""
     rows = []
     for no, line in enumerate(lines, start=first_no):
         if not line.strip():

@@ -32,7 +32,7 @@ _BIASED_POPULATION = {"W": 0.4, "WS": 0.1, "MS": 0.4, "M": 0.1}
 _PROTECTED_GROUPS = ("W", "WS")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockModels:
     """Rating probabilities L plus both observation matrices, all 4 x 3.
 

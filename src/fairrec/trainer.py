@@ -27,6 +27,9 @@ from .core import (
     Hyperparams,
     MalformedLineError,
     _fmt,
+    _line_chunks,
+    _read_rows,
+    _text_pieces,
 )
 from .factorization import flat_params, param_blocks
 from .penalties import PenaltySpec, TrainingObjective
@@ -36,7 +39,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdamState:
     """Adam moment accumulators over the flat parameter vector, plus the step
     count."""
@@ -50,7 +53,7 @@ class AdamState:
         return cls(np.zeros_like(params), np.zeros_like(params))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainTrace:
     """Per-iteration objective and penalty values (pre-update)."""
 
@@ -136,8 +139,29 @@ def format_model(model: FactorModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _checked_rows(lines: list, first_no: int, tag: str, width: int) -> np.ndarray:
+    """Values of checkpoint lines that each hold tag and width finite numbers,
+    as a (len(lines), width) array; raises for the first line that does not."""
+    # a U3 field holds a tag, and cuts any longer token to three characters
+    rows = _read_rows(lines, np.dtype([("tag", "U3"), ("values", np.float64, (width,))]))
+    if rows is not None and (rows["tag"] == tag).all() and np.isfinite(rows["values"]).all():
+        return rows["values"]
+    values = []
+    for no, line in enumerate(lines, start=first_no):
+        fields = line.split()
+        if len(fields) != width + 1 or fields[0] != tag:
+            raise MalformedLineError(no, f"expected '{tag}' row with {width} values")
+        try:
+            values.append([float(x) for x in fields[1:]])
+        except ValueError as exc:
+            raise MalformedLineError(no, f"bad number: {exc}") from exc
+        if not all(map(isfinite, values[-1])):
+            raise MalformedLineError(no, "parameters must be finite")
+    return np.array(values).reshape(len(lines), width)
+
+
 def parse_model(text: str) -> FactorModel:
-    lines = text.splitlines()
+    _, lines = next(_line_chunks(_text_pieces(text)), (1, []))
     if not lines:
         raise MalformedLineError(1, "empty checkpoint")
     try:
@@ -147,28 +171,22 @@ def parse_model(text: str) -> FactorModel:
         raise MalformedLineError(1, f"bad checkpoint header: {exc}") from exc
     if min(d, n, m) < 1:
         raise MalformedLineError(1, f"checkpoint sizes must be >= 1, got d={d} n={n} m={m}")
-    expected = 1 + n + m + 2
-    if len(lines) != expected:
-        raise MalformedLineError(len(lines), f"expected {expected} lines, got {len(lines)}")
-
-    def row(line_no, tag, width):
-        fields = lines[line_no - 1].split()
-        if len(fields) != width + 1 or fields[0] != tag:
-            raise MalformedLineError(line_no, f"expected '{tag}' row with {width} values")
-        try:
-            values = [float(x) for x in fields[1:]]
-        except ValueError as exc:
-            raise MalformedLineError(line_no, f"bad number: {exc}") from exc
-        if not all(map(isfinite, values)):
-            raise MalformedLineError(line_no, "parameters must be finite")
-        return values
-
-    user_factors = np.array([row(2 + i, "p", d) for i in range(n)])
-    item_factors = np.array([row(2 + n + j, "q", d) for j in range(m)])
-    user_bias = np.array(row(2 + n + m, "bu", n))
-    item_bias = np.array(row(3 + n + m, "bi", m))
-    return FactorModel(user_factors.reshape(n, d), item_factors.reshape(m, d),
-                       user_bias, item_bias)
+    # The lines are counted before any row is read, so that a missing or extra
+    # line is reported as such and not as the first row it displaces.
+    total = sum(len(chunk) for _, chunk in _line_chunks(_text_pieces(text)))
+    if total != n + m + 3:
+        raise MalformedLineError(total, f"expected {n + m + 3} lines, got {total}")
+    # tag, width, first line and the line after the last of each block of rows
+    spans = (("p", d, 2, n + 2), ("q", d, n + 2, n + m + 2),
+             ("bu", n, n + m + 2, n + m + 3), ("bi", m, n + m + 3, n + m + 4))
+    blocks = {tag: [] for tag, *_ in spans}
+    for first_no, chunk in _line_chunks(_text_pieces(text)):
+        for tag, width, start, stop in spans:
+            if rows := chunk[max(start - first_no, 0):max(stop - first_no, 0)]:
+                blocks[tag].append(_checked_rows(rows, max(start, first_no), tag, width))
+    user_factors, item_factors, user_bias, item_bias = (
+        np.concatenate(blocks[tag]) for tag, *_ in spans)
+    return FactorModel(user_factors, item_factors, user_bias[0], item_bias[0])
 
 
 def save_model(model: FactorModel, path) -> None:

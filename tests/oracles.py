@@ -4,8 +4,8 @@ Everything here is written with plain Python loops and scalar math so that
 agreement with the vectorized library code is meaningful. The functions take
 bare lists and arrays rather than library types on purpose: they must not
 share any code path with the implementation under test. The file reader
-oracles are one exception: they return the library's Dataset and
-MovieLensRaw, which are what the files describe. The sparse gradient
+oracles are one exception: they return the library's Dataset, MovieLensRaw
+and FactorModel, which are what the files describe. The sparse gradient
 formula is the other: it is the package's former code, which the current
 one must match bit for bit.
 """
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from fairrec import MalformedLineError
+from fairrec import FactorModel, MalformedLineError
 from fairrec.movielens import MovieLensRaw
 
 from conftest import dataset_from_ratings
@@ -353,3 +353,40 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
         values.append(val)
         stamps.append(ts)
     return MovieLensRaw(users, movies, user_ids, movie_ids, values, stamps)
+
+
+def oracle_parse_model(text):
+    """The checkpoint format read one line at a time: the package's parser
+    before it read rows by whole blocks."""
+    lines = text.splitlines()
+    if not lines:
+        raise MalformedLineError(1, "empty checkpoint")
+    try:
+        header = dict(part.split("=", 1) for part in lines[0].split())
+        d, n, m = int(header["d"]), int(header["n"]), int(header["m"])
+    except (ValueError, KeyError) as exc:
+        raise MalformedLineError(1, f"bad checkpoint header: {exc}") from exc
+    if min(d, n, m) < 1:
+        raise MalformedLineError(1, f"checkpoint sizes must be >= 1, got d={d} n={n} m={m}")
+    expected = 1 + n + m + 2
+    if len(lines) != expected:
+        raise MalformedLineError(len(lines), f"expected {expected} lines, got {len(lines)}")
+
+    def row(line_no, tag, width):
+        fields = lines[line_no - 1].split()
+        if len(fields) != width + 1 or fields[0] != tag:
+            raise MalformedLineError(line_no, f"expected '{tag}' row with {width} values")
+        try:
+            values = [float(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise MalformedLineError(line_no, f"bad number: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise MalformedLineError(line_no, "parameters must be finite")
+        return values
+
+    user_factors = np.array([row(2 + i, "p", d) for i in range(n)])
+    item_factors = np.array([row(2 + n + j, "q", d) for j in range(m)])
+    user_bias = np.array(row(2 + n + m, "bu", n))
+    item_bias = np.array(row(3 + n + m, "bi", m))
+    return FactorModel(user_factors.reshape(n, d), item_factors.reshape(m, d),
+                       user_bias, item_bias)

@@ -17,6 +17,7 @@ from fairrec import (
     load_dataset,
     save_dataset,
 )
+from fairrec.cli import main
 from fairrec.core import (
     ITEM_GROUPS,
     USER_FINE_GROUPS,
@@ -368,3 +369,73 @@ class TestCodecAgainstOracle:
         d = parse_dataset(text)
         assert d.item_idx.tolist() == [0, 1, 1, 2]
         assert d.values.tolist() == [4.0, 2.0, 3.0, 1.0]
+
+
+# Rating lines on which numpy's C reader and int()/float() could part ways:
+# numpy rejects "1_0", Unicode digits and the index "5.0" (numpy 1.x only
+# warns on it), which int() or float() accept or reject; a one-character field
+# would cut "rr" to "r"; a wider line must keep its extra field; numpy skips
+# blank lines, strips "#" comments unless told not to, strips \x1f around a
+# number, and crashes on some non-ASCII fields.
+READER_GAPS = ["r 1_0 0 1.0", "r 0 0 1_0.5", "r \u0663 0 1.0", "r 0 0 \u0663",
+               "r 5.0 0 1.0", "rr 0 0 1.0", "r 0 0 1.0 2.0", "r 0 0 1.0 # note",
+               "", " \t", "r \U0009c6ca 0 1.0", "r 0 0 \U0009c6ca", "r\x1f0 1 1.0",
+               "r 0 1\x1f1.0", "r\x000 1 1.0", "r 0 1 1.0\x00", "r +1 -0 +1.0",
+               f"r {-2**63} 0 1.0", "r 0 1 0x1", "r 0 1 1e", "r 0 1 .5"]
+# Values that must come back with the bits float() gives them.
+EXACT_VALUES = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "5e-324",
+                "2.2250738585072011e-308", "0." + "1" * 60, "9" * 60, "-" + "3" * 30 + "." + "7" * 30]
+
+
+def exact_outcome(parse, text):
+    """The parsed dataset's fields, or the failure's type, line and message."""
+    try:
+        parse(text)
+    except Exception as exc:  # every failure must match the oracle's
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return outcome(parse, text)
+
+
+class TestCReaderAgainstOracle:
+    @pytest.mark.parametrize("chunk", [1, 3, core._CHUNK_LINES])
+    @pytest.mark.parametrize("line", READER_GAPS + [f"r 0 1 {v}" for v in EXACT_VALUES])
+    def test_matches_line_by_line_reader(self, line, chunk):
+        text = f"users=2 items=2 scale=0.0,5.0\nu 0 1\nu 1 0\nr 0 0 1.0\n{line}\nr 1 1 2.0\n"
+        with mock.patch.object(core, "_CHUNK_LINES", chunk):
+            assert exact_outcome(parse_dataset, text) == exact_outcome(oracle_parse_dataset, text)
+
+    @pytest.mark.parametrize("index", [str(2**63), str(-2**63 - 1)])
+    def test_index_just_beyond_int64_reports_its_line(self, index):
+        # int() reads it and numpy's reader rejects it; the int64 column cannot hold it
+        text = f"users=1 items=1 scale=0.0,5.0\nu 0 1\nr 0 0 1.0\nr 0 {index} 1.0\n"
+        with pytest.raises(MalformedLineError) as exc:
+            parse_dataset(text)
+        assert exc.value.line_no == 4
+
+    def test_synth_gen_file_takes_the_c_reader(self, tmp_path):
+        path = tmp_path / "synth.txt"
+        assert main(["synth-gen", "--users", "40", "--items", "30", "--out", str(path)]) == 0
+        with mock.patch.object(core, "_checked_ratings", side_effect=AssertionError("fallback")):
+            d = load_dataset(path)
+        assert format_dataset(d) == path.read_text()
+
+
+def _result_table():
+    from fairrec.harness import ResultTable
+    return ResultTable("penalty", ("none",), np.ones((1, 6, 2)))
+
+
+def _movielens_raw():
+    from fairrec.movielens import MovieLensRaw
+    return MovieLensRaw({1: "F"}, {2: frozenset({"Action"})}, [1], [2], [5.0], [9])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: small_dataset(), lambda: FactorModel(np.ones((2, 2)), np.ones((3, 2)),
+                                                 np.zeros(2), np.zeros(3)),
+    _result_table, _movielens_raw,
+], ids=["Dataset", "FactorModel", "ResultTable", "MovieLensRaw"])
+def test_array_holders_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a
+    assert (a == b) is False and a != b

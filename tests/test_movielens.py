@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fairrec.core as core
+import fairrec.movielens as movielens
 from fairrec import (
     FairrecError,
     MalformedLineError,
+    RegimeConfig,
     SELECTED_GENRES,
     filter_dataset,
+    generate,
     parse_ml1m_dir,
     split,
 )
@@ -235,6 +238,56 @@ class TestParseAgainstOracle:
                     fh.write(("\n".join(lines) + end).encode("latin-1"))
             with mock.patch.object(core, "_CHUNK_LINES", chunk):
                 assert ml_outcome(parse_ml1m, paths) == ml_outcome(oracle_parse_ml1m, paths)
+
+
+# Rating lines on which numpy's C reader and int() could part ways: numpy
+# rejects "5_0", 2**63 and "5.0" (numpy 1.x only warns on it); it reads a NUL
+# in a one-character field as empty and strips \x1f around a number, which
+# int() does not; it does not reject extra fields by itself, skips blank
+# lines, and strips "#" comments unless told not to. ratings.dat is read as
+# ISO-8859-1, so the only non-ASCII text is from that range, such as a no-break
+# space, which int() strips, and superscript digits, which it rejects.
+ML_READER_GAPS = [
+    "1::3::5::5_0", "1_0::3::5::978300760", "\xa01::3::5::978300760\xa0",
+    f"1::3::5::{2**63}", f"1::3::5::{-2**63}", f"{2**63}::3::5::978300760",
+    "1::3::5.0::978300760", "1:\x00:3::5::978300760", "1::3::5::\x00978300760",
+    "1::3::5::\x1f978300760", "1::3::5::978300760\x1f", "1::3::5::978300760::7",
+    "1::3::5::978300760 # c", "1::3::5::\xb2", "\xb9::3::5::1",
+    "1: :3::5::978300760", "", " ", "\t1::3::5::978300760 ", "1::3::+5::978300760",
+    "1::3::5", "1::3::5::978300760:", "1:::3::5::978300760", "1::3::5::1" + "0" * 59,
+]
+
+
+class TestCReaderAgainstOracle:
+    @pytest.mark.parametrize("chunk", [1, 2, core._CHUNK_LINES])
+    @pytest.mark.parametrize("line", ML_READER_GAPS)
+    def test_matches_line_by_line_reader(self, tmp_path, ml_dir, line, chunk):
+        ratings = tmp_path / "ratings.dat"
+        ratings.write_text(f"1::3::5::978300760\n{line}\n6::5::4::978246585\n", encoding="latin-1")
+        paths = (ml_dir / "users.dat", ml_dir / "movies.dat", ratings)
+        with mock.patch.object(core, "_CHUNK_LINES", chunk):
+            assert ml_outcome(parse_ml1m, paths) == ml_outcome(oracle_parse_ml1m, paths)
+
+    def test_generated_files_take_the_c_reader(self, tmp_path):
+        # the layout of the benchmark's MovieLens-1M stand-in files
+        data, _ = generate(RegimeConfig("P+O", 40, 30, 3))
+        stamps = 978300000 + np.arange(data.num_ratings)
+        (tmp_path / "users.dat").write_text("".join(
+            f"{u + 1}::{'F' if p else 'M'}::25::0::00000\n"
+            for u, p in enumerate(data.protected.tolist())), encoding="latin-1")
+        (tmp_path / "movies.dat").write_text("".join(
+            f"{i + 1}::Movie {i + 1} (2000)::Action\n" for i in range(data.num_items)),
+            encoding="latin-1")
+        (tmp_path / "ratings.dat").write_text("".join(
+            f"{u + 1}::{i + 1}::{4 if v > 0 else 2}::{t}\n" for u, i, v, t in zip(
+                data.user_idx.tolist(), data.item_idx.tolist(), data.values.tolist(),
+                stamps.tolist())), encoding="latin-1")
+        paths = [tmp_path / name for name in ("users.dat", "movies.dat", "ratings.dat")]
+        with mock.patch.object(movielens, "_checked_ratings",
+                               side_effect=AssertionError("fallback")):
+            fast = ml_outcome(parse_ml1m, paths)
+        assert fast == ml_outcome(oracle_parse_ml1m, paths)
+        assert len(fast) == 6 and len(fast[2]) == 8 * data.num_ratings
 
 
 class TestFilter:

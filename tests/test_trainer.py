@@ -1,9 +1,13 @@
 """Optimizer steps, the training loop, and the checkpoint format."""
 
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fairrec.core as core
 from fairrec import (
     DivergenceError,
     FactorModel,
@@ -31,6 +35,7 @@ from fairrec.trainer import (
 )
 
 from conftest import make_model, make_train_dataset, model_to_vector
+from oracles import oracle_parse_model
 
 
 class TestInitModel:
@@ -251,6 +256,81 @@ class TestModelFormatProperties:
         for name in ("user_factors", "item_factors", "user_bias", "item_bias"):
             assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
         assert format_model(back) == text
+
+
+
+# Field texts that float() rejects, accepts in spellings numpy's reader does
+# not, or reads as a non-finite number; tags, and a tag that a three-character
+# field would cut to "bux".
+MODEL_TOKENS = ["x", "nan", "-inf", "1e400", "1_0", "\u0663", "0x1", "5.", "#",
+                "p", "q", "bu", "pp", "buxx", "\U0009c6ca", "\x1f1"]
+MODEL_EDITS = st.tuples(
+    st.sampled_from(["drop_field", "add_field", "replace_field", "blank", "join",
+                     "drop_line", "shuffle", "header"]),
+    st.integers(0, 2**16), st.sampled_from(MODEL_TOKENS))
+
+
+def apply_model_edit(lines, edit, model):
+    """One random change to the lines of model's checkpoint, faulty or not."""
+    kind, pos, token = edit
+    k = pos % len(lines)
+    parts = lines[k].split() or ["p"]
+    if kind == "drop_field":
+        del parts[pos % len(parts)]
+        lines[k] = " ".join(parts)
+    elif kind == "add_field":
+        lines[k] = " ".join(parts + [token])
+    elif kind == "replace_field":
+        parts[pos % len(parts)] = token
+        lines[k] = " ".join(parts)
+    elif kind == "blank":
+        lines.insert(k, "")
+    elif kind == "join":  # a lost line break
+        lines[k:k + 2] = [" ".join(lines[k:k + 2])]
+    elif kind == "drop_line":
+        del lines[k]
+    elif kind == "shuffle":
+        body = lines[1:]
+        random.Random(pos).shuffle(body)
+        lines[1:] = body
+    else:  # a header that declares one user too many or too few
+        n = model.num_users + (-1, 1)[pos % 2]
+        lines[0] = f"d={model.d} n={n} m={model.num_items}"
+
+
+def model_outcome(parse, text):
+    """The parsed arrays, or the failure's type, line number and message."""
+    try:
+        model = parse(text)
+    except Exception as exc:  # every failure must match the oracle's
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return tuple((getattr(model, name).shape, getattr(model, name).tobytes())
+                 for name in ("user_factors", "item_factors", "user_bias", "item_bias"))
+
+
+class TestParseModelAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(model=models(), edits=st.lists(MODEL_EDITS, max_size=3),
+           chunk=st.sampled_from([1, 2, 3, 5, core._CHUNK_LINES]))
+    def test_matches_line_by_line_reader(self, model, edits, chunk):
+        lines = format_model(model).splitlines()
+        for edit in edits:
+            apply_model_edit(lines, edit, model)
+        text = "\n".join(lines) + "\n"
+        with mock.patch.object(core, "_CHUNK_LINES", chunk):
+            assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
+
+    @pytest.mark.parametrize("line", [
+        "pp 0.5 1.0", "q 0.5 1.0", "bu 0.5 1.0", "p 0.5 1.0 2.0", "p 0.5", "", " ",
+        "p 0.5 1.0 # c", "p 0.5 1_0", "p 0.5 \u0663", "p\x1f0.5 1.0", "p\x000.5 1.0",
+        "p 0.5 1.0\x00", "p 0.5 \U0009c6ca", "p 0x1 1.0", "p 0.5 1e", "p +.5 -5.",
+        "p 0.5 nan", "p -inf 1.0", "p 0.5 1e400", "p 1e-400 5e-324",
+        "p 2.2250738585072011e-308 -0.0", "p 0." + "3" * 60 + " " + "1" * 60])
+    def test_row_spellings_match_line_by_line_reader(self, line):
+        lines = format_model(init_model(2, 3, 2, seed=1)).splitlines()
+        lines[2] = line
+        text = "\n".join(lines) + "\n"
+        assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
 
 
 class TestTraceFile:
