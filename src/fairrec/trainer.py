@@ -27,9 +27,7 @@ from .core import (
     Hyperparams,
     MalformedLineError,
     _fmt,
-    _line_chunks,
     _read_rows,
-    _text_pieces,
 )
 from .factorization import flat_params, param_blocks
 from .penalties import PenaltySpec, TrainingObjective
@@ -142,10 +140,13 @@ def format_model(model: FactorModel) -> str:
 def _checked_rows(lines: list, first_no: int, tag: str, width: int) -> np.ndarray:
     """Values of checkpoint lines that each hold tag and width finite numbers,
     as a (len(lines), width) array; raises for the first line that does not."""
-    # a U3 field holds a tag, and cuts any longer token to three characters
-    rows = _read_rows(lines, np.dtype([("tag", "U3"), ("values", np.float64, (width,))]))
-    if rows is not None and (rows["tag"] == tag).all() and np.isfinite(rows["values"]).all():
-        return rows["values"]
+    # The row dtype is built only once the first line shows width values, so
+    # its size is bounded by the input; a U3 field cuts a longer tag to three
+    # characters, which the tag comparison then rejects.
+    if lines and len(lines[0].split()) == width + 1:
+        rows = _read_rows(lines, np.dtype([("tag", "U3"), ("values", np.float64, (width,))]))
+        if rows is not None and (rows["tag"] == tag).all() and np.isfinite(rows["values"]).all():
+            return rows["values"]
     values = []
     for no, line in enumerate(lines, start=first_no):
         fields = line.split()
@@ -161,7 +162,7 @@ def _checked_rows(lines: list, first_no: int, tag: str, width: int) -> np.ndarra
 
 
 def parse_model(text: str) -> FactorModel:
-    _, lines = next(_line_chunks(_text_pieces(text)), (1, []))
+    lines = text.splitlines()
     if not lines:
         raise MalformedLineError(1, "empty checkpoint")
     try:
@@ -171,21 +172,15 @@ def parse_model(text: str) -> FactorModel:
         raise MalformedLineError(1, f"bad checkpoint header: {exc}") from exc
     if min(d, n, m) < 1:
         raise MalformedLineError(1, f"checkpoint sizes must be >= 1, got d={d} n={n} m={m}")
-    # The lines are counted before any row is read, so that a missing or extra
-    # line is reported as such and not as the first row it displaces.
-    total = sum(len(chunk) for _, chunk in _line_chunks(_text_pieces(text)))
-    if total != n + m + 3:
-        raise MalformedLineError(total, f"expected {n + m + 3} lines, got {total}")
-    # tag, width, first line and the line after the last of each block of rows
-    spans = (("p", d, 2, n + 2), ("q", d, n + 2, n + m + 2),
-             ("bu", n, n + m + 2, n + m + 3), ("bi", m, n + m + 3, n + m + 4))
-    blocks = {tag: [] for tag, *_ in spans}
-    for first_no, chunk in _line_chunks(_text_pieces(text)):
-        for tag, width, start, stop in spans:
-            if rows := chunk[max(start - first_no, 0):max(stop - first_no, 0)]:
-                blocks[tag].append(_checked_rows(rows, max(start, first_no), tag, width))
+    expected = 1 + n + m + 2
+    if len(lines) != expected:
+        raise MalformedLineError(len(lines), f"expected {expected} lines, got {len(lines)}")
+    # tag, width, and the first and the after-last line number of each block
     user_factors, item_factors, user_bias, item_bias = (
-        np.concatenate(blocks[tag]) for tag, *_ in spans)
+        _checked_rows(lines[start - 1:stop - 1], start, tag, width)
+        for tag, width, start, stop in (("p", d, 2, n + 2), ("q", d, n + 2, n + m + 2),
+                                        ("bu", n, n + m + 2, n + m + 3),
+                                        ("bi", m, n + m + 3, n + m + 4)))
     return FactorModel(user_factors, item_factors, user_bias[0], item_bias[0])
 
 

@@ -25,6 +25,8 @@ from fairrec.core import (
     parse_dataset,
     validate_dataset,
 )
+from fairrec.synthgen import default_block_models
+from fairrec.trainer import AdamState, TrainTrace
 
 from conftest import dataset_from_ratings, make_train_dataset
 from oracles import oracle_format_dataset, oracle_parse_dataset
@@ -433,8 +435,10 @@ def _movielens_raw():
 @pytest.mark.parametrize("make", [
     lambda: small_dataset(), lambda: FactorModel(np.ones((2, 2)), np.ones((3, 2)),
                                                  np.zeros(2), np.zeros(3)),
-    _result_table, _movielens_raw,
-], ids=["Dataset", "FactorModel", "ResultTable", "MovieLensRaw"])
+    _result_table, _movielens_raw, lambda: AdamState.fresh(np.zeros(3)),
+    lambda: TrainTrace(np.ones(2), np.zeros(2)), default_block_models,
+], ids=["Dataset", "FactorModel", "ResultTable", "MovieLensRaw", "AdamState",
+        "TrainTrace", "BlockModels"])
 def test_array_holders_compare_by_identity(make):
     a, b = make(), make()
     assert a == a

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fairrec.core as core
+import fairrec.trainer as trainer
 from fairrec import (
     DivergenceError,
     FactorModel,
@@ -310,15 +310,23 @@ def model_outcome(parse, text):
 
 class TestParseModelAgainstOracle:
     @settings(max_examples=300, deadline=None)
-    @given(model=models(), edits=st.lists(MODEL_EDITS, max_size=3),
-           chunk=st.sampled_from([1, 2, 3, 5, core._CHUNK_LINES]))
-    def test_matches_line_by_line_reader(self, model, edits, chunk):
+    @given(model=models(), edits=st.lists(MODEL_EDITS, max_size=3))
+    def test_matches_line_by_line_reader(self, model, edits):
         lines = format_model(model).splitlines()
         for edit in edits:
             apply_model_edit(lines, edit, model)
         text = "\n".join(lines) + "\n"
-        with mock.patch.object(core, "_CHUNK_LINES", chunk):
-            assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
+        assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
+
+    def test_huge_width_rejected_before_allocation(self):
+        # four short lines match the line count of n=1 m=1, but no row is
+        # as wide as d, so no row dtype of d values may be built
+        text = "d=1000000000 n=1 m=1\np 0.5\nq 0.5\nbu 0.5\nbi 0.5\n"
+        with mock.patch.object(trainer, "_read_rows", side_effect=AssertionError), \
+                pytest.raises(MalformedLineError) as exc:
+            parse_model(text)
+        assert exc.value.line_no == 2
+        assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
 
     @pytest.mark.parametrize("line", [
         "pp 0.5 1.0", "q 0.5 1.0", "bu 0.5 1.0", "p 0.5 1.0 2.0", "p 0.5", "", " ",
