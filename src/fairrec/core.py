@@ -34,13 +34,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _by_user_item(u: np.ndarray, i: np.ndarray, v: np.ndarray) -> tuple:
-    """Copies of parallel (user, item, value) arrays in stable (user, item)
-    order. Input already in that order is only copied, because a stable sort
-    of sorted input is the identity."""
+    """Copies of parallel (user, item, value) arrays in (user, item) order;
+    raises FairrecError for a repeated (user, item) pair. Input strictly in
+    that order holds no repeated pair and is only copied."""
     if len(u) > 1 and not np.all(
-            (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (i[1:] >= i[:-1]))):
+            (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (i[1:] > i[:-1]))):
         order = np.lexsort((i, u))
-        return u[order], i[order], v[order]
+        u, i, v = u[order], i[order], v[order]
+        # sorted, so a repeated pair is adjacent
+        dup = (u[1:] == u[:-1]) & (i[1:] == i[:-1])
+        if dup.any():
+            k = int(np.flatnonzero(dup)[0])
+            raise FairrecError(f"duplicate rating for user {u[k]}, item {i[k]}")
+        return u, i, v
     return u.copy(), i.copy(), v.copy()
 
 
@@ -53,6 +59,10 @@ class Dataset:
     independent of construction order. ``protected`` marks the disadvantaged
     user group. Fine-grained user labels and item labels are optional and are
     never read by the metrics; they exist for generation and reporting.
+
+    A Dataset is valid once built: construction raises FairrecError for an
+    index outside the shape, a repeated (user, item) pair, a rating outside
+    the scale (NaN included), or an empty user group.
     """
 
     num_users: int
@@ -95,7 +105,19 @@ class Dataset:
             bad = set(groups) - set(ITEM_GROUPS)
             if bad:
                 raise ValueError(f"unknown item groups: {sorted(bad)}")
+        if len(v):
+            if u.min() < 0 or u.max() >= self.num_users:
+                raise FairrecError(f"user index outside [0, {self.num_users})")
+            if i.min() < 0 or i.max() >= self.num_items:
+                raise FairrecError(f"item index outside [0, {self.num_items})")
         u, i, v = _by_user_item(u, i, v)
+        # written so that a NaN rating fails it
+        if len(v) and not (lo <= v.min() and v.max() <= hi):
+            raise FairrecError(f"rating outside scale [{lo}, {hi}]")
+        if not p.any():
+            raise FairrecError("no user is in the protected group")
+        if p.all():
+            raise FairrecError("no user is in the advantaged group")
         object.__setattr__(self, "user_idx", _frozen(u))
         object.__setattr__(self, "item_idx", _frozen(i))
         object.__setattr__(self, "values", _frozen(v))
@@ -110,35 +132,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.num_ratings
-
-
-def validate_dataset(d: Dataset) -> Dataset:
-    """Check all dataset invariants and return the dataset unchanged.
-
-    Raises FairrecError for an index outside the dataset's shape, a repeated
-    (user, item) pair, a rating outside the scale (NaN included), or an empty
-    user group. Validation is idempotent and has no side effects.
-    """
-    if d.num_ratings:
-        if d.user_idx.min() < 0 or d.user_idx.max() >= d.num_users:
-            raise FairrecError(f"user index outside [0, {d.num_users})")
-        if d.item_idx.min() < 0 or d.item_idx.max() >= d.num_items:
-            raise FairrecError(f"item index outside [0, {d.num_items})")
-        # entries are sorted by (user, item), so duplicates are adjacent
-        dup = (np.diff(d.user_idx) == 0) & (np.diff(d.item_idx) == 0)
-        if dup.any():
-            k = int(np.flatnonzero(dup)[0])
-            raise FairrecError(
-                f"duplicate rating for user {d.user_idx[k]}, item {d.item_idx[k]}")
-        lo, hi = d.rating_scale
-        # written so that a NaN rating fails it
-        if not (lo <= d.values.min() and d.values.max() <= hi):
-            raise FairrecError(f"rating outside scale [{lo}, {hi}]")
-    if not d.protected.any():
-        raise FairrecError("no user is in the protected group")
-    if d.protected.all():
-        raise FairrecError("no user is in the advantaged group")
-    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,9 +304,8 @@ def _dataset_pieces(d: Dataset) -> Iterator[str]:
         head += map("g {} {}\n".format, range(d.num_items), d.item_group)
     yield "".join(head)
     # Rating lines are three interleaved columns, gathered from the text of
-    # each distinct key. np.unique finds the keys, because an unvalidated
-    # dataset may hold any index, -1 included; values are keyed by their bits,
-    # since -0.0 == 0.0 but their text differs.
+    # each distinct key; values are keyed by their bits, since -0.0 == 0.0 but
+    # their text differs.
     columns = []
     for keys, fmt in ((d.user_idx, "r {} ".format), (d.item_idx, "{} ".format),
                       (d.values.view(np.int64), _value_text)):
@@ -365,8 +357,10 @@ def parse_dataset(text: str) -> Dataset:
     except (ValueError, KeyError) as exc:
         raise MalformedLineError(1, f"bad header: {exc}") from exc
     # checked before anything is allocated by these counts
-    if num_users < 0 or num_items < 0:
-        raise MalformedLineError(1, "user and item counts must be >= 0")
+    if num_users < 1 or num_items < 1:
+        raise MalformedLineError(1, "user and item counts must be >= 1")
+    if not (np.isfinite(scale).all() and scale[0] <= scale[1]):
+        raise MalformedLineError(1, f"invalid rating scale {scale}")
     # Every line feed ends a line, so the line count is only needed when the
     # count of line feeds alone does not clear the header.
     if num_users >= text.count("\n") and num_users > (total := len(text.splitlines())) - 1:
@@ -391,11 +385,15 @@ def parse_dataset(text: str) -> Dataset:
                 protected[u] = parts[2] == "1"
                 seen_user[u] = True
                 if len(parts) == 4:
+                    if parts[3] not in USER_FINE_GROUPS:
+                        raise MalformedLineError(no, f"unknown fine user group {parts[3]!r}")
                     fine[u] = parts[3]
             elif kind == "g" and len(parts) == 3:
                 i = int(parts[1])
                 if not 0 <= i < num_items:
                     raise MalformedLineError(no, f"item index {i} out of range")
+                if parts[2] not in ITEM_GROUPS:
+                    raise MalformedLineError(no, f"unknown item group {parts[2]!r}")
                 groups[i] = parts[2]
             else:
                 raise MalformedLineError(no, f"unrecognized line {line!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, FactorModel, FairrecError, validate_dataset
+from .core import Dataset, FactorModel, FairrecError
 
 # Fill from which the score matrix is the faster path. With d = 4 on a
 # 2-core host, the matrix plus one read-out overtook the gathers near 10% fill
@@ -94,8 +94,7 @@ class Entries:
     entries sorted by (user, item): a row block's entries are one slice, and
     CSR data order is entry order. The paths agree to rounding. The
     gradient's structure is built at its first use, so prediction alone never
-    loads scipy. The dataset's indices must already be checked against its
-    shape.
+    loads scipy.
     """
 
     def __init__(self, data: Dataset):
@@ -190,7 +189,7 @@ def squared_error(model: FactorModel, preds: np.ndarray, train: Dataset,
 def _training_entries(train: Dataset, what: str) -> Entries:
     if train.num_ratings == 0:
         raise FairrecError(f"{what} needs at least one rating")
-    return Entries(validate_dataset(train))
+    return Entries(train)
 
 
 def objective(model: FactorModel, train: Dataset, lam: float) -> float:

@@ -49,11 +49,17 @@ DEFAULT_PENALTIES = (
 )
 
 
+def _check_source(source: str) -> None:
+    if source not in SOURCES:
+        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
+
+
 def default_trials(source: str) -> int:
     return 5 if source == "synthetic" else 3
 
 
 def default_alpha(source: str) -> float:
+    _check_source(source)
     return 0.3 if source == "synthetic" else 0.1
 
 
@@ -77,8 +83,7 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
+        _check_source(self.source)
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.genre_mode not in GENRE_MODES:
@@ -315,7 +320,8 @@ def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
 
 
 def config_hyper(mapping: dict, source: str) -> Hyperparams:
-    """Hyperparams from a config mapping; alpha defaults by data source."""
+    """Hyperparams from a config mapping; alpha defaults by data source,
+    which must be one of SOURCES."""
     base = Hyperparams()
     return Hyperparams(
         d=int(mapping.get("d", base.d)),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, FactorModel, FairrecError, METRIC_FIELDS, MetricReport, validate_dataset
+from .core import Dataset, FactorModel, FairrecError, METRIC_FIELDS, MetricReport
 from .factorization import Entries
 
 # the unfairness measures, in report order after the error
@@ -122,7 +122,6 @@ def full_report(model: FactorModel, eval_data: Dataset,
         raise FairrecError(f"unknown error metric {error_metric!r}")
     if eval_data.num_ratings == 0:
         raise FairrecError("evaluation set has no entries")
-    validate_dataset(eval_data)
     preds = Entries(eval_data).predict(model)
     err = float(np.mean((preds - eval_data.values) ** 2))
     unfairness = Unfairness(eval_data, KINDS, "evaluation entries")

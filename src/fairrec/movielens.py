@@ -193,7 +193,9 @@ def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int =
     """Apply the genre and rating-frequency filters and reindex densely.
 
     "any-genre" keeps movies listing at least one selected genre;
-    "only-genres" keeps movies listing nothing but selected genres.
+    "only-genres" keeps movies listing nothing but selected genres. A kept
+    (user, movie) pair rated twice, or kept users of one gender only, raise
+    FairrecError, as any invalid Dataset does.
     """
     selected = frozenset(canonical_genres(genres))
     kept_movies = np.array(sorted(mid for mid, gs in raw.movies.items()

@@ -119,10 +119,9 @@ class TrainingObjective:
     """objective + alpha * penalty on one training set, valued and
     differentiated from a single prediction pass.
 
-    Construction validates the dataset and does the data-only work once
-    (prediction and gradient paths, group cells; the gradient's structure
-    at the first call), so the trainer builds one per run and calls it once
-    per iteration.
+    Construction does the data-only work once (prediction and gradient
+    paths, group cells; the gradient's structure at the first call), so the
+    trainer builds one per run and calls it once per iteration.
     """
 
     def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):

@@ -234,8 +234,10 @@ def oracle_parse_dataset(text):
         scale = (float(lo_s), float(hi_s))
     except (ValueError, KeyError) as exc:
         raise MalformedLineError(1, f"bad header: {exc}") from exc
-    if num_users < 0 or num_items < 0:
-        raise MalformedLineError(1, "user and item counts must be >= 0")
+    if num_users < 1 or num_items < 1:
+        raise MalformedLineError(1, "user and item counts must be >= 1")
+    if not (math.isfinite(scale[0]) and math.isfinite(scale[1]) and scale[0] <= scale[1]):
+        raise MalformedLineError(1, f"invalid rating scale {scale}")
     if num_users > len(lines) - 1:
         raise MalformedLineError(
             1, f"header declares {num_users} users but only {len(lines) - 1} lines follow; "
@@ -261,11 +263,15 @@ def oracle_parse_dataset(text):
                 protected[u] = parts[2] == "1"
                 seen_user[u] = True
                 if len(parts) == 4:
+                    if parts[3] not in ("W", "WS", "MS", "M"):
+                        raise MalformedLineError(no, f"unknown fine user group {parts[3]!r}")
                     fine[u] = parts[3]
             elif kind == "g" and len(parts) == 3:
                 i = int(parts[1])
                 if not 0 <= i < num_items:
                     raise MalformedLineError(no, f"item index {i} out of range")
+                if parts[2] not in ("Fem", "STEM", "Masc"):
+                    raise MalformedLineError(no, f"unknown item group {parts[2]!r}")
                 groups[i] = parts[2]
             elif kind == "r" and len(parts) == 4:
                 triples.append((int(parts[1]), int(parts[2]), float(parts[3])))

@@ -20,7 +20,7 @@ from fairrec import (
 from fairrec import cli
 from fairrec.cli import main
 
-from conftest import dataset_from_ratings, make_model
+from conftest import make_model
 
 
 def run(capsys, *argv):
@@ -146,6 +146,20 @@ class TestMlPrepare:
         code, stdout, _ = run(capsys, "ml-prepare", "--config", str(cfg))
         assert code == 0
         assert stdout == "users=3 movies=1\nratings=3\n"
+
+    def test_repeated_rating_exits_two(self, ml_dir, tmp_path, capsys):
+        root = tmp_path / "ml"
+        root.mkdir()
+        for name in ("users.dat", "movies.dat", "ratings.dat"):
+            (root / name).write_bytes((ml_dir / name).read_bytes())
+        with open(root / "ratings.dat", "a", encoding="latin-1") as fh:
+            fh.write("3::5::2::978302040\n")
+        out = tmp_path / "ml.txt"
+        code, stdout, stderr = run(capsys, "ml-prepare", "--ml-path", str(root),
+                                   "--min-ratings", "2", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: duplicate rating for user 2, item 1\n"
+        assert not out.exists()
 
     def test_missing_directory_exits_two(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "ml-prepare", "--ml-path",
@@ -347,8 +361,10 @@ class TestEval:
         rng = np.random.default_rng(0)
         n, m = model_shape
         save_model(make_model(rng, n, m), tmp_path / "m.txt")
-        save_dataset(dataset_from_ratings(3, 3, ratings, [True, False, True]),
-                     tmp_path / "d.txt")
+        # written as text: a Dataset holding these ratings cannot be built
+        (tmp_path / "d.txt").write_text(
+            "users=3 items=3 scale=1.0,5.0\nu 0 1\nu 1 0\nu 2 1\n"
+            + "".join(f"r {u} {i} {v!r}\n" for u, i, v in ratings))
         code, stdout, stderr = run(capsys, "eval", "--model", str(tmp_path / "m.txt"),
                                    "--data", str(tmp_path / "d.txt"))
         assert (code, stdout) == (2, "")
@@ -423,6 +439,18 @@ class TestConfigFile:
                                    "--config", str(cfg), "--out", str(out))
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: line 3: config key 'iterations' is set twice")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["", "alpha = 0.2\n"])
+    def test_unknown_source_exits_two(self, synth_file, tmp_path, capsys, alpha):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"source = bogus\niterations = 2\n{alpha}")
+        out = tmp_path / "m.txt"
+        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file),
+                                   "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: source must be one of ('synthetic', 'movielens'), "
+                          "got 'bogus'\n")
         assert not out.exists()
 
     def test_unknown_key_rejected_by_experiments(self, tmp_path, capsys):

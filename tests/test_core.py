@@ -1,6 +1,7 @@
 """Domain types, validation, and the dataset text format."""
 
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,6 @@ from fairrec.core import (
     USER_FINE_GROUPS,
     format_dataset,
     parse_dataset,
-    validate_dataset,
 )
 from fairrec.synthgen import default_block_models
 from fairrec.trainer import AdamState, TrainTrace
@@ -80,23 +80,13 @@ class TestDataset:
     def test_num_ratings(self):
         assert small_dataset().num_ratings == len(small_dataset()) == 4
 
-    def test_sorted_and_shuffled_input_give_identical_arrays(self, rng):
-        # duplicate (user, item) keys keep their input order in both cases
+    def test_repeated_pair_reported_whatever_the_input_order(self, rng):
         ratings = [(u, i, float(k)) for k, (u, i) in enumerate(
-            [(0, 0), (0, 1), (0, 1), (1, 0), (1, 0), (1, 0), (2, 1)])]
-        in_order = small_dataset(ratings=ratings)
-        assert in_order.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+            [(2, 1), (0, 1), (1, 0), (0, 1), (1, 0), (0, 0)])]
         for _ in range(5):
-            shuffled = list(ratings)
-            rng.shuffle(shuffled)
-            d = small_dataset(ratings=shuffled)
-            assert d.user_idx.tolist() == in_order.user_idx.tolist()
-            assert d.item_idx.tolist() == in_order.item_idx.tolist()
-            keys = [(u, i) for u, i, _ in shuffled]
-            for key in set(keys):
-                got = [v for u, i, v in zip(d.user_idx, d.item_idx, d.values)
-                       if (u, i) == key]
-                assert got == [v for u, i, v in shuffled if (u, i) == key]
+            rng.shuffle(ratings)
+            with pytest.raises(FairrecError, match="duplicate rating for user 0, item 1"):
+                small_dataset(ratings=ratings)
 
     def test_sorted_input_is_copied(self):
         u, i, v = np.array([0, 1]), np.array([0, 0]), np.array([1.0, 2.0])
@@ -106,45 +96,44 @@ class TestDataset:
         assert v.flags.writeable
 
 
-class TestValidateDataset:
-    def test_accepts_valid(self):
-        d = small_dataset()
-        assert validate_dataset(d) is d
-
+class TestDatasetIsValidOnceBuilt:
     def test_user_index_out_of_range(self):
-        d = small_dataset(ratings=[(0, 0, 2.0), (7, 1, 3.0)])
-        with pytest.raises(FairrecError, match=r"user index outside \[0, 3\)"):
-            validate_dataset(d)
+        for bad in (7, -1):
+            with pytest.raises(FairrecError, match=r"user index outside \[0, 3\)"):
+                small_dataset(ratings=[(0, 0, 2.0), (bad, 1, 3.0)])
 
     def test_item_index_out_of_range(self):
-        d = small_dataset(ratings=[(0, 0, 2.0), (1, 5, 3.0)])
-        with pytest.raises(FairrecError, match=r"item index outside \[0, 2\)"):
-            validate_dataset(d)
+        for bad in (5, -1):
+            with pytest.raises(FairrecError, match=r"item index outside \[0, 2\)"):
+                small_dataset(ratings=[(0, 0, 2.0), (1, bad, 3.0)])
 
     def test_duplicate_rating(self):
-        d = small_dataset(ratings=[(0, 0, 2.0), (0, 0, 3.0)])
         with pytest.raises(FairrecError, match="duplicate rating for user 0, item 0"):
-            validate_dataset(d)
+            small_dataset(ratings=[(0, 0, 2.0), (0, 0, 3.0)])
 
     def test_rating_outside_scale(self):
-        d = small_dataset(ratings=[(0, 0, 0.5)])
         with pytest.raises(FairrecError, match="rating outside scale"):
-            validate_dataset(d)
+            small_dataset(ratings=[(0, 0, 0.5)])
 
     def test_nan_rating_outside_scale(self):
-        d = small_dataset(ratings=[(0, 0, 2.0), (1, 1, float("nan"))])
         with pytest.raises(FairrecError, match="rating outside scale"):
-            validate_dataset(d)
+            small_dataset(ratings=[(0, 0, 2.0), (1, 1, float("nan"))])
 
     def test_all_protected_rejected(self):
-        d = small_dataset(protected=[True, True, True])
         with pytest.raises(FairrecError, match="no user is in the advantaged group"):
-            validate_dataset(d)
+            small_dataset(protected=[True, True, True])
 
     def test_none_protected_rejected(self):
-        d = small_dataset(protected=[False, False, False])
         with pytest.raises(FairrecError, match="no user is in the protected group"):
-            validate_dataset(d)
+            small_dataset(protected=[False, False, False])
+
+    def test_no_ratings_allowed(self):
+        assert small_dataset(ratings=[]).num_ratings == 0
+
+    def test_replace_checks_again(self):
+        d = small_dataset()
+        with pytest.raises(FairrecError, match="rating outside scale"):
+            replace(d, values=d.values + 9.0)
 
 
 class TestFactorModel:
@@ -244,13 +233,33 @@ class TestDatasetFormat:
         with pytest.raises(MalformedLineError):
             parse_dataset(text)
 
-    @pytest.mark.parametrize("header", ["users=-1 items=1 scale=0.0,5.0",
-                                        "users=1 items=-2 scale=0.0,5.0",
-                                        "users=3 items=1 scale=0.0,5.0"])
-    def test_header_counts_checked_on_line_one(self, header):
-        with pytest.raises(MalformedLineError) as exc:
-            parse_dataset(header + "\nu 0 1\nu 1 0\n")
-        assert exc.value.line_no == 1
+    @pytest.mark.parametrize("header, message", [
+        ("users=-1 items=1 scale=0.0,5.0", "user and item counts must be >= 1"),
+        ("users=1 items=-2 scale=0.0,5.0", "user and item counts must be >= 1"),
+        ("users=2 items=0 scale=0.0,5.0", "user and item counts must be >= 1"),
+        ("users=0 items=1 scale=0.0,5.0", "user and item counts must be >= 1"),
+        ("users=3 items=1 scale=0.0,5.0", "header declares 3 users"),
+        ("users=2 items=1 scale=5,1", "invalid rating scale (5.0, 1.0)"),
+        ("users=2 items=1 scale=nan,5", "invalid rating scale (nan, 5.0)"),
+        ("users=2 items=1 scale=0,inf", "invalid rating scale (0.0, inf)"),
+    ])
+    def test_header_checked_on_line_one(self, header, message):
+        text = header + "\nu 0 1\nu 1 0\n"
+        for parse in (parse_dataset, oracle_parse_dataset):
+            with pytest.raises(MalformedLineError) as exc:
+                parse(text)
+            assert exc.value.line_no == 1 and message in str(exc.value)
+
+    @pytest.mark.parametrize("line, message", [
+        ("u 1 0 X", "unknown fine user group 'X'"),
+        ("g 0 Foo", "unknown item group 'Foo'"),
+    ])
+    def test_unknown_label_reports_its_line(self, line, message):
+        text = f"users=2 items=1 scale=0.0,5.0\nu 0 1 W\n{line}\nr 0 0 1.0\nu 1 0 M\n"
+        for parse in (parse_dataset, oracle_parse_dataset):
+            with pytest.raises(MalformedLineError) as exc:
+                parse(text)
+            assert str(exc.value) == f"line 3: {message}"
 
     def test_huge_user_count_rejected_before_allocation(self, tmp_path):
         path = tmp_path / "huge.txt"
@@ -270,16 +279,20 @@ SEPARATORS = [" ", "\t", "  ", " \t "]
 
 @st.composite
 def datasets(draw):
-    """Small datasets, with or without labels; indices may lie outside the
-    counts, which Dataset allows and the format must write as they are."""
-    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    value = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False)
-    ratings = draw(st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, m + 1), value),
-                            max_size=12))
-    protected = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    """Small valid datasets, with or without labels: distinct pairs inside
+    the shape, both user groups, and values inside a drawn scale."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    value = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                          unique=True, max_size=12))
+    values = draw(st.lists(value, min_size=len(pairs), max_size=len(pairs)))
+    bounds = draw(st.lists(value, min_size=1, max_size=2))
+    scale = (min(values + bounds), max(values + bounds))
+    flags = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+    protected = draw(st.permutations([True, False] + flags))
     fine = draw(st.none() | st.lists(st.sampled_from(USER_FINE_GROUPS), min_size=n, max_size=n))
     items = draw(st.none() | st.lists(st.sampled_from(ITEM_GROUPS), min_size=m, max_size=m))
-    scale = draw(st.sampled_from([(0.0, 1.0), (1.0, 5.0), (-0.0, 0.5)]))
+    ratings = [(u, i, v) for (u, i), v in zip(pairs, values)]
     return dataset_from_ratings(n, m, ratings, protected, scale, fine, items)
 
 
@@ -366,11 +379,12 @@ class TestCodecAgainstOracle:
         assert exc.value.line_no == 4
 
     def test_noncanonical_rating_lines_keep_file_order(self):
-        text = ("users=1 items=3 scale=0.0,5.0\nr 0 2 1.0\n\t r\t0 1  2.0\n"
-                "u 0 1\nr 0 1 3.0\n  r 0 0 4.0\n")
+        text = ("users=2 items=3 scale=0.0,5.0\nr 0 2 1.0\n\t r\t1 1  2.0\n"
+                "u 0 1\nr 0 1 3.0\nu 1 0\n  r 0 0 4.0\n")
         d = parse_dataset(text)
-        assert d.item_idx.tolist() == [0, 1, 1, 2]
-        assert d.values.tolist() == [4.0, 2.0, 3.0, 1.0]
+        assert d.user_idx.tolist() == [0, 0, 0, 1]
+        assert d.item_idx.tolist() == [0, 1, 2, 1]
+        assert d.values.tolist() == [4.0, 3.0, 1.0, 2.0]
 
 
 # Rating lines on which numpy's C reader and int()/float() could part ways:

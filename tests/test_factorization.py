@@ -24,7 +24,6 @@ from fairrec import (
     objective,
     objective_gradient,
     penalty_gradient,
-    penalty_value,
 )
 from fairrec import factorization
 from fairrec.factorization import (
@@ -82,24 +81,6 @@ class TestPredict:
             assert got.tolist() == [
                 oracle_predict(m.user_factors, m.item_factors, m.user_bias, m.item_bias, u, i)
                 for u, i in zip(users, items)]
-
-    def test_out_of_range_rejected(self, rng):
-        """Every public entry point that predicts on a triple set validates it
-        before predicting, so indices outside its declared shape are caught."""
-        d = dataset_from_ratings(3, 3, [(0, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0)],
-                                 [True, False, True], rating_scale=(0.0, 5.0))
-        for small, axis in ((make_model(rng, 2, 3), "user"), (make_model(rng, 3, 2), "item")):
-            # a Dataset checks its indices only when validated, so one can
-            # declare the small model's shape and still hold larger indices
-            shrunk = Dataset(small.num_users, small.num_items, d.user_idx, d.item_idx,
-                             d.values, d.protected[:small.num_users])
-            for call in (lambda: objective(small, shrunk, 0.1),
-                         lambda: objective_gradient(small, shrunk, 0.1),
-                         lambda: penalty_value(small, shrunk, PenaltySpec.single("parity")),
-                         lambda: penalty_gradient(small, shrunk, PenaltySpec.single("parity")),
-                         lambda: full_report(small, shrunk)):
-                with pytest.raises(FairrecError, match=f"{axis} index outside"):
-                    call()
 
     def test_model_shape_must_match_data(self, rng):
         """A model of another shape is rejected even when every index fits it."""

@@ -262,6 +262,19 @@ class TestRunTrials:
         run_experiment(config)
         assert (len(parsed), len(filtered), len(splits)) == (2, 2, 6)
 
+    @pytest.mark.parametrize("base_seed", range(6))
+    def test_repeated_movielens_rating_rejected_before_any_split(self, ml_dir, tmp_path,
+                                                                 monkeypatch, base_seed):
+        # a split may put the two copies on either side or on the same one
+        repeated = copy_ml_dir(ml_dir, tmp_path / "ml",
+                               ratings=lambda text: text + "3::5::2::978302040\n")
+        splits = counting(monkeypatch, "split")
+        config = tiny_config(source="movielens", ml_path=str(repeated), min_ratings=2,
+                             base_seed=base_seed)
+        with pytest.raises(FairrecError, match="^duplicate rating for user 2, item 1$"):
+            run_experiment(config)
+        assert splits == []
+
     def test_movielens_rereads_rewritten_files(self, ml_dir, tmp_path):
         config = tiny_config(source="movielens", ml_path=str(tmp_path / "ml"),
                              min_ratings=2, trials=2, penalties=(PenaltySpec.none(),))

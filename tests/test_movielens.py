@@ -335,6 +335,11 @@ class TestFilter:
         with pytest.raises(FairrecError, match="no users or movies survive the filter"):
             filter_dataset(raw, ("Documentary",), min_ratings=1)
 
+    def test_one_group_rejected(self, raw):
+        # movie 6, the only Romance one, is rated by users 1, 4 and 6, all F
+        with pytest.raises(FairrecError, match="no user is in the advantaged group"):
+            filter_dataset(raw, ("Romance",), min_ratings=1)
+
     def test_bad_mode_rejected(self, raw):
         with pytest.raises(ValueError):
             filter_dataset(raw, SELECTED_GENRES, mode="sideways")

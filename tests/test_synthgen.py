@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairrec import FairrecError, REGIMES, RegimeConfig, expected_value_eval, generate
-from fairrec.core import ITEM_GROUPS, USER_FINE_GROUPS, validate_dataset
+from fairrec.core import ITEM_GROUPS, USER_FINE_GROUPS
 from fairrec.synthgen import (
     BlockModels,
     default_block_models,
@@ -111,7 +111,6 @@ class TestItemGroups:
 class TestGenerate:
     def test_dataset_is_valid_and_binary(self):
         data, expected = generate(RegimeConfig("P+O", 40, 30, seed=1))
-        validate_dataset(data)
         assert data.rating_scale == (0.0, 1.0)
         assert set(np.unique(data.values)) <= {0.0, 1.0}
         assert data.user_group_fine is not None

@@ -152,17 +152,6 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             train(d, hyper)
 
-    def test_validates_input(self, rng):
-        d, _ = make_train_dataset(rng, num_users=4, num_items=3)
-        bad = type(d)(
-            num_users=4, num_items=3,
-            user_idx=d.user_idx, item_idx=d.item_idx, values=d.values,
-            protected=np.zeros(4, dtype=bool),
-            rating_scale=d.rating_scale,
-        )
-        with pytest.raises(FairrecError, match="no user is in the protected group"):
-            train(bad, Hyperparams(d=2, iterations=1))
-
 
 class TestModelFormat:
     def test_round_trip_is_byte_identical(self, rng):
