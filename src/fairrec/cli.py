@@ -14,14 +14,17 @@ from .core import (
     Hyperparams,
     METRIC_FIELDS,
     _fmt,
+    _write_text,
     load_dataset,
     save_dataset,
 )
 from .harness import (
     CONFIG_KEYS,
+    ExperimentConfig,
     config_experiment,
     config_hyper,
     default_alpha,
+    default_trials,
     emit,
     load_movielens,
     parse_config_file,
@@ -44,6 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _BASE = Hyperparams()
+_CONFIG = ExperimentConfig()
 
 
 def _add_hyper_flags(sub):
@@ -62,6 +66,11 @@ def _add_hyper_flags(sub):
     sub.add_argument("--seed", type=int, help=f"base random seed (default {_BASE.seed})")
 
 
+def _add_size_flags(sub):
+    sub.add_argument("--users", type=int, help=f"number of users (default {_CONFIG.num_users})")
+    sub.add_argument("--items", type=int, help=f"number of items (default {_CONFIG.num_items})")
+
+
 def _add_config_flag(sub):
     sub.add_argument("--config", help="key=value config file; flags override it")
 
@@ -73,9 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("synth-gen", help="generate a block-model dataset")
     gen.add_argument("--regime", choices=REGIMES, help="underrepresentation regime")
-    gen.add_argument("--users", type=int, help="number of users (default 400)")
-    gen.add_argument("--items", type=int, help="number of items (default 300)")
-    gen.add_argument("--seed", type=int, help="generation seed (default 0)")
+    _add_size_flags(gen)
+    gen.add_argument("--seed", type=int, help=f"generation seed (default {_CONFIG.base_seed})")
     gen.add_argument("--out", required=True, help="dataset file to write")
     gen.add_argument("--sidecar", help="block-model sidecar path (default OUT.blocks)")
     _add_config_flag(gen)
@@ -84,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     mlp = subs.add_parser("ml-prepare", help="parse and filter MovieLens-1M")
     mlp.add_argument("--ml-path", help="directory with users.dat/movies.dat/ratings.dat")
     mlp.add_argument("--genres", help="comma-separated genre list")
-    mlp.add_argument("--min-ratings", type=int, help="per-user rating floor (default 50)")
+    mlp.add_argument("--min-ratings", type=int,
+                     help=f"per-user rating floor (default {_CONFIG.min_ratings})")
     mlp.add_argument("--mode", choices=GENRE_MODES, help="genre matching mode")
     mlp.add_argument("--out", help="write the filtered dataset here")
     _add_config_flag(mlp)
@@ -112,20 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
                            help="regime comparison without penalties, bar-data CSV")
     t1 = subs.add_parser("reproduce-table1",
                          help="penalty comparison on one synthetic regime")
-    t1.add_argument("--regime", choices=REGIMES, help="regime (default P+O)")
+    t1.add_argument("--regime", choices=REGIMES, help=f"regime (default {_CONFIG.regime})")
     for sub, row in ((fig1, "regime"), (t1, "penalty")):
-        sub.add_argument("--users", type=int, help="number of users (default 400)")
-        sub.add_argument("--items", type=int, help="number of items (default 300)")
-        sub.add_argument("--trials", type=int, help=f"trials per {row} (default 5)")
+        _add_size_flags(sub)
+        sub.add_argument("--trials", type=int,
+                         help=f"trials per {row} (default {default_trials('synthetic')})")
 
     t2 = subs.add_parser("reproduce-table2",
                          help="penalty comparison on filtered MovieLens-1M")
     t2.add_argument("--ml-path", help="directory with the ML-1M files")
     t2.add_argument("--genres", help="comma-separated genre list")
-    t2.add_argument("--min-ratings", type=int, help="per-user rating floor (default 50)")
+    t2.add_argument("--min-ratings", type=int,
+                    help=f"per-user rating floor (default {_CONFIG.min_ratings})")
     t2.add_argument("--mode", choices=GENRE_MODES, help="genre matching mode")
-    t2.add_argument("--split", type=float, help="train fraction (default 0.8)")
-    t2.add_argument("--trials", type=int, help="trials (default 3)")
+    t2.add_argument("--split", type=float,
+                    help=f"train fraction (default {_CONFIG.split_fraction})")
+    t2.add_argument("--trials", type=int, help=f"trials (default {default_trials('movielens')})")
 
     for sub in (fig1, t1, t2):
         _add_hyper_flags(sub)
@@ -154,17 +165,12 @@ def _merged_mapping(args) -> dict:
     return mapping
 
 
-def _write_text(path, text) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _cmd_synth_gen(args, mapping) -> int:
     config = RegimeConfig(
-        regime=mapping.get("regime", "P+O"),
-        num_users=int(mapping.get("users", 400)),
-        num_items=int(mapping.get("items", 300)),
-        seed=int(mapping.get("seed", 0)),
+        regime=mapping.get("regime", _CONFIG.regime),
+        num_users=int(mapping.get("users", _CONFIG.num_users)),
+        num_items=int(mapping.get("items", _CONFIG.num_items)),
+        seed=int(mapping.get("seed", _CONFIG.base_seed)),
     )
     blocks = default_block_models()
     data, _ = generate(config, blocks)
@@ -215,7 +221,7 @@ _REPRODUCTIONS = {
 def _cmd_reproduce(args, mapping) -> int:
     source, experiment, fmt = _REPRODUCTIONS[args.command]
     table = experiment(config_experiment(dict(mapping, source=source)))
-    _write_text(args.out, emit(table, fmt))
+    _write_text(args.out, [emit(table, fmt)])
     print(f"wrote {args.out}")
     return 0
 

@@ -324,24 +324,6 @@ def format_dataset(d: Dataset) -> str:
 _RATING_ROW = np.dtype([("r", "U1"), ("u", np.int64), ("i", np.int64), ("v", np.float64)])
 
 
-def _checked_ratings(lines: list, first_no: int) -> np.ndarray:
-    """The rating lines among lines as _RATING_ROW records, converted one at
-    a time by int() and float(); raises MalformedLineError for the first one
-    that has not four fields or does not convert."""
-    rows = []
-    for no, line in enumerate(lines, start=first_no):
-        parts = line.split()
-        if parts[:1] == ["r"]:
-            if len(parts) != 4:
-                raise MalformedLineError(no, f"unrecognized line {line!r}")
-            try:
-                rows.append(("r", np.int64(int(parts[1])), np.int64(int(parts[2])),
-                             float(parts[3])))
-            except (ValueError, OverflowError) as exc:
-                raise MalformedLineError(no, str(exc)) from exc
-    return np.array(rows, dtype=_RATING_ROW)
-
-
 def parse_dataset(text: str) -> Dataset:
     chunks = _line_chunks(_text_pieces(text))
     _, lines = next(chunks, (1, []))
@@ -373,7 +355,11 @@ def parse_dataset(text: str) -> Dataset:
     fine: dict[int, str] = {}
     groups: dict[int, str] = {}
 
-    def label_line(no: int, line: str, parts: list) -> None:
+    def read_line(no: int, line: str, ratings: list) -> None:
+        """Read one line of any kind with int() and float(); a rating goes to ratings."""
+        parts = line.split()
+        if not parts:
+            return
         kind = parts[0]
         try:
             if kind == "u" and len(parts) in (3, 4):
@@ -395,43 +381,35 @@ def parse_dataset(text: str) -> Dataset:
                 if parts[2] not in ITEM_GROUPS:
                     raise MalformedLineError(no, f"unknown item group {parts[2]!r}")
                 groups[i] = parts[2]
+            elif kind == "r" and len(parts) == 4:
+                ratings.append(("r", np.int64(int(parts[1])), np.int64(int(parts[2])),
+                                float(parts[3])))
             else:
                 raise MalformedLineError(no, f"unrecognized line {line!r}")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise MalformedLineError(no, str(exc)) from exc
 
-    # Each chunk's rating lines are converted together, in file order. A
-    # malformed line is reported only once every line before it has been
-    # checked, so the first one in the file is the one reported.
+    # Each chunk's lines that start with "r " go to numpy's C reader together.
+    # When it refuses them, read_line reads the whole chunk in file order, so
+    # the first malformed line is the one reported; otherwise it reads only
+    # the other lines.
     columns = []
     last_no = 1
     for first_no, chunk in chain([(2, lines[1:])], chunks):
         last_no = first_no + len(chunk) - 1
-        rows, end, error = chunk, len(chunk), None
-        joined = "\n".join(chunk)
-        if joined.startswith("r ") + joined.count("\nr ") != len(chunk):
-            rows, prev = [], 0
-            for k in [k for k, line in enumerate(chunk) if line[:2] != "r "]:
-                rows += chunk[prev:k]
-                prev = k + 1
-                parts = chunk[k].split()
-                if parts and parts[0] == "r":
-                    rows.append(chunk[k])
-                elif parts:
-                    try:
-                        label_line(first_no + k, chunk[k], parts)
-                    except MalformedLineError as exc:
-                        end, error = k, exc
-                        break
-            else:
-                rows += chunk[prev:]
-        # The first token of every row is "r", and numpy splits a line at the
-        # same whitespace as str.split, so the U1 field it reads is "r"; it
-        # would cut a token "rr" to "r".
+        rows, others = chunk, []
+        if "\n".join(["", *chunk]).count("\nr ") != len(chunk):
+            others = [k for k, line in enumerate(chunk) if line[:2] != "r "]
+            rows = list(chain.from_iterable(  # the runs between the others
+                chunk[a + 1:b] for a, b in zip([-1, *others], [*others, len(chunk)])))
+        # every row starts with "r ", so the U1 field reads the token "r" whole
         block = _read_rows(rows, _RATING_ROW)
-        columns.append(_checked_ratings(chunk[:end], first_no) if block is None else block)
-        if error is not None:
-            raise error
+        if block is not None:
+            columns.append(block)
+        ratings = []
+        for k in range(len(chunk)) if block is None else others:
+            read_line(first_no + k, chunk[k], ratings)
+        columns.append(np.array(ratings, dtype=_RATING_ROW))
     if not seen_user.all():
         missing = int(np.flatnonzero(~seen_user)[0])
         raise MalformedLineError(last_no, f"no 'u' line for user {missing}")
@@ -447,9 +425,14 @@ def parse_dataset(text: str) -> Dataset:
     )
 
 
-def save_dataset(d: Dataset, path) -> None:
+def _write_text(path, pieces: Iterable[str]) -> None:
+    """Write the pieces to path, in order, as UTF-8 text with \\n line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_dataset_pieces(d))
+        fh.writelines(pieces)
+
+
+def save_dataset(d: Dataset, path) -> None:
+    _write_text(path, _dataset_pieces(d))
 
 
 def load_dataset(path) -> Dataset:

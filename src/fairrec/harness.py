@@ -66,7 +66,9 @@ def default_alpha(source: str) -> float:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment depends on: data source, training knobs,
-    the penalty specs under comparison, and the trial plan."""
+    the penalty specs under comparison, and the trial plan. A bare
+    ExperimentConfig(source="movielens") runs 5 trials at alpha 0.3; the CLI's
+    3 and 0.1 come from config_experiment({"source": "movielens", ...})."""
 
     source: str = "synthetic"
     regime: str = "P+O"
@@ -339,19 +341,19 @@ def config_experiment(mapping: dict) -> ExperimentConfig:
     unknown = set(mapping) - set(CONFIG_KEYS)
     if unknown:
         raise FairrecError(f"unknown config keys: {sorted(unknown)}")
-    source = mapping.get("source", "synthetic")
-    genres = mapping.get("genres")
+    base = ExperimentConfig()
+    source = mapping.get("source", base.source)
     return ExperimentConfig(
         source=source,
-        regime=mapping.get("regime", "P+O"),
-        num_users=int(mapping.get("users", 400)),
-        num_items=int(mapping.get("items", 300)),
+        regime=mapping.get("regime", base.regime),
+        num_users=int(mapping.get("users", base.num_users)),
+        num_items=int(mapping.get("items", base.num_items)),
         ml_path=mapping.get("ml_path"),
-        genres=genres.split(",") if genres is not None else SELECTED_GENRES,
-        genre_mode=mapping.get("genre_mode", DEFAULT_GENRE_MODE),
-        min_ratings=int(mapping.get("min_ratings", 50)),
-        split_fraction=float(mapping.get("split", 0.8)),
+        genres=mapping["genres"].split(",") if "genres" in mapping else base.genres,
+        genre_mode=mapping.get("genre_mode", base.genre_mode),
+        min_ratings=int(mapping.get("min_ratings", base.min_ratings)),
+        split_fraction=float(mapping.get("split", base.split_fraction)),
         hyper=config_hyper(mapping, source),
         trials=int(mapping.get("trials", default_trials(source))),
-        base_seed=int(mapping.get("seed", 0)),
+        base_seed=int(mapping.get("seed", base.base_seed)),
     )

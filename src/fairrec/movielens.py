@@ -195,7 +195,8 @@ def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int =
     "any-genre" keeps movies listing at least one selected genre;
     "only-genres" keeps movies listing nothing but selected genres. A kept
     (user, movie) pair rated twice, or kept users of one gender only, raise
-    FairrecError, as any invalid Dataset does.
+    FairrecError, as any invalid Dataset does; a repeated pair is named by
+    its MovieLens ids.
     """
     selected = frozenset(canonical_genres(genres))
     kept_movies = np.array(sorted(mid for mid, gs in raw.movies.items()
@@ -210,16 +211,24 @@ def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int =
     if len(user_order) == 0 or not keep.any():
         raise FairrecError("no users or movies survive the filter")
     movie_order = np.unique(raw.movie_ids[keep])
-
-    return Dataset(
-        num_users=len(user_order),
-        num_items=len(movie_order),
-        user_idx=np.searchsorted(user_order, raw.user_ids[keep]),
-        item_idx=np.searchsorted(movie_order, raw.movie_ids[keep]),
-        values=raw.values[keep],
-        protected=np.array([raw.users[int(uid)] == "F" for uid in user_order]),
-        rating_scale=(1.0, 5.0),
-    )
+    try:
+        return Dataset(
+            num_users=len(user_order),
+            num_items=len(movie_order),
+            user_idx=np.searchsorted(user_order, raw.user_ids[keep]),
+            item_idx=np.searchsorted(movie_order, raw.movie_ids[keep]),
+            values=raw.values[keep],
+            protected=np.array([raw.users[int(uid)] == "F" for uid in user_order]),
+            rating_scale=(1.0, 5.0),
+        )
+    except FairrecError:
+        # reindexing keeps the id order, so the first repeat is the one reported
+        pairs, times = np.unique(np.stack([raw.user_ids[keep], raw.movie_ids[keep]], 1),
+                                 axis=0, return_counts=True)
+        if times.max() < 2:
+            raise
+        uid, mid = pairs[np.argmax(times > 1)]
+        raise FairrecError(f"duplicate rating for MovieLens user {uid}, movie {mid}")
 
 
 def split(d: Dataset, train_fraction: float, seed) -> tuple:

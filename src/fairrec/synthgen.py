@@ -25,6 +25,7 @@ from .core import (
     USER_FINE_GROUPS,
     _fmt,
     _frozen,
+    _write_text,
 )
 
 REGIMES = ("U", "O", "P", "P+O")
@@ -187,9 +188,8 @@ def expected_value_eval(train: Dataset, expected: np.ndarray) -> Dataset:
 
 def write_sidecar(path, blocks: BlockModels, regime: str) -> None:
     """Record the regime and the L/O matrices a dataset was generated with."""
-    lines = [f"regime {regime}"]
+    lines = [f"regime {regime}\n"]
     for name, matrix in (("L", blocks.L), ("O", blocks.observation(regime))):
         for g, row in zip(USER_FINE_GROUPS, matrix):
-            lines.append(f"{name} {g} " + " ".join(_fmt(x) for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            lines.append(f"{name} {g} " + " ".join(_fmt(x) for x in row) + "\n")
+    _write_text(path, lines)

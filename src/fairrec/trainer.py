@@ -28,6 +28,7 @@ from .core import (
     MalformedLineError,
     _fmt,
     _read_rows,
+    _write_text,
 )
 from .factorization import flat_params, param_blocks
 from .penalties import PenaltySpec, TrainingObjective
@@ -71,7 +72,7 @@ class TrainTrace:
 
 
 def init_model(num_users: int, num_items: int, d: int, seed: int,
-               init_scale: float = 0.1) -> FactorModel:
+               init_scale: float) -> FactorModel:
     """Normal(0, init_scale) factors, zero biases, deterministic per seed."""
     if num_users < 1 or num_items < 1 or d < 1:
         raise ValueError("num_users, num_items, d must all be >= 1")
@@ -185,8 +186,7 @@ def parse_model(text: str) -> FactorModel:
 
 
 def save_model(model: FactorModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_model(model))
+    _write_text(path, [format_model(model)])
 
 
 def load_model(path) -> FactorModel:
@@ -198,8 +198,6 @@ def save_trace(trace: TrainTrace, alpha: float, path) -> None:
     """Trace CSV: iteration, objective, penalty, and the combined objective
     + alpha * penalty that training minimized."""
     combined = trace.objective + alpha * trace.penalty
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,objective,penalty,combined\n")
-        for it in range(len(trace)):
-            fh.write(f"{it},{_fmt(trace.objective[it])},{_fmt(trace.penalty[it])},"
-                     f"{_fmt(combined[it])}\n")
+    _write_text(path, ["iteration,objective,penalty,combined\n"] + [
+        f"{it},{_fmt(trace.objective[it])},{_fmt(trace.penalty[it])},{_fmt(combined[it])}\n"
+        for it in range(len(trace))])

@@ -158,7 +158,7 @@ class TestMlPrepare:
         code, stdout, stderr = run(capsys, "ml-prepare", "--ml-path", str(root),
                                    "--min-ratings", "2", "--out", str(out))
         assert (code, stdout) == (2, "")
-        assert stderr == "error: duplicate rating for user 2, item 1\n"
+        assert stderr == "error: duplicate rating for MovieLens user 3, movie 5\n"
         assert not out.exists()
 
     def test_missing_directory_exits_two(self, tmp_path, capsys):

@@ -431,8 +431,15 @@ class TestCReaderAgainstOracle:
     def test_synth_gen_file_takes_the_c_reader(self, tmp_path):
         path = tmp_path / "synth.txt"
         assert main(["synth-gen", "--users", "40", "--items", "30", "--out", str(path)]) == 0
-        with mock.patch.object(core, "_checked_ratings", side_effect=AssertionError("fallback")):
+        read_rows, results = core._read_rows, []
+
+        def recorded(*args, **kwargs):
+            results.append(read_rows(*args, **kwargs))
+            return results[-1]
+
+        with mock.patch.object(core, "_read_rows", recorded):
             d = load_dataset(path)
+        assert results and all(rows is not None for rows in results)
         assert format_dataset(d) == path.read_text()
 
 

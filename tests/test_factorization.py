@@ -383,7 +383,7 @@ class TestDensePath:
 
         data, expected = generate(RegimeConfig("P+O", n, m, seed=0))
         eval_set = expected_value_eval(data, expected)
-        model = init_model(n, m, 4, seed=0)
+        model = init_model(n, m, 4, seed=0, init_scale=0.1)
         assert Entries(data).dense_gradient
         monkeypatch.setattr(factorization, "predict_entries", no_gather)
         TrainingObjective(data, 1e-3, PenaltySpec.single("value"), 0.3)(model)
@@ -398,7 +398,7 @@ class TestDensePath:
         flat = rng.choice(n * m, size=900, replace=False)  # 4.5% fill
         data = Dataset(n, m, flat // m, flat % m, rng.uniform(1, 5, 900),
                        np.arange(n) % 3 == 0)
-        model = init_model(n, m, 4, seed=0)
+        model = init_model(n, m, 4, seed=0, init_scale=0.1)
         assert not Entries(data).dense_gradient
         monkeypatch.setattr(factorization, "score_matrix", no_scores)
         TrainingObjective(data, 1e-3, PenaltySpec.single("value"), 0.3)(model)

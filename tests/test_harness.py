@@ -271,7 +271,8 @@ class TestRunTrials:
         splits = counting(monkeypatch, "split")
         config = tiny_config(source="movielens", ml_path=str(repeated), min_ratings=2,
                              base_seed=base_seed)
-        with pytest.raises(FairrecError, match="^duplicate rating for user 2, item 1$"):
+        with pytest.raises(FairrecError,
+                           match="^duplicate rating for MovieLens user 3, movie 5$"):
             run_experiment(config)
         assert splits == []
 

@@ -7,6 +7,7 @@ expectations below are hand-derived from those files.
 
 import os
 import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -339,6 +340,18 @@ class TestFilter:
         # movie 6, the only Romance one, is rated by users 1, 4 and 6, all F
         with pytest.raises(FairrecError, match="no user is in the advantaged group"):
             filter_dataset(raw, ("Romance",), min_ratings=1)
+
+    def test_repeated_pair_named_by_movielens_ids(self, raw):
+        # movie 4 is dropped; of the kept repeats, (3, 5) at dense indices
+        # (2, 1) comes first in id order
+        extra = [(4, 3), (1, 4), (1, 4), (3, 5)]
+        again = replace(raw, user_ids=np.append(raw.user_ids, [u for u, _ in extra]),
+                        movie_ids=np.append(raw.movie_ids, [m for _, m in extra]),
+                        values=np.append(raw.values, [3.0] * 4),
+                        timestamps=np.append(raw.timestamps, [0] * 4))
+        with pytest.raises(FairrecError,
+                           match="^duplicate rating for MovieLens user 3, movie 5$"):
+            filter_dataset(again, SELECTED_GENRES, min_ratings=2)
 
     def test_bad_mode_rejected(self, raw):
         with pytest.raises(ValueError):

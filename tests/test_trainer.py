@@ -47,7 +47,7 @@ class TestInitModel:
         assert not np.array_equal(a.user_factors, c.user_factors)
 
     def test_zero_biases(self):
-        m = init_model(4, 3, 2, seed=0)
+        m = init_model(4, 3, 2, seed=0, init_scale=0.1)
         assert not m.user_bias.any()
         assert not m.item_bias.any()
 
@@ -58,7 +58,7 @@ class TestInitModel:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            init_model(0, 3, 2, seed=0)
+            init_model(0, 3, 2, seed=0, init_scale=0.1)
 
 
 class TestAdamStep:
@@ -324,7 +324,7 @@ class TestParseModelAgainstOracle:
         "p 0.5 nan", "p -inf 1.0", "p 0.5 1e400", "p 1e-400 5e-324",
         "p 2.2250738585072011e-308 -0.0", "p 0." + "3" * 60 + " " + "1" * 60])
     def test_row_spellings_match_line_by_line_reader(self, line):
-        lines = format_model(init_model(2, 3, 2, seed=1)).splitlines()
+        lines = format_model(init_model(2, 3, 2, seed=1, init_scale=0.1)).splitlines()
         lines[2] = line
         text = "\n".join(lines) + "\n"
         assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
