@@ -7,6 +7,7 @@ flat key=value defaults; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import (
@@ -175,7 +176,7 @@ def _cmd_synth_gen(args, mapping) -> int:
     blocks = default_block_models()
     data, _ = generate(config, blocks)
     save_dataset(data, args.out)
-    write_sidecar(args.sidecar or args.out + ".blocks", blocks, config.regime)
+    write_sidecar(args.sidecar, blocks, config.regime)
     print(f"users={data.num_users} items={data.num_items} ratings={data.num_ratings}")
     return 0
 
@@ -195,7 +196,7 @@ def _cmd_train(args, mapping) -> int:
     data = load_dataset(args.data)
     model, trace = train(data, hyper, spec)
     save_model(model, args.out)
-    save_trace(trace, hyper.alpha, args.trace or args.out + ".trace.csv")
+    save_trace(trace, hyper.alpha, args.trace)
     print(f"final objective={_fmt(trace.objective[-1])} penalty={_fmt(trace.penalty[-1])}")
     return 0
 
@@ -226,6 +227,24 @@ def _cmd_reproduce(args, mapping) -> int:
     return 0
 
 
+def _check_outputs(args) -> None:
+    """Fill in the default sidecar and trace paths, and raise FairrecError
+    for any file the command writes that cannot be created because its
+    directory is missing or it is a directory, so that no work is lost."""
+    if hasattr(args, "sidecar"):
+        args.sidecar = args.sidecar or args.out + ".blocks"
+    if hasattr(args, "trace"):
+        args.trace = args.trace or args.out + ".trace.csv"
+    for path in (getattr(args, name, None) for name in ("out", "sidecar", "trace")):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise FairrecError(f"cannot write {path!r}: it is a directory")
+        directory = os.path.dirname(path)
+        if not os.path.isdir(directory or "."):
+            raise FairrecError(f"cannot write {path!r}: no directory {directory!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -237,6 +256,7 @@ def main(argv=None) -> int:
         if hasattr(args, "ml_path") and not mapping.get("ml_path"):
             print("error: --ml-path is required (flag or config)", file=sys.stderr)
             return 1
+        _check_outputs(args)
         return args.func(args, mapping)
     except (FairrecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,7 @@
-"""Shared domain types, dataset validation, and the dataset text format."""
+"""Shared domain types, dataset validation, the dataset text format, and
+the shared row reader, _read_rows: the one place where numpy's C reader
+reads input text, for dataset files and MovieLens ratings.dat, with each
+format's exact per-line reader as its fallback."""
 
 from __future__ import annotations
 
@@ -259,27 +262,41 @@ def _line_chunks(pieces: Iterable[str]) -> Iterator[tuple[int, list]]:
         first_no += len(lines)
 
 
-def _read_rows(lines: list, dtype: np.dtype, delimiter: str | None = None):
-    """One record of dtype per line, read by numpy's C reader, or None when
-    int() and float() must convert the lines instead.
+def _read_rows(lines: list, first_no: int, dtype: np.dtype, read_line, prefix: str = "",
+               delimiter: str | None = None, accept=None) -> np.ndarray:
+    """The records of dtype in a chunk of lines, the first numbered first_no.
+
+    The lines that start with prefix go to numpy's C reader together, and
+    read_line(no, line) reads each other line, giving its record or None.
+    When the C reader refuses its lines or accept(records) is false,
+    read_line reads every line in file order instead, so the first bad line
+    is the one it raises for.
 
     The reader gets only ASCII text without NUL or \\x1f: numpy 2.4 segfaults
     on the field "\\U0009c6ca", reads a NUL in a text field as empty and strips
     \\x1f around a number, which int() rejects. On such text it accepts only
-    what int() and float() accept. None also means that it rejected a line,
-    warned (numpy 1.x reads "5.0" as an int with a warning) or skipped one.
+    what int() and float() accept. It refuses its lines when it rejects a
+    line, warns (numpy 1.x reads "5.0" as an int with a warning) or skips one.
     """
-    text = "\n".join(lines)
-    if not text.isascii() or "\x00" in text or "\x1f" in text:
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
-                              ndmin=1) if lines else np.zeros(0, dtype)
-    except (ValueError, OverflowError, Warning):
-        return None
-    return rows if len(rows) == len(lines) else None
+    rows, others = lines, []
+    if prefix and "\n".join(["", *lines]).count("\n" + prefix) != len(lines):
+        others = [k for k, line in enumerate(lines) if not line.startswith(prefix)]
+        rows = list(chain.from_iterable(  # the runs between the others
+            lines[a + 1:b] for a, b in zip([-1, *others], [*others, len(lines)])))
+    records = None
+    text = "\n".join(rows)
+    if text.isascii() and "\x00" not in text and "\x1f" not in text:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                records = np.loadtxt(rows, dtype=dtype, delimiter=delimiter, comments=None,
+                                     ndmin=1) if rows else np.zeros(0, dtype)
+        except (ValueError, OverflowError, Warning):
+            pass
+    if records is None or len(records) != len(rows) or (accept and not accept(records)):
+        records, others = np.zeros(0, dtype), range(len(lines))
+    extra = [rec for k in others if (rec := read_line(first_no + k, lines[k])) is not None]
+    return np.concatenate([records, np.array(extra, dtype)]) if extra else records
 
 
 def _value_text(bits: int) -> str:
@@ -355,11 +372,12 @@ def parse_dataset(text: str) -> Dataset:
     fine: dict[int, str] = {}
     groups: dict[int, str] = {}
 
-    def read_line(no: int, line: str, ratings: list) -> None:
-        """Read one line of any kind with int() and float(); a rating goes to ratings."""
+    def read_line(no: int, line: str):
+        """Read one line of any kind with int() and float(); gives the rating
+        record of an r line, None for any other line."""
         parts = line.split()
         if not parts:
-            return
+            return None
         kind = parts[0]
         try:
             if kind == "u" and len(parts) in (3, 4):
@@ -382,34 +400,19 @@ def parse_dataset(text: str) -> Dataset:
                     raise MalformedLineError(no, f"unknown item group {parts[2]!r}")
                 groups[i] = parts[2]
             elif kind == "r" and len(parts) == 4:
-                ratings.append(("r", np.int64(int(parts[1])), np.int64(int(parts[2])),
-                                float(parts[3])))
+                return "r", np.int64(int(parts[1])), np.int64(int(parts[2])), float(parts[3])
             else:
                 raise MalformedLineError(no, f"unrecognized line {line!r}")
         except (ValueError, OverflowError) as exc:
             raise MalformedLineError(no, str(exc)) from exc
+        return None
 
-    # Each chunk's lines that start with "r " go to numpy's C reader together.
-    # When it refuses them, read_line reads the whole chunk in file order, so
-    # the first malformed line is the one reported; otherwise it reads only
-    # the other lines.
     columns = []
     last_no = 1
     for first_no, chunk in chain([(2, lines[1:])], chunks):
         last_no = first_no + len(chunk) - 1
-        rows, others = chunk, []
-        if "\n".join(["", *chunk]).count("\nr ") != len(chunk):
-            others = [k for k, line in enumerate(chunk) if line[:2] != "r "]
-            rows = list(chain.from_iterable(  # the runs between the others
-                chunk[a + 1:b] for a, b in zip([-1, *others], [*others, len(chunk)])))
         # every row starts with "r ", so the U1 field reads the token "r" whole
-        block = _read_rows(rows, _RATING_ROW)
-        if block is not None:
-            columns.append(block)
-        ratings = []
-        for k in range(len(chunk)) if block is None else others:
-            read_line(first_no + k, chunk[k], ratings)
-        columns.append(np.array(ratings, dtype=_RATING_ROW))
+        columns.append(_read_rows(chunk, first_no, _RATING_ROW, read_line, prefix="r "))
     if not seen_user.all():
         missing = int(np.flatnonzero(~seen_user)[0])
         raise MalformedLineError(last_no, f"no 'u' line for user {missing}")

@@ -68,7 +68,10 @@ class ExperimentConfig:
     """Everything one experiment depends on: data source, training knobs,
     the penalty specs under comparison, and the trial plan. A bare
     ExperimentConfig(source="movielens") runs 5 trials at alpha 0.3; the CLI's
-    3 and 0.1 come from config_experiment({"source": "movielens", ...})."""
+    3 and 0.1 come from config_experiment({"source": "movielens", ...}).
+
+    hyper.seed is ignored: trial t trains with seed base_seed + t, which also
+    drives its data. The config key ``seed`` sets base_seed."""
 
     source: str = "synthetic"
     regime: str = "P+O"

@@ -105,28 +105,11 @@ _RATING_LINE = np.dtype([("user", np.int64), ("gap1", "U1"), ("movie", np.int64)
 
 
 def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np.ndarray:
-    """Columns (user, movie, star, timestamp) of a chunk of rating lines,
-    converted whole, or by _checked_ratings when any line fails."""
-    rows = _read_rows(lines, _RATING_LINE, ":")
-    # a gap holding text, which U1 cuts to one character, is a lone ":"
-    if rows is not None and not ((rows["gap1"] != "") | (rows["gap2"] != "")
-                                 | (rows["gap3"] != "")).any():
-        columns = np.stack([rows[name] for name in ("user", "movie", "star", "stamp")])
-        uid, mid, val, _ = columns
-        if ((1 <= val) & (val <= 5)).all() and np.isin(uid, list(users)).all() \
-                and np.isin(mid, list(movies)).all():
-            return columns
-    return _checked_ratings(lines, first_no, users, movies)
-
-
-def _checked_ratings(lines: list, first_no: int, users: dict, movies: dict) -> np.ndarray:
-    """Columns (user, movie, star, timestamp) of a chunk of rating lines, read
-    one line at a time: raises for its first bad line or, when blank lines
-    were all that failed, gives its columns."""
-    rows = []
-    for no, line in enumerate(lines, start=first_no):
+    """Columns (user, movie, star, timestamp) of a chunk of rating lines;
+    raises for its first bad line. Blank lines hold no rating."""
+    def read_line(no: int, line: str):
         if not line.strip():
-            continue
+            return None
         parts = line.split("::")
         if len(parts) != 4:
             raise MalformedLineError(no, f"bad ratings line {line!r}")
@@ -142,8 +125,17 @@ def _checked_ratings(lines: list, first_no: int, users: dict, movies: dict) -> n
             raise MalformedLineError(no, f"rating references unknown user {uid}")
         if mid not in movies:
             raise MalformedLineError(no, f"rating references unknown movie {mid}")
-        rows.append((uid, mid, val, ts))
-    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        return uid, "", mid, "", val, "", ts
+
+    def accept(rows: np.ndarray) -> bool:
+        # a gap holding text, which U1 cuts to one character, is a lone ":"
+        return not ((rows["gap1"] != "") | (rows["gap2"] != "") | (rows["gap3"] != "")).any() \
+            and ((1 <= rows["star"]) & (rows["star"] <= 5)).all() \
+            and np.isin(rows["user"], list(users)).all() \
+            and np.isin(rows["movie"], list(movies)).all()
+
+    rows = _read_rows(lines, first_no, _RATING_LINE, read_line, delimiter=":", accept=accept)
+    return np.stack([rows[name] for name in ("user", "movie", "star", "stamp")])
 
 
 def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:

@@ -27,7 +27,6 @@ from .core import (
     Hyperparams,
     MalformedLineError,
     _fmt,
-    _read_rows,
     _write_text,
 )
 from .factorization import flat_params, param_blocks
@@ -138,30 +137,6 @@ def format_model(model: FactorModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _checked_rows(lines: list, first_no: int, tag: str, width: int) -> np.ndarray:
-    """Values of checkpoint lines that each hold tag and width finite numbers,
-    as a (len(lines), width) array; raises for the first line that does not."""
-    # The row dtype is built only once the first line shows width values, so
-    # its size is bounded by the input; a U3 field cuts a longer tag to three
-    # characters, which the tag comparison then rejects.
-    if lines and len(lines[0].split()) == width + 1:
-        rows = _read_rows(lines, np.dtype([("tag", "U3"), ("values", np.float64, (width,))]))
-        if rows is not None and (rows["tag"] == tag).all() and np.isfinite(rows["values"]).all():
-            return rows["values"]
-    values = []
-    for no, line in enumerate(lines, start=first_no):
-        fields = line.split()
-        if len(fields) != width + 1 or fields[0] != tag:
-            raise MalformedLineError(no, f"expected '{tag}' row with {width} values")
-        try:
-            values.append([float(x) for x in fields[1:]])
-        except ValueError as exc:
-            raise MalformedLineError(no, f"bad number: {exc}") from exc
-        if not all(map(isfinite, values[-1])):
-            raise MalformedLineError(no, "parameters must be finite")
-    return np.array(values).reshape(len(lines), width)
-
-
 def parse_model(text: str) -> FactorModel:
     lines = text.splitlines()
     if not lines:
@@ -176,13 +151,24 @@ def parse_model(text: str) -> FactorModel:
     expected = 1 + n + m + 2
     if len(lines) != expected:
         raise MalformedLineError(len(lines), f"expected {expected} lines, got {len(lines)}")
-    # tag, width, and the first and the after-last line number of each block
-    user_factors, item_factors, user_bias, item_bias = (
-        _checked_rows(lines[start - 1:stop - 1], start, tag, width)
-        for tag, width, start, stop in (("p", d, 2, n + 2), ("q", d, n + 2, n + m + 2),
-                                        ("bu", n, n + m + 2, n + m + 3),
-                                        ("bi", m, n + m + 3, n + m + 4)))
-    return FactorModel(user_factors, item_factors, user_bias[0], item_bias[0])
+
+    def row(no: int, tag: str, width: int) -> list:
+        """The values of line no, which must hold tag and width finite numbers."""
+        fields = lines[no - 1].split()
+        if len(fields) != width + 1 or fields[0] != tag:
+            raise MalformedLineError(no, f"expected '{tag}' row with {width} values")
+        try:
+            values = [float(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise MalformedLineError(no, f"bad number: {exc}") from exc
+        if not all(map(isfinite, values)):
+            raise MalformedLineError(no, "parameters must be finite")
+        return values
+
+    user_factors = [row(2 + k, "p", d) for k in range(n)]
+    item_factors = [row(2 + n + k, "q", d) for k in range(m)]
+    return FactorModel(np.array(user_factors), np.array(item_factors),
+                       np.array(row(2 + n + m, "bu", n)), np.array(row(3 + n + m, "bi", m)))
 
 
 def save_model(model: FactorModel, path) -> None:

@@ -543,6 +543,41 @@ class TestReproductions:
         assert "--ml-path" in stderr
 
 
+class TestOutputPaths:
+    """A file that cannot be created stops the command before any work."""
+
+    @pytest.mark.parametrize("argv, work", [
+        (["synth-gen", "--users", "40", "--items", "30", "--out", "{tmp}/d.txt",
+          "--sidecar", "{tmp}/missing/s.blocks"], "fairrec.cli.generate"),
+        (["synth-gen", "--users", "40", "--items", "30", "--out", "{tmp}"],
+         "fairrec.cli.generate"),
+        (["ml-prepare", "--ml-path", "{ml}", "--min-ratings", "2",
+          "--out", "{tmp}/missing/ml.txt"], "fairrec.harness.parse_ml1m_dir"),
+        (["train", "--data", "{data}", "--iterations", "5", "--out", "{tmp}/m.txt",
+          "--trace", "{tmp}/missing/t.csv"], "fairrec.cli.train"),
+        (["train", "--data", "{data}", "--iterations", "5", "--out", "{tmp}/missing/m.txt"],
+         "fairrec.cli.train"),
+        (["reproduce-table1", "--trials", "1", "--iterations", "5",
+          "--out", "{tmp}/missing/t1.csv"], "fairrec.harness.train"),
+        (["reproduce-fig1", "--trials", "1", "--iterations", "5", "--out", "{tmp}"],
+         "fairrec.harness.train"),
+        (["reproduce-table2", "--ml-path", "{ml}", "--min-ratings", "2",
+          "--out", "{tmp}/missing/t2.csv"], "fairrec.harness.parse_ml1m_dir"),
+    ], ids=["synth-gen-sidecar", "synth-gen-directory", "ml-prepare", "train-trace",
+            "train-out", "reproduce-table1", "reproduce-fig1-directory", "reproduce-table2"])
+    def test_unwritable_output_exits_two_before_work(self, argv, work, synth_file, ml_dir,
+                                                      tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(work, no_work)
+        argv = [arg.format(tmp=tmp_path, ml=ml_dir, data=synth_file) for arg in argv]
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: cannot write ")
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):
     """scipy is most of a cold start. Importing the package and the CLI,
     generating, training on and scoring dense data, and scoring sparse data,

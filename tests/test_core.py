@@ -431,16 +431,61 @@ class TestCReaderAgainstOracle:
     def test_synth_gen_file_takes_the_c_reader(self, tmp_path):
         path = tmp_path / "synth.txt"
         assert main(["synth-gen", "--users", "40", "--items", "30", "--out", str(path)]) == 0
-        read_rows, results = core._read_rows, []
+        read_rows, line_reads = core._read_rows, []
 
-        def recorded(*args, **kwargs):
-            results.append(read_rows(*args, **kwargs))
-            return results[-1]
+        def recorded(lines, first_no, dtype, read_line, **kwargs):
+            def read_recorded(no, line):
+                line_reads.append(line)
+                return read_line(no, line)
+            return read_rows(lines, first_no, dtype, read_recorded, **kwargs)
 
         with mock.patch.object(core, "_read_rows", recorded):
             d = load_dataset(path)
-        assert results and all(rows is not None for rows in results)
+        # only the u and g lines are read one at a time; every r line went to numpy
+        assert line_reads and all(line[:2] in ("u ", "g ") for line in line_reads)
         assert format_dataset(d) == path.read_text()
+
+
+TINY_ROW = np.dtype([("k", "U1"), ("x", np.int64)])
+
+
+def tiny_line(no, line):
+    """A record for "k" and an int, None for a lone "c", else MalformedLineError."""
+    parts = line.split()
+    if parts == ["c"]:
+        return None
+    if len(parts) != 2 or parts[0] != "k":
+        raise MalformedLineError(no, "bad line")
+    try:
+        return "k", int(parts[1])
+    except ValueError as exc:
+        raise MalformedLineError(no, str(exc)) from exc
+
+
+@pytest.mark.parametrize("lines, prefix, accept, reads, result", [
+    (["k 1", "k 2"], "k ", None, [], [1, 2]),
+    (["k 1", "c", "k\t3", "k 2"], "k ", None, [11, 12], [1, 2, 3]),
+    (["k 1", "k x", "k 2"], "k ", None, [10, 11], 11),
+    (["k 1", "k \u00b2", "k 2"], "k ", None, [10, 11], 11),
+    (["k 1", "", "k 2"], "", None, [10, 11], 11),
+    (["k 1", "k 2"], "k ", lambda rows: False, [10, 11], [1, 2]),
+], ids=["accepted", "mixed", "c-reader-error", "non-ascii", "skipped-blank", "not-accepted"])
+def test_read_rows_outcomes(lines, prefix, accept, reads, result):
+    # result: the x column, or the number of the line that must raise
+    seen = []
+
+    def read_line(no, line):
+        seen.append(no)
+        return tiny_line(no, line)
+
+    if isinstance(result, int):
+        with pytest.raises(MalformedLineError) as exc:
+            core._read_rows(lines, 10, TINY_ROW, read_line, prefix=prefix, accept=accept)
+        assert exc.value.line_no == result
+    else:
+        rows = core._read_rows(lines, 10, TINY_ROW, read_line, prefix=prefix, accept=accept)
+        assert rows.dtype == TINY_ROW and rows["x"].tolist() == result
+    assert seen == reads
 
 
 def _result_table():

@@ -201,7 +201,7 @@ def apply_ml_edit(files, ends, edit):
         parts[pos % len(parts)] = token
     elif kind == "star" and len(parts) > 2:
         parts[2] = "06"[pos % 2]
-    elif kind == "unknown":
+    elif kind == "unknown" and len(parts) > 1:
         parts[pos % 2] = "100"
     elif kind == "title_char" and len(parts) > 1:
         at = pos % (len(parts[1]) + 1)
@@ -284,8 +284,13 @@ class TestCReaderAgainstOracle:
                 data.user_idx.tolist(), data.item_idx.tolist(), data.values.tolist(),
                 stamps.tolist())), encoding="latin-1")
         paths = [tmp_path / name for name in ("users.dat", "movies.dat", "ratings.dat")]
-        with mock.patch.object(movielens, "_checked_ratings",
-                               side_effect=AssertionError("fallback")):
+        read_rows = movielens._read_rows
+
+        def no_line_reads(lines, first_no, dtype, read_line, **kwargs):
+            return read_rows(lines, first_no, dtype,
+                             mock.Mock(side_effect=AssertionError("fallback")), **kwargs)
+
+        with mock.patch.object(movielens, "_read_rows", no_line_reads):
             fast = ml_outcome(parse_ml1m, paths)
         assert fast == ml_outcome(oracle_parse_ml1m, paths)
         assert len(fast) == 6 and len(fast[2]) == 8 * data.num_ratings

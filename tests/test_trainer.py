@@ -1,13 +1,12 @@
 """Optimizer steps, the training loop, and the checkpoint format."""
 
 import random
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fairrec.trainer as trainer
 from fairrec import (
     DivergenceError,
     FactorModel,
@@ -309,11 +308,16 @@ class TestParseModelAgainstOracle:
 
     def test_huge_width_rejected_before_allocation(self):
         # four short lines match the line count of n=1 m=1, but no row is
-        # as wide as d, so no row dtype of d values may be built
+        # as wide as d, so nothing of d values may be allocated
         text = "d=1000000000 n=1 m=1\np 0.5\nq 0.5\nbu 0.5\nbi 0.5\n"
-        with mock.patch.object(trainer, "_read_rows", side_effect=AssertionError), \
-                pytest.raises(MalformedLineError) as exc:
-            parse_model(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedLineError) as exc:
+                parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
         assert exc.value.line_no == 2
         assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
 
