@@ -1,9 +1,12 @@
 """Block-model data generation and the four observation regimes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from fairrec import FairrecError, REGIMES, RegimeConfig, expected_value_eval, generate
+from fairrec.cli import main
 from fairrec.core import ITEM_GROUPS, USER_FINE_GROUPS
 from fairrec.synthgen import (
     BlockModels,
@@ -188,3 +191,26 @@ class TestSidecar:
         path = tmp_path / "blocks.txt"
         write_sidecar(path, default_block_models(), regime)
         assert path.read_text().startswith(f"regime {regime}\n")
+
+
+# SHA-256 of `synth-gen --regime R --users 40 --items 30 --seed 3`: the
+# dataset bytes followed by the sidecar bytes, and the expected-rating matrix
+# generate() returns for the same config. Any change to the sampling, the
+# block models or the file formats shows up here.
+PINNED = {
+    "U": ("f5f9cf61693da6cd", "8741fad2c449f953"),
+    "O": ("7f06019d0a98f302", "8741fad2c449f953"),
+    "P": ("22bb1406a4c6327d", "9f00bc4b37212657"),
+    "P+O": ("4eacf5a18d0f1395", "9f00bc4b37212657"),
+}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_output_is_pinned(tmp_path, regime):
+    out = tmp_path / "d.txt"
+    assert main(["synth-gen", "--regime", regime, "--users", "40", "--items", "30",
+                 "--seed", "3", "--out", str(out)]) == 0
+    files = out.read_bytes() + (tmp_path / "d.txt.blocks").read_bytes()
+    _, expected = generate(RegimeConfig(regime, 40, 30, seed=3))
+    assert (hashlib.sha256(files).hexdigest()[:16],
+            hashlib.sha256(expected.tobytes()).hexdigest()[:16]) == PINNED[regime]
