@@ -35,7 +35,7 @@ from .harness import (
 from .metrics import full_report
 from .movielens import GENRE_MODES
 from .penalties import parse_penalty
-from .synthgen import REGIMES, RegimeConfig, default_block_models, generate, write_sidecar
+from .synthgen import REGIMES, RegimeConfig, generate, write_sidecar
 from .trainer import load_model, save_model, save_trace, train
 
 
@@ -173,10 +173,9 @@ def _cmd_synth_gen(args, mapping) -> int:
         num_items=int(mapping.get("items", _CONFIG.num_items)),
         seed=int(mapping.get("seed", _CONFIG.base_seed)),
     )
-    blocks = default_block_models()
-    data, _ = generate(config, blocks)
+    data, _ = generate(config)
     save_dataset(data, args.out)
-    write_sidecar(args.sidecar, blocks, config.regime)
+    write_sidecar(args.sidecar, config.regime)
     print(f"users={data.num_users} items={data.num_items} ratings={data.num_ratings}")
     return 0
 
@@ -229,20 +228,29 @@ def _cmd_reproduce(args, mapping) -> int:
 
 def _check_outputs(args) -> None:
     """Fill in the default sidecar and trace paths, and raise FairrecError
-    for any file the command writes that cannot be created because its
-    directory is missing or it is a directory, so that no work is lost."""
-    if hasattr(args, "sidecar"):
-        args.sidecar = args.sidecar or args.out + ".blocks"
-    if hasattr(args, "trace"):
-        args.trace = args.trace or args.out + ".trace.csv"
+    for any file the command writes that cannot be created because its path
+    is empty, its directory is missing, it is a directory or another output
+    names the same file, so that no work is lost."""
+    if hasattr(args, "sidecar") and args.sidecar is None:
+        args.sidecar = args.out + ".blocks"
+    if hasattr(args, "trace") and args.trace is None:
+        args.trace = args.out + ".trace.csv"
+    written = {}
     for path in (getattr(args, name, None) for name in ("out", "sidecar", "trace")):
         if path is None:
             continue
+        if not path:
+            raise FairrecError("cannot write '': the path is empty")
         if os.path.isdir(path):
             raise FairrecError(f"cannot write {path!r}: it is a directory")
         directory = os.path.dirname(path)
         if not os.path.isdir(directory or "."):
             raise FairrecError(f"cannot write {path!r}: no directory {directory!r}")
+        real = os.path.realpath(path)
+        if real in written:
+            raise FairrecError(
+                f"cannot write {path!r}: another output, {written[real]!r}, is the same file")
+        written[real] = path
 
 
 def main(argv=None) -> int:

@@ -333,11 +333,6 @@ def _dataset_pieces(d: Dataset) -> Iterator[str]:
         yield "".join(block.ravel().tolist())
 
 
-def format_dataset(d: Dataset) -> str:
-    """Serialize a dataset to its text form (see _dataset_pieces)."""
-    return "".join(_dataset_pieces(d))
-
-
 _RATING_ROW = np.dtype([("r", "U1"), ("u", np.int64), ("i", np.int64), ("v", np.float64)])
 
 

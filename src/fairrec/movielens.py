@@ -37,18 +37,18 @@ _INT64 = range(-2**63, 2**63)
 
 @dataclass(frozen=True, eq=False)
 class MovieLensRaw:
-    """Parsed ML-1M files: user genders, movie genre sets, rating 4-tuples."""
+    """Parsed ML-1M files: user genders, movie genre sets, and the user, movie
+    and star of each rating (timestamps are checked, then dropped)."""
 
     users: dict
     movies: dict
     user_ids: np.ndarray
     movie_ids: np.ndarray
     values: np.ndarray
-    timestamps: np.ndarray
 
     def __post_init__(self):
         for name, dtype in (("user_ids", np.int64), ("movie_ids", np.int64),
-                            ("values", np.float64), ("timestamps", np.int64)):
+                            ("values", np.float64)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             object.__setattr__(self, name, _frozen(arr))
 
@@ -105,8 +105,9 @@ _RATING_LINE = np.dtype([("user", np.int64), ("gap1", "U1"), ("movie", np.int64)
 
 
 def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np.ndarray:
-    """Columns (user, movie, star, timestamp) of a chunk of rating lines;
-    raises for its first bad line. Blank lines hold no rating."""
+    """Columns (user, movie, star) of a chunk of rating lines; raises for its
+    first bad line, a timestamp outside int64 included. Blank lines hold no
+    rating."""
     def read_line(no: int, line: str):
         if not line.strip():
             return None
@@ -135,7 +136,7 @@ def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np
             and np.isin(rows["movie"], list(movies)).all()
 
     rows = _read_rows(lines, first_no, _RATING_LINE, read_line, delimiter=":", accept=accept)
-    return np.stack([rows[name] for name in ("user", "movie", "star", "stamp")])
+    return np.stack([rows[name] for name in ("user", "movie", "star")])
 
 
 def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
@@ -159,7 +160,7 @@ def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
             raise MalformedLineError(no, f"bad movies line {line!r}")
         movies[_new_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
 
-    columns = [np.zeros((4, 0), dtype=np.int64)]  # a file may hold no ratings
+    columns = [np.zeros((3, 0), dtype=np.int64)]  # a file may hold no ratings
     for first_no, lines in _file_chunks(ratings_file):
         columns.append(_rating_columns(lines, first_no, users, movies))
     return MovieLensRaw(users, movies, *np.concatenate(columns, axis=1))

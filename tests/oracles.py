@@ -335,7 +335,7 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
             raise MalformedLineError(no, f"bad movies line {line!r}")
         movies[_ml_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
 
-    user_ids, movie_ids, values, stamps = [], [], [], []
+    user_ids, movie_ids, values = [], [], []
     for no, line in enumerate(_ml_lines(ratings_file), start=1):
         if not line.strip():
             continue
@@ -357,8 +357,7 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
         user_ids.append(uid)
         movie_ids.append(mid)
         values.append(val)
-        stamps.append(ts)
-    return MovieLensRaw(users, movies, user_ids, movie_ids, values, stamps)
+    return MovieLensRaw(users, movies, user_ids, movie_ids, values)
 
 
 def oracle_parse_model(text):

@@ -563,14 +563,24 @@ class TestOutputPaths:
          "fairrec.harness.train"),
         (["reproduce-table2", "--ml-path", "{ml}", "--min-ratings", "2",
           "--out", "{tmp}/missing/t2.csv"], "fairrec.harness.parse_ml1m_dir"),
+        (["synth-gen", "--users", "40", "--items", "30", "--out", "{tmp}/d.txt",
+          "--sidecar", "{tmp}/./d.txt"], "fairrec.cli.generate"),
+        (["train", "--data", "{data}", "--iterations", "5", "--out", "{tmp}/m.txt",
+          "--trace", "{tmp}/m.txt"], "fairrec.cli.train"),
+        (["synth-gen", "--users", "40", "--items", "30", "--out", ""],
+         "fairrec.cli.generate"),
     ], ids=["synth-gen-sidecar", "synth-gen-directory", "ml-prepare", "train-trace",
-            "train-out", "reproduce-table1", "reproduce-fig1-directory", "reproduce-table2"])
+            "train-out", "reproduce-table1", "reproduce-fig1-directory", "reproduce-table2",
+            "synth-gen-sidecar-is-out", "train-trace-is-out", "synth-gen-empty-out"])
     def test_unwritable_output_exits_two_before_work(self, argv, work, synth_file, ml_dir,
                                                       tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
         monkeypatch.setattr(work, no_work)
+        # a relative path, such as a default sidecar next to an empty --out,
+        # lands in tmp_path too
+        monkeypatch.chdir(tmp_path)
         argv = [arg.format(tmp=tmp_path, ml=ml_dir, data=synth_file) for arg in argv]
         code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout) == (2, "")

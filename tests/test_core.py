@@ -22,14 +22,17 @@ from fairrec.cli import main
 from fairrec.core import (
     ITEM_GROUPS,
     USER_FINE_GROUPS,
-    format_dataset,
     parse_dataset,
 )
-from fairrec.synthgen import default_block_models
 from fairrec.trainer import AdamState, TrainTrace
 
 from conftest import dataset_from_ratings, make_train_dataset
 from oracles import oracle_format_dataset, oracle_parse_dataset
+
+
+def dataset_text(d):
+    """The text that save_dataset writes for d."""
+    return "".join(core._dataset_pieces(d))
 
 
 def small_dataset(**overrides):
@@ -173,13 +176,13 @@ class TestHyperparams:
 class TestDatasetFormat:
     def test_round_trip_is_byte_identical(self, rng):
         d, _ = make_train_dataset(rng, num_users=6, num_items=4)
-        text = format_dataset(d)
-        again = format_dataset(parse_dataset(text))
+        text = dataset_text(d)
+        again = dataset_text(parse_dataset(text))
         assert text == again
 
     def test_round_trip_preserves_exact_values(self, rng):
         d, _ = make_train_dataset(rng, num_users=5, num_items=3)
-        back = parse_dataset(format_dataset(d))
+        back = parse_dataset(dataset_text(d))
         assert back.values.tolist() == d.values.tolist()
         assert back.protected.tolist() == d.protected.tolist()
         assert back.rating_scale == d.rating_scale
@@ -187,7 +190,7 @@ class TestDatasetFormat:
     def test_round_trip_keeps_labels(self):
         d = small_dataset(user_group_fine=("W", "MS", "WS"),
                           item_group=("Fem", "STEM"))
-        back = parse_dataset(format_dataset(d))
+        back = parse_dataset(dataset_text(d))
         assert back.user_group_fine == ("W", "MS", "WS")
         assert back.item_group == ("Fem", "STEM")
 
@@ -196,7 +199,7 @@ class TestDatasetFormat:
         path = tmp_path / "data.txt"
         save_dataset(d, path)
         back = load_dataset(path)
-        assert format_dataset(back) == format_dataset(d)
+        assert dataset_text(back) == dataset_text(d)
 
     def test_empty_text_rejected(self):
         with pytest.raises(MalformedLineError):
@@ -346,7 +349,7 @@ class TestCodecAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(d=datasets())
     def test_format_matches_line_by_line_writer(self, d):
-        assert format_dataset(d) == oracle_format_dataset(d)
+        assert dataset_text(d) == oracle_format_dataset(d)
 
     @settings(max_examples=300, deadline=None)
     @given(d=datasets(), edits=st.lists(EDITS, max_size=3),
@@ -443,7 +446,7 @@ class TestCReaderAgainstOracle:
             d = load_dataset(path)
         # only the u and g lines are read one at a time; every r line went to numpy
         assert line_reads and all(line[:2] in ("u ", "g ") for line in line_reads)
-        assert format_dataset(d) == path.read_text()
+        assert dataset_text(d) == path.read_text()
 
 
 TINY_ROW = np.dtype([("k", "U1"), ("x", np.int64)])
@@ -495,16 +498,16 @@ def _result_table():
 
 def _movielens_raw():
     from fairrec.movielens import MovieLensRaw
-    return MovieLensRaw({1: "F"}, {2: frozenset({"Action"})}, [1], [2], [5.0], [9])
+    return MovieLensRaw({1: "F"}, {2: frozenset({"Action"})}, [1], [2], [5.0])
 
 
 @pytest.mark.parametrize("make", [
     lambda: small_dataset(), lambda: FactorModel(np.ones((2, 2)), np.ones((3, 2)),
                                                  np.zeros(2), np.zeros(3)),
     _result_table, _movielens_raw, lambda: AdamState.fresh(np.zeros(3)),
-    lambda: TrainTrace(np.ones(2), np.zeros(2)), default_block_models,
+    lambda: TrainTrace(np.ones(2), np.zeros(2)),
 ], ids=["Dataset", "FactorModel", "ResultTable", "MovieLensRaw", "AdamState",
-        "TrainTrace", "BlockModels"])
+        "TrainTrace"])
 def test_array_holders_compare_by_identity(make):
     a, b = make(), make()
     assert a == a

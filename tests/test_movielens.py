@@ -58,9 +58,9 @@ class TestParse:
     def test_genres_split(self, raw):
         assert raw.movies[3] == frozenset({"Action", "Crime", "Thriller"})
 
-    def test_values_and_stamps(self, raw):
+    def test_values_are_stars(self, raw):
         assert set(np.unique(raw.values)) <= {1.0, 2.0, 3.0, 4.0, 5.0}
-        assert raw.timestamps.dtype == np.int64
+        assert raw.values.dtype == np.float64
 
     def test_malformed_users_line(self, tmp_path, ml_dir):
         bad = tmp_path / "users.dat"
@@ -220,7 +220,7 @@ def ml_outcome(parse, paths):
     except Exception as exc:  # every failure must match the oracle's
         return type(exc), getattr(exc, "line_no", None), str(exc)
     return (list(raw.users.items()), list(raw.movies.items()), raw.user_ids.tobytes(),
-            raw.movie_ids.tobytes(), raw.values.tobytes(), raw.timestamps.tobytes())
+            raw.movie_ids.tobytes(), raw.values.tobytes())
 
 
 class TestParseAgainstOracle:
@@ -293,7 +293,7 @@ class TestCReaderAgainstOracle:
         with mock.patch.object(movielens, "_read_rows", no_line_reads):
             fast = ml_outcome(parse_ml1m, paths)
         assert fast == ml_outcome(oracle_parse_ml1m, paths)
-        assert len(fast) == 6 and len(fast[2]) == 8 * data.num_ratings
+        assert len(fast) == 5 and len(fast[2]) == 8 * data.num_ratings
 
 
 class TestFilter:
@@ -352,8 +352,7 @@ class TestFilter:
         extra = [(4, 3), (1, 4), (1, 4), (3, 5)]
         again = replace(raw, user_ids=np.append(raw.user_ids, [u for u, _ in extra]),
                         movie_ids=np.append(raw.movie_ids, [m for _, m in extra]),
-                        values=np.append(raw.values, [3.0] * 4),
-                        timestamps=np.append(raw.timestamps, [0] * 4))
+                        values=np.append(raw.values, [3.0] * 4))
         with pytest.raises(FairrecError,
                            match="^duplicate rating for MovieLens user 3, movie 5$"):
             filter_dataset(again, SELECTED_GENRES, min_ratings=2)

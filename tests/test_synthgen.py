@@ -9,41 +9,39 @@ from fairrec import FairrecError, REGIMES, RegimeConfig, expected_value_eval, ge
 from fairrec.cli import main
 from fairrec.core import ITEM_GROUPS, USER_FINE_GROUPS
 from fairrec.synthgen import (
-    BlockModels,
-    default_block_models,
-    sample_item_groups,
-    sample_user_groups,
+    BIASED_SHARES,
+    L,
+    O_BIASED,
+    O_UNIFORM,
+    UNIFORM_SHARES,
+    _REGIMES,
     write_sidecar,
 )
 
 
+def user_labels(regime, n, seed):
+    data, _ = generate(RegimeConfig(regime, n, 30, seed=seed))
+    return data.user_group_fine, data.protected
+
+
 class TestBlockModels:
     def test_default_shapes(self):
-        b = default_block_models()
-        assert b.L.shape == (4, 3)
-        assert b.o_uniform.shape == (4, 3)
-        assert (b.o_uniform == 0.4).all()
-
-    def test_probability_bounds_enforced(self):
-        good = np.full((4, 3), 0.5)
-        with pytest.raises(ValueError):
-            BlockModels(good * 3, good, good)
-        with pytest.raises(ValueError):
-            BlockModels(good, good - 1.0, good)
-
-    def test_shape_enforced(self):
-        good = np.full((4, 3), 0.5)
-        with pytest.raises(ValueError):
-            BlockModels(np.full((3, 4), 0.5), good, good)
+        for matrix in (L, O_UNIFORM, O_BIASED):
+            assert matrix.shape == (4, 3)
+            assert ((0 <= matrix) & (matrix <= 1)).all()
+            assert not matrix.flags.writeable
+        assert (O_UNIFORM == 0.4).all()
 
     def test_observation_selects_matrix(self):
-        b = default_block_models()
-        assert np.array_equal(b.observation("U"), b.o_uniform)
-        assert np.array_equal(b.observation("P"), b.o_uniform)
-        assert np.array_equal(b.observation("O"), b.o_biased)
-        assert np.array_equal(b.observation("P+O"), b.o_biased)
-        with pytest.raises(ValueError):
-            b.observation("Q")
+        assert REGIMES == ("U", "O", "P", "P+O")
+        for regime, shares, observation in (("U", UNIFORM_SHARES, O_UNIFORM),
+                                            ("O", UNIFORM_SHARES, O_BIASED),
+                                            ("P", BIASED_SHARES, O_UNIFORM),
+                                            ("P+O", BIASED_SHARES, O_BIASED)):
+            assert _REGIMES[regime][0] is shares and _REGIMES[regime][1] is observation
+        for shares in (UNIFORM_SHARES, BIASED_SHARES):
+            assert tuple(shares) == USER_FINE_GROUPS
+            assert sum(shares.values()) == 1.0
 
 
 class TestRegimeConfig:
@@ -69,46 +67,47 @@ class TestRegimeConfig:
 
 class TestUserGroups:
     def test_uniform_quarters(self):
-        labels, protected = sample_user_groups(40, "U", seed=0)
+        labels, protected = user_labels("U", 40, seed=0)
         counts = {g: labels.count(g) for g in USER_FINE_GROUPS}
         assert counts == {"W": 10, "WS": 10, "MS": 10, "M": 10}
         assert protected.sum() == 20
 
     def test_biased_shares(self):
-        labels, protected = sample_user_groups(40, "P+O", seed=0)
+        labels, protected = user_labels("P+O", 40, seed=0)
         counts = {g: labels.count(g) for g in USER_FINE_GROUPS}
         assert counts == {"W": 16, "WS": 4, "MS": 16, "M": 4}
         # the protected side stays half the population in every regime
         assert protected.sum() == 20
 
     def test_protected_matches_labels(self):
-        labels, protected = sample_user_groups(20, "P", seed=3)
+        labels, protected = user_labels("P", 20, seed=3)
         for lab, flag in zip(labels, protected):
             assert flag == (lab in ("W", "WS"))
 
     def test_indivisible_counts_rejected(self):
         with pytest.raises(FairrecError, match="41 users cannot be split"):
-            sample_user_groups(41, "U", seed=0)
+            RegimeConfig("U", 41)
         with pytest.raises(FairrecError, match="44 users cannot be split"):
-            sample_user_groups(44, "P", seed=0)
+            RegimeConfig("P", 44)
 
     def test_seed_shuffles_deterministically(self):
-        a, _ = sample_user_groups(40, "U", seed=5)
-        b, _ = sample_user_groups(40, "U", seed=5)
-        c, _ = sample_user_groups(40, "U", seed=6)
+        a, _ = user_labels("U", 40, seed=5)
+        b, _ = user_labels("U", 40, seed=5)
+        c, _ = user_labels("U", 40, seed=6)
         assert a == b
         assert a != c
 
 
 class TestItemGroups:
     def test_exact_thirds(self):
-        labels = sample_item_groups(30, seed=0)
+        data, _ = generate(RegimeConfig("U", 40, 30, seed=0))
+        labels = data.item_group
         assert {g: labels.count(g) for g in ITEM_GROUPS} \
             == {"Fem": 10, "STEM": 10, "Masc": 10}
 
     def test_indivisible_rejected(self):
         with pytest.raises(FairrecError, match="31 items cannot be split into exact thirds"):
-            sample_item_groups(31, seed=0)
+            RegimeConfig("U", 40, 31)
 
 
 class TestGenerate:
@@ -129,13 +128,12 @@ class TestGenerate:
                     and np.array_equal(a.values, c.values))
 
     def test_expected_ratings_follow_blocks(self):
-        blocks = default_block_models()
-        data, expected = generate(RegimeConfig("U", 40, 30, seed=2), blocks)
+        data, expected = generate(RegimeConfig("U", 40, 30, seed=2))
         for u in (0, 7, 39):
             g = USER_FINE_GROUPS.index(data.user_group_fine[u])
             for i in (0, 13, 29):
                 h = ITEM_GROUPS.index(data.item_group[i])
-                assert expected[u, i] == blocks.L[g, h]
+                assert expected[u, i] == L[g, h]
 
     def test_observation_rate_tracks_regime(self):
         # W users see Fem items with probability 0.6 under bias, 0.4 uniform
@@ -177,7 +175,7 @@ class TestExpectedValueEval:
 class TestSidecar:
     def test_contents(self, tmp_path):
         path = tmp_path / "blocks.txt"
-        write_sidecar(path, default_block_models(), "P+O")
+        write_sidecar(path, "P+O")
         lines = path.read_text().splitlines()
         assert lines[0] == "regime P+O"
         assert lines[1].startswith("L W ")
@@ -189,7 +187,7 @@ class TestSidecar:
     @pytest.mark.parametrize("regime", REGIMES)
     def test_all_regimes(self, tmp_path, regime):
         path = tmp_path / "blocks.txt"
-        write_sidecar(path, default_block_models(), regime)
+        write_sidecar(path, regime)
         assert path.read_text().startswith(f"regime {regime}\n")
 
 
