@@ -23,9 +23,9 @@ from .core import (
     load_dataset,
     save_dataset,
 )
-from .factorization import objective, objective_gradient
 from .metrics import full_report
-from .penalties import PENALTY_KINDS, PenaltySpec, parse_penalty, penalty_gradient, penalty_value
+from .penalties import (PENALTY_KINDS, PenaltySpec, objective, objective_gradient,
+                        parse_penalty, penalty_gradient, penalty_value)
 from .trainer import load_model, save_model, train
 from .synthgen import REGIMES, RegimeConfig, expected_value_eval, generate
 from .movielens import DEFAULT_GENRE_MODE, SELECTED_GENRES, filter_dataset, parse_ml1m_dir, split

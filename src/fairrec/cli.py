@@ -33,7 +33,7 @@ from .harness import (
     run_experiment,
 )
 from .metrics import full_report
-from .movielens import GENRE_MODES
+from .movielens import GENRE_MODES, ML1M_FILES
 from .penalties import parse_penalty
 from .synthgen import REGIMES, RegimeConfig, generate, write_sidecar
 from .trainer import load_model, save_model, save_trace, train
@@ -226,16 +226,20 @@ def _cmd_reproduce(args, mapping) -> int:
     return 0
 
 
-def _check_outputs(args) -> None:
+def _check_outputs(args, mapping) -> None:
     """Fill in the default sidecar and trace paths, and raise FairrecError
     for any file the command writes that cannot be created because its path
-    is empty, its directory is missing, it is a directory or another output
-    names the same file, so that no work is lost."""
+    is empty, its directory is missing, it is a directory, or it names the
+    same file as one of the command's inputs or another output, so that no
+    work is lost and no input is overwritten."""
     if hasattr(args, "sidecar") and args.sidecar is None:
         args.sidecar = args.out + ".blocks"
     if hasattr(args, "trace") and args.trace is None:
         args.trace = args.out + ".trace.csv"
-    written = {}
+    inputs = [getattr(args, name, None) for name in ("data", "model", "config")]
+    if mapping.get("ml_path"):
+        inputs += [os.path.join(mapping["ml_path"], name) for name in ML1M_FILES]
+    taken = {os.path.realpath(path): f"the input {path!r}" for path in inputs if path}
     for path in (getattr(args, name, None) for name in ("out", "sidecar", "trace")):
         if path is None:
             continue
@@ -247,10 +251,9 @@ def _check_outputs(args) -> None:
         if not os.path.isdir(directory or "."):
             raise FairrecError(f"cannot write {path!r}: no directory {directory!r}")
         real = os.path.realpath(path)
-        if real in written:
-            raise FairrecError(
-                f"cannot write {path!r}: another output, {written[real]!r}, is the same file")
-        written[real] = path
+        if real in taken:
+            raise FairrecError(f"cannot write {path!r}: {taken[real]} is the same file")
+        taken[real] = f"another output, {path!r},"
 
 
 def main(argv=None) -> int:
@@ -264,7 +267,7 @@ def main(argv=None) -> int:
         if hasattr(args, "ml_path") and not mapping.get("ml_path"):
             print("error: --ml-path is required (flag or config)", file=sys.stderr)
             return 1
-        _check_outputs(args)
+        _check_outputs(args, mapping)
         return args.func(args, mapping)
     except (FairrecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

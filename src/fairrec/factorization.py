@@ -1,9 +1,7 @@
-"""Biased matrix-factorization prediction, its squared-error objective, and
-the gradient of any loss that depends on the model through its predictions.
-
-The objective is  lam/2 * (||P||_F^2 + ||Q||_F^2) + mean over observed
-entries of (prediction - rating)^2.  Bias terms are deliberately left out of
-the Frobenius penalty.
+"""Biased matrix-factorization prediction, and the chain rule from the
+predictions to the parameters: the gradient of any loss that depends on the
+model through its predictions, plus that of the Frobenius term on the
+factors. The training loss itself is built in ``penalties``.
 """
 
 from __future__ import annotations
@@ -170,41 +168,3 @@ class Entries:
                 user[:, d], item[:, d],
             ])
 
-
-def squared_error(model: FactorModel, preds: np.ndarray, train: Dataset,
-                  lam: float) -> tuple[float, np.ndarray]:
-    """The objective at the given training predictions, and its derivative
-    with respect to each prediction, (2/k) * residual."""
-    resid = preds - train.values
-    # a diverging model overflows to inf here; the trainer turns that into
-    # a DivergenceError, so the overflow itself is not worth a warning
-    with np.errstate(over="ignore"):
-        reg = 0.5 * lam * (
-            float(np.sum(model.user_factors**2)) + float(np.sum(model.item_factors**2))
-        )
-        value = reg + float(np.mean(resid**2))
-    return value, (2.0 / train.num_ratings) * resid
-
-
-def _training_entries(train: Dataset, what: str) -> Entries:
-    if train.num_ratings == 0:
-        raise FairrecError(f"{what} needs at least one rating")
-    return Entries(train)
-
-
-def objective(model: FactorModel, train: Dataset, lam: float) -> float:
-    """Regularized mean squared reconstruction error on the training set."""
-    preds = _training_entries(train, "objective").predict(model)
-    return squared_error(model, preds, train, lam)[0]
-
-
-def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> np.ndarray:
-    """Analytic gradient of ``objective``, laid out as ``flat_params``.
-
-    Each observed entry contributes (2/k) * residual through the prediction;
-    the Frobenius term adds lam * P and lam * Q for every row, including rows
-    untouched by any rating. Biases receive no regularization.
-    """
-    entries = _training_entries(train, "objective gradient")
-    _, coeffs = squared_error(model, entries.predict(model), train, lam)
-    return entries.gradient(model, coeffs, lam)

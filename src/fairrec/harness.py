@@ -344,6 +344,9 @@ def config_experiment(mapping: dict) -> ExperimentConfig:
     unknown = set(mapping) - set(CONFIG_KEYS)
     if unknown:
         raise FairrecError(f"unknown config keys: {sorted(unknown)}")
+    if "penalty" in mapping:
+        raise FairrecError("config key 'penalty' is read by train only: "
+                           "an experiment compares its own penalty specs")
     base = ExperimentConfig()
     source = mapping.get("source", base.source)
     return ExperimentConfig(

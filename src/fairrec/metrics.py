@@ -88,6 +88,10 @@ class Unfairness:
         sums = np.bincount(self.cell, weights=values, minlength=len(self.count))
         return sums / np.maximum(self.count, 1.0)
 
+    # a diverging model's predictions overflow to +-inf, and their means and
+    # differences to inf or nan; the trainer turns that into a
+    # DivergenceError, so neither is worth a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, preds: np.ndarray, terms, eps: float = 0.0) -> tuple[list, np.ndarray]:
         """The value of each (kind, weight) term at the entries' predictions,
         and the derivative of the terms' weighted sum w.r.t. the prediction

@@ -32,6 +32,8 @@ GENRE_VOCABULARY = (
 SELECTED_GENRES = ("Action", "Crime", "Musical", "Romance", "Sci-Fi")
 GENRE_MODES = ("any-genre", "only-genres")
 DEFAULT_GENRE_MODE = "any-genre"
+# the files of an ML-1M directory, in parse_ml1m's argument order
+ML1M_FILES = ("users.dat", "movies.dat", "ratings.dat")
 _INT64 = range(-2**63, 2**63)
 
 
@@ -168,9 +170,7 @@ def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
 
 def parse_ml1m_dir(directory) -> MovieLensRaw:
     """Parse users.dat, movies.dat, ratings.dat from one directory."""
-    return parse_ml1m(os.path.join(directory, "users.dat"),
-                      os.path.join(directory, "movies.dat"),
-                      os.path.join(directory, "ratings.dat"))
+    return parse_ml1m(*(os.path.join(directory, name) for name in ML1M_FILES))
 
 
 def _genre_match(movie_genres: frozenset, selected: frozenset, mode: str) -> bool:

@@ -1,7 +1,11 @@
-"""Training-time unfairness penalties, their analytic subgradients, and the
-combined training objective.
+"""The training loss: squared error, the Frobenius term and alpha times a
+weighted sum of unfairness penalties, valued and differentiated by
+``TrainingObjective`` alone. ``objective``, ``objective_gradient``,
+``penalty_value`` and ``penalty_gradient`` are views of one part of it.
 
-A penalty is a weighted sum of the unfairness scores, computed over the
+The objective is lam/2 * (||P||_F^2 + ||Q||_F^2) + mean over observed
+entries of (prediction - rating)^2; bias terms are left out of the Frobenius
+term. A penalty is a weighted sum of the unfairness scores, computed over the
 observed training ratings only (held-out truth must stay invisible to the
 learner). Each score is the evaluation metric of the same name: both are
 valued, and the penalty differentiated, by one ``metrics.Unfairness`` per
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, FactorModel, FairrecError, _fmt
-from .factorization import _training_entries, squared_error
+from .factorization import Entries
 from .metrics import KINDS as PENALTY_KINDS, Unfairness
 
 
@@ -88,36 +92,10 @@ def parse_penalty(text: str, smoothing: float = 0.0) -> PenaltySpec:
     return PenaltySpec(tuple(terms), smoothing)
 
 
-def _penalty_terms(train: Dataset, spec: PenaltySpec):
-    """The penalty of ``spec`` on the training set: a function of the training
-    predictions giving its value and its derivative w.r.t. each of them."""
-    unfairness = Unfairness(train, [kind for kind, _ in spec.terms], "training ratings")
-
-    def penalty(preds: np.ndarray) -> tuple[float, np.ndarray]:
-        values, cell_coeffs = unfairness(preds, spec.terms, spec.smoothing)
-        total = sum((weight * value for (_, weight), value in zip(spec.terms, values)), 0.0)
-        return total, cell_coeffs.take(unfairness.cell)
-
-    return penalty
-
-
-def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> float:
-    """Weighted sum of the active unfairness scores on the training set."""
-    preds = _training_entries(train, "penalty").predict(model)
-    return _penalty_terms(train, spec)(preds)[0]
-
-
-def penalty_gradient(model: FactorModel, train: Dataset, spec: PenaltySpec) -> np.ndarray:
-    """Analytic subgradient of penalty_value w.r.t. the model parameters,
-    laid out as ``flat_params``."""
-    entries = _training_entries(train, "penalty gradient")
-    _, coeffs = _penalty_terms(train, spec)(entries.predict(model))
-    return entries.gradient(model, coeffs)
-
-
 class TrainingObjective:
     """objective + alpha * penalty on one training set, valued and
-    differentiated from a single prediction pass.
+    differentiated from a single prediction pass: the only code that turns
+    training predictions into the loss.
 
     Construction does the data-only work once (prediction and gradient
     paths, group cells; the gradient's structure at the first call), so the
@@ -125,14 +103,60 @@ class TrainingObjective:
     """
 
     def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):
-        self._entries = _training_entries(train, "training")
-        self._train, self._lam, self._alpha = train, lam, alpha
-        self._penalty = _penalty_terms(train, spec)
+        if train.num_ratings == 0:
+            raise FairrecError("training needs at least one rating")
+        self._entries = Entries(train)
+        self._unfairness = Unfairness(train, [kind for kind, _ in spec.terms], "training ratings")
+        self._train, self._lam, self._spec, self._alpha = train, lam, spec, alpha
+
+    def values(self, model: FactorModel) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(objective, penalty, and the derivative of each with respect to
+        every training prediction), without the parameter gradient."""
+        preds = self._entries.predict(model)
+        resid = preds - self._train.values
+        # a diverging model overflows to inf here; the trainer turns that into
+        # a DivergenceError, so the overflow itself is not worth a warning
+        with np.errstate(over="ignore"):
+            reg = 0.5 * self._lam * (
+                float(np.sum(model.user_factors**2)) + float(np.sum(model.item_factors**2))
+            )
+            obj = reg + float(np.mean(resid**2))
+        terms = self._spec.terms
+        scores, cell_coeffs = self._unfairness(preds, terms, self._spec.smoothing)
+        pen = sum((weight * score for (_, weight), score in zip(terms, scores)), 0.0)
+        resid *= 2.0 / self._train.num_ratings
+        return obj, pen, resid, cell_coeffs.take(self._unfairness.cell)
 
     def __call__(self, model: FactorModel) -> tuple[float, float, np.ndarray]:
         """(objective, penalty, flat_params-layout gradient of the combination)."""
-        preds = self._entries.predict(model)
-        obj, coeffs = squared_error(model, preds, self._train, self._lam)
-        pen, pen_coeffs = self._penalty(preds)
+        obj, pen, coeffs, pen_coeffs = self.values(model)
         coeffs += self._alpha * pen_coeffs
         return obj, pen, self._entries.gradient(model, coeffs, self._lam)
+
+
+def objective(model: FactorModel, train: Dataset, lam: float) -> float:
+    """Regularized mean squared reconstruction error on the training set."""
+    return TrainingObjective(train, lam, PenaltySpec.none(), 0.0).values(model)[0]
+
+
+def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> np.ndarray:
+    """Analytic gradient of ``objective``, laid out as ``flat_params``.
+
+    Each observed entry contributes (2/k) * residual through the prediction;
+    the Frobenius term adds lam * P and lam * Q for every row, including rows
+    untouched by any rating. Biases receive no regularization.
+    """
+    loss = TrainingObjective(train, lam, PenaltySpec.none(), 0.0)
+    return loss._entries.gradient(model, loss.values(model)[2], lam)
+
+
+def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> float:
+    """Weighted sum of the active unfairness scores on the training set."""
+    return TrainingObjective(train, 0.0, spec, 1.0).values(model)[1]
+
+
+def penalty_gradient(model: FactorModel, train: Dataset, spec: PenaltySpec) -> np.ndarray:
+    """Analytic subgradient of penalty_value w.r.t. the model parameters,
+    laid out as ``flat_params``."""
+    loss = TrainingObjective(train, 0.0, spec, 1.0)
+    return loss._entries.gradient(model, loss.values(model)[3])

@@ -119,7 +119,7 @@ def train(train_set: Dataset, hyper: Hyperparams,
         pen_trace[it] = pen
         state, params = adam_step(state, params, grad, hyper.learning_rate)
         model = FactorModel(*param_blocks(params, model.num_users, model.num_items, model.d))
-    obj, pen, _ = loss(model)
+    obj, pen, _, _ = loss.values(model)
     if not np.isfinite(obj + hyper.alpha * pen):
         raise DivergenceError("combined objective became non-finite after the last step")
     return model, TrainTrace(obj_trace, pen_trace)

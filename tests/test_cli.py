@@ -569,23 +569,43 @@ class TestOutputPaths:
           "--trace", "{tmp}/m.txt"], "fairrec.cli.train"),
         (["synth-gen", "--users", "40", "--items", "30", "--out", ""],
          "fairrec.cli.generate"),
+        (["train", "--data", "{data}", "--iterations", "3", "--out", "{data}"],
+         "fairrec.cli.train"),
+        (["train", "--data", "{data}", "--config", "{cfg}/train.cfg", "--out", "{tmp}/m.txt",
+          "--trace", "{cfg}/train.cfg"], "fairrec.cli.train"),
+        (["ml-prepare", "--ml-path", "{ml}", "--min-ratings", "5", "--out", "{ml}/ratings.dat"],
+         "fairrec.harness.parse_ml1m_dir"),
+        (["ml-prepare", "--config", "{cfg}/ml.cfg", "--out", "{ml}/../{ml_name}/users.dat"],
+         "fairrec.harness.parse_ml1m_dir"),
+        (["reproduce-table2", "--ml-path", "{ml}", "--min-ratings", "2",
+          "--out", "{ml}/movies.dat"], "fairrec.harness.parse_ml1m_dir"),
     ], ids=["synth-gen-sidecar", "synth-gen-directory", "ml-prepare", "train-trace",
             "train-out", "reproduce-table1", "reproduce-fig1-directory", "reproduce-table2",
-            "synth-gen-sidecar-is-out", "train-trace-is-out", "synth-gen-empty-out"])
+            "synth-gen-sidecar-is-out", "train-trace-is-out", "synth-gen-empty-out",
+            "train-out-is-data", "train-trace-is-config", "ml-prepare-out-is-ratings",
+            "ml-prepare-out-is-config-users", "reproduce-table2-out-is-movies"])
     def test_unwritable_output_exits_two_before_work(self, argv, work, synth_file, ml_dir,
-                                                      tmp_path, capsys, monkeypatch):
+                                                      tmp_path, tmp_path_factory, capsys,
+                                                      monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
+        cfg = tmp_path_factory.mktemp("configs")
+        (cfg / "train.cfg").write_text("iterations=3\n", encoding="utf-8")
+        (cfg / "ml.cfg").write_text(f"ml_path={ml_dir}\nmin_ratings=5\n", encoding="utf-8")
+        inputs = {path: path.read_bytes()
+                  for path in [synth_file, *ml_dir.iterdir(), *cfg.iterdir()]}
         monkeypatch.setattr(work, no_work)
         # a relative path, such as a default sidecar next to an empty --out,
         # lands in tmp_path too
         monkeypatch.chdir(tmp_path)
-        argv = [arg.format(tmp=tmp_path, ml=ml_dir, data=synth_file) for arg in argv]
+        argv = [arg.format(tmp=tmp_path, ml=ml_dir, ml_name=ml_dir.name, data=synth_file,
+                           cfg=cfg) for arg in argv]
         code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: cannot write ")
         assert list(tmp_path.iterdir()) == []
+        assert {path: path.read_bytes() for path in inputs} == inputs
 
 
 def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):

@@ -258,7 +258,7 @@ class TestObjective:
             rating_scale=d.rating_scale,
         )
         m = make_model(rng, 3, 2)
-        with pytest.raises(FairrecError, match="objective needs at least one rating"):
+        with pytest.raises(FairrecError, match="training needs at least one rating"):
             objective(m, empty, 0.1)
 
     def test_biases_are_not_regularized(self, rng):

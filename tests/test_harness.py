@@ -535,6 +535,12 @@ class TestConfigParsing:
         with pytest.raises(FairrecError, match=r"unknown config keys: \['sauce'\]"):
             config_experiment({"sauce": "synthetic"})
 
+    def test_config_experiment_rejects_penalty(self):
+        """An experiment compares its own penalty specs, so a penalty key
+        would be silently ignored."""
+        with pytest.raises(FairrecError, match="config key 'penalty' is read by train only"):
+            config_experiment({"penalty": "under"})
+
     def test_config_experiment_rejects_empty_genres(self):
         with pytest.raises(FairrecError, match="unknown genre ''"):
             config_experiment({"genres": ""})

@@ -20,6 +20,8 @@ from fairrec import (
     save_model,
     train,
 )
+from fairrec import factorization
+from fairrec.harness import DEFAULT_PENALTIES
 from fairrec.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -142,14 +144,34 @@ class TestTrain:
         assert not trace.penalty.any()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_divergence_detected(self, rng):
-        # Adam moves parameters by at most the learning rate per step, so a
-        # rate this size overflows the squared residuals within a few steps
+    @pytest.mark.parametrize("iterations, where", [(1, "after the last step"),
+                                                   (5, "at iteration")])
+    @pytest.mark.parametrize("spec", DEFAULT_PENALTIES, ids=lambda spec: spec.label)
+    def test_divergence_detected(self, rng, spec, iterations, where):
+        """A diverging run raises DivergenceError, under every default
+        penalty, without a warning on the way."""
+        # Adam moves parameters by about the learning rate per step, so a
+        # rate this size overflows the predictions in the first step
         d, _ = make_train_dataset(rng, num_users=5, num_items=4)
-        hyper = Hyperparams(d=2, lam=0.0, alpha=0.0, learning_rate=1e160,
-                            iterations=5, seed=0, init_scale=0.1)
-        with pytest.raises(DivergenceError):
-            train(d, hyper)
+        hyper = Hyperparams(d=2, lam=0.0, alpha=0.3, learning_rate=1e160,
+                            iterations=iterations, seed=0, init_scale=0.1)
+        with pytest.raises(DivergenceError, match=where):
+            train(d, hyper, spec)
+
+    def test_gradient_count_equals_iterations(self, rng, monkeypatch):
+        """A run of N iterations computes N gradients: the divergence check
+        after the last step values the loss without differentiating it."""
+        calls = []
+        gradient = factorization.Entries.gradient
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(factorization.Entries, "gradient", counted)
+        d, _ = make_train_dataset(rng)
+        train(d, Hyperparams(iterations=8), PenaltySpec.single("value"))
+        assert len(calls) == 8
 
 
 class TestModelFormat:
