@@ -5,7 +5,8 @@ agreement with the vectorized library code is meaningful. The functions take
 bare lists and arrays rather than library types on purpose: they must not
 share any code path with the implementation under test. The file reader
 oracles are one exception: they return the library's Dataset, MovieLensRaw
-and FactorModel, which are what the files describe. The sparse gradient
+and FactorModel, which are what the files describe, and so does the
+MovieLens filter oracle. The sparse gradient
 formula is the other: it is the package's former code, which the current
 one must match bit for bit.
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from fairrec import FactorModel, MalformedLineError
+from fairrec import FactorModel, FairrecError, MalformedLineError
 from fairrec.movielens import MovieLensRaw
 
 from conftest import dataset_from_ratings
@@ -358,6 +359,43 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
         movie_ids.append(mid)
         values.append(val)
     return MovieLensRaw(users, movies, user_ids, movie_ids, values)
+
+
+def oracle_filter_dataset(raw, genres, min_ratings, mode):
+    """The MovieLens filter with sets, dicts and sorted lists: keep the movies
+    matching the genres (canonical names), then the users with at least
+    min_ratings ratings of kept movies, then the ratings of both, renumbered
+    in id order. A repeated kept pair is named by its MovieLens ids."""
+    selected = set(genres)
+    kept_movies = set()
+    for mid, movie_genres in raw.movies.items():
+        if mode == "any-genre":
+            match = bool(movie_genres & selected)
+        elif mode == "only-genres":
+            match = bool(movie_genres) and movie_genres <= selected
+        else:
+            raise ValueError(f"unknown genre mode {mode!r}")
+        if match:
+            kept_movies.add(mid)
+    ratings = list(zip(raw.user_ids.tolist(), raw.movie_ids.tolist(), raw.values.tolist()))
+    counts = {uid: 0 for uid in raw.users}
+    for uid, mid, _ in ratings:
+        if mid in kept_movies:
+            counts[uid] += 1
+    kept_users = sorted(uid for uid in raw.users if counts[uid] >= min_ratings)
+    kept = sorted((uid, mid, value) for uid, mid, value in ratings
+                  if mid in kept_movies and counts[uid] >= min_ratings)
+    if not kept:
+        raise FairrecError("no users or movies survive the filter")
+    for a, b in zip(kept, kept[1:]):
+        if a[:2] == b[:2]:
+            raise FairrecError(f"duplicate rating for MovieLens user {a[0]}, movie {a[1]}")
+    user_index = {uid: k for k, uid in enumerate(kept_users)}
+    movie_index = {mid: k for k, mid in enumerate(sorted({mid for _, mid, _ in kept}))}
+    return dataset_from_ratings(
+        len(user_index), len(movie_index),
+        [(user_index[uid], movie_index[mid], value) for uid, mid, value in kept],
+        [raw.users[uid] == "F" for uid in kept_users])
 
 
 def oracle_parse_model(text):

@@ -26,9 +26,9 @@ from fairrec import (
     parse_ml1m_dir,
     split,
 )
-from fairrec.movielens import canonical_genres, parse_ml1m
+from fairrec.movielens import MovieLensRaw, canonical_genres, parse_ml1m
 
-from oracles import oracle_parse_ml1m
+from oracles import oracle_filter_dataset, oracle_parse_ml1m
 
 
 @pytest.fixture(scope="session")
@@ -360,6 +360,69 @@ class TestFilter:
     def test_bad_mode_rejected(self, raw):
         with pytest.raises(ValueError):
             filter_dataset(raw, SELECTED_GENRES, mode="sideways")
+
+
+# Ids near both ends of int64, small ones, and any in between, so that a
+# table over the id range could not hold them.
+ML_IDS = st.one_of(st.integers(-2**63, -2**63 + 3), st.integers(-3, 12),
+                   st.integers(2**63 - 4, 2**63 - 1), st.integers(-2**63, 2**63 - 1))
+FILTER_GENRES = ("Action", "Comedy", "Crime", "Drama")
+
+
+@st.composite
+def ml_raws(draw):
+    """A MovieLensRaw with ids from ML_IDS in no particular order, ratings in
+    no particular order, and now and then one (user, movie) pair rated twice."""
+    uids = draw(st.lists(ML_IDS, min_size=1, max_size=6, unique=True))
+    mids = draw(st.lists(ML_IDS, min_size=1, max_size=6, unique=True))
+    users = {uid: draw(st.sampled_from("MF")) for uid in uids}
+    movies = {mid: draw(st.frozensets(st.sampled_from(FILTER_GENRES), min_size=1, max_size=3)
+                        | st.just(frozenset())) for mid in mids}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(uids), st.sampled_from(mids)),
+                          min_size=min(6, len(uids) * len(mids)), max_size=24, unique=True))
+    if pairs and draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    stars = draw(st.lists(st.integers(1, 5), min_size=len(pairs), max_size=len(pairs)))
+    return MovieLensRaw(users, movies, [u for u, _ in pairs], [m for _, m in pairs],
+                        np.array(stars, dtype=np.float64))
+
+
+def filter_outcome(filt, *args):
+    """The filtered dataset's fields, or the failure's type and message."""
+    try:
+        d = filt(*args)
+    except (FairrecError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (d.num_users, d.num_items, d.user_idx.tobytes(), d.item_idx.tobytes(),
+            d.values.tobytes(), d.protected.tobytes(), d.rating_scale)
+
+
+class TestFilterAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(raw=ml_raws(),
+           genres=st.lists(st.sampled_from(FILTER_GENRES), min_size=1, max_size=4, unique=True),
+           min_ratings=st.integers(-1, 3), mode=st.sampled_from(movielens.GENRE_MODES))
+    def test_matches_loop_filter(self, raw, genres, min_ratings, mode):
+        assert filter_outcome(filter_dataset, raw, genres, min_ratings, mode) \
+            == filter_outcome(oracle_filter_dataset, raw, genres, min_ratings, mode)
+
+    def test_repeated_pair_of_extreme_ids_named_by_them(self):
+        top, bottom = 2**63 - 1, -2**63
+        raw = MovieLensRaw({top: "F", bottom: "M"}, {bottom: frozenset({"Action"})},
+                           [top, bottom, top], [bottom, bottom, bottom], [1.0, 2.0, 3.0])
+        message = f"^duplicate rating for MovieLens user {top}, movie {bottom}$"
+        for filt in (filter_dataset, oracle_filter_dataset):
+            with pytest.raises(FairrecError, match=message):
+                filt(raw, ("Action",), 1, "any-genre")
+
+    def test_one_gender_result_rejected_by_both(self):
+        # user 9, the only M, rates one movie; 5 and -7 rate two each
+        raw = MovieLensRaw({5: "F", -7: "F", 9: "M"}, {4: frozenset({"Crime"}),
+                                                         3: frozenset({"Crime"})},
+                           [9, -7, 5, 5, -7], [3, 3, 3, 4, 4], [4.0] * 5)
+        for filt in (filter_dataset, oracle_filter_dataset):
+            with pytest.raises(FairrecError, match="no user is in the advantaged group"):
+                filt(raw, ("Crime",), 2, "only-genres")
 
 
 @pytest.fixture(scope="session")
