@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+from functools import partial
 
 from .core import (
     FairrecError,
@@ -174,8 +176,8 @@ def _cmd_synth_gen(args, mapping) -> int:
         seed=int(mapping.get("seed", _CONFIG.base_seed)),
     )
     data, _ = generate(config)
-    save_dataset(data, args.out)
-    write_sidecar(args.sidecar, config.regime)
+    _write_outputs((args.out, partial(save_dataset, data)),
+                   (args.sidecar, lambda path: write_sidecar(path, config.regime)))
     print(f"users={data.num_users} items={data.num_items} ratings={data.num_ratings}")
     return 0
 
@@ -185,7 +187,7 @@ def _cmd_ml_prepare(args, mapping) -> int:
     print(f"users={data.num_users} movies={data.num_items}")
     print(f"ratings={data.num_ratings}")
     if args.out:
-        save_dataset(data, args.out)
+        _write_outputs((args.out, partial(save_dataset, data)))
     return 0
 
 
@@ -194,8 +196,8 @@ def _cmd_train(args, mapping) -> int:
     spec = parse_penalty(mapping.get("penalty", "none"), args.smoothing)
     data = load_dataset(args.data)
     model, trace = train(data, hyper, spec)
-    save_model(model, args.out)
-    save_trace(trace, hyper.alpha, args.trace)
+    _write_outputs((args.out, partial(save_model, model)),
+                   (args.trace, partial(save_trace, trace, hyper.alpha)))
     print(f"final objective={_fmt(trace.objective[-1])} penalty={_fmt(trace.penalty[-1])}")
     return 0
 
@@ -221,9 +223,31 @@ _REPRODUCTIONS = {
 def _cmd_reproduce(args, mapping) -> int:
     source, experiment, fmt = _REPRODUCTIONS[args.command]
     table = experiment(config_experiment(dict(mapping, source=source)))
-    _write_text(args.out, [emit(table, fmt)])
+    _write_outputs((args.out, lambda path: _write_text(path, [emit(table, fmt)])))
     print(f"wrote {args.out}")
     return 0
+
+
+def _write_outputs(*writes) -> None:
+    """Write a command's output files in order, each by a (path, write)
+    pair, so that a failure leaves none of them behind: when a write
+    raises, the outputs already written are removed, and so is the failed
+    one unless it existed before; only regular files are removed, never a
+    link or a device such as /dev/stdout. The error is then raised again."""
+    written = []
+    for path, write in writes:
+        existed = os.path.lexists(path)
+        try:
+            write(path)
+        except BaseException:
+            for done in written if existed else [*written, path]:
+                try:
+                    if stat.S_ISREG(os.lstat(done).st_mode):
+                        os.remove(done)
+                except OSError:
+                    pass  # the error being raised matters more
+            raise
+        written.append(path)
 
 
 def _check_outputs(args, mapping) -> None:

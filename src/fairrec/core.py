@@ -5,6 +5,7 @@ format's exact per-line reader as its fallback."""
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -51,6 +52,24 @@ def _by_user_item(u: np.ndarray, i: np.ndarray, v: np.ndarray) -> tuple:
             raise FairrecError(f"duplicate rating for user {u[k]}, item {i[k]}")
         return u, i, v
     return u.copy(), i.copy(), v.copy()
+
+
+def _memory_budget() -> int | None:
+    """The host's physical memory in bytes, or None where it is not reported."""
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return total if total > 0 else None
+
+
+def _check_memory(nbytes: int, what: str) -> None:
+    """Raise FairrecError when nbytes, an estimate of what ``what`` holds at
+    once, exceed the host's physical memory, before any of it is allocated."""
+    budget = _memory_budget()
+    if budget is not None and nbytes > budget:
+        raise FairrecError(f"{what} needs at least {nbytes / 1e6:,.0f} MB, more than "
+                           f"the {budget / 1e6:,.0f} MB of memory on this host")
 
 
 @dataclass(frozen=True, eq=False)

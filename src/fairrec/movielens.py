@@ -9,7 +9,7 @@ F maps to the protected flag.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -37,22 +37,67 @@ ML1M_FILES = ("users.dat", "movies.dat", "ratings.dat")
 _INT64 = range(-2**63, 2**63)
 
 
+class _Ids:
+    """The ids of a users or movies dict, sorted: a rating's user or movie
+    is found by its position among them."""
+
+    def __init__(self, ids: dict):
+        self.ids = ids
+        self.keys = np.array(sorted(ids), dtype=np.int64)
+        self.table = None
+        if len(ids) and (span := int(self.keys[-1]) - int(self.keys[0])) < 16 * len(ids):
+            # the position of every id from the smallest key to the largest,
+            # so that ids as dense as ML-1M's are found by one take
+            self.table = np.searchsorted(self.keys, self.keys[0] + np.arange(span + 1))
+
+    def find(self, ids: np.ndarray) -> tuple:
+        """The position of each id among the keys, and whether it is a key."""
+        if self.table is not None:
+            # an id outside the table lands on its first or last entry
+            pos = self.table.take(ids - self.keys[0], mode="clip")
+        else:
+            pos = np.searchsorted(self.keys, ids)
+        if not len(self.keys):
+            return pos, np.zeros(len(ids), dtype=bool)
+        return pos, self.keys.take(pos, mode="clip") == ids
+
+
 @dataclass(frozen=True, eq=False)
 class MovieLensRaw:
     """Parsed ML-1M files: user genders, movie genre sets, and the user, movie
-    and star of each rating (timestamps are checked, then dropped)."""
+    and star of each rating (timestamps are checked, then dropped).
+
+    user_pos and movie_pos hold each rating's user and movie as a position
+    among the sorted ids of users and movies. parse_ml1m passes the
+    positions it found while reading; without them they are looked up here,
+    and a rating of an unknown user or movie raises FairrecError.
+    """
 
     users: dict
     movies: dict
     user_ids: np.ndarray
     movie_ids: np.ndarray
     values: np.ndarray
+    positions: InitVar[tuple | None] = None
+    user_pos: np.ndarray = field(init=False, repr=False)
+    movie_pos: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, positions):
         for name, dtype in (("user_ids", np.int64), ("movie_ids", np.int64),
                             ("values", np.float64)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             object.__setattr__(self, name, _frozen(arr))
+        if positions is None:
+            positions = []
+            for kind, ids, keys in (("user", self.user_ids, self.users),
+                                    ("movie", self.movie_ids, self.movies)):
+                pos, found = _Ids(keys).find(ids)
+                if not found.all():
+                    raise FairrecError(f"rating references unknown {kind} "
+                                       f"{ids[np.argmin(found)]}")
+                positions.append(pos)
+        for name, pos in zip(("user_pos", "movie_pos"), positions):
+            object.__setattr__(self, name, _frozen(np.asarray(pos, dtype=np.intp)))
 
     @property
     def num_ratings(self) -> int:
@@ -106,10 +151,10 @@ _RATING_LINE = np.dtype([("user", np.int64), ("gap1", "U1"), ("movie", np.int64)
                          ("stamp", np.int64)])
 
 
-def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np.ndarray:
-    """Columns (user, movie, star) of a chunk of rating lines; raises for its
-    first bad line, a timestamp outside int64 included. Blank lines hold no
-    rating."""
+def _rating_columns(lines: list, first_no: int, users: _Ids, movies: _Ids) -> tuple:
+    """Columns (user position, movie position, star) of a chunk of rating
+    lines; raises for its first bad line, a timestamp outside int64 or an
+    unknown user or movie included. Blank lines hold no rating."""
     def read_line(no: int, line: str):
         if not line.strip():
             return None
@@ -124,21 +169,37 @@ def _rating_columns(lines: list, first_no: int, users: dict, movies: dict) -> np
             raise MalformedLineError(no, f"rating {val} outside [1, 5]")
         if ts not in _INT64:
             raise MalformedLineError(no, f"timestamp {ts} outside the int64 range")
-        if uid not in users:
+        if uid not in users.ids:
             raise MalformedLineError(no, f"rating references unknown user {uid}")
-        if mid not in movies:
+        if mid not in movies.ids:
             raise MalformedLineError(no, f"rating references unknown movie {mid}")
         return uid, "", mid, "", val, "", ts
 
     def accept(rows: np.ndarray) -> bool:
         # a gap holding text, which U1 cuts to one character, is a lone ":"
         return not ((rows["gap1"] != "") | (rows["gap2"] != "") | (rows["gap3"] != "")).any() \
-            and ((1 <= rows["star"]) & (rows["star"] <= 5)).all() \
-            and np.isin(rows["user"], list(users)).all() \
-            and np.isin(rows["movie"], list(movies)).all()
+            and ((1 <= rows["star"]) & (rows["star"] <= 5)).all()
 
     rows = _read_rows(lines, first_no, _RATING_LINE, read_line, delimiter=":", accept=accept)
-    return np.stack([rows[name] for name in ("user", "movie", "star")])
+    user_pos, user_found = users.find(rows["user"])
+    movie_pos, movie_found = movies.find(rows["movie"])
+    if not (user_found.all() and movie_found.all()):
+        # only the C reader lets an unknown id through; read_line raises for
+        # the chunk's first bad line
+        for no, line in enumerate(lines, start=first_no):
+            read_line(no, line)
+    # the stars as a copy, so that the chunk's rows can be freed
+    return user_pos, movie_pos, rows["star"].astype(np.float64)
+
+
+def _rating_block(ratings_file, users: _Ids, movies: _Ids) -> tuple:
+    """Columns (user position, movie position, star) of every rating in the
+    file."""
+    empty = np.zeros(0, dtype=np.int64)
+    chunks = [(empty, empty, empty)]  # a file may hold no ratings
+    for first_no, lines in _file_chunks(ratings_file):
+        chunks.append(_rating_columns(lines, first_no, users, movies))
+    return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
@@ -162,10 +223,10 @@ def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
             raise MalformedLineError(no, f"bad movies line {line!r}")
         movies[_new_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
 
-    columns = [np.zeros((3, 0), dtype=np.int64)]  # a file may hold no ratings
-    for first_no, lines in _file_chunks(ratings_file):
-        columns.append(_rating_columns(lines, first_no, users, movies))
-    return MovieLensRaw(users, movies, *np.concatenate(columns, axis=1))
+    user_ids, movie_ids = _Ids(users), _Ids(movies)
+    user_pos, movie_pos, stars = _rating_block(ratings_file, user_ids, movie_ids)
+    return MovieLensRaw(users, movies, user_ids.keys.take(user_pos),
+                        movie_ids.keys.take(movie_pos), stars, (user_pos, movie_pos))
 
 
 def parse_ml1m_dir(directory) -> MovieLensRaw:
@@ -192,26 +253,25 @@ def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int =
     its MovieLens ids.
     """
     selected = frozenset(canonical_genres(genres))
-    kept_movies = np.array(sorted(mid for mid, gs in raw.movies.items()
-                                  if _genre_match(gs, selected, mode)), dtype=np.int64)
-    on_kept = np.isin(raw.movie_ids, kept_movies)
-    if min_ratings > 0:
-        uids, counts = np.unique(raw.user_ids[on_kept], return_counts=True)
-        user_order = uids[counts >= min_ratings]
-    else:
-        user_order = np.array(sorted(raw.users), dtype=np.int64)
-    keep = on_kept & np.isin(raw.user_ids, user_order)
-    if len(user_order) == 0 or not keep.any():
+    # tables over the users and the movies in id order, read at each rating's positions
+    female = np.array([raw.users[uid] == "F" for uid in sorted(raw.users)], dtype=bool)
+    on_kept = np.array([_genre_match(raw.movies[mid], selected, mode)
+                        for mid in sorted(raw.movies)], dtype=bool).take(raw.movie_pos)
+    # min_ratings <= 0 keeps every user, rated or not
+    user_sel = np.bincount(raw.user_pos[on_kept], minlength=len(female)) >= min_ratings
+    keep = on_kept & user_sel.take(raw.user_pos)
+    if not keep.any():
         raise FairrecError("no users or movies survive the filter")
-    movie_order = np.unique(raw.movie_ids[keep])
+    movie_sel = np.bincount(raw.movie_pos[keep], minlength=len(raw.movies)) > 0
     try:
         return Dataset(
-            num_users=len(user_order),
-            num_items=len(movie_order),
-            user_idx=np.searchsorted(user_order, raw.user_ids[keep]),
-            item_idx=np.searchsorted(movie_order, raw.movie_ids[keep]),
+            num_users=int(user_sel.sum()),
+            num_items=int(movie_sel.sum()),
+            # a kept id's new index is the number of kept ids below it
+            user_idx=(np.cumsum(user_sel) - 1).take(raw.user_pos[keep]),
+            item_idx=(np.cumsum(movie_sel) - 1).take(raw.movie_pos[keep]),
             values=raw.values[keep],
-            protected=np.array([raw.users[int(uid)] == "F" for uid in user_order]),
+            protected=female[user_sel],
             rating_scale=(1.0, 5.0),
         )
     except FairrecError:

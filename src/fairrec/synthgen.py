@@ -27,6 +27,7 @@ from .core import (
     FairrecError,
     ITEM_GROUPS,
     USER_FINE_GROUPS,
+    _check_memory,
     _fmt,
     _frozen,
     _write_text,
@@ -76,6 +77,10 @@ class RegimeConfig:
         _user_counts(self.num_users, _REGIMES[self.regime][0])
         if self.num_items % len(ITEM_GROUPS) != 0:
             raise FairrecError(f"{self.num_items} items cannot be split into exact thirds")
+        # generate holds three float64 and two bool n x m grids at once, and
+        # expected_value_eval one more bool grid
+        _check_memory(27 * self.num_users * self.num_items,
+                      f"{self.num_users} x {self.num_items} generated data")
 
 
 def _user_counts(n: int, shares: dict) -> list:

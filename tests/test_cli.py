@@ -608,6 +608,87 @@ class TestOutputPaths:
         assert {path: path.read_bytes() for path in inputs} == inputs
 
 
+def fail_second_write(monkeypatch, half_made):
+    """Make every text write after the first raise OSError, after leaving a
+    half-made file behind when half_made is set; returns the paths written
+    to, in order."""
+    real = fairrec.core._write_text
+    paths = []
+
+    def write(path, pieces):
+        paths.append(path)
+        if len(paths) == 1:
+            return real(path, pieces)
+        if half_made:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("half")
+        raise OSError(28, "No space left on device")
+
+    for module in ("core", "trainer", "synthgen", "cli"):
+        monkeypatch.setattr(f"fairrec.{module}._write_text", write)
+    return paths
+
+
+class TestFailedOutputs:
+    """When a later output cannot be written, the command removes the outputs
+    it wrote before and exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "{data}", "--iterations", "2", "--out", "{tmp}/m.txt"],
+        ["synth-gen", "--users", "40", "--items", "30", "--out", "{tmp}/d.txt"],
+    ], ids=["train-trace", "synth-gen-sidecar"])
+    @pytest.mark.parametrize("half_made", [True, False])
+    def test_earlier_outputs_removed(self, argv, half_made, synth_file, tmp_path, capsys,
+                                     monkeypatch):
+        paths = fail_second_write(monkeypatch, half_made)
+        code, stdout, stderr = run(capsys, *[arg.format(tmp=tmp_path, data=synth_file)
+                                             for arg in argv])
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: [Errno 28] No space left on device\n"
+        assert len(paths) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_output_that_existed_is_left(self, synth_file, tmp_path, capsys,
+                                                monkeypatch):
+        fail_second_write(monkeypatch, half_made=False)
+        (tmp_path / "t.csv").write_text("older trace\n", encoding="utf-8")
+        code, _, _ = run(capsys, "train", "--data", str(synth_file), "--iterations", "2",
+                         "--out", str(tmp_path / "m.txt"), "--trace", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert os.listdir(tmp_path) == ["t.csv"]
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "older trace\n"
+
+    def test_only_regular_files_removed(self, synth_file, tmp_path, capsys, monkeypatch):
+        # the checkpoint goes through a link, as an output named /dev/stdout would
+        fail_second_write(monkeypatch, half_made=True)
+        (tmp_path / "target.txt").write_text("", encoding="utf-8")
+        os.symlink(tmp_path / "target.txt", tmp_path / "link.txt")
+        code, _, _ = run(capsys, "train", "--data", str(synth_file), "--iterations", "2",
+                         "--out", str(tmp_path / "link.txt"))
+        assert code == 2
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+        assert os.path.islink(tmp_path / "link.txt")
+        assert (tmp_path / "target.txt").read_text(encoding="utf-8").startswith("d=")
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth-gen", "--out", "{tmp}/d.txt"],
+    ["reproduce-table1", "--trials", "1", "--iterations", "1", "--out", "{tmp}/t1.csv"],
+    ["reproduce-fig1", "--trials", "1", "--iterations", "1", "--out", "{tmp}/fig1.csv"],
+])
+def test_sizes_beyond_memory_exit_two_before_generating(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr("fairrec.core._memory_budget", lambda: 27 * 400 * 300 - 1)
+    monkeypatch.setattr("fairrec.cli.generate", no_work)
+    monkeypatch.setattr("fairrec.harness.generate", no_work)
+    code, stdout, stderr = run(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: 400 x 300 generated data needs at least 3 MB, more than the 3 MB ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):
     """scipy is most of a cold start. Importing the package and the CLI,
     generating, training on and scoring dense data, and scoring sparse data,

@@ -343,8 +343,9 @@ class TestDensePath:
         data, model = instance
         n, m = data.num_users, data.num_items
         entries = Entries(data)
-        assert entries.dense_predict == (data.num_ratings >= DENSE_FILL * n * m)
-        assert entries.dense_gradient == (data.num_ratings >= DENSE_GRADIENT_FILL * n * m)
+        # the share of the grid, n * m, as the rule takes it: 0.1 * 6 * 35 > 21
+        assert entries.dense_predict == (data.num_ratings >= DENSE_FILL * (n * m))
+        assert entries.dense_gradient == (data.num_ratings >= DENSE_GRADIENT_FILL * (n * m))
         results = {}
         with pytest.MonkeyPatch.context() as patch:
             # small blocks split even these shapes into several products

@@ -147,6 +147,65 @@ class TestParse:
         assert exc.value.line_no == 2
 
 
+class TestUnknownIds:
+    """A rating's id is found among the sorted ids of users.dat or movies.dat:
+    the user ids here are dense enough for a lookup table, the movie ids are
+    not. An id below the smallest, above the largest or between two of them
+    is unknown, and its line is the one reported."""
+
+    USERS = "10::F::25::0::00000\n30::M::25::0::00000\n20::F::25::0::00000\n"
+    MOVIES = f"100::A (2000)::Action\n{2**62}::B (2000)::Crime\n200::C (2000)::Drama\n"
+    GOOD = ["10::100::5::1", "20::200::4::2", f"30::{2**62}::3::3", "10::200::2::4",
+            "20::100::1::5"]
+
+    @pytest.mark.parametrize("chunk", [1, 3, core._CHUNK_LINES])
+    @pytest.mark.parametrize("at", [1, 3, 4])
+    @pytest.mark.parametrize("kind, bad", [
+        ("user", 9), ("user", -2**63), ("user", 31), ("user", 2**63 - 1), ("user", 15),
+        ("movie", 99), ("movie", -2**63), ("movie", 2**62 + 1), ("movie", 2**63 - 1),
+        ("movie", 150), ("movie", 2**61)])
+    def test_unknown_id_reported_at_its_line(self, tmp_path, kind, bad, at, chunk):
+        line = f"{bad}::100::5::6" if kind == "user" else f"10::{bad}::5::6"
+        lines = self.GOOD[:at - 1] + [line] + self.GOOD[at - 1:]
+        paths = [tmp_path / name for name in ("users.dat", "movies.dat", "ratings.dat")]
+        for path, text in zip(paths, (self.USERS, self.MOVIES, "\n".join(lines) + "\n")):
+            path.write_text(text, encoding="latin-1")
+        with mock.patch.object(core, "_CHUNK_LINES", chunk):
+            with pytest.raises(MalformedLineError,
+                               match=f"^line {at}: rating references unknown {kind} {bad}$"):
+                parse_ml1m(*paths)
+
+    def test_known_ids_found_at_their_positions(self, tmp_path):
+        paths = [tmp_path / name for name in ("users.dat", "movies.dat", "ratings.dat")]
+        for path, text in zip(paths, (self.USERS, self.MOVIES, "\n".join(self.GOOD) + "\n")):
+            path.write_text(text, encoding="latin-1")
+        raw = parse_ml1m(*paths)
+        assert raw.user_pos.tolist() == [0, 1, 2, 0, 1]
+        assert raw.movie_pos.tolist() == [0, 1, 2, 1, 0]
+        assert raw.user_ids.tolist() == [10, 20, 30, 10, 20]
+        assert raw.movie_ids.tolist() == [100, 200, 2**62, 200, 100]
+
+
+class TestRawPositions:
+    def test_built_directly_positions_are_looked_up(self):
+        raw = MovieLensRaw({7: "F", -3: "M"}, {5: frozenset(), 2**62: frozenset()},
+                           [7, -3, 7], [2**62, 5, 5], [1.0, 2.0, 3.0])
+        assert raw.user_pos.tolist() == [1, 0, 1]
+        assert raw.movie_pos.tolist() == [1, 0, 0]
+
+    def test_replaced_ids_are_looked_up_again(self, raw):
+        again = replace(raw, user_ids=raw.user_ids[::-1].copy(),
+                        movie_ids=raw.movie_ids[::-1].copy(), values=raw.values[::-1].copy())
+        assert again.user_pos.tolist() == raw.user_pos[::-1].tolist()
+        assert again.movie_pos.tolist() == raw.movie_pos[::-1].tolist()
+
+    @pytest.mark.parametrize("users, movies, kind, bad", [
+        ([7, 8], [5, 5], "user", 8), ([7, 7], [5, -1], "movie", -1)])
+    def test_unknown_id_rejected(self, users, movies, kind, bad):
+        with pytest.raises(FairrecError, match=f"^rating references unknown {kind} {bad}$"):
+            MovieLensRaw({7: "F"}, {5: frozenset()}, users, movies, [1.0, 2.0])
+
+
 # Field texts that int() rejects, accepts in unusual spellings, or reads as a
 # star outside 1..5 or an id beyond int64; "5:" ends a line in a colon.
 ODD_FIELDS = ["x", "+5", " 5", "5_0", "1.5", "", "5:", "0", "6", "1" * 20]

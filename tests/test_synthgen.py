@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import fairrec.core as core
 from fairrec import FairrecError, REGIMES, RegimeConfig, expected_value_eval, generate
 from fairrec.cli import main
 from fairrec.core import ITEM_GROUPS, USER_FINE_GROUPS
@@ -63,6 +64,22 @@ class TestRegimeConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             RegimeConfig("U", seed=-1)
+
+    def test_rejects_sizes_beyond_memory_before_allocating(self, monkeypatch):
+        # 27 bytes per cell: three float64 and three bool n x m grids
+        monkeypatch.setattr(core, "_memory_budget", lambda: 27 * 400 * 300)
+        RegimeConfig("U", 400, 300)
+        with pytest.raises(FairrecError, match="^400 x 303 generated data needs at least "):
+            RegimeConfig("U", 400, 303)
+
+    def test_host_without_a_memory_size_is_not_checked(self, monkeypatch):
+        monkeypatch.setattr(core, "_memory_budget", lambda: None)
+        RegimeConfig("U", 4 * 10**9, 3 * 10**9)
+
+    @pytest.mark.parametrize("users, items", [(400, 300), (3000, 1005), (6040, 3705)])
+    def test_realistic_sizes_fit(self, users, items):
+        # 27 bytes per cell at ML-1M's 6040 x 3705 is 0.6 GB
+        RegimeConfig("P+O", users, items)
 
 
 class TestUserGroups:
