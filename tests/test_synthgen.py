@@ -229,3 +229,21 @@ def test_output_is_pinned(tmp_path, regime):
     _, expected = generate(RegimeConfig(regime, 40, 30, seed=3))
     assert (hashlib.sha256(files).hexdigest()[:16],
             hashlib.sha256(expected.tobytes()).hexdigest()[:16]) == PINNED[regime]
+
+
+# SHA-256 of the user_idx, item_idx and values arrays of expected_value_eval
+# on generate()'s output for 40 x 30 at seed 3. U and P observe the same pairs,
+# since both use O_UNIFORM and the same seeds.
+PINNED_EVAL = {
+    "U": ("dfe9dfb629b71602", "c2ac9cd543d1cff7", "95baf72e12827d5f"),
+    "O": ("4fa6f9924d4b7ba0", "639c87f718188728", "eb786284ef058657"),
+    "P": ("dfe9dfb629b71602", "c2ac9cd543d1cff7", "aa908eb041680582"),
+    "P+O": ("a9deee9a938a2a9e", "8ff5d73fdf79fb98", "741b2bae5bed9d58"),
+}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_eval_set_is_pinned(regime):
+    ev = expected_value_eval(*generate(RegimeConfig(regime, 40, 30, seed=3)))
+    assert tuple(hashlib.sha256(column.tobytes()).hexdigest()[:16]
+                 for column in (ev.user_idx, ev.item_idx, ev.values)) == PINNED_EVAL[regime]
