@@ -247,19 +247,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# Input files are read in pieces of about 16 * _CHUNK_LINES characters, cut
-# at line ends, and their lines are converted at most _CHUNK_LINES at a time.
-# This bounds the text and the token lists held at once.
+# Input files are read in pieces of about 16 * _CHUNK_LINES characters, each
+# cut at a line feed. This bounds the text and the lines held at once.
 _CHUNK_LINES = 1 << 16
+# Characters that keep a piece from numpy's C reader: it reads a NUL in a text
+# field as empty and strips \x1f around a number, and the others are the
+# ASCII line breaks of str.splitlines besides \n, at which split("\n") does
+# not cut. Its non-ASCII breaks fail the ASCII test.
+_REFUSED = ("\x00", "\x1f", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
-def _text_pieces(text: str) -> Iterator[str]:
-    """Consecutive slices of text, each ending at a line feed or at the end."""
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos + 16 * _CHUNK_LINES - 1) + 1 or len(text)
-        yield text[pos:end]
-        pos = end
+def _text_pieces(text: str, start: int = 0, stop: int | None = None) -> Iterator[str]:
+    """Consecutive slices of text[start:stop], each ending at a line feed or
+    at stop."""
+    stop = len(text) if stop is None else stop
+    while start < stop:
+        end = text.find("\n", start + 16 * _CHUNK_LINES - 1, stop) + 1 or stop
+        yield text[start:end]
+        start = end
 
 
 def _file_pieces(fh) -> Iterator[str]:
@@ -269,53 +274,41 @@ def _file_pieces(fh) -> Iterator[str]:
         yield piece if piece.endswith("\n") else piece + fh.readline()
 
 
-def _line_chunks(pieces: Iterable[str]) -> Iterator[tuple[int, list]]:
-    """(number of the first line, lines) for runs of at most _CHUNK_LINES
-    lines, in order. Lines are split and numbered as str.splitlines splits
-    the whole text, because every piece ends at a line break."""
-    first_no = 1
-    for piece in pieces:
-        lines = piece.splitlines()
-        for k in range(0, len(lines), _CHUNK_LINES):
-            yield first_no + k, lines[k:k + _CHUNK_LINES]
-        first_no += len(lines)
+def _read_rows(piece: str, first_no: int, dtype: np.dtype, read_line, prefix: str = "",
+               delimiter: str | None = None, accept=None) -> tuple[np.ndarray, int]:
+    """The records of dtype in a piece of text that ends at a line break or
+    at the end of its file, and the number of lines in it, as str.splitlines
+    counts them; its first line is numbered first_no.
 
-
-def _read_rows(lines: list, first_no: int, dtype: np.dtype, read_line, prefix: str = "",
-               delimiter: str | None = None, accept=None) -> np.ndarray:
-    """The records of dtype in a chunk of lines, the first numbered first_no.
-
-    The lines that start with prefix go to numpy's C reader together, and
-    read_line(no, line) reads each other line, giving its record or None.
-    When the C reader refuses its lines or accept(records) is false,
-    read_line reads every line in file order instead, so the first bad line
-    is the one it raises for.
-
-    The reader gets only ASCII text without NUL or \\x1f: numpy 2.4 segfaults
-    on the field "\\U0009c6ca", reads a NUL in a text field as empty and strips
-    \\x1f around a number, which int() rejects. On such text it accepts only
-    what int() and float() accept. It refuses its lines when it rejects a
-    line, warns (numpy 1.x reads "5.0" as an int with a warning) or skips one.
+    A piece of ASCII text without any character of _REFUSED, whose every
+    line starts with prefix, goes to numpy's C reader whole. Any other piece,
+    or one the C reader rejects, warns on (numpy 1.x reads "5.0" as an int
+    with a warning) or skips a line of, or whose records accept(records)
+    refuses, is read by read_line(no, line), which gives a line's record or
+    None, one line at a time in file order, so the first bad line is the one
+    it raises for. On the text it gets, the C reader accepts only what int()
+    and float() accept; numpy 2.4 segfaults on the non-ASCII field
+    "\\U0009c6ca".
     """
-    rows, others = lines, []
-    if prefix and "\n".join(["", *lines]).count("\n" + prefix) != len(lines):
-        others = [k for k, line in enumerate(lines) if not line.startswith(prefix)]
-        rows = list(chain.from_iterable(  # the runs between the others
-            lines[a + 1:b] for a, b in zip([-1, *others], [*others, len(lines)])))
-    records = None
-    text = "\n".join(rows)
-    if text.isascii() and "\x00" not in text and "\x1f" not in text:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                records = np.loadtxt(rows, dtype=dtype, delimiter=delimiter, comments=None,
-                                     ndmin=1) if rows else np.zeros(0, dtype)
-        except (ValueError, OverflowError, Warning):
-            pass
-    if records is None or len(records) != len(rows) or (accept and not accept(records)):
-        records, others = np.zeros(0, dtype), range(len(lines))
-    extra = [rec for k in others if (rec := read_line(first_no + k, lines[k])) is not None]
-    return np.concatenate([records, np.array(extra, dtype)]) if extra else records
+    if piece.isascii() and not any(c in piece for c in _REFUSED):
+        rows = piece.split("\n")
+        if piece.endswith("\n"):
+            rows.pop()
+        if not prefix or piece.startswith(prefix) + piece.count("\n" + prefix) == len(rows):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    records = np.loadtxt(rows, dtype=dtype, delimiter=delimiter,
+                                         comments=None, ndmin=1)
+            except (ValueError, OverflowError, Warning):
+                records = None
+            if records is not None and len(records) == len(rows) and (
+                    accept is None or accept(records)):
+                return records, len(rows)
+    lines = piece.splitlines()
+    records = [rec for no, line in enumerate(lines, first_no)
+               if (rec := read_line(no, line)) is not None]
+    return np.array(records, dtype), len(lines)
 
 
 def _value_text(bits: int) -> str:
@@ -339,16 +332,16 @@ def _dataset_pieces(d: Dataset) -> Iterator[str]:
     if d.item_group is not None:
         head += map("g {} {}\n".format, range(d.num_items), d.item_group)
     yield "".join(head)
-    # Rating lines are three interleaved columns, gathered from the text of
-    # each distinct key; values are keyed by their bits, since -0.0 == 0.0 but
-    # their text differs.
-    columns = []
-    for keys, fmt in ((d.user_idx, "r {} ".format), (d.item_idx, "{} ".format),
-                      (d.values.view(np.int64), _value_text)):
-        distinct, where = np.unique(keys, return_inverse=True)
-        columns.append((np.array(list(map(fmt, distinct.tolist())), dtype=object), where))
+    # Rating lines are three interleaved columns, gathered from text tables:
+    # over every user and every item, and over the distinct values, which are
+    # keyed by their bits, since -0.0 == 0.0 but their text differs.
+    distinct, where = np.unique(d.values.view(np.int64), return_inverse=True)
+    columns = [(np.array(list(map(fmt, keys)), dtype=object), index) for keys, fmt, index in (
+        (range(d.num_users), "r {} ".format, d.user_idx),
+        (range(d.num_items), "{} ".format, d.item_idx),
+        (distinct.tolist(), _value_text, where))]
     for k in range(0, d.num_ratings, _CHUNK_LINES):
-        block = np.stack([texts[where[k:k + _CHUNK_LINES]] for texts, where in columns], 1)
+        block = np.stack([texts.take(index[k:k + _CHUNK_LINES]) for texts, index in columns], 1)
         yield "".join(block.ravel().tolist())
 
 
@@ -356,11 +349,11 @@ _RATING_ROW = np.dtype([("r", "U1"), ("u", np.int64), ("i", np.int64), ("v", np.
 
 
 def parse_dataset(text: str) -> Dataset:
-    chunks = _line_chunks(_text_pieces(text))
-    _, lines = next(chunks, (1, []))
-    if not lines:
+    # the header is the first line as str.splitlines cuts it, read up to its end
+    first = text[:text.find("\n") + 1 or None].splitlines(keepends=True)
+    if not first:
         raise MalformedLineError(1, "empty dataset file")
-    header = lines[0].split()
+    header = first[0].split()
     try:
         fields = dict(part.split("=", 1) for part in header)
         num_users = int(fields["users"])
@@ -421,12 +414,19 @@ def parse_dataset(text: str) -> Dataset:
             raise MalformedLineError(no, str(exc)) from exc
         return None
 
-    columns = []
-    last_no = 1
-    for first_no, chunk in chain([(2, lines[1:])], chunks):
-        last_no = first_no + len(chunk) - 1
+    # A written file holds its u and g lines before the first rating line. The
+    # text is cut there, so that they share no piece with rating lines, which
+    # would then be read one at a time.
+    start = len(first[0])
+    cut = text.find("\nr ", start - 1) + 1 or len(text)
+    columns = [np.zeros(0, _RATING_ROW)]
+    next_no = 2
+    for piece in chain(_text_pieces(text, start, cut), _text_pieces(text, cut)):
         # every row starts with "r ", so the U1 field reads the token "r" whole
-        columns.append(_read_rows(chunk, first_no, _RATING_ROW, read_line, prefix="r "))
+        rows, count = _read_rows(piece, next_no, _RATING_ROW, read_line, prefix="r ")
+        columns.append(rows)
+        next_no += count
+    last_no = next_no - 1
     if not seen_user.all():
         missing = int(np.flatnonzero(~seen_user)[0])
         raise MalformedLineError(last_no, f"no 'u' line for user {missing}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import InitVar, dataclass, field, replace
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -20,7 +21,6 @@ from .core import (
     MalformedLineError,
     _file_pieces,
     _frozen,
-    _line_chunks,
     _read_rows,
 )
 
@@ -116,19 +116,19 @@ def canonical_genres(names) -> tuple:
     return tuple(result)
 
 
-def _file_chunks(path) -> Iterator[tuple[int, list]]:
-    """(number of the first line, lines) for each chunk of a file's lines."""
+def _pieces(path) -> Iterator[str]:
+    """The text of a file in slices, each ending at a line feed or at its end."""
     # titles may contain ISO-8859-1 characters; all structure is ASCII
     with open(path, "r", encoding="latin-1") as fh:
-        yield from _line_chunks(_file_pieces(fh))
+        yield from _file_pieces(fh)
 
 
 def _file_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line) for every line of a file that is not blank."""
-    for first_no, lines in _file_chunks(path):
-        for no, line in enumerate(lines, start=first_no):
-            if line.strip():
-                yield no, line
+    lines = chain.from_iterable(piece.splitlines() for piece in _pieces(path))
+    for no, line in enumerate(lines, start=1):
+        if line.strip():
+            yield no, line
 
 
 def _new_id(no: int, text: str, seen: dict) -> int:
@@ -151,10 +151,11 @@ _RATING_LINE = np.dtype([("user", np.int64), ("gap1", "U1"), ("movie", np.int64)
                          ("stamp", np.int64)])
 
 
-def _rating_columns(lines: list, first_no: int, users: _Ids, movies: _Ids) -> tuple:
-    """Columns (user position, movie position, star) of a chunk of rating
-    lines; raises for its first bad line, a timestamp outside int64 or an
-    unknown user or movie included. Blank lines hold no rating."""
+def _rating_columns(piece: str, first_no: int, users: _Ids, movies: _Ids) -> tuple:
+    """Columns (user position, movie position, star) of a piece of rating
+    lines, and the number of its lines; raises for its first bad line, a
+    timestamp outside int64 or an unknown user or movie included. Blank lines
+    hold no rating."""
     def read_line(no: int, line: str):
         if not line.strip():
             return None
@@ -176,20 +177,23 @@ def _rating_columns(lines: list, first_no: int, users: _Ids, movies: _Ids) -> tu
         return uid, "", mid, "", val, "", ts
 
     def accept(rows: np.ndarray) -> bool:
-        # a gap holding text, which U1 cuts to one character, is a lone ":"
-        return not ((rows["gap1"] != "") | (rows["gap2"] != "") | (rows["gap3"] != "")).any() \
+        # a gap holding text, which U1 cuts to one character, is a lone ":";
+        # an empty U1 field is the code point 0
+        gaps = [rows[name].view(np.uint32) for name in ("gap1", "gap2", "gap3")]
+        return not (gaps[0] | gaps[1] | gaps[2]).any() \
             and ((1 <= rows["star"]) & (rows["star"] <= 5)).all()
 
-    rows = _read_rows(lines, first_no, _RATING_LINE, read_line, delimiter=":", accept=accept)
+    rows, count = _read_rows(piece, first_no, _RATING_LINE, read_line, delimiter=":",
+                             accept=accept)
     user_pos, user_found = users.find(rows["user"])
     movie_pos, movie_found = movies.find(rows["movie"])
     if not (user_found.all() and movie_found.all()):
         # only the C reader lets an unknown id through; read_line raises for
-        # the chunk's first bad line
-        for no, line in enumerate(lines, start=first_no):
+        # the piece's first bad line
+        for no, line in enumerate(piece.splitlines(), start=first_no):
             read_line(no, line)
-    # the stars as a copy, so that the chunk's rows can be freed
-    return user_pos, movie_pos, rows["star"].astype(np.float64)
+    # the stars as a copy, so that the piece's rows can be freed
+    return (user_pos, movie_pos, rows["star"].astype(np.float64)), count
 
 
 def _rating_block(ratings_file, users: _Ids, movies: _Ids) -> tuple:
@@ -197,8 +201,11 @@ def _rating_block(ratings_file, users: _Ids, movies: _Ids) -> tuple:
     file."""
     empty = np.zeros(0, dtype=np.int64)
     chunks = [(empty, empty, empty)]  # a file may hold no ratings
-    for first_no, lines in _file_chunks(ratings_file):
-        chunks.append(_rating_columns(lines, first_no, users, movies))
+    next_no = 1
+    for piece in _pieces(ratings_file):
+        columns, count = _rating_columns(piece, next_no, users, movies)
+        chunks.append(columns)
+        next_no += count
     return tuple(map(np.concatenate, zip(*chunks)))
 
 

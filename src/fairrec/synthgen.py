@@ -107,17 +107,19 @@ def generate(config: RegimeConfig) -> tuple:
     items = np.random.default_rng(seeds[1]).permutation(
         np.repeat(np.arange(len(ITEM_GROUPS)), config.num_items // len(ITEM_GROUPS)))
 
-    pairs = np.ix_(users, items)
-    like_prob = L[pairs]
-    observed = np.random.default_rng(seeds[2]).random(like_prob.shape) < O[pairs]
+    like_prob = L.take(users, 0).take(items, 1)
+    observed = (np.random.default_rng(seeds[2]).random(like_prob.shape)
+                < O.take(users, 0).take(items, 1))
     liked = np.random.default_rng(seeds[3]).random(like_prob.shape) < like_prob
-    user_idx, item_idx = np.nonzero(observed)
+    # the observed pairs in row-major order, as flat indices into the grid
+    flat = np.flatnonzero(observed)
+    user_idx, item_idx = np.divmod(flat, config.num_items)
     data = Dataset(
         num_users=config.num_users,
         num_items=config.num_items,
         user_idx=user_idx,
         item_idx=item_idx,
-        values=liked[observed].astype(np.float64),
+        values=liked.ravel().take(flat).astype(np.float64),
         protected=_PROTECTED[users],
         rating_scale=(0.0, 1.0),
         user_group_fine=tuple(USER_FINE_GROUPS[g] for g in users),
@@ -131,8 +133,12 @@ def expected_value_eval(train: Dataset, expected: np.ndarray) -> Dataset:
     model's expected ratings as truths and train's users, items and labels."""
     unseen = np.ones((train.num_users, train.num_items), dtype=bool)
     unseen[train.user_idx, train.item_idx] = False
-    user_idx, item_idx = np.nonzero(unseen)
-    return replace(train, user_idx=user_idx, item_idx=item_idx, values=expected[unseen])
+    if np.shape(expected) != unseen.shape:
+        raise ValueError(f"expected must be {unseen.shape}, got {np.shape(expected)}")
+    flat = np.flatnonzero(unseen)
+    user_idx, item_idx = np.divmod(flat, train.num_items)
+    return replace(train, user_idx=user_idx, item_idx=item_idx,
+                   values=np.ravel(expected).take(flat))
 
 
 def write_sidecar(path, regime: str) -> None:

@@ -124,6 +124,12 @@ def rng():
     return np.random.default_rng(1234)
 
 
+# The line breaks of str.splitlines other than \n, with \r\n; the readers
+# number lines as it does, and numpy's C reader must never see one of these.
+# The last one has no ISO-8859-1 code, so ratings.dat cannot hold it.
+LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
 ML_USERS = """\
 1::F::1::10::48067
 2::M::56::16::70072

@@ -26,7 +26,7 @@ from fairrec.core import (
 )
 from fairrec.trainer import AdamState, TrainTrace
 
-from conftest import dataset_from_ratings, make_train_dataset
+from conftest import LINE_BREAKS, dataset_from_ratings, make_train_dataset
 from oracles import oracle_format_dataset, oracle_parse_dataset
 
 
@@ -277,7 +277,7 @@ SPECIAL_FLOATS = [0.0, -0.0, 1.0, 0.1, 1 / 3, -7.25, 5e-324, 1e300]
 # unusual spellings.
 ODD_TOKENS = ["x", "1.5", "0x1", "1e3", "+3", "007", "1_0", "-0", "1.0.0",
               "inf", "NaN", "-0.0", "1e-400", "r", "u", "\u0663"]
-SEPARATORS = [" ", "\t", "  ", " \t "]
+SEPARATORS = [" ", "\t", "  ", " \t ", *LINE_BREAKS]
 
 
 @st.composite
@@ -301,7 +301,7 @@ def datasets(draw):
 
 EDITS = st.tuples(
     st.sampled_from(["drop_field", "add_field", "replace_field", "whitespace",
-                     "blank", "join", "move", "shuffle"]),
+                     "blank", "join", "break", "move", "shuffle"]),
     st.integers(0, 2**16), st.sampled_from(ODD_TOKENS), st.sampled_from(SEPARATORS))
 
 
@@ -327,6 +327,9 @@ def apply_edit(lines, edit):
         body.insert(k, sep.strip(" ") if pos % 2 else "")
     elif kind == "join":  # a lost line break
         body[k:k + 2] = [sep.join(body[k:k + 2])]
+    elif kind == "break":  # a line break other than \n inside a line
+        at = pos % (len(body[k]) + 1)
+        body[k] = body[k][:at] + LINE_BREAKS[pos % len(LINE_BREAKS)] + body[k][at:]
     elif kind == "move":
         body.insert(pos % (len(body) + 1), body.pop(k))
     else:
@@ -395,12 +398,16 @@ class TestCodecAgainstOracle:
 # warns on it), which int() or float() accept or reject; a one-character field
 # would cut "rr" to "r"; a wider line must keep its extra field; numpy skips
 # blank lines, strips "#" comments unless told not to, strips \x1f around a
-# number, and crashes on some non-ASCII fields.
+# number, and crashes on some non-ASCII fields. It splits lines at \n alone,
+# where str.splitlines also splits at the LINE_BREAKS, so each of those within
+# a rating line must send its piece to the line-by-line reader.
 READER_GAPS = ["r 1_0 0 1.0", "r 0 0 1_0.5", "r \u0663 0 1.0", "r 0 0 \u0663",
                "r 5.0 0 1.0", "rr 0 0 1.0", "r 0 0 1.0 2.0", "r 0 0 1.0 # note",
                "", " \t", "r \U0009c6ca 0 1.0", "r 0 0 \U0009c6ca", "r\x1f0 1 1.0",
                "r 0 1\x1f1.0", "r\x000 1 1.0", "r 0 1 1.0\x00", "r +1 -0 +1.0",
-               f"r {-2**63} 0 1.0", "r 0 1 0x1", "r 0 1 1e", "r 0 1 .5"]
+               f"r {-2**63} 0 1.0", "r 0 1 0x1", "r 0 1 1e", "r 0 1 .5",
+               *(f"r 0 1 1.0{brk}r 1 0 3.0" for brk in LINE_BREAKS),
+               *(f"r 0 1{brk}1.0" for brk in LINE_BREAKS)]
 # Values that must come back with the bits float() gives them.
 EXACT_VALUES = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "5e-324",
                 "2.2250738585072011e-308", "0." + "1" * 60, "9" * 60, "-" + "3" * 30 + "." + "7" * 30]
@@ -416,7 +423,7 @@ def exact_outcome(parse, text):
 
 
 class TestCReaderAgainstOracle:
-    @pytest.mark.parametrize("chunk", [1, 3, core._CHUNK_LINES])
+    @pytest.mark.parametrize("chunk", [1, 3, 5, core._CHUNK_LINES])
     @pytest.mark.parametrize("line", READER_GAPS + [f"r 0 1 {v}" for v in EXACT_VALUES])
     def test_matches_line_by_line_reader(self, line, chunk):
         text = f"users=2 items=2 scale=0.0,5.0\nu 0 1\nu 1 0\nr 0 0 1.0\n{line}\nr 1 1 2.0\n"
@@ -436,11 +443,11 @@ class TestCReaderAgainstOracle:
         assert main(["synth-gen", "--users", "40", "--items", "30", "--out", str(path)]) == 0
         read_rows, line_reads = core._read_rows, []
 
-        def recorded(lines, first_no, dtype, read_line, **kwargs):
+        def recorded(piece, first_no, dtype, read_line, **kwargs):
             def read_recorded(no, line):
                 line_reads.append(line)
                 return read_line(no, line)
-            return read_rows(lines, first_no, dtype, read_recorded, **kwargs)
+            return read_rows(piece, first_no, dtype, read_recorded, **kwargs)
 
         with mock.patch.object(core, "_read_rows", recorded):
             d = load_dataset(path)
@@ -467,14 +474,17 @@ def tiny_line(no, line):
 
 @pytest.mark.parametrize("lines, prefix, accept, reads, result", [
     (["k 1", "k 2"], "k ", None, [], [1, 2]),
-    (["k 1", "c", "k\t3", "k 2"], "k ", None, [11, 12], [1, 2, 3]),
+    (["k 1", "c", "k\t3", "k 2"], "k ", None, [10, 11, 12, 13], [1, 3, 2]),
     (["k 1", "k x", "k 2"], "k ", None, [10, 11], 11),
     (["k 1", "k \u00b2", "k 2"], "k ", None, [10, 11], 11),
     (["k 1", "", "k 2"], "", None, [10, 11], 11),
     (["k 1", "k 2"], "k ", lambda rows: False, [10, 11], [1, 2]),
-], ids=["accepted", "mixed", "c-reader-error", "non-ascii", "skipped-blank", "not-accepted"])
+    (["k 1\x0ck 2", "k 3"], "k ", None, [10, 11, 12], [1, 2, 3]),
+], ids=["accepted", "mixed", "c-reader-error", "non-ascii", "skipped-blank", "not-accepted",
+        "other-line-break"])
 def test_read_rows_outcomes(lines, prefix, accept, reads, result):
     # result: the x column, or the number of the line that must raise
+    text = "".join(line + "\n" for line in lines)
     seen = []
 
     def read_line(no, line):
@@ -483,11 +493,13 @@ def test_read_rows_outcomes(lines, prefix, accept, reads, result):
 
     if isinstance(result, int):
         with pytest.raises(MalformedLineError) as exc:
-            core._read_rows(lines, 10, TINY_ROW, read_line, prefix=prefix, accept=accept)
+            core._read_rows(text, 10, TINY_ROW, read_line, prefix=prefix, accept=accept)
         assert exc.value.line_no == result
     else:
-        rows = core._read_rows(lines, 10, TINY_ROW, read_line, prefix=prefix, accept=accept)
+        rows, count = core._read_rows(text, 10, TINY_ROW, read_line, prefix=prefix,
+                                      accept=accept)
         assert rows.dtype == TINY_ROW and rows["x"].tolist() == result
+        assert count == len(text.splitlines())
     assert seen == reads
 
 

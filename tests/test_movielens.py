@@ -28,6 +28,7 @@ from fairrec import (
 )
 from fairrec.movielens import MovieLensRaw, canonical_genres, parse_ml1m
 
+from conftest import LINE_BREAKS
 from oracles import oracle_filter_dataset, oracle_parse_ml1m
 
 
@@ -206,13 +207,15 @@ class TestRawPositions:
             MovieLensRaw({7: "F"}, {5: frozenset()}, users, movies, [1.0, 2.0])
 
 
+# ISO-8859-1 text, which ratings.dat is, cannot hold \u2028
+ML_LINE_BREAKS = [brk for brk in LINE_BREAKS if brk != "\u2028"]
 # Field texts that int() rejects, accepts in unusual spellings, or reads as a
 # star outside 1..5 or an id beyond int64; "5:" ends a line in a colon.
 ODD_FIELDS = ["x", "+5", " 5", "5_0", "1.5", "", "5:", "0", "6", "1" * 20]
 ML_EDITS = st.tuples(
     st.sampled_from(["drop_field", "add_field", "replace_field", "star", "unknown",
                      "repeat", "blank", "crlf", "colon_end", "no_final_newline",
-                     "title_char"]),
+                     "title_char", "break"]),
     st.integers(0, 2), st.integers(0, 2**16), st.sampled_from(ODD_FIELDS))
 
 
@@ -241,6 +244,11 @@ def apply_ml_edit(files, ends, edit):
     lines = files[target]
     if kind == "blank":
         lines.insert(pos % (len(lines) + 1), ["", " ", "\t ", "  "][pos % 4])
+        return
+    if kind == "break" and lines:  # a line break other than \n inside a line
+        k = pos % len(lines)
+        at = pos % (len(lines[k]) + 1)
+        lines[k] = lines[k][:at] + ML_LINE_BREAKS[pos % len(ML_LINE_BREAKS)] + lines[k][at:]
         return
     if kind == "no_final_newline":
         ends[target] = ""
@@ -306,7 +314,10 @@ class TestParseAgainstOracle:
 # int() does not; it does not reject extra fields by itself, skips blank
 # lines, and strips "#" comments unless told not to. ratings.dat is read as
 # ISO-8859-1, so the only non-ASCII text is from that range, such as a no-break
-# space, which int() strips, and superscript digits, which it rejects.
+# space, which int() strips, and superscript digits, which it rejects. The
+# file is read with universal newlines, so \r and \r\n become \n; the other
+# LINE_BREAKS within a rating line must send its piece to the line-by-line
+# reader.
 ML_READER_GAPS = [
     "1::3::5::5_0", "1_0::3::5::978300760", "\xa01::3::5::978300760\xa0",
     f"1::3::5::{2**63}", f"1::3::5::{-2**63}", f"{2**63}::3::5::978300760",
@@ -315,11 +326,13 @@ ML_READER_GAPS = [
     "1::3::5::978300760 # c", "1::3::5::\xb2", "\xb9::3::5::1",
     "1: :3::5::978300760", "", " ", "\t1::3::5::978300760 ", "1::3::+5::978300760",
     "1::3::5", "1::3::5::978300760:", "1:::3::5::978300760", "1::3::5::1" + "0" * 59,
+    *(f"2::7::3::978824291{brk}3::5::5::978302039" for brk in ML_LINE_BREAKS),
+    *(f"2::7::3{brk}::978824291" for brk in ML_LINE_BREAKS),
 ]
 
 
 class TestCReaderAgainstOracle:
-    @pytest.mark.parametrize("chunk", [1, 2, core._CHUNK_LINES])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, core._CHUNK_LINES])
     @pytest.mark.parametrize("line", ML_READER_GAPS)
     def test_matches_line_by_line_reader(self, tmp_path, ml_dir, line, chunk):
         ratings = tmp_path / "ratings.dat"
@@ -345,8 +358,8 @@ class TestCReaderAgainstOracle:
         paths = [tmp_path / name for name in ("users.dat", "movies.dat", "ratings.dat")]
         read_rows = movielens._read_rows
 
-        def no_line_reads(lines, first_no, dtype, read_line, **kwargs):
-            return read_rows(lines, first_no, dtype,
+        def no_line_reads(piece, first_no, dtype, read_line, **kwargs):
+            return read_rows(piece, first_no, dtype,
                              mock.Mock(side_effect=AssertionError("fallback")), **kwargs)
 
         with mock.patch.object(movielens, "_read_rows", no_line_reads):
