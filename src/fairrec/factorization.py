@@ -69,9 +69,10 @@ def score_matrix(model: FactorModel) -> np.ndarray:
     left = np.hstack([model.user_factors, model.user_bias[:, None], np.ones((n, 1))])
     right = np.hstack([model.item_factors, np.ones((m, 1)), model.item_bias[:, None]]).T
     scores = np.empty((n, m))
-    # a diverging model overflows here; the trainer turns that into a
-    # DivergenceError, so the overflow itself is not worth a warning
-    with np.errstate(over="ignore"):
+    # a diverging model overflows here, and gives inf - inf; the trainer turns
+    # that into a DivergenceError and full_report into a FairrecError, so
+    # neither is worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in _row_blocks(n, m, left.shape[1]):
             np.matmul(left[start:stop], right, out=scores[start:stop])
     return scores

@@ -118,10 +118,14 @@ class Unfairness:
         return values, cell_coeffs
 
 
+# predictions that overflow make a score inf or nan, which raises a
+# FairrecError below, so neither is worth a warning
+@np.errstate(over="ignore", invalid="ignore")
 def full_report(model: FactorModel, eval_data: Dataset,
                 error_metric: str = "rmse") -> MetricReport:
     """Prediction error and all five unfairness scores of a model on the
-    entries of ``eval_data``, split into groups by its protected flags."""
+    entries of ``eval_data``, split into groups by its protected flags.
+    Raises FairrecError when a score is not finite."""
     if error_metric not in ("rmse", "mse"):
         raise FairrecError(f"unknown error metric {error_metric!r}")
     if eval_data.num_ratings == 0:
@@ -130,6 +134,10 @@ def full_report(model: FactorModel, eval_data: Dataset,
     err = float(np.mean((preds - eval_data.values) ** 2))
     unfairness = Unfairness(eval_data, KINDS, "evaluation entries")
     values, _ = unfairness(preds, [(kind, 1.0) for kind in KINDS])
-    return MetricReport(error=float(np.sqrt(err)) if error_metric == "rmse" else err,
-                        items_counted=int(unfairness.comparable.sum()),
-                        **dict(zip(KINDS, values)))
+    scores = dict(zip(METRIC_FIELDS, [err, *values]))
+    bad = [name for name, x in scores.items() if not np.isfinite(x)]
+    if bad:
+        raise FairrecError(f"the model's predictions overflow: {', '.join(bad)} not finite")
+    if error_metric == "rmse":
+        scores["error"] = float(np.sqrt(err))
+    return MetricReport(items_counted=int(unfairness.comparable.sum()), **scores)

@@ -293,6 +293,17 @@ class TestTrain:
         assert code == 2
         assert stderr == f"error: {message}\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_init_scale_diverges_without_warning(self, synth_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("init_scale = 1e308\niterations = 3\n")
+        out = tmp_path / "m.txt"
+        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file),
+                                   "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: combined objective became non-finite at iteration 0\n"
+        assert not out.exists()
+
     def test_bad_penalty_exits_two(self, synth_file, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "--data", str(synth_file),
                               "--penalty", "sideways", "--out", str(tmp_path / "m.txt"))
@@ -348,6 +359,19 @@ class TestEval:
                                    "--data", str(synth_file))
         assert (code, stdout) == (2, "")
         assert stderr == "error: line 2: parameters must be finite\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_predictions_exit_two(self, synth_file, model_file, tmp_path, capsys):
+        lines = model_file.read_text().splitlines()
+        parts = lines[1].split()
+        parts[1] = "1e308"
+        lines[1] = " ".join(parts)
+        model = tmp_path / "m.txt"
+        model.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(capsys, "eval", "--model", str(model),
+                                   "--data", str(synth_file))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: the model's predictions overflow: error, parity not finite\n"
 
     @pytest.mark.parametrize("model_shape, ratings, message", [
         ((7, 9), [(0, 0, 1.0), (1, 0, 2.0)], "model is 7 x 9, data 3 x 3"),
