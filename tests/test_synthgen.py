@@ -188,6 +188,12 @@ class TestExpectedValueEval:
         for k in range(len(ev)):
             assert ev.values[k] == expected[ev.user_idx[k], ev.item_idx[k]]
 
+    def test_expected_of_another_shape_rejected(self):
+        # the transpose has as many entries, so only its shape tells it apart
+        data, expected = generate(RegimeConfig("U", 8, 6, seed=3))
+        with pytest.raises(ValueError, match=r"expected must be \(8, 6\), got \(6, 8\)"):
+            expected_value_eval(data, expected.T)
+
 
 class TestSidecar:
     def test_contents(self, tmp_path):
