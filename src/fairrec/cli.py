@@ -55,7 +55,7 @@ _CONFIG = ExperimentConfig()
 
 def _add_hyper_flags(sub):
     sub.add_argument("--d", type=int, help=f"latent dimension (default {_BASE.d})")
-    sub.add_argument("--lambda", dest="lam", type=float,
+    sub.add_argument("--lambda", dest="lambda", metavar="LAM", type=float,
                      help=f"Frobenius regularization weight (default {_BASE.lam})")
     sub.add_argument("--alpha", type=float,
                      help=(f"penalty weight (default {default_alpha('synthetic')} "
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     mlp.add_argument("--genres", help="comma-separated genre list")
     mlp.add_argument("--min-ratings", type=int,
                      help=f"per-user rating floor (default {_CONFIG.min_ratings})")
-    mlp.add_argument("--mode", choices=GENRE_MODES, help="genre matching mode")
+    mlp.add_argument("--mode", dest="genre_mode", choices=GENRE_MODES, help="genre matching mode")
     mlp.add_argument("--out", help="write the filtered dataset here")
     _add_config_flag(mlp)
     mlp.set_defaults(func=_cmd_ml_prepare)
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     t2.add_argument("--genres", help="comma-separated genre list")
     t2.add_argument("--min-ratings", type=int,
                     help=f"per-user rating floor (default {_CONFIG.min_ratings})")
-    t2.add_argument("--mode", choices=GENRE_MODES, help="genre matching mode")
+    t2.add_argument("--mode", dest="genre_mode", choices=GENRE_MODES, help="genre matching mode")
     t2.add_argument("--split", type=float,
                     help=f"train fraction (default {_CONFIG.split_fraction})")
     t2.add_argument("--trials", type=int, help=f"trials (default {default_trials('movielens')})")
@@ -150,31 +150,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse attributes of the flags whose names differ from their config keys
-_FLAG_ATTRS = {"lambda": "lam", "genre_mode": "mode"}
-
-
 def _merged_mapping(args) -> dict:
     """Config-file values overridden by whichever flags were actually given.
 
     A command reads the config keys of its own arguments; a config file with
     any other key is rejected."""
-    keys = tuple(key for key in CONFIG_KEYS if hasattr(args, _FLAG_ATTRS.get(key, key)))
+    keys = tuple(key for key in CONFIG_KEYS if hasattr(args, key))
     mapping = parse_config_file(args.config, keys) if getattr(args, "config", None) else {}
     for key in keys:
-        value = getattr(args, _FLAG_ATTRS.get(key, key), None)
+        value = getattr(args, key)
         if value is not None:
             mapping[key] = str(value)
     return mapping
 
 
 def _cmd_synth_gen(args, mapping) -> int:
-    config = RegimeConfig(
-        regime=mapping.get("regime", _CONFIG.regime),
-        num_users=int(mapping.get("users", _CONFIG.num_users)),
-        num_items=int(mapping.get("items", _CONFIG.num_items)),
-        seed=int(mapping.get("seed", _CONFIG.base_seed)),
-    )
+    experiment = config_experiment(mapping)
+    config = RegimeConfig(experiment.regime, experiment.num_users,
+                          experiment.num_items, experiment.base_seed)
     data, _ = generate(config)
     _write_outputs((args.out, partial(save_dataset, data)),
                    (args.sidecar, lambda path: write_sidecar(path, config.regime)))

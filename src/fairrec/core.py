@@ -373,6 +373,9 @@ def parse_dataset(text: str) -> Dataset:
         raise MalformedLineError(
             1, f"header declares {num_users} users but only {total - 1} lines follow; "
                "every user needs a 'u' line")
+    # training or scoring on the data holds two float64 per user and per item
+    # at least: a factor and a bias at d = 1, and Unfairness's two item cells
+    _check_memory(16 * (num_users + num_items), f"a {num_users} x {num_items} dataset")
 
     protected = np.zeros(num_users, dtype=bool)
     seen_user = np.zeros(num_users, dtype=bool)

@@ -17,13 +17,14 @@ from .core import Dataset, FactorModel, FairrecError
 # 3706, 4.5% fill) it took twice as long (91 against 45 ms).
 DENSE_FILL = 0.1
 
-# Fill from which the gradient's blocked products beat the CSR scatter. With
-# d = 4 on a 2-core host (medians, products / CSR), both shapes crossed just
-# below 12.5% fill: 400 x 300 went 0.37 / 0.33 ms at 10%, 0.36 / 0.37 ms at
-# 12.5%, 0.38 / 0.44 ms at 15% and 0.46 / 0.57 ms at 20%; 3000 x 1005 went
-# 7.8 / 6.7 ms, 7.6 / 8.0 ms, 7.8 / 9.7 ms and 8.9 / 14.0 ms. 15% keeps clear
-# of the host's noise. At the MovieLens-1M shape (6040 x 3706, 4.5% fill) the
-# products took 2.2 times as long (52 against 24 ms).
+# Fill from which the gradient's products take dense row blocks, not one CSR
+# matrix. Since the CSR branch runs the same products with the biases folded
+# in (C @ [Q | 1]), which made it 1.7-2.1 times faster, it is ahead up to about
+# 20% fill at 400 x 300 and 25-35% at 3000 x 1005 (d = 4, a 2-core host). The
+# threshold stays at 15% all the same: set at the crossover, it would send the
+# training split of the generated MovieLens-scale data (about 24% filled) to
+# CSR, which pays a cold `import scipy.sparse` of about 0.2 s. A benchmark
+# workload at MovieLens-1M's sparsity is to settle it (ROADMAP item 5).
 DENSE_GRADIENT_FILL = 0.15
 
 # OpenBLAS runs a matrix product of at most 2**18 multiply-adds on the calling

@@ -295,9 +295,21 @@ def emit(table: ResultTable, fmt: str = "csv") -> str:
     raise FairrecError(f"unknown emit format {fmt!r}")
 
 
-CONFIG_KEYS = ("source", "regime", "users", "items", "ml_path", "genres",
-               "genre_mode", "min_ratings", "d", "lambda", "alpha", "lr",
-               "iterations", "init_scale", "trials", "seed", "penalty", "split")
+# Each config key, in order, with the ExperimentConfig field and the
+# Hyperparams field that its value sets, or None, and how its text is read.
+# penalty sets no field: train reads it, and an experiment rejects it.
+_KEYS = (
+    ("source", "source", None, str), ("regime", "regime", None, str),
+    ("users", "num_users", None, int), ("items", "num_items", None, int),
+    ("ml_path", "ml_path", None, str), ("genres", "genres", None, lambda s: s.split(",")),
+    ("genre_mode", "genre_mode", None, str), ("min_ratings", "min_ratings", None, int),
+    ("d", None, "d", int), ("lambda", None, "lam", float), ("alpha", None, "alpha", float),
+    ("lr", None, "learning_rate", float), ("iterations", None, "iterations", int),
+    ("init_scale", None, "init_scale", float), ("trials", "trials", None, int),
+    ("seed", "base_seed", "seed", int), ("penalty", None, None, None),
+    ("split", "split_fraction", None, float),
+)
+CONFIG_KEYS = tuple(key for key, *_ in _KEYS)
 
 
 def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
@@ -324,19 +336,24 @@ def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
     return mapping
 
 
+def _config_fields(mapping: dict, column: int) -> dict:
+    """The ExperimentConfig (column 0) or Hyperparams (column 1) fields that
+    a config mapping sets, each read from its key's text. A text that cannot
+    be read raises FairrecError naming its key."""
+    fields = {}
+    for key, *names, read in _KEYS:
+        if key in mapping and names[column]:
+            try:
+                fields[names[column]] = read(mapping[key])
+            except ValueError as exc:
+                raise FairrecError(f"config key {key!r}: {exc}") from exc
+    return fields
+
+
 def config_hyper(mapping: dict, source: str) -> Hyperparams:
     """Hyperparams from a config mapping; alpha defaults by data source,
     which must be one of SOURCES."""
-    base = Hyperparams()
-    return Hyperparams(
-        d=int(mapping.get("d", base.d)),
-        lam=float(mapping.get("lambda", base.lam)),
-        alpha=float(mapping.get("alpha", default_alpha(source))),
-        learning_rate=float(mapping.get("lr", base.learning_rate)),
-        iterations=int(mapping.get("iterations", base.iterations)),
-        seed=int(mapping.get("seed", base.seed)),
-        init_scale=float(mapping.get("init_scale", base.init_scale)),
-    )
+    return Hyperparams(**{"alpha": default_alpha(source), **_config_fields(mapping, 1)})
 
 
 def config_experiment(mapping: dict) -> ExperimentConfig:
@@ -347,19 +364,7 @@ def config_experiment(mapping: dict) -> ExperimentConfig:
     if "penalty" in mapping:
         raise FairrecError("config key 'penalty' is read by train only: "
                            "an experiment compares its own penalty specs")
-    base = ExperimentConfig()
-    source = mapping.get("source", base.source)
-    return ExperimentConfig(
-        source=source,
-        regime=mapping.get("regime", base.regime),
-        num_users=int(mapping.get("users", base.num_users)),
-        num_items=int(mapping.get("items", base.num_items)),
-        ml_path=mapping.get("ml_path"),
-        genres=mapping["genres"].split(",") if "genres" in mapping else base.genres,
-        genre_mode=mapping.get("genre_mode", base.genre_mode),
-        min_ratings=int(mapping.get("min_ratings", base.min_ratings)),
-        split_fraction=float(mapping.get("split", base.split_fraction)),
-        hyper=config_hyper(mapping, source),
-        trials=int(mapping.get("trials", default_trials(source))),
-        base_seed=int(mapping.get("seed", base.base_seed)),
-    )
+    fields = _config_fields(mapping, 0)
+    source = fields.get("source", ExperimentConfig.source)
+    return ExperimentConfig(**{"trials": default_trials(source), **fields},
+                            hyper=config_hyper(mapping, source))

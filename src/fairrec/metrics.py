@@ -30,30 +30,27 @@ def smooth_abs(x, eps: float):
     return np.abs(x), np.sign(x)
 
 
-def item_terms(kind: str, dp: np.ndarray, da: np.ndarray, eps: float = 0.0):
+def item_terms(kind: str, D: np.ndarray, eps: float = 0.0):
     """Per-item unfairness terms and their derivatives w.r.t. each group's D.
 
     D is a group's signed estimation error on an item: its average prediction
-    minus its average truth. Returns (phi, dphi/dDp, dphi/dDa). A per-item
-    metric is the mean of phi at eps = 0; the matching training penalty is
-    the same mean at the spec's smoothing.
+    minus its average truth, given as a (2, items) array, the advantaged
+    group's row first. Returns (phi, dphi/dD), the latter shaped like D. A
+    per-item metric is the mean of phi at eps = 0; the matching training
+    penalty is the same mean at the spec's smoothing.
     """
     if kind == "value":
-        inner_p, slope_p = dp, 1.0
-        inner_a, slope_a = da, 1.0
+        inner, slope = D, 1.0
     elif kind == "absolute":
-        inner_p, slope_p = smooth_abs(dp, eps)
-        inner_a, slope_a = smooth_abs(da, eps)
+        inner, slope = smooth_abs(D, eps)
     elif kind == "under":
-        inner_p, slope_p = np.maximum(-dp, 0.0), -(dp < 0).astype(np.float64)
-        inner_a, slope_a = np.maximum(-da, 0.0), -(da < 0).astype(np.float64)
+        inner, slope = np.maximum(-D, 0.0), -(D < 0).astype(np.float64)
     elif kind == "over":
-        inner_p, slope_p = np.maximum(dp, 0.0), (dp > 0).astype(np.float64)
-        inner_a, slope_a = np.maximum(da, 0.0), (da > 0).astype(np.float64)
+        inner, slope = np.maximum(D, 0.0), (D > 0).astype(np.float64)
     else:
         raise ValueError(f"unknown per-item unfairness kind {kind!r}")
-    phi, outer = smooth_abs(inner_p - inner_a, eps)
-    return phi, outer * slope_p, -outer * slope_a
+    phi, outer = smooth_abs(inner[1] - inner[0], eps)
+    return phi, np.stack([-outer, outer]) * slope
 
 
 class Unfairness:
@@ -76,9 +73,7 @@ class Unfairness:
         if set(kinds) - {"parity"}:
             if not self.comparable.any():
                 raise FairrecError(f"no item has {what} from both groups")
-            # comparable items, in both halves of the cells
-            self._valid = np.tile(self.comparable, 2)
-            self._scale = int(self.comparable.sum()) * self.count[self._valid]
+            self._scale = self.comparable.sum() * self.count.reshape(2, -1)[:, self.comparable]
             self.true_means = self._means(data.values)
         if "parity" in kinds and (self.n_p == 0 or self.n_a == 0):
             raise FairrecError("both groups need at least one training rating")
@@ -101,16 +96,16 @@ class Unfairness:
         values, parity = [], None
         cell_coeffs = np.zeros(len(self.count))
         if self.true_means is not None:
-            da, dp = np.split((self._means(preds) - self.true_means)[self._valid], 2)
+            D = (self._means(preds) - self.true_means).reshape(2, -1)[:, self.comparable]
         for kind, weight in terms:
             if kind == "parity":
                 phi, slope = smooth_abs(np.mean(preds[self._in_protected])
                                         - np.mean(preds[~self._in_protected]), eps)
                 parity = weight * (-slope / self.n_a), weight * (slope / self.n_p)
             else:
-                phi, g_dp, g_da = item_terms(kind, dp, da, eps)
+                phi, grad = item_terms(kind, D, eps)
                 phi = np.mean(phi)
-                cell_coeffs[self._valid] += weight * (np.concatenate([g_da, g_dp]) / self._scale)
+                cell_coeffs.reshape(2, -1)[:, self.comparable] += weight * (grad / self._scale)
             values.append(float(phi))
         if parity is not None:
             for half, coeff in zip(cell_coeffs.reshape(2, -1), parity):

@@ -260,6 +260,18 @@ class TestTrain:
         assert code == 2
         assert stderr.startswith("error: line 1:")
 
+    def test_item_count_header_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("users=20 items=100000 scale=0.0,5.0\n"
+                       + "".join(f"u {u} {u % 2}\n" for u in range(20)) + "r 0 0 3.0\n")
+        monkeypatch.setattr("fairrec.core._memory_budget", lambda: 10**6)
+        code, stdout, stderr = run(capsys, "train", "--data", str(bad),
+                                   "--out", str(tmp_path / "m.txt"))
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: a 20 x 100000 dataset needs at least 2 MB, "
+                          "more than the 1 MB of memory on this host\n")
+        assert not (tmp_path / "m.txt").exists()
+
     def test_memory_error_exits_two(self, synth_file, tmp_path, capsys, monkeypatch):
         def out_of_memory(path):
             raise MemoryError("Unable to allocate 745. GiB")
@@ -475,6 +487,25 @@ class TestConfigFile:
         assert (code, stdout) == (2, "")
         assert stderr == ("error: source must be one of ('synthetic', 'movielens'), "
                           "got 'bogus'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("synth-gen", "users = abc", "config key 'users': invalid literal for int() "
+                                     "with base 10: 'abc'"),
+        ("train", "lambda = small", "config key 'lambda': could not convert string "
+                                    "to float: 'small'"),
+        ("reproduce-table1", "trials = two", "config key 'trials': invalid literal "
+                                             "for int() with base 10: 'two'"),
+    ])
+    def test_unreadable_value_names_its_key(self, synth_file, tmp_path, capsys,
+                                            command, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "out.txt"
+        data = ["--data", str(synth_file)] if command == "train" else []
+        code, stdout, stderr = run(capsys, command, *data, "--config", str(cfg),
+                                   "--out", str(out))
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
         assert not out.exists()
 
     def test_unknown_key_rejected_by_experiments(self, tmp_path, capsys):

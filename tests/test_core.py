@@ -253,6 +253,19 @@ class TestDatasetFormat:
                 parse(text)
             assert exc.value.line_no == 1 and message in str(exc.value)
 
+    def test_header_sizes_checked_against_memory_first(self, monkeypatch):
+        """The counts are weighed at the header, before a line of the body
+        is read or anything is sized by them."""
+        text = "users=2 items=1000 scale=0.0,5.0\nu 0 1\nu 1 0\nz weird\n"
+        monkeypatch.setattr(core, "_memory_budget", lambda: 16 * 1002 - 1)
+        with pytest.raises(FairrecError, match="a 2 x 1000 dataset needs at least") as exc:
+            parse_dataset(text)
+        assert not isinstance(exc.value, MalformedLineError)
+        monkeypatch.setattr(core, "_memory_budget", lambda: 16 * 1002)
+        with pytest.raises(MalformedLineError) as exc:
+            parse_dataset(text)
+        assert exc.value.line_no == 4
+
     @pytest.mark.parametrize("line, message", [
         ("u 1 0 X", "unknown fine user group 'X'"),
         ("g 0 Foo", "unknown item group 'Foo'"),

@@ -531,6 +531,22 @@ class TestConfigParsing:
         assert (config.num_users, config.num_items) == (40, 30)
         assert (config.trials, config.base_seed) == (2, 3)
 
+    @pytest.mark.parametrize("mapping, message", [
+        ({"users": "abc"}, "config key 'users': invalid literal for int() with base 10: 'abc'"),
+        ({"split": "half"}, "config key 'split': could not convert string to float: 'half'"),
+        ({"lambda": "1e-4", "lr": "0,01"},
+         "config key 'lr': could not convert string to float: '0,01'"),
+        ({"seed": "1.5"}, "config key 'seed': invalid literal for int() with base 10: '1.5'"),
+    ])
+    def test_unreadable_value_names_its_key(self, mapping, message):
+        with pytest.raises(FairrecError) as info:
+            config_experiment(mapping)
+        assert str(info.value) == message
+
+    def test_config_hyper_names_an_unreadable_key(self):
+        with pytest.raises(FairrecError, match=r"^config key 'd': invalid literal"):
+            config_hyper({"d": "four"}, "synthetic")
+
     def test_config_experiment_rejects_unknown_key(self):
         with pytest.raises(FairrecError, match=r"unknown config keys: \['sauce'\]"):
             config_experiment({"sauce": "synthetic"})
