@@ -338,13 +338,14 @@ def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
 
 def _config_fields(mapping: dict, column: int) -> dict:
     """The ExperimentConfig (column 0) or Hyperparams (column 1) fields that
-    a config mapping sets, each read from its key's text. A text that cannot
-    be read raises FairrecError naming its key."""
+    a config mapping sets, each read from its key's text (a value that is not
+    a str is read as its str()). A text that cannot be read raises
+    FairrecError naming its key."""
     fields = {}
     for key, *names, read in _KEYS:
         if key in mapping and names[column]:
             try:
-                fields[names[column]] = read(mapping[key])
+                fields[names[column]] = read(str(mapping[key]))
             except ValueError as exc:
                 raise FairrecError(f"config key {key!r}: {exc}") from exc
     return fields

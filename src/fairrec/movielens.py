@@ -9,7 +9,7 @@ F maps to the protected flag.
 from __future__ import annotations
 
 import os
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterator
 
@@ -68,36 +68,27 @@ class MovieLensRaw:
     and star of each rating (timestamps are checked, then dropped).
 
     user_pos and movie_pos hold each rating's user and movie as a position
-    among the sorted ids of users and movies. parse_ml1m passes the
-    positions it found while reading; without them they are looked up here,
-    and a rating of an unknown user or movie raises FairrecError.
+    among the sorted ids of users and movies. Columns that are not 1-d and
+    equally long raise ValueError; a position outside the users or movies
+    raises FairrecError.
     """
 
     users: dict
     movies: dict
-    user_ids: np.ndarray
-    movie_ids: np.ndarray
+    user_pos: np.ndarray
+    movie_pos: np.ndarray
     values: np.ndarray
-    positions: InitVar[tuple | None] = None
-    user_pos: np.ndarray = field(init=False, repr=False)
-    movie_pos: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, positions):
-        for name, dtype in (("user_ids", np.int64), ("movie_ids", np.int64),
-                            ("values", np.float64)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            object.__setattr__(self, name, _frozen(arr))
-        if positions is None:
-            positions = []
-            for kind, ids, keys in (("user", self.user_ids, self.users),
-                                    ("movie", self.movie_ids, self.movies)):
-                pos, found = _Ids(keys).find(ids)
-                if not found.all():
-                    raise FairrecError(f"rating references unknown {kind} "
-                                       f"{ids[np.argmin(found)]}")
-                positions.append(pos)
-        for name, pos in zip(("user_pos", "movie_pos"), positions):
-            object.__setattr__(self, name, _frozen(np.asarray(pos, dtype=np.intp)))
+    def __post_init__(self):
+        u, m = (np.asarray(pos, dtype=np.intp) for pos in (self.user_pos, self.movie_pos))
+        v = np.asarray(self.values, dtype=np.float64)
+        if not (u.ndim == m.ndim == v.ndim == 1 and len(u) == len(m) == len(v)):
+            raise ValueError("user_pos, movie_pos, values must be 1-d and equally long")
+        for kind, pos, ids in (("user", u, self.users), ("movie", m, self.movies)):
+            if len(pos) and (pos.min() < 0 or pos.max() >= len(ids)):
+                raise FairrecError(f"{kind} position outside [0, {len(ids)})")
+        for name, column in (("user_pos", u), ("movie_pos", m), ("values", v)):
+            object.__setattr__(self, name, _frozen(column))
 
     @property
     def num_ratings(self) -> int:
@@ -230,10 +221,7 @@ def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
             raise MalformedLineError(no, f"bad movies line {line!r}")
         movies[_new_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
 
-    user_ids, movie_ids = _Ids(users), _Ids(movies)
-    user_pos, movie_pos, stars = _rating_block(ratings_file, user_ids, movie_ids)
-    return MovieLensRaw(users, movies, user_ids.keys.take(user_pos),
-                        movie_ids.keys.take(movie_pos), stars, (user_pos, movie_pos))
+    return MovieLensRaw(users, movies, *_rating_block(ratings_file, _Ids(users), _Ids(movies)))
 
 
 def parse_ml1m_dir(directory) -> MovieLensRaw:
@@ -260,10 +248,11 @@ def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int =
     its MovieLens ids.
     """
     selected = frozenset(canonical_genres(genres))
+    uids, mids = sorted(raw.users), sorted(raw.movies)
     # tables over the users and the movies in id order, read at each rating's positions
-    female = np.array([raw.users[uid] == "F" for uid in sorted(raw.users)], dtype=bool)
+    female = np.array([raw.users[uid] == "F" for uid in uids], dtype=bool)
     on_kept = np.array([_genre_match(raw.movies[mid], selected, mode)
-                        for mid in sorted(raw.movies)], dtype=bool).take(raw.movie_pos)
+                        for mid in mids], dtype=bool).take(raw.movie_pos)
     # min_ratings <= 0 keeps every user, rated or not
     user_sel = np.bincount(raw.user_pos[on_kept], minlength=len(female)) >= min_ratings
     keep = on_kept & user_sel.take(raw.user_pos)
@@ -283,12 +272,12 @@ def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int =
         )
     except FairrecError:
         # reindexing keeps the id order, so the first repeat is the one reported
-        pairs, times = np.unique(np.stack([raw.user_ids[keep], raw.movie_ids[keep]], 1),
+        pairs, times = np.unique(np.stack([raw.user_pos[keep], raw.movie_pos[keep]], 1),
                                  axis=0, return_counts=True)
         if times.max() < 2:
             raise
-        uid, mid = pairs[np.argmax(times > 1)]
-        raise FairrecError(f"duplicate rating for MovieLens user {uid}, movie {mid}")
+        u, m = pairs[np.argmax(times > 1)]
+        raise FairrecError(f"duplicate rating for MovieLens user {uids[u]}, movie {mids[m]}")
 
 
 def split(d: Dataset, train_fraction: float, seed) -> tuple:

@@ -316,7 +316,8 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
 
     This is the per-line reader that the columnar one replaced, plus its two
     later checks: an id may occur once per file, and ids and timestamps must
-    fit int64.
+    fit int64. A rating's user and movie become their positions among the
+    sorted ids, found through dicts.
     """
     users = {}
     for no, line in enumerate(_ml_lines(users_file), start=1):
@@ -358,14 +359,18 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
         user_ids.append(uid)
         movie_ids.append(mid)
         values.append(val)
-    return MovieLensRaw(users, movies, user_ids, movie_ids, values)
+    user_at = {uid: k for k, uid in enumerate(sorted(users))}
+    movie_at = {mid: k for k, mid in enumerate(sorted(movies))}
+    return MovieLensRaw(users, movies, [user_at[uid] for uid in user_ids],
+                        [movie_at[mid] for mid in movie_ids], values)
 
 
 def oracle_filter_dataset(raw, genres, min_ratings, mode):
     """The MovieLens filter with sets, dicts and sorted lists: keep the movies
     matching the genres (canonical names), then the users with at least
     min_ratings ratings of kept movies, then the ratings of both, renumbered
-    in id order. A repeated kept pair is named by its MovieLens ids."""
+    in id order. A repeated kept pair is named by its MovieLens ids, which a
+    rating's positions index in sorted order."""
     selected = set(genres)
     kept_movies = set()
     for mid, movie_genres in raw.movies.items():
@@ -377,7 +382,9 @@ def oracle_filter_dataset(raw, genres, min_ratings, mode):
             raise ValueError(f"unknown genre mode {mode!r}")
         if match:
             kept_movies.add(mid)
-    ratings = list(zip(raw.user_ids.tolist(), raw.movie_ids.tolist(), raw.values.tolist()))
+    uids, mids = sorted(raw.users), sorted(raw.movies)
+    ratings = [(uids[u], mids[m], value) for u, m, value in
+               zip(raw.user_pos.tolist(), raw.movie_pos.tolist(), raw.values.tolist())]
     counts = {uid: 0 for uid in raw.users}
     for uid, mid, _ in ratings:
         if mid in kept_movies:
@@ -399,8 +406,9 @@ def oracle_filter_dataset(raw, genres, min_ratings, mode):
 
 
 def oracle_parse_model(text):
-    """The checkpoint format read one line at a time: the package's parser
-    before it read rows by whole blocks."""
+    """The checkpoint format read one line at a time. trainer.parse_model
+    reads its rows line by line too, by this same algorithm, so agreement
+    between the two shows little: a bug both share goes unseen."""
     lines = text.splitlines()
     if not lines:
         raise MalformedLineError(1, "empty checkpoint")

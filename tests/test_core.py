@@ -220,6 +220,17 @@ class TestDatasetFormat:
         with pytest.raises(MalformedLineError):
             parse_dataset(text)
 
+    def test_user_index_out_of_range(self):
+        text = "users=2 items=1 scale=0.0,5.0\nu 0 1\nu 5 0\n"
+        with pytest.raises(MalformedLineError, match="^line 3: user index 5 out of range$"):
+            parse_dataset(text)
+
+    def test_fine_labels_must_cover_all_users(self):
+        text = "users=2 items=1 scale=0.0,5.0\nu 0 1 W\nu 1 0\nr 0 0 3.0\n"
+        with pytest.raises(MalformedLineError,
+                           match="^line 4: fine labels must cover all users or none$"):
+            parse_dataset(text)
+
     def test_item_label_index_out_of_range(self):
         text = "users=2 items=2 scale=0.0,5.0\nu 0 1\nu 1 0\ng 2 Fem\n"
         with pytest.raises(MalformedLineError, match="item index 2 out of range") as exc:
@@ -523,7 +534,7 @@ def _result_table():
 
 def _movielens_raw():
     from fairrec.movielens import MovieLensRaw
-    return MovieLensRaw({1: "F"}, {2: frozenset({"Action"})}, [1], [2], [5.0])
+    return MovieLensRaw({1: "F"}, {2: frozenset({"Action"})}, [0], [0], [5.0])
 
 
 @pytest.mark.parametrize("make", [

@@ -537,11 +537,19 @@ class TestConfigParsing:
         ({"lambda": "1e-4", "lr": "0,01"},
          "config key 'lr': could not convert string to float: '0,01'"),
         ({"seed": "1.5"}, "config key 'seed': invalid literal for int() with base 10: '1.5'"),
+        # a value that is not text is read as its text, so a float count is not cut
+        ({"users": 40.9, "items": 30, "trials": 2.7},
+         "config key 'users': invalid literal for int() with base 10: '40.9'"),
+        ({"genres": ["Action"]}, 'unknown genre "[\'Action\']"'),
     ])
     def test_unreadable_value_names_its_key(self, mapping, message):
         with pytest.raises(FairrecError) as info:
             config_experiment(mapping)
         assert str(info.value) == message
+
+    def test_numbers_read_exactly_through_their_text(self):
+        config = config_experiment({"trials": 2, "lambda": 1e-4})
+        assert (config.trials, config.hyper.lam) == (2, 1e-4)
 
     def test_config_hyper_names_an_unreadable_key(self):
         with pytest.raises(FairrecError, match=r"^config key 'd': invalid literal"):

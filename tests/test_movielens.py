@@ -183,28 +183,49 @@ class TestUnknownIds:
         raw = parse_ml1m(*paths)
         assert raw.user_pos.tolist() == [0, 1, 2, 0, 1]
         assert raw.movie_pos.tolist() == [0, 1, 2, 1, 0]
-        assert raw.user_ids.tolist() == [10, 20, 30, 10, 20]
-        assert raw.movie_ids.tolist() == [100, 200, 2**62, 200, 100]
+        assert [sorted(raw.users)[k] for k in raw.user_pos] == [10, 20, 30, 10, 20]
+        assert [sorted(raw.movies)[k] for k in raw.movie_pos] == [100, 200, 2**62, 200, 100]
+
+    def test_no_users_at_all(self, tmp_path):
+        # the sorted ids of an empty users.dat hold no position to look in
+        paths = [tmp_path / name for name in ("users.dat", "movies.dat", "ratings.dat")]
+        for path, text in zip(paths, ("", self.MOVIES, "1::100::5::6\n")):
+            path.write_text(text, encoding="latin-1")
+        with pytest.raises(MalformedLineError,
+                           match="^line 1: rating references unknown user 1$"):
+            parse_ml1m(*paths)
 
 
 class TestRawPositions:
-    def test_built_directly_positions_are_looked_up(self):
-        raw = MovieLensRaw({7: "F", -3: "M"}, {5: frozenset(), 2**62: frozenset()},
-                           [7, -3, 7], [2**62, 5, 5], [1.0, 2.0, 3.0])
-        assert raw.user_pos.tolist() == [1, 0, 1]
-        assert raw.movie_pos.tolist() == [1, 0, 0]
+    """A hand-built record is checked as a Dataset is: its columns first,
+    then that each position indexes the sorted ids of users or movies."""
 
-    def test_replaced_ids_are_looked_up_again(self, raw):
-        again = replace(raw, user_ids=raw.user_ids[::-1].copy(),
-                        movie_ids=raw.movie_ids[::-1].copy(), values=raw.values[::-1].copy())
-        assert again.user_pos.tolist() == raw.user_pos[::-1].tolist()
-        assert again.movie_pos.tolist() == raw.movie_pos[::-1].tolist()
+    USERS, MOVIES = {7: "F", -3: "M"}, {5: frozenset(), 2**62: frozenset()}
 
-    @pytest.mark.parametrize("users, movies, kind, bad", [
-        ([7, 8], [5, 5], "user", 8), ([7, 7], [5, -1], "movie", -1)])
-    def test_unknown_id_rejected(self, users, movies, kind, bad):
-        with pytest.raises(FairrecError, match=f"^rating references unknown {kind} {bad}$"):
-            MovieLensRaw({7: "F"}, {5: frozenset()}, users, movies, [1.0, 2.0])
+    def test_columns_stored_frozen(self):
+        raw = MovieLensRaw(self.USERS, self.MOVIES, [1, 0, 1], [1, 0, 0], [1, 2, 3])
+        for column, dtype in ((raw.user_pos, np.intp), (raw.movie_pos, np.intp),
+                              (raw.values, np.float64)):
+            assert column.dtype == dtype and not column.flags.writeable
+        assert raw.num_ratings == 3
+
+    @pytest.mark.parametrize("user_pos, movie_pos, values", [
+        ([0, 1], [0], [1.0, 2.0]), ([0, 1], [0, 1], [1.0]), ([[0, 1]], [[0, 1]], [[1.0, 2.0]]),
+        ([0], [0], 1.0)])
+    def test_columns_must_be_1d_and_equally_long(self, user_pos, movie_pos, values):
+        with pytest.raises(ValueError,
+                           match="^user_pos, movie_pos, values must be 1-d and equally long$"):
+            MovieLensRaw(self.USERS, self.MOVIES, user_pos, movie_pos, values)
+
+    @pytest.mark.parametrize("user_pos, movie_pos, kind", [
+        ([0, 2], [0, 1], "user"), ([-1, 0], [0, 1], "user"),
+        ([0, 1], [2, 0], "movie"), ([0, 1], [0, -1], "movie")])
+    def test_position_outside_its_ids_rejected(self, user_pos, movie_pos, kind):
+        with pytest.raises(FairrecError, match=rf"^{kind} position outside \[0, 2\)$"):
+            MovieLensRaw(self.USERS, self.MOVIES, user_pos, movie_pos, [1.0, 2.0])
+
+    def test_no_ratings_need_no_ids(self):
+        assert MovieLensRaw({}, {}, [], [], []).num_ratings == 0
 
 
 # ISO-8859-1 text, which ratings.dat is, cannot hold \u2028
@@ -286,8 +307,8 @@ def ml_outcome(parse, paths):
         raw = parse(*paths)
     except Exception as exc:  # every failure must match the oracle's
         return type(exc), getattr(exc, "line_no", None), str(exc)
-    return (list(raw.users.items()), list(raw.movies.items()), raw.user_ids.tobytes(),
-            raw.movie_ids.tobytes(), raw.values.tobytes())
+    return (list(raw.users.items()), list(raw.movies.items()), raw.user_pos.tobytes(),
+            raw.movie_pos.tobytes(), raw.values.tobytes())
 
 
 class TestParseAgainstOracle:
@@ -422,8 +443,9 @@ class TestFilter:
         # movie 4 is dropped; of the kept repeats, (3, 5) at dense indices
         # (2, 1) comes first in id order
         extra = [(4, 3), (1, 4), (1, 4), (3, 5)]
-        again = replace(raw, user_ids=np.append(raw.user_ids, [u for u, _ in extra]),
-                        movie_ids=np.append(raw.movie_ids, [m for _, m in extra]),
+        uids, mids = sorted(raw.users), sorted(raw.movies)
+        again = replace(raw, user_pos=np.append(raw.user_pos, [uids.index(u) for u, _ in extra]),
+                        movie_pos=np.append(raw.movie_pos, [mids.index(m) for _, m in extra]),
                         values=np.append(raw.values, [3.0] * 4))
         with pytest.raises(FairrecError,
                            match="^duplicate rating for MovieLens user 3, movie 5$"):
@@ -444,13 +466,15 @@ FILTER_GENRES = ("Action", "Comedy", "Crime", "Drama")
 @st.composite
 def ml_raws(draw):
     """A MovieLensRaw with ids from ML_IDS in no particular order, ratings in
-    no particular order, and now and then one (user, movie) pair rated twice."""
+    no particular order, and now and then one (user, movie) pair rated twice.
+    A rating holds the positions of its user and movie among the sorted ids."""
     uids = draw(st.lists(ML_IDS, min_size=1, max_size=6, unique=True))
     mids = draw(st.lists(ML_IDS, min_size=1, max_size=6, unique=True))
     users = {uid: draw(st.sampled_from("MF")) for uid in uids}
     movies = {mid: draw(st.frozensets(st.sampled_from(FILTER_GENRES), min_size=1, max_size=3)
                         | st.just(frozenset())) for mid in mids}
-    pairs = draw(st.lists(st.tuples(st.sampled_from(uids), st.sampled_from(mids)),
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(uids) - 1),
+                                    st.integers(0, len(mids) - 1)),
                           min_size=min(6, len(uids) * len(mids)), max_size=24, unique=True))
     if pairs and draw(st.booleans()):
         pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
@@ -480,18 +504,20 @@ class TestFilterAgainstOracle:
 
     def test_repeated_pair_of_extreme_ids_named_by_them(self):
         top, bottom = 2**63 - 1, -2**63
+        # sorted, the users are bottom then top
         raw = MovieLensRaw({top: "F", bottom: "M"}, {bottom: frozenset({"Action"})},
-                           [top, bottom, top], [bottom, bottom, bottom], [1.0, 2.0, 3.0])
+                           [1, 0, 1], [0, 0, 0], [1.0, 2.0, 3.0])
         message = f"^duplicate rating for MovieLens user {top}, movie {bottom}$"
         for filt in (filter_dataset, oracle_filter_dataset):
             with pytest.raises(FairrecError, match=message):
                 filt(raw, ("Action",), 1, "any-genre")
 
     def test_one_gender_result_rejected_by_both(self):
-        # user 9, the only M, rates one movie; 5 and -7 rate two each
+        # user 9, the only M, rates one movie; 5 and -7 rate two each (users
+        # -7, 5, 9 and movies 3, 4 are at positions 0, 1, 2 and 0, 1)
         raw = MovieLensRaw({5: "F", -7: "F", 9: "M"}, {4: frozenset({"Crime"}),
                                                          3: frozenset({"Crime"})},
-                           [9, -7, 5, 5, -7], [3, 3, 3, 4, 4], [4.0] * 5)
+                           [2, 0, 1, 1, 0], [0, 0, 0, 1, 1], [4.0] * 5)
         for filt in (filter_dataset, oracle_filter_dataset):
             with pytest.raises(FairrecError, match="no user is in the advantaged group"):
                 filt(raw, ("Crime",), 2, "only-genres")
