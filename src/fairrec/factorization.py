@@ -65,17 +65,14 @@ def _row_blocks(n: int, m: int, width: int) -> list:
 
 def score_matrix(model: FactorModel) -> np.ndarray:
     """Predictions for every (user, item) pair, as [P | bu | 1] @ [Q | 1 | bi].T,
-    which folds both bias adds into the product."""
+    which folds both bias adds into the product. A diverging model's scores
+    overflow to inf or nan with numpy's RuntimeWarning."""
     n, m = model.num_users, model.num_items
     left = np.hstack([model.user_factors, model.user_bias[:, None], np.ones((n, 1))])
     right = np.hstack([model.item_factors, np.ones((m, 1)), model.item_bias[:, None]]).T
     scores = np.empty((n, m))
-    # a diverging model overflows here, and gives inf - inf; the trainer turns
-    # that into a DivergenceError and full_report into a FairrecError, so
-    # neither is worth a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in _row_blocks(n, m, left.shape[1]):
-            np.matmul(left[start:stop], right, out=scores[start:stop])
+    for start, stop in _row_blocks(n, m, left.shape[1]):
+        np.matmul(left[start:stop], right, out=scores[start:stop])
     return scores
 
 
@@ -158,15 +155,12 @@ class Entries:
         right = np.hstack([model.item_factors, np.ones((m, 1))])
         user = np.empty((n, d + 1))
         item = np.zeros((m, d + 1))
-        # a diverging model gives inf and 0 * inf here; the trainer turns that
-        # into a DivergenceError, so neither is worth a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start, stop, C in self._blocks(coeffs, d + 1):
-                user[start:stop] = C @ right
-                item += C.T @ left[start:stop]
-            return np.concatenate([
-                (user[:, :d] + lam * model.user_factors).ravel(),
-                (item[:, :d] + lam * model.item_factors).ravel(),
-                user[:, d], item[:, d],
-            ])
+        for start, stop, C in self._blocks(coeffs, d + 1):
+            user[start:stop] = C @ right
+            item += C.T @ left[start:stop]
+        return np.concatenate([
+            (user[:, :d] + lam * model.user_factors).ravel(),
+            (item[:, :d] + lam * model.item_factors).ravel(),
+            user[:, d], item[:, d],
+        ])
 

@@ -114,13 +114,10 @@ class TrainingObjective:
         every training prediction), without the parameter gradient."""
         preds = self._entries.predict(model)
         resid = preds - self._train.values
-        # a diverging model overflows to inf here; the trainer turns that into
-        # a DivergenceError, so the overflow itself is not worth a warning
-        with np.errstate(over="ignore"):
-            reg = 0.5 * self._lam * (
-                float(np.sum(model.user_factors**2)) + float(np.sum(model.item_factors**2))
-            )
-            obj = reg + float(np.mean(resid**2))
+        reg = 0.5 * self._lam * (
+            float(np.sum(model.user_factors**2)) + float(np.sum(model.item_factors**2))
+        )
+        obj = reg + float(np.mean(resid**2))
         terms = self._spec.terms
         scores, cell_coeffs = self._unfairness(preds, terms, self._spec.smoothing)
         pen = sum((weight * score for (_, weight), score in zip(terms, scores)), 0.0)

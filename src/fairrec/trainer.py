@@ -10,6 +10,10 @@ built from products small enough for OpenBLAS to run on one thread, so under
 OpenBLAS the model also does not depend on its thread count; other BLAS
 libraries are held only to agreement within rounding across their thread
 settings.
+
+A step that overflows raises DivergenceError, and ``train`` keeps numpy from
+warning on the way; the layers below it return the inf or nan, with numpy's
+usual RuntimeWarning when called on their own.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .core import (
     FairrecError,
     Hyperparams,
     MalformedLineError,
+    _check_memory,
     _fmt,
     _write_text,
 )
@@ -104,22 +109,27 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
 def train(train_set: Dataset, hyper: Hyperparams,
           spec: PenaltySpec = PenaltySpec.none()) -> tuple[FactorModel, TrainTrace]:
     """Full-batch Adam on objective + alpha * penalty for hyper.iterations steps."""
+    n, m, d = train_set.num_users, train_set.num_items, hyper.d
+    # the parameters, their gradient and Adam's two moments, at 8 bytes each
+    _check_memory(32 * (n + m) * (d + 1), f"a {n} x {m} model at d = {d}")
     loss = TrainingObjective(train_set, hyper.lam, spec, hyper.alpha)
-    model = init_model(train_set.num_users, train_set.num_items, hyper.d,
-                       hyper.seed, hyper.init_scale)
+    model = init_model(n, m, d, hyper.seed, hyper.init_scale)
     params = flat_params(model)
     state = AdamState.fresh(params)
     obj_trace = np.empty(hyper.iterations)
     pen_trace = np.empty(hyper.iterations)
-    for it in range(hyper.iterations):
-        obj, pen, grad = loss(model)
-        if not np.isfinite(obj + hyper.alpha * pen):
-            raise DivergenceError(f"combined objective became non-finite at iteration {it}")
-        obj_trace[it] = obj
-        pen_trace[it] = pen
-        state, params = adam_step(state, params, grad, hyper.learning_rate)
-        model = FactorModel(*param_blocks(params, model.num_users, model.num_items, model.d))
-    obj, pen, _, _ = loss.values(model)
+    # a diverging model overflows to inf and nan anywhere in a step; the
+    # checks below turn that into a DivergenceError, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(hyper.iterations):
+            obj, pen, grad = loss(model)
+            if not np.isfinite(obj + hyper.alpha * pen):
+                raise DivergenceError(f"combined objective became non-finite at iteration {it}")
+            obj_trace[it] = obj
+            pen_trace[it] = pen
+            state, params = adam_step(state, params, grad, hyper.learning_rate)
+            model = FactorModel(*param_blocks(params, n, m, d))
+        obj, pen, _, _ = loss.values(model)
     if not np.isfinite(obj + hyper.alpha * pen):
         raise DivergenceError("combined objective became non-finite after the last step")
     return model, TrainTrace(obj_trace, pen_trace)

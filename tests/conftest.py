@@ -70,8 +70,9 @@ def make_eval_instance(rng, num_users=None, num_items=None, d=None):
                                        rating_scale=(0.0, 15.0))
 
 
-def make_train_dataset(rng, num_users=None, num_items=None, scale=(0.0, 5.0)):
-    """A random training dataset where every item has both groups."""
+def make_train_dataset(rng, num_users=None, num_items=None, scale=(0.0, 5.0), density=0.4):
+    """A random training dataset where every item has both groups, and each
+    other cell a rating with probability density."""
     num_users = num_users or int(rng.integers(2, 9))
     num_items = num_items or int(rng.integers(1, 9))
     protected = make_protected(rng, num_users)
@@ -85,7 +86,7 @@ def make_train_dataset(rng, num_users=None, num_items=None, scale=(0.0, 5.0)):
             if (u, item) not in seen:
                 seen.add((u, item))
                 triples.append((u, item, float(rng.uniform(*scale))))
-    for u, i, v in make_triples(rng, num_users, num_items, density=0.4,
+    for u, i, v in make_triples(rng, num_users, num_items, density=density,
                                 lo=scale[0], hi=scale[1]):
         if (u, i) not in seen:
             seen.add((u, i))

@@ -272,6 +272,19 @@ class TestTrain:
                           "more than the 1 MB of memory on this host\n")
         assert not (tmp_path / "m.txt").exists()
 
+    def test_model_beyond_memory_exits_two(self, synth_file, tmp_path, capsys, monkeypatch):
+        def init_model(*args):
+            raise AssertionError("the model was allocated")
+
+        monkeypatch.setattr("fairrec.core._memory_budget", lambda: 10**6)
+        monkeypatch.setattr("fairrec.trainer.init_model", init_model)
+        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file), "--d", "5000000",
+                                   "--out", str(tmp_path / "m.txt"))
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: a 40 x 30 model at d = 5000000 needs at least 11,200 MB, "
+                          "more than the 1 MB of memory on this host\n")
+        assert not (tmp_path / "m.txt").exists()
+
     def test_memory_error_exits_two(self, synth_file, tmp_path, capsys, monkeypatch):
         def out_of_memory(path):
             raise MemoryError("Unable to allocate 745. GiB")

@@ -14,9 +14,11 @@ from fairrec import (
     MetricReport,
     full_report,
 )
+from fairrec.factorization import Entries
 from fairrec.metrics import KINDS, Unfairness
 
-from conftest import dataset_from_ratings, dataset_triples, make_eval_instance, make_model
+from conftest import (dataset_from_ratings, dataset_triples, make_eval_instance, make_model,
+                      make_train_dataset)
 from oracles import oracle_metrics
 
 
@@ -101,6 +103,17 @@ class TestMetricEdgeCases:
         data = Dataset(3, 2, [0, 1], [0, 1], [1.0, 2.0], [True, True, False])
         with pytest.raises(FairrecError, match="both groups need at least one training rating"):
             Unfairness(data, ("parity",), "training ratings")
+
+    @pytest.mark.filterwarnings("error")
+    def test_sparse_overflow_raises_without_warning(self, rng):
+        """Gathered predictions that overflow raise FairrecError, silently."""
+        data, _ = make_train_dataset(rng, num_users=60, num_items=40, density=0.045)
+        assert not Entries(data).dense_predict
+        model = make_model(rng, 60, 40, d=2, scale=0.1)
+        factors = model.user_factors.copy()
+        factors[0, 0] = 1e308
+        with pytest.raises(FairrecError, match="^the model's predictions overflow: error not finite$"):
+            full_report(replace(model, user_factors=factors), data)
 
     def test_rmse_is_sqrt_of_mse(self, rng):
         model, data = make_eval_instance(rng, 4, 3)

@@ -145,18 +145,32 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("iterations, where", [(1, "after the last step"),
-                                                   (5, "at iteration")])
+                                                   (5, "at iteration 1$")])
     @pytest.mark.parametrize("spec", DEFAULT_PENALTIES, ids=lambda spec: spec.label)
-    def test_divergence_detected(self, rng, spec, iterations, where):
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_divergence_detected(self, rng, dense, spec, iterations, where):
         """A diverging run raises DivergenceError, under every default
-        penalty, without a warning on the way."""
+        penalty and on both prediction and gradient paths, without a warning
+        on the way."""
         # Adam moves parameters by about the learning rate per step, so a
-        # rate this size overflows the predictions in the first step
-        d, _ = make_train_dataset(rng, num_users=5, num_items=4)
+        # rate this size overflows the predictions in the first step; 186 of
+        # 2400 cells is below both fill thresholds
+        d, _ = (make_train_dataset(rng, num_users=5, num_items=4) if dense
+                else make_train_dataset(rng, num_users=60, num_items=40, density=0.045))
+        entries = factorization.Entries(d)
+        assert entries.dense_predict == entries.dense_gradient == dense
         hyper = Hyperparams(d=2, lam=0.0, alpha=0.3, learning_rate=1e160,
                             iterations=iterations, seed=0, init_scale=0.1)
         with pytest.raises(DivergenceError, match=where):
             train(d, hyper, spec)
+
+    def test_overflow_below_train_warns(self, rng):
+        """Only train and full_report silence a diverging model's overflow:
+        the loss called on its own returns nan with numpy's warning."""
+        d, _ = make_train_dataset(rng, num_users=60, num_items=40, density=0.045)
+        model = init_model(60, 40, 2, seed=0, init_scale=1e200)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
+            assert np.isnan(objective(model, d, 0.1))
 
     def test_gradient_count_equals_iterations(self, rng, monkeypatch):
         """A run of N iterations computes N gradients: the divergence check
