@@ -63,6 +63,12 @@ def _memory_budget() -> int | None:
     return total if total > 0 else None
 
 
+# Every size read from input is bounded before memory is sized by it. A
+# dataset header's counts, train's --d and generated data's shape are checked
+# here; a checkpoint must hold n + m + 3 lines of d values, so its file bounds
+# n, m and d. Beyond those, the score matrix is built only from 10% fill up,
+# so it holds at most 10 values per rating; dense gradient blocks are capped
+# by _BLOCK_MULADDS, and the CSR matrix holds one entry per rating.
 def _check_memory(nbytes: int, what: str) -> None:
     """Raise FairrecError when nbytes, an estimate of what ``what`` holds at
     once, exceed the host's physical memory, before any of it is allocated."""
@@ -275,7 +281,7 @@ def _file_pieces(fh) -> Iterator[str]:
 
 
 def _read_rows(piece: str, first_no: int, dtype: np.dtype, read_line, prefix: str = "",
-               delimiter: str | None = None, accept=None) -> tuple[np.ndarray, int]:
+               delimiter: str | None = None) -> tuple[np.ndarray, int]:
     """The records of dtype in a piece of text that ends at a line break or
     at the end of its file, and the number of lines in it, as str.splitlines
     counts them; its first line is numbered first_no.
@@ -283,12 +289,12 @@ def _read_rows(piece: str, first_no: int, dtype: np.dtype, read_line, prefix: st
     A piece of ASCII text without any character of _REFUSED, whose every
     line starts with prefix, goes to numpy's C reader whole. Any other piece,
     or one the C reader rejects, warns on (numpy 1.x reads "5.0" as an int
-    with a warning) or skips a line of, or whose records accept(records)
-    refuses, is read by read_line(no, line), which gives a line's record or
-    None, one line at a time in file order, so the first bad line is the one
-    it raises for. On the text it gets, the C reader accepts only what int()
-    and float() accept; numpy 2.4 segfaults on the non-ASCII field
-    "\\U0009c6ca".
+    with a warning) or skips a line of, is read by read_line(no, line), which
+    gives a line's record or None, one line at a time in file order, so the
+    first bad line is the one it raises for. It only reads: a format's other
+    rules are its caller's to check. On the text it gets, the C reader
+    accepts only what int() and float() accept; numpy 2.4 segfaults on the
+    non-ASCII field "\\U0009c6ca".
     """
     if piece.isascii() and not any(c in piece for c in _REFUSED):
         rows = piece.split("\n")
@@ -302,8 +308,7 @@ def _read_rows(piece: str, first_no: int, dtype: np.dtype, read_line, prefix: st
                                          comments=None, ndmin=1)
             except (ValueError, OverflowError, Warning):
                 records = None
-            if records is not None and len(records) == len(rows) and (
-                    accept is None or accept(records)):
+            if records is not None and len(records) == len(rows):
                 return records, len(rows)
     lines = piece.splitlines()
     records = [rec for no, line in enumerate(lines, first_no)

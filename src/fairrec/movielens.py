@@ -167,20 +167,16 @@ def _rating_columns(piece: str, first_no: int, users: _Ids, movies: _Ids) -> tup
             raise MalformedLineError(no, f"rating references unknown movie {mid}")
         return uid, "", mid, "", val, "", ts
 
-    def accept(rows: np.ndarray) -> bool:
-        # a gap holding text, which U1 cuts to one character, is a lone ":";
-        # an empty U1 field is the code point 0
-        gaps = [rows[name].view(np.uint32) for name in ("gap1", "gap2", "gap3")]
-        return not (gaps[0] | gaps[1] | gaps[2]).any() \
-            and ((1 <= rows["star"]) & (rows["star"] <= 5)).all()
-
-    rows, count = _read_rows(piece, first_no, _RATING_LINE, read_line, delimiter=":",
-                             accept=accept)
+    rows, count = _read_rows(piece, first_no, _RATING_LINE, read_line, delimiter=":")
     user_pos, user_found = users.find(rows["user"])
     movie_pos, movie_found = movies.find(rows["movie"])
-    if not (user_found.all() and movie_found.all()):
-        # only the C reader lets an unknown id through; read_line raises for
-        # the piece's first bad line
+    # A gap holding text, which U1 cuts to one character, is a lone ":"; an
+    # empty U1 field is the code point 0.
+    gaps = [rows[name].view(np.uint32) for name in ("gap1", "gap2", "gap3")]
+    if (gaps[0] | gaps[1] | gaps[2]).any() or not (
+            (1 <= rows["star"]) & (rows["star"] <= 5) & user_found & movie_found).all():
+        # only the C reader lets such a row through; read_line raises for the
+        # piece's first bad line
         for no, line in enumerate(piece.splitlines(), start=first_no):
             read_line(no, line)
     # the stars as a copy, so that the piece's rows can be freed

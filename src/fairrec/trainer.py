@@ -18,7 +18,7 @@ usual RuntimeWarning when called on their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
@@ -40,20 +40,6 @@ from .penalties import PenaltySpec, TrainingObjective
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class AdamState:
-    """Adam moment accumulators over the flat parameter vector, plus the step
-    count."""
-
-    first: np.ndarray
-    second: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def fresh(cls, params: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(params), np.zeros_like(params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,21 +75,20 @@ def init_model(num_users: int, num_items: int, d: int, seed: int,
     )
 
 
-def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
-              learning_rate: float) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update of a flat parameter vector; returns the
-    new (state, params)."""
-    if not (params.shape == grad.shape == state.first.shape):
+def adam_step(params: np.ndarray, grad: np.ndarray, first: np.ndarray, second: np.ndarray,
+              t: int, learning_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bias-corrected Adam update t (from 1) of a flat parameter vector, given
+    the moments after update t - 1; returns the new (params, first, second)."""
+    if not (params.shape == grad.shape == first.shape):
         raise FairrecError(
             f"parameter/gradient/state shapes disagree: "
-            f"{params.shape} {grad.shape} {state.first.shape}")
-    t = state.step + 1
-    first = ADAM_BETA1 * state.first + (1.0 - ADAM_BETA1) * grad
-    second = ADAM_BETA2 * state.second + (1.0 - ADAM_BETA2) * grad * grad
+            f"{params.shape} {grad.shape} {first.shape}")
+    first = ADAM_BETA1 * first + (1.0 - ADAM_BETA1) * grad
+    second = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * grad * grad
     m_hat = first / (1.0 - ADAM_BETA1**t)
     v_hat = second / (1.0 - ADAM_BETA2**t)
     updated = params - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return replace(state, first=first, second=second, step=t), updated
+    return updated, first, second
 
 
 def train(train_set: Dataset, hyper: Hyperparams,
@@ -115,7 +100,7 @@ def train(train_set: Dataset, hyper: Hyperparams,
     loss = TrainingObjective(train_set, hyper.lam, spec, hyper.alpha)
     model = init_model(n, m, d, hyper.seed, hyper.init_scale)
     params = flat_params(model)
-    state = AdamState.fresh(params)
+    first, second = np.zeros_like(params), np.zeros_like(params)
     obj_trace = np.empty(hyper.iterations)
     pen_trace = np.empty(hyper.iterations)
     # a diverging model overflows to inf and nan anywhere in a step; the
@@ -127,7 +112,8 @@ def train(train_set: Dataset, hyper: Hyperparams,
                 raise DivergenceError(f"combined objective became non-finite at iteration {it}")
             obj_trace[it] = obj
             pen_trace[it] = pen
-            state, params = adam_step(state, params, grad, hyper.learning_rate)
+            params, first, second = adam_step(params, grad, first, second, it + 1,
+                                              hyper.learning_rate)
             model = FactorModel(*param_blocks(params, n, m, d))
         obj, pen, _, _ = loss.values(model)
     if not np.isfinite(obj + hyper.alpha * pen):

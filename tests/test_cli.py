@@ -1,11 +1,17 @@
 """Command-line workflows, exercised in process through cli.main()."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairrec
 from fairrec import (
@@ -788,6 +794,119 @@ def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
+
+
+# Tokens that a mutated field or config value may take: unreadable text, a
+# float that overflows or spells an int, a NUL, a non-ASCII digit, and counts
+# that no memory holds. A header's counts and scale take the second list.
+ODD_TOKENS = ("nan", "1e400", "-0.0", "5.0", "\x00", "\xb2", "", "x", "0", "-1", "2",
+              "1e300", str(10**12), str(2**63))
+HEADER_TOKENS = ("0", "-1", "5", "9", "11", "1e3", "10000", str(10**12), str(2**63), "nan",
+                 "1,5", "5,1", "0,0", "nan,1", "-1e400,1e400", "0,1e308")
+TEXT_EDITS = st.tuples(
+    st.sampled_from(["drop-line", "repeat-line", "swap-lines", "drop-field", "add-field",
+                     "replace-field", "header", "add-key"]),
+    st.integers(0, 40), st.integers(0, 40), st.sampled_from(ODD_TOKENS),
+    st.sampled_from(HEADER_TOKENS))
+# Each config's command line: flags fix the trial and iteration counts, which
+# a config may not raise, and the MovieLens directory, whose absence is a
+# usage error (exit 1).
+CONTRACT_CONFIGS = {
+    "synth-gen": ("regime = P+O\nusers = 10\nitems = 6\nseed = 1\n", []),
+    "train": ("d = 2\nlambda = 1e-4\nalpha = 0.2\nlr = 0.01\ninit_scale = 0.5\nseed = 1\n"
+              "penalty = value\nsource = synthetic\n", ["--data", "{data}", "--iterations", "3"]),
+    "ml-prepare": ("min_ratings = 2\ngenres = Action,Crime\ngenre_mode = any-genre\n",
+                   ["--ml-path", "{ml}"]),
+    "reproduce-table2": ("min_ratings = 2\nsplit = 0.7\nseed = 0\nd = 2\nalpha = 0.2\n"
+                         "genres = Action,Crime,Musical,Romance,Sci-Fi\n",
+                         ["--ml-path", "{ml}", "--trials", "1", "--iterations", "3"]),
+}
+
+
+def mutate(text, edits):
+    """text after each edit in turn: a line dropped, repeated or swapped with
+    another; a space-separated field of a line dropped, added or replaced by
+    a token; a value of the first line's key=value fields replaced; or a
+    config line inserted."""
+    lines = text.splitlines()
+    for op, at, other, token, value in edits:
+        if not lines:
+            break
+        k, j = at % len(lines), other % len(lines)
+        fields = lines[k].split(" ")
+        if op == "drop-line":
+            del lines[k]
+        elif op == "repeat-line":
+            lines.insert(k, lines[k])
+        elif op == "swap-lines":
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op == "header":
+            head = lines[0].split(" ")
+            f = other % len(head)
+            head[f] = head[f].partition("=")[0] + "=" + value
+            lines[0] = " ".join(head)
+        elif op == "add-key":
+            lines.insert(k, f"{cli.CONFIG_KEYS[other % len(cli.CONFIG_KEYS)]} = {token}")
+        else:
+            f = other % len(fields)
+            if op == "drop-field":
+                del fields[f]
+            elif op == "add-field":
+                fields.insert(f, token)
+            else:
+                fields[f] = token
+            lines[k] = " ".join(fields)
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """The text of a 10 x 6 dataset and of a 3-iteration checkpoint on it."""
+    root = tmp_path_factory.mktemp("contract")
+    assert main(["synth-gen", "--users", "10", "--items", "6", "--out", str(root / "d.txt")]) == 0
+    assert main(["train", "--data", str(root / "d.txt"), "--d", "2", "--iterations", "3",
+                 "--out", str(root / "m.txt")]) == 0
+    return (root / "d.txt").read_text(encoding="utf-8"), (root / "m.txt").read_text(encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(["files", *CONTRACT_CONFIGS]),
+       edits=st.lists(TEXT_EDITS, max_size=3), model_edits=st.lists(TEXT_EDITS, max_size=3))
+def test_mutated_inputs_exit_zero_or_two(contract_inputs, ml_dir, case, edits, model_edits):
+    """Every command ends in exit 0 or, for bad input, exit 2 with no output
+    file left behind; never in a warning, a traceback or an allocation beyond
+    a 50 MB memory budget."""
+    with tempfile.TemporaryDirectory() as root:
+        def path(name):
+            return os.path.join(root, name)
+
+        if case == "files":
+            data, model = contract_inputs
+            for name, text, mutations in (("d.txt", data, edits), ("m.txt", model, model_edits)):
+                with open(path(name), "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(mutate(text, mutations))
+            runs = [(["train", "--data", path("d.txt"), "--iterations", "3",
+                      "--out", path("out.txt")], [path("out.txt"), path("out.txt.trace.csv")]),
+                    (["eval", "--model", path("m.txt"), "--data", path("d.txt")], [])]
+        else:
+            config, argv = CONTRACT_CONFIGS[case]
+            with open(path("run.cfg"), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(mutate(config, edits))
+            with open(path("d.txt"), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(contract_inputs[0])
+            argv = [case, *(arg.format(data=path("d.txt"), ml=ml_dir) for arg in argv),
+                    "--config", path("run.cfg"), "--out", path("out.txt")]
+            runs = [(argv, [path("out.txt"), path("out.txt.blocks"),
+                            path("out.txt.trace.csv")])]
+        for argv, outputs in runs:
+            with mock.patch.object(fairrec.core, "_memory_budget", lambda: 50 * 10**6), \
+                    warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 2), (argv, err.getvalue())
+            if code == 2:
+                assert not any(map(os.path.exists, outputs)), (argv, err.getvalue())
 
 
 class TestUsageErrors:

@@ -24,7 +24,7 @@ from fairrec.core import (
     USER_FINE_GROUPS,
     parse_dataset,
 )
-from fairrec.trainer import AdamState, TrainTrace
+from fairrec.trainer import TrainTrace
 
 from conftest import LINE_BREAKS, dataset_from_ratings, make_train_dataset
 from oracles import oracle_format_dataset, oracle_parse_dataset
@@ -496,17 +496,16 @@ def tiny_line(no, line):
         raise MalformedLineError(no, str(exc)) from exc
 
 
-@pytest.mark.parametrize("lines, prefix, accept, reads, result", [
-    (["k 1", "k 2"], "k ", None, [], [1, 2]),
-    (["k 1", "c", "k\t3", "k 2"], "k ", None, [10, 11, 12, 13], [1, 3, 2]),
-    (["k 1", "k x", "k 2"], "k ", None, [10, 11], 11),
-    (["k 1", "k \u00b2", "k 2"], "k ", None, [10, 11], 11),
-    (["k 1", "", "k 2"], "", None, [10, 11], 11),
-    (["k 1", "k 2"], "k ", lambda rows: False, [10, 11], [1, 2]),
-    (["k 1\x0ck 2", "k 3"], "k ", None, [10, 11, 12], [1, 2, 3]),
-], ids=["accepted", "mixed", "c-reader-error", "non-ascii", "skipped-blank", "not-accepted",
+@pytest.mark.parametrize("lines, prefix, reads, result", [
+    (["k 1", "k 2"], "k ", [], [1, 2]),
+    (["k 1", "c", "k\t3", "k 2"], "k ", [10, 11, 12, 13], [1, 3, 2]),
+    (["k 1", "k x", "k 2"], "k ", [10, 11], 11),
+    (["k 1", "k \u00b2", "k 2"], "k ", [10, 11], 11),
+    (["k 1", "", "k 2"], "", [10, 11], 11),
+    (["k 1\x0ck 2", "k 3"], "k ", [10, 11, 12], [1, 2, 3]),
+], ids=["accepted", "mixed", "c-reader-error", "non-ascii", "skipped-blank",
         "other-line-break"])
-def test_read_rows_outcomes(lines, prefix, accept, reads, result):
+def test_read_rows_outcomes(lines, prefix, reads, result):
     # result: the x column, or the number of the line that must raise
     text = "".join(line + "\n" for line in lines)
     seen = []
@@ -517,11 +516,10 @@ def test_read_rows_outcomes(lines, prefix, accept, reads, result):
 
     if isinstance(result, int):
         with pytest.raises(MalformedLineError) as exc:
-            core._read_rows(text, 10, TINY_ROW, read_line, prefix=prefix, accept=accept)
+            core._read_rows(text, 10, TINY_ROW, read_line, prefix=prefix)
         assert exc.value.line_no == result
     else:
-        rows, count = core._read_rows(text, 10, TINY_ROW, read_line, prefix=prefix,
-                                      accept=accept)
+        rows, count = core._read_rows(text, 10, TINY_ROW, read_line, prefix=prefix)
         assert rows.dtype == TINY_ROW and rows["x"].tolist() == result
         assert count == len(text.splitlines())
     assert seen == reads
@@ -540,10 +538,8 @@ def _movielens_raw():
 @pytest.mark.parametrize("make", [
     lambda: small_dataset(), lambda: FactorModel(np.ones((2, 2)), np.ones((3, 2)),
                                                  np.zeros(2), np.zeros(3)),
-    _result_table, _movielens_raw, lambda: AdamState.fresh(np.zeros(3)),
-    lambda: TrainTrace(np.ones(2), np.zeros(2)),
-], ids=["Dataset", "FactorModel", "ResultTable", "MovieLensRaw", "AdamState",
-        "TrainTrace"])
+    _result_table, _movielens_raw, lambda: TrainTrace(np.ones(2), np.zeros(2)),
+], ids=["Dataset", "FactorModel", "ResultTable", "MovieLensRaw", "TrainTrace"])
 def test_array_holders_compare_by_identity(make):
     a, b = make(), make()
     assert a == a

@@ -147,6 +147,25 @@ class TestParse:
             parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("faults, message", [
+        (("1::5::9::978300760", "2::99::4::978300761"), "rating 9 outside"),
+        (("2::99::4::978300761", "1::5::9::978300760"), "unknown movie 99"),
+    ], ids=["star-first", "movie-first"])
+    def test_first_of_two_faults_the_c_reader_reads_is_reported(self, tmp_path, ml_dir,
+                                                                faults, message):
+        # both lines are well-formed numbers, so the whole piece goes through
+        # numpy's C reader before either fault is seen
+        lines = ["1::3::5::978300760", faults[0], "6::5::4::978246585", faults[1]]
+        bad = tmp_path / "ratings.dat"
+        bad.write_text("\n".join(lines) + "\n", encoding="latin-1")
+        fallback = mock.Mock(side_effect=AssertionError("fallback"))
+        rows, _ = core._read_rows(bad.read_text(encoding="latin-1"), 1,
+                                  movielens._RATING_LINE, fallback, delimiter=":")
+        assert len(rows) == 4
+        with pytest.raises(MalformedLineError, match=f"^line 2: .*{message}") as exc:
+            parse_ml1m(ml_dir / "users.dat", ml_dir / "movies.dat", bad)
+        assert exc.value.line_no == 2
+
 
 class TestUnknownIds:
     """A rating's id is found among the sorted ids of users.dat or movies.dat:

@@ -26,7 +26,6 @@ from fairrec.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    AdamState,
     TrainTrace,
     adam_step,
     format_model,
@@ -65,22 +64,24 @@ class TestInitModel:
 class TestAdamStep:
     def test_first_step_matches_hand_formula(self, rng):
         params = model_to_vector(make_model(rng, 2, 2, d=1))
-        state = AdamState.fresh(params)
-        new_state, new_params = adam_step(state, params, np.full_like(params, 0.5),
-                                          learning_rate=0.1)
-        # with a fresh state every bias-corrected moment is g and g*g, so the
+        zeros = np.zeros_like(params)
+        new_params, first, second = adam_step(params, np.full_like(params, 0.5), zeros,
+                                              zeros, 1, learning_rate=0.1)
+        # from zero moments every bias-corrected moment is g and g*g, so the
         # update is lr * g / (|g| + eps) = lr * sign(g) up to eps rounding
         step = 0.1 * 0.5 / (np.sqrt(0.25) + ADAM_EPS)
         assert np.allclose(new_params, params - step, atol=1e-12)
-        assert new_state.step == 1
+        assert np.allclose(first, (1 - ADAM_BETA1) * 0.5, atol=1e-15)
+        assert np.allclose(second, (1 - ADAM_BETA2) * 0.25, atol=1e-15)
 
     def test_two_steps_match_reference_loop(self, rng):
         x = model_to_vector(make_model(rng, 3, 2, d=2))
-        state = AdamState.fresh(x)
+        first, second = np.zeros_like(x), np.zeros_like(x)
         cur = x
         ref_m = ref_v = 0.0
         for t, fill in enumerate((0.3, -0.2), start=1):
-            state, cur = adam_step(state, cur, np.full_like(x, fill), learning_rate=0.05)
+            cur, first, second = adam_step(cur, np.full_like(x, fill), first, second, t,
+                                           learning_rate=0.05)
             ref_m = ADAM_BETA1 * ref_m + (1 - ADAM_BETA1) * fill
             ref_v = ADAM_BETA2 * ref_v + (1 - ADAM_BETA2) * fill * fill
             m_hat = ref_m / (1 - ADAM_BETA1 ** t)
@@ -91,8 +92,9 @@ class TestAdamStep:
     def test_shape_mismatch_rejected(self, rng):
         params = model_to_vector(make_model(rng, 2, 2, d=1))
         other = model_to_vector(make_model(rng, 3, 2, d=1))
+        zeros = np.zeros_like(params)
         with pytest.raises(FairrecError, match="parameter/gradient/state shapes disagree"):
-            adam_step(AdamState.fresh(params), params, np.ones_like(other), 0.1)
+            adam_step(params, np.ones_like(other), zeros, zeros, 1, 0.1)
 
 
 class TestTrainTrace:
