@@ -216,13 +216,13 @@ class Hyperparams:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.d < 1:
-            raise ValueError("latent dimension must be >= 1")
+            raise ValueError("d (latent dimension) must be >= 1")
         if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and >= 0")
+            raise ValueError("lambda (lam) must be finite and >= 0")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and > 0")
+            raise ValueError("lr (learning_rate) must be finite and > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not (np.isfinite(self.init_scale) and self.init_scale > 0):

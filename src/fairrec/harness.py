@@ -1,4 +1,4 @@
-"""Multi-trial experiment orchestration, aggregation, and result emission.
+"""Multi-trial experiment orchestration and result emission.
 
 A trial is a pure function of (config, trial index): one seed's data plus
 every penalty spec of the config, each trained and scored on that data. The
@@ -102,7 +102,7 @@ class ExperimentConfig:
         if self.min_ratings < 0:
             raise ValueError("min_ratings must be >= 0")
         if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie strictly between 0 and 1")
+            raise ValueError("split (split_fraction) must lie strictly between 0 and 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
@@ -113,7 +113,7 @@ class ExperimentConfig:
             raise ValueError("need at least one genre")
         object.__setattr__(self, "genres", canonical_genres(self.genres))
         object.__setattr__(self, "penalties", tuple(self.penalties))
-        # results are keyed by label, so a repeated one would lose a row
+        # a table's rows are looked up by label, so a repeated one could not be told apart
         labels = [spec.label for spec in self.penalties]
         for label in labels:
             if labels.count(label) > 1:
@@ -207,36 +207,22 @@ class ResultTable:
         return self.raw[r, c]
 
 
-def aggregate(reports_by_row: dict, row_kind: str = "penalty") -> ResultTable:
-    """A table of per-trial reports: one row per key, one trial per report."""
-    if not reports_by_row:
-        raise ValueError("nothing to aggregate")
-    counts = {len(reports) for reports in reports_by_row.values()}
-    if counts == {0} or len(counts) != 1:
-        raise ValueError("every row needs the same nonzero number of reports")
-    rows = tuple(reports_by_row)
-    raw = [[[getattr(r, f) for r in reports_by_row[row]] for f in METRIC_FIELDS]
-           for row in rows]
-    return ResultTable(row_kind, rows, raw)
-
-
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Train and evaluate every penalty spec in the config, trials times."""
     source = load_movielens(config) if config.source == "movielens" else None
     per_trial = [run_trial(config, t, source) for t in range(config.trials)]
-    labels = (spec.label for spec in config.penalties)
-    return aggregate(dict(zip(labels, zip(*per_trial))), row_kind="penalty")
+    # raw[row][metric][trial], a row per spec: zip turns the trials' tuples into rows
+    raw = [[[getattr(r, f) for r in row] for f in METRIC_FIELDS] for row in zip(*per_trial)]
+    return ResultTable("penalty", tuple(spec.label for spec in config.penalties), raw)
 
 
 def regime_comparison(config: ExperimentConfig) -> ResultTable:
-    """Penalty-free runs across all four regimes, aggregated per regime."""
+    """Penalty-free runs across all four regimes, one row per regime."""
     if config.source != "synthetic":
         raise ValueError("the regime comparison is defined for synthetic data only")
-    reports = {}
-    for regime in REGIMES:
-        unpenalized = replace(config, regime=regime, penalties=(PenaltySpec.none(),))
-        reports[regime] = [run_trial(unpenalized, t, None)[0] for t in range(config.trials)]
-    return aggregate(reports, row_kind="regime")
+    return ResultTable("regime", REGIMES, [
+        run_experiment(replace(config, regime=r, penalties=(PenaltySpec.none(),))).raw[0]
+        for r in REGIMES])
 
 
 def welch_t_test(samples_a, samples_b) -> float:
@@ -267,7 +253,7 @@ def welch_t_test(samples_a, samples_b) -> float:
 
 
 def emit(table: ResultTable, fmt: str = "csv") -> str:
-    """Render a table as csv, markdown, or bar-data (row, metric, mean) triples."""
+    """Render a table as csv or as bar-data (row, metric, mean) triples."""
     if fmt == "csv":
         lines = [",".join([table.row_kind]
                           + [f"{f}_{part}" for f in METRIC_FIELDS for part in ("mean", "se")])]
@@ -276,15 +262,6 @@ def emit(table: ResultTable, fmt: str = "csv") -> str:
             for c in range(len(METRIC_FIELDS)):
                 cells += [_fmt(table.means[r, c]), _fmt(table.stderrs[r, c])]
             lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        head = [table.row_kind] + list(METRIC_FIELDS)
-        lines = ["| " + " | ".join(head) + " |",
-                 "|" + "---|" * len(head)]
-        for r, row in enumerate(table.rows):
-            cells = [f"{table.means[r, c]:.3f} ± {table.stderrs[r, c]:.1e}"
-                     for c in range(len(METRIC_FIELDS))]
-            lines.append("| " + " | ".join([row] + cells) + " |")
         return "\n".join(lines) + "\n"
     if fmt == "bar-data":
         lines = [f"{table.row_kind},metric,mean"]

@@ -316,6 +316,9 @@ class TestTrain:
         ("--seed", "-1", "seed must be >= 0"),
         ("--init-scale", "inf", "init_scale must be finite and > 0"),
         ("--init-scale", "nan", "init_scale must be finite and > 0"),
+        ("--d", "0", "d (latent dimension) must be >= 1"),
+        ("--lambda", "-1", "lambda (lam) must be finite and >= 0"),
+        ("--lr", "0", "lr (learning_rate) must be finite and > 0"),
     ])
     def test_bad_seed_or_init_scale_exits_two(self, synth_file, tmp_path, capsys,
                                               flag, value, message):
@@ -589,17 +592,21 @@ class TestReproductions:
         rows = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 7
 
-    def test_table2_negative_seed_exits_two_before_loading(self, ml_dir, tmp_path, capsys,
-                                                           monkeypatch):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--split", "1.5", "split (split_fraction) must lie strictly between 0 and 1"),
+    ])
+    def test_table2_bad_value_exits_two_before_loading(self, ml_dir, tmp_path, capsys,
+                                                       monkeypatch, flag, value, message):
         def no_loading(*args, **kwargs):
             raise AssertionError("MovieLens files loaded")
 
         monkeypatch.setattr("fairrec.harness.parse_ml1m_dir", no_loading)
         out = tmp_path / "t2.csv"
         code, _, stderr = run(capsys, "reproduce-table2", "--ml-path", str(ml_dir),
-                              "--seed", "-1", "--out", str(out))
+                              flag, value, "--out", str(out))
         assert code == 2
-        assert stderr == "error: seed must be >= 0\n"
+        assert stderr == f"error: {message}\n"
         assert not out.exists()
 
     def test_table2_unusable_split_names_trial(self, ml_dir, tmp_path, capsys):
@@ -820,6 +827,11 @@ CONTRACT_CONFIGS = {
     "reproduce-table2": ("min_ratings = 2\nsplit = 0.7\nseed = 0\nd = 2\nalpha = 0.2\n"
                          "genres = Action,Crime,Musical,Romance,Sci-Fi\n",
                          ["--ml-path", "{ml}", "--trials", "1", "--iterations", "3"]),
+    "reproduce-table1": ("regime = P+O\nusers = 10\nitems = 6\nseed = 1\nd = 2\nalpha = 0.2\n",
+                         ["--trials", "1", "--iterations", "2"]),
+    # 20 users split under the uniform and the biased shares of every regime
+    "reproduce-fig1": ("users = 20\nitems = 6\nseed = 1\nd = 2\n",
+                       ["--trials", "1", "--iterations", "2"]),
 }
 
 

@@ -14,7 +14,6 @@ from fairrec import (
     Hyperparams,
     MalformedLineError,
     METRIC_FIELDS,
-    MetricReport,
     PenaltySpec,
     REGIMES,
     RegimeConfig,
@@ -30,7 +29,6 @@ from fairrec import (
 from fairrec import factorization, harness
 from fairrec.harness import (
     DEFAULT_PENALTIES,
-    aggregate,
     config_hyper,
     default_alpha,
     default_trials,
@@ -55,11 +53,6 @@ def tiny_config(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
-
-
-def fake_report(rng):
-    vals = rng.uniform(0, 1, size=6)
-    return MetricReport(*vals, items_counted=int(rng.integers(1, 30)))
 
 
 class TestDefaults:
@@ -289,32 +282,27 @@ class TestRunTrials:
         assert not np.array_equal(after.raw, before.raw)
 
 
-class TestAggregate:
+class TestResultTable:
     def test_means_and_stderrs(self, rng):
-        reports = {"none": [fake_report(rng) for _ in range(4)],
-                   "value": [fake_report(rng) for _ in range(4)]}
-        table = aggregate(reports)
+        raw = rng.random((2, len(METRIC_FIELDS), 4))
+        table = ResultTable("penalty", ("none", "value"), raw)
         assert table.rows == ("none", "value")
         assert table.trials == 4
-        errs = [r.error for r in reports["none"]]
-        assert table.mean("none", "error") == pytest.approx(np.mean(errs))
-        assert table.stderr("none", "error") == pytest.approx(
-            np.std(errs, ddof=1) / 2.0)
+        np.testing.assert_array_equal(table.means, raw.mean(axis=2))
+        np.testing.assert_array_equal(table.stderrs, raw.std(axis=2, ddof=1) / 2.0)
+        assert table.mean("none", "error") == raw[0, 0].mean()
         assert table.values("value", "parity").tolist() == \
-            [r.parity for r in reports["value"]]
+            raw[1, METRIC_FIELDS.index("parity")].tolist()
 
     def test_single_trial_zero_stderr(self, rng):
-        table = aggregate({"none": [fake_report(rng)]})
+        table = ResultTable("penalty", ("none",), rng.random((1, len(METRIC_FIELDS), 1)))
         assert table.trials == 1
         assert not table.stderrs.any()
 
-    def test_rejects_ragged(self, rng):
+    def test_rejects_ragged(self):
+        ragged = [[[0.0]] * len(METRIC_FIELDS), [[0.0, 1.0]] * len(METRIC_FIELDS)]
         with pytest.raises(ValueError):
-            aggregate({"a": [fake_report(rng)], "b": [fake_report(rng)] * 2})
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            aggregate({})
+            ResultTable("penalty", ("a", "b"), ragged)
 
     def test_table_needs_a_trial(self):
         with pytest.raises(ValueError, match="trials >= 1"):
@@ -355,8 +343,7 @@ class TestWelch:
 class TestEmit:
     @pytest.fixture
     def table(self, rng):
-        return aggregate({"none": [fake_report(rng) for _ in range(3)],
-                          "value": [fake_report(rng) for _ in range(3)]})
+        return ResultTable("penalty", ("none", "value"), rng.random((2, 6, 3)))
 
     def test_csv_schema(self, table):
         lines = emit(table, "csv").splitlines()
@@ -368,12 +355,6 @@ class TestEmit:
         assert csv_cells(emit(table, "csv")) == (table.rows, table.means.tobytes(),
                                                  table.stderrs.tobytes())
 
-    def test_markdown_shape(self, table):
-        lines = emit(table, "markdown").splitlines()
-        assert lines[0].startswith("| penalty |")
-        assert len(lines) == 2 + len(table.rows)
-        assert "±" in lines[2]
-
     def test_bar_data(self, table):
         lines = emit(table, "bar-data").splitlines()
         assert lines[0] == "penalty,metric,mean"
@@ -382,9 +363,10 @@ class TestEmit:
         assert (row, metric) == ("none", "error")
         assert float(mean) == table.mean("none", "error")
 
-    def test_unknown_format(self, table):
-        with pytest.raises(FairrecError, match="unknown emit format 'latex'"):
-            emit(table, "latex")
+    @pytest.mark.parametrize("fmt", ["latex", "markdown"])
+    def test_unknown_format(self, table, fmt):
+        with pytest.raises(FairrecError, match=f"unknown emit format '{fmt}'"):
+            emit(table, fmt)
 
 
 def csv_cells(text):
@@ -430,6 +412,17 @@ class TestRunExperiment:
         table = regime_comparison(tiny_config(trials=2))
         assert table.row_kind == "regime"
         assert table.rows == REGIMES
+
+    def test_regime_comparison_matches_unpenalized_trials(self):
+        """Each regime's row holds, bit for bit, the reports of penalty-free
+        trials 0 and 1 run one by one under that regime."""
+        config = tiny_config(trials=2)
+        table = regime_comparison(config)
+        for k, regime in enumerate(REGIMES):
+            unpenalized = replace(config, regime=regime, penalties=(PenaltySpec.none(),))
+            reports = [run_trial(unpenalized, t, None)[0] for t in range(2)]
+            want = [[getattr(r, f) for r in reports] for f in METRIC_FIELDS]
+            assert table.raw[k].tobytes() == np.array(want).tobytes()
 
     def test_regime_comparison_needs_synthetic(self, ml_dir):
         config = tiny_config(source="movielens", ml_path=str(ml_dir),
