@@ -253,7 +253,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# Input files are read in pieces of about 16 * _CHUNK_LINES characters, each
+# Input files, dataset files and ratings.dat alike, are read from the open
+# file by _file_pieces in pieces of about 16 * _CHUNK_LINES characters, each
 # cut at a line feed. This bounds the text and the lines held at once.
 _CHUNK_LINES = 1 << 16
 # Characters that keep a piece from numpy's C reader: it reads a NUL in a text
@@ -261,16 +262,6 @@ _CHUNK_LINES = 1 << 16
 # ASCII line breaks of str.splitlines besides \n, at which split("\n") does
 # not cut. Its non-ASCII breaks fail the ASCII test.
 _REFUSED = ("\x00", "\x1f", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
-
-
-def _text_pieces(text: str, start: int = 0, stop: int | None = None) -> Iterator[str]:
-    """Consecutive slices of text[start:stop], each ending at a line feed or
-    at stop."""
-    stop = len(text) if stop is None else stop
-    while start < stop:
-        end = text.find("\n", start + 16 * _CHUNK_LINES - 1, stop) + 1 or stop
-        yield text[start:end]
-        start = end
 
 
 def _file_pieces(fh) -> Iterator[str]:
@@ -353,9 +344,15 @@ def _dataset_pieces(d: Dataset) -> Iterator[str]:
 _RATING_ROW = np.dtype([("r", "U1"), ("u", np.int64), ("i", np.int64), ("v", np.float64)])
 
 
-def parse_dataset(text: str) -> Dataset:
+def parse_dataset(fh) -> Dataset:
+    """Read a dataset from an open text stream (``io.StringIO`` for a string)
+    in the pieces of _file_pieces. Nothing but the memory check is sized by
+    the header's counts, so a user count beyond the file's ``u`` lines is
+    found after the last line, as a missing user."""
+    pieces = _file_pieces(fh)
+    piece = next(pieces, "")
     # the header is the first line as str.splitlines cuts it, read up to its end
-    first = text[:text.find("\n") + 1 or None].splitlines(keepends=True)
+    first = piece[:piece.find("\n") + 1 or None].splitlines(keepends=True)
     if not first:
         raise MalformedLineError(1, "empty dataset file")
     header = first[0].split()
@@ -367,23 +364,15 @@ def parse_dataset(text: str) -> Dataset:
         scale = (float(lo_s), float(hi_s))
     except (ValueError, KeyError) as exc:
         raise MalformedLineError(1, f"bad header: {exc}") from exc
-    # checked before anything is allocated by these counts
     if num_users < 1 or num_items < 1:
         raise MalformedLineError(1, "user and item counts must be >= 1")
     if not (np.isfinite(scale).all() and scale[0] <= scale[1]):
         raise MalformedLineError(1, f"invalid rating scale {scale}")
-    # Every line feed ends a line, so the line count is only needed when the
-    # count of line feeds alone does not clear the header.
-    if num_users >= text.count("\n") and num_users > (total := len(text.splitlines())) - 1:
-        raise MalformedLineError(
-            1, f"header declares {num_users} users but only {total - 1} lines follow; "
-               "every user needs a 'u' line")
     # training or scoring on the data holds two float64 per user and per item
     # at least: a factor and a bias at d = 1, and Unfairness's two item cells
     _check_memory(16 * (num_users + num_items), f"a {num_users} x {num_items} dataset")
 
-    protected = np.zeros(num_users, dtype=bool)
-    seen_user = np.zeros(num_users, dtype=bool)
+    flags: dict[int, bool] = {}
     fine: dict[int, str] = {}
     groups: dict[int, str] = {}
 
@@ -401,8 +390,7 @@ def parse_dataset(text: str) -> Dataset:
                     raise MalformedLineError(no, f"user index {u} out of range")
                 if parts[2] not in ("0", "1"):
                     raise MalformedLineError(no, "protected flag must be 0 or 1")
-                protected[u] = parts[2] == "1"
-                seen_user[u] = True
+                flags[u] = parts[2] == "1"
                 if len(parts) == 4:
                     if parts[3] not in USER_FINE_GROUPS:
                         raise MalformedLineError(no, f"unknown fine user group {parts[3]!r}")
@@ -422,21 +410,22 @@ def parse_dataset(text: str) -> Dataset:
             raise MalformedLineError(no, str(exc)) from exc
         return None
 
-    # A written file holds its u and g lines before the first rating line. The
-    # text is cut there, so that they share no piece with rating lines, which
-    # would then be read one at a time.
-    start = len(first[0])
-    cut = text.find("\nr ", start - 1) + 1 or len(text)
     columns = [np.zeros(0, _RATING_ROW)]
     next_no = 2
-    for piece in chain(_text_pieces(text, start, cut), _text_pieces(text, cut)):
-        # every row starts with "r ", so the U1 field reads the token "r" whole
-        rows, count = _read_rows(piece, next_no, _RATING_ROW, read_line, prefix="r ")
-        columns.append(rows)
-        next_no += count
+    for piece in chain([piece[len(first[0]):]], pieces):
+        # A written file holds its u and g lines before its first rating line.
+        # A piece that holds both is cut there, so that the rating lines share
+        # no piece with label lines, which would have them read one at a time.
+        cut = 0 if piece.startswith("r ") else piece.find("\nr ") + 1
+        for part in filter(None, (piece[:cut], piece[cut:])):
+            # every row starts with "r ", so the U1 field reads the token "r" whole
+            rows, count = _read_rows(part, next_no, _RATING_ROW, read_line, prefix="r ")
+            columns.append(rows)
+            next_no += count
     last_no = next_no - 1
-    if not seen_user.all():
-        missing = int(np.flatnonzero(~seen_user)[0])
+    if len(flags) < num_users:
+        # every key lies in [0, num_users), so one of 0..len(flags) is missing
+        missing = next(u for u in range(len(flags) + 1) if u not in flags)
         raise MalformedLineError(last_no, f"no 'u' line for user {missing}")
     if fine and len(fine) != num_users:
         raise MalformedLineError(last_no, "fine labels must cover all users or none")
@@ -444,7 +433,8 @@ def parse_dataset(text: str) -> Dataset:
         raise MalformedLineError(last_no, "item labels must cover all items or none")
     block = np.concatenate(columns)
     return Dataset(
-        num_users, num_items, block["u"], block["i"], block["v"], protected, scale,
+        num_users, num_items, block["u"], block["i"], block["v"],
+        [flags[u] for u in range(num_users)], scale,
         tuple(fine[u] for u in range(num_users)) if fine else None,
         tuple(groups[i] for i in range(num_items)) if groups else None,
     )
@@ -462,4 +452,4 @@ def save_dataset(d: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_dataset(fh.read())
+        return parse_dataset(fh)

@@ -239,10 +239,6 @@ def oracle_parse_dataset(text):
         raise MalformedLineError(1, "user and item counts must be >= 1")
     if not (math.isfinite(scale[0]) and math.isfinite(scale[1]) and scale[0] <= scale[1]):
         raise MalformedLineError(1, f"invalid rating scale {scale}")
-    if num_users > len(lines) - 1:
-        raise MalformedLineError(
-            1, f"header declares {num_users} users but only {len(lines) - 1} lines follow; "
-               "every user needs a 'u' line")
 
     protected = np.zeros(num_users, dtype=bool)
     seen_user = np.zeros(num_users, dtype=bool)

@@ -1,5 +1,6 @@
 """Domain types, validation, and the dataset text format."""
 
+import io
 import random
 from dataclasses import replace
 from unittest import mock
@@ -28,6 +29,11 @@ from fairrec.trainer import TrainTrace
 
 from conftest import LINE_BREAKS, dataset_from_ratings, make_train_dataset
 from oracles import oracle_format_dataset, oracle_parse_dataset
+
+
+def parse_text(text):
+    """parse_dataset on a string."""
+    return parse_dataset(io.StringIO(text))
 
 
 def dataset_text(d):
@@ -177,12 +183,12 @@ class TestDatasetFormat:
     def test_round_trip_is_byte_identical(self, rng):
         d, _ = make_train_dataset(rng, num_users=6, num_items=4)
         text = dataset_text(d)
-        again = dataset_text(parse_dataset(text))
+        again = dataset_text(parse_text(text))
         assert text == again
 
     def test_round_trip_preserves_exact_values(self, rng):
         d, _ = make_train_dataset(rng, num_users=5, num_items=3)
-        back = parse_dataset(dataset_text(d))
+        back = parse_text(dataset_text(d))
         assert back.values.tolist() == d.values.tolist()
         assert back.protected.tolist() == d.protected.tolist()
         assert back.rating_scale == d.rating_scale
@@ -190,7 +196,7 @@ class TestDatasetFormat:
     def test_round_trip_keeps_labels(self):
         d = small_dataset(user_group_fine=("W", "MS", "WS"),
                           item_group=("Fem", "STEM"))
-        back = parse_dataset(dataset_text(d))
+        back = parse_text(dataset_text(d))
         assert back.user_group_fine == ("W", "MS", "WS")
         assert back.item_group == ("Fem", "STEM")
 
@@ -203,63 +209,68 @@ class TestDatasetFormat:
 
     def test_empty_text_rejected(self):
         with pytest.raises(MalformedLineError):
-            parse_dataset("")
+            parse_text("")
 
     def test_bad_header_rejected(self):
         with pytest.raises(MalformedLineError):
-            parse_dataset("users=3 items=x scale=0.0,5.0\n")
+            parse_text("users=3 items=x scale=0.0,5.0\n")
 
     def test_unrecognized_line_reports_number(self):
         text = "users=2 items=1 scale=0.0,5.0\nu 0 1\nu 1 0\nz weird\n"
         with pytest.raises(MalformedLineError) as exc:
-            parse_dataset(text)
+            parse_text(text)
         assert exc.value.line_no == 4
 
-    def test_missing_user_line_rejected(self):
-        text = "users=2 items=1 scale=0.0,5.0\nu 0 1\nr 0 0 3.0\n"
-        with pytest.raises(MalformedLineError):
-            parse_dataset(text)
+    @pytest.mark.parametrize("text, message", [
+        ("users=2 items=1 scale=0.0,5.0\nu 0 1\nr 0 0 3.0\n", "line 3: no 'u' line for user 1"),
+        # more users than the file has lines: found missing at its end as well
+        ("users=3 items=1 scale=0.0,5.0\nu 0 1\nu 1 0\n", "line 3: no 'u' line for user 2"),
+    ])
+    def test_missing_user_line_rejected(self, text, message):
+        for parse in (parse_text, oracle_parse_dataset):
+            with pytest.raises(MalformedLineError) as exc:
+                parse(text)
+            assert str(exc.value) == message
 
     def test_user_index_out_of_range(self):
         text = "users=2 items=1 scale=0.0,5.0\nu 0 1\nu 5 0\n"
         with pytest.raises(MalformedLineError, match="^line 3: user index 5 out of range$"):
-            parse_dataset(text)
+            parse_text(text)
 
     def test_fine_labels_must_cover_all_users(self):
         text = "users=2 items=1 scale=0.0,5.0\nu 0 1 W\nu 1 0\nr 0 0 3.0\n"
         with pytest.raises(MalformedLineError,
                            match="^line 4: fine labels must cover all users or none$"):
-            parse_dataset(text)
+            parse_text(text)
 
     def test_item_label_index_out_of_range(self):
         text = "users=2 items=2 scale=0.0,5.0\nu 0 1\nu 1 0\ng 2 Fem\n"
         with pytest.raises(MalformedLineError, match="item index 2 out of range") as exc:
-            parse_dataset(text)
+            parse_text(text)
         assert exc.value.line_no == 4
 
     def test_item_labels_must_cover_all_items(self):
         text = "users=2 items=2 scale=0.0,5.0\nu 0 1\nu 1 0\ng 0 Fem\nr 0 1 3.0\n"
         with pytest.raises(MalformedLineError, match="cover all items or none"):
-            parse_dataset(text)
+            parse_text(text)
 
     def test_bad_protected_flag_rejected(self):
         text = "users=1 items=1 scale=0.0,5.0\nu 0 2\n"
         with pytest.raises(MalformedLineError):
-            parse_dataset(text)
+            parse_text(text)
 
     @pytest.mark.parametrize("header, message", [
         ("users=-1 items=1 scale=0.0,5.0", "user and item counts must be >= 1"),
         ("users=1 items=-2 scale=0.0,5.0", "user and item counts must be >= 1"),
         ("users=2 items=0 scale=0.0,5.0", "user and item counts must be >= 1"),
         ("users=0 items=1 scale=0.0,5.0", "user and item counts must be >= 1"),
-        ("users=3 items=1 scale=0.0,5.0", "header declares 3 users"),
         ("users=2 items=1 scale=5,1", "invalid rating scale (5.0, 1.0)"),
         ("users=2 items=1 scale=nan,5", "invalid rating scale (nan, 5.0)"),
         ("users=2 items=1 scale=0,inf", "invalid rating scale (0.0, inf)"),
     ])
     def test_header_checked_on_line_one(self, header, message):
         text = header + "\nu 0 1\nu 1 0\n"
-        for parse in (parse_dataset, oracle_parse_dataset):
+        for parse in (parse_text, oracle_parse_dataset):
             with pytest.raises(MalformedLineError) as exc:
                 parse(text)
             assert exc.value.line_no == 1 and message in str(exc.value)
@@ -270,11 +281,11 @@ class TestDatasetFormat:
         text = "users=2 items=1000 scale=0.0,5.0\nu 0 1\nu 1 0\nz weird\n"
         monkeypatch.setattr(core, "_memory_budget", lambda: 16 * 1002 - 1)
         with pytest.raises(FairrecError, match="a 2 x 1000 dataset needs at least") as exc:
-            parse_dataset(text)
+            parse_text(text)
         assert not isinstance(exc.value, MalformedLineError)
         monkeypatch.setattr(core, "_memory_budget", lambda: 16 * 1002)
         with pytest.raises(MalformedLineError) as exc:
-            parse_dataset(text)
+            parse_text(text)
         assert exc.value.line_no == 4
 
     @pytest.mark.parametrize("line, message", [
@@ -283,7 +294,7 @@ class TestDatasetFormat:
     ])
     def test_unknown_label_reports_its_line(self, line, message):
         text = f"users=2 items=1 scale=0.0,5.0\nu 0 1 W\n{line}\nr 0 0 1.0\nu 1 0 M\n"
-        for parse in (parse_dataset, oracle_parse_dataset):
+        for parse in (parse_text, oracle_parse_dataset):
             with pytest.raises(MalformedLineError) as exc:
                 parse(text)
             assert str(exc.value) == f"line 3: {message}"
@@ -291,9 +302,10 @@ class TestDatasetFormat:
     def test_huge_user_count_rejected_before_allocation(self, tmp_path):
         path = tmp_path / "huge.txt"
         path.write_text("users=100000000000 items=1 scale=0.0,5.0\nu 0 1\n")
-        with pytest.raises(MalformedLineError) as exc:
+        with pytest.raises(FairrecError, match="^a 100000000000 x 1 dataset needs at least") \
+                as exc:
             load_dataset(path)
-        assert exc.value.line_no == 1
+        assert not isinstance(exc.value, MalformedLineError)
 
 
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, 0.1, 1 / 3, -7.25, 5e-324, 1e300]
@@ -387,11 +399,13 @@ class TestCodecAgainstOracle:
             lines = apply_edit(lines, edit)
         text = "\n".join(lines) + "\n"
         with mock.patch.object(core, "_CHUNK_LINES", chunk):
-            assert outcome(parse_dataset, text) == outcome(oracle_parse_dataset, text)
+            assert outcome(parse_text, text) == outcome(oracle_parse_dataset, text)
 
-    @pytest.mark.parametrize("bad", [(7, 8), (8, 7), (8, 9), (9, 8), (6, 8)])
+    @pytest.mark.parametrize("bad", [(7, 8), (8, 7), (8, 9), (9, 8), (6, 8),
+                                     (4, 5), (5, 4), (9, 10), (10, 9)])
     def test_first_fault_reported_across_chunk_boundaries(self, bad):
-        # lines 2-3 are u lines, then ratings; chunks of 3 end at lines 4, 7, ...
+        # lines 2-3 are u lines, then ratings; at _CHUNK_LINES = 3 the pieces
+        # hold lines 1-4 (cut after line 3), 5-9 and 10-11
         lines = ["users=2 items=2 scale=0.0,5.0", "u 0 1", "u 1 0"]
         lines += [f"r {k % 2} {k // 2 % 2} 1.0" for k in range(8)]
         faults = {bad[0]: "r 0 x 1.0", bad[1]: "u 0 1 W extra"}
@@ -399,19 +413,19 @@ class TestCodecAgainstOracle:
             lines[no - 1] = line
         with mock.patch.object(core, "_CHUNK_LINES", 3):
             with pytest.raises(MalformedLineError) as exc:
-                parse_dataset("\n".join(lines))
+                parse_text("\n".join(lines))
         assert exc.value.line_no == min(bad)
 
     def test_index_beyond_int64_reports_its_line(self):
         text = "users=1 items=1 scale=0.0,5.0\nu 0 1\nr 0 0 1.0\nr 0 99999999999999999999 1.0\n"
         with pytest.raises(MalformedLineError) as exc:
-            parse_dataset(text)
+            parse_text(text)
         assert exc.value.line_no == 4
 
     def test_noncanonical_rating_lines_keep_file_order(self):
         text = ("users=2 items=3 scale=0.0,5.0\nr 0 2 1.0\n\t r\t1 1  2.0\n"
                 "u 0 1\nr 0 1 3.0\nu 1 0\n  r 0 0 4.0\n")
-        d = parse_dataset(text)
+        d = parse_text(text)
         assert d.user_idx.tolist() == [0, 0, 0, 1]
         assert d.item_idx.tolist() == [0, 1, 2, 1]
         assert d.values.tolist() == [4.0, 3.0, 1.0, 2.0]
@@ -452,14 +466,14 @@ class TestCReaderAgainstOracle:
     def test_matches_line_by_line_reader(self, line, chunk):
         text = f"users=2 items=2 scale=0.0,5.0\nu 0 1\nu 1 0\nr 0 0 1.0\n{line}\nr 1 1 2.0\n"
         with mock.patch.object(core, "_CHUNK_LINES", chunk):
-            assert exact_outcome(parse_dataset, text) == exact_outcome(oracle_parse_dataset, text)
+            assert exact_outcome(parse_text, text) == exact_outcome(oracle_parse_dataset, text)
 
     @pytest.mark.parametrize("index", [str(2**63), str(-2**63 - 1)])
     def test_index_just_beyond_int64_reports_its_line(self, index):
         # int() reads it and numpy's reader rejects it; the int64 column cannot hold it
         text = f"users=1 items=1 scale=0.0,5.0\nu 0 1\nr 0 0 1.0\nr 0 {index} 1.0\n"
         with pytest.raises(MalformedLineError) as exc:
-            parse_dataset(text)
+            parse_text(text)
         assert exc.value.line_no == 4
 
     def test_synth_gen_file_takes_the_c_reader(self, tmp_path):
@@ -523,6 +537,27 @@ def test_read_rows_outcomes(lines, prefix, reads, result):
         assert rows.dtype == TINY_ROW and rows["x"].tolist() == result
         assert count == len(text.splitlines())
     assert seen == reads
+
+
+def test_dataset_file_is_read_in_pieces(tmp_path):
+    path = tmp_path / "synth.txt"
+    assert main(["synth-gen", "--users", "40", "--items", "30", "--out", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    sizes = []
+
+    class SizedReads(io.StringIO):
+        """A stream that records each read's size and refuses an unsized read."""
+
+        def read(self, size=-1):
+            if size is None or size < 0:
+                raise AssertionError("the whole stream was read at once")
+            sizes.append(size)
+            return super().read(size)
+
+    with mock.patch.object(core, "_CHUNK_LINES", 3):
+        d = parse_dataset(SizedReads(text))
+    assert len(sizes) > 1 and max(sizes) <= 16 * 3
+    assert outcome(lambda _: d, text) == outcome(oracle_parse_dataset, text)
 
 
 def _result_table():

@@ -54,6 +54,39 @@ def thin(directory: str) -> None:
                       if not line.startswith("r ") or next(ratings) % 4 == 0)
 
 
+BAD_DATA = ("h5000.txt", "hhuge.txt", "nou.txt", "fine.txt", "dup.txt", "scale.txt", "rx.txt")
+BAD_MODELS = ("short.model", "nan.model")
+
+
+def bad_inputs(directory: str) -> None:
+    """Copies of d.txt and m.txt with one fault each: a header that declares
+    5000 users, or more than any memory holds; the first u line dropped; an
+    unknown fine label; a rating line repeated; a rating of 7.0 on the 0.0,1.0
+    scale; an unreadable item index among the ratings; a checkpoint without
+    its last line; a checkpoint factor of nan."""
+    def lines(name):
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            return fh.read().splitlines(keepends=True)
+
+    data, model = lines("d.txt"), lines("m.txt")
+    counts = data[0].split(" ", 1)[1]
+    r = next(k for k, line in enumerate(data) if line.startswith("r "))
+    fields = model[1].split(" ")
+    faulty = dict(zip(BAD_DATA + BAD_MODELS, (
+        ["users=5000 " + counts, *data[1:]],
+        ["users=100000000000 " + counts, *data[1:]],
+        data[:1] + data[2:],
+        data[:1] + [data[1].rsplit(" ", 1)[0] + " X\n"] + data[2:],
+        data[:r + 1] + data[r:],
+        data[:r] + [data[r].rsplit(" ", 1)[0] + " 7.0\n"] + data[r + 1:],
+        data[:r + 5] + ["r 3 x 1.0\n"] + data[r + 5:],
+        model[:-1],
+        model[:1] + [" ".join(fields[:1] + ["nan"] + fields[2:])] + model[2:])))
+    for name, text in faulty.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(text)
+
+
 def trains(data: str) -> list:
     """A 20-iteration train of every default penalty on ``data``, each model
     evaluated by RMSE, and the unpenalized one by MSE as well."""
@@ -90,6 +123,11 @@ CASES = {
                ["train", "--data", "d.txt", "--lambda", "-1", "--out", "e.txt"],
                ["train", "--data", "d.txt", "--lr", "0", "--out", "e.txt"],
                ["reproduce-table2", "--ml-path", "ml", "--split", "1.5", "--out", "t.csv"]],
+    "reader exit 2": [GEN, ["train", "--data", "d.txt", "--iterations", "3", "--out", "m.txt"],
+                      bad_inputs,
+                      *(["train", "--data", name, "--iterations", "3", "--out", "e.txt"]
+                        for name in BAD_DATA),
+                      *(["eval", "--model", name, "--data", "d.txt"] for name in BAD_MODELS)],
 }
 
 
