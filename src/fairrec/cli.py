@@ -1,6 +1,7 @@
 """Command-line entry point tying the modules into reproduction workflows.
 
-Exit codes: 0 success, 1 usage error, 2 data error. A --config file supplies
+Exit codes: 0 success, 1 usage error, 2 bad input (a FairrecError, OSError
+or MemoryError); any other exception is a bug. A --config file supplies
 flat key=value defaults; explicit flags win over the file.
 """
 
@@ -286,13 +287,15 @@ def main(argv=None) -> int:
             return 1
         _check_outputs(args, mapping)
         return args.func(args, mapping)
-    except (FairrecError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (FairrecError, OSError) as exc:
+        message = str(exc)
     except MemoryError as exc:
         # sizes read from a file can ask for more memory than the host has
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
+        message = f"out of memory: {exc}"
+    if len(message) > 1000:  # a message can quote a whole input line
+        message = message[:1000] + "..."
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -105,34 +106,34 @@ class Dataset:
 
     def __post_init__(self):
         if self.num_users < 1 or self.num_items < 1:
-            raise ValueError("dataset needs at least one user and one item")
+            raise FairrecError("dataset needs at least one user and one item")
         u = np.asarray(self.user_idx, dtype=np.int64)
         i = np.asarray(self.item_idx, dtype=np.int64)
         v = np.asarray(self.values, dtype=np.float64)
         if not (u.ndim == i.ndim == v.ndim == 1 and len(u) == len(i) == len(v)):
-            raise ValueError("user_idx, item_idx, values must be 1-d and equally long")
+            raise FairrecError("user_idx, item_idx, values must be 1-d and equally long")
         p = np.asarray(self.protected, dtype=bool)
         if p.shape != (self.num_users,):
-            raise ValueError("protected must have exactly one flag per user")
+            raise FairrecError("protected must have exactly one flag per user")
         lo, hi = (float(self.rating_scale[0]), float(self.rating_scale[1]))
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ValueError(f"invalid rating scale ({lo}, {hi})")
+            raise FairrecError(f"invalid rating scale ({lo}, {hi})")
         fine = self.user_group_fine
         if fine is not None:
             fine = tuple(fine)
             if len(fine) != self.num_users:
-                raise ValueError("user_group_fine must have one label per user")
+                raise FairrecError("user_group_fine must have one label per user")
             bad = set(fine) - set(USER_FINE_GROUPS)
             if bad:
-                raise ValueError(f"unknown fine user groups: {sorted(bad)}")
+                raise FairrecError(f"unknown fine user groups: {sorted(bad)}")
         groups = self.item_group
         if groups is not None:
             groups = tuple(groups)
             if len(groups) != self.num_items:
-                raise ValueError("item_group must have one label per item")
+                raise FairrecError("item_group must have one label per item")
             bad = set(groups) - set(ITEM_GROUPS)
             if bad:
-                raise ValueError(f"unknown item groups: {sorted(bad)}")
+                raise FairrecError(f"unknown item groups: {sorted(bad)}")
         if len(v):
             if u.min() < 0 or u.max() >= self.num_users:
                 raise FairrecError(f"user index outside [0, {self.num_users})")
@@ -178,9 +179,9 @@ class FactorModel:
         bu = np.asarray(self.user_bias, dtype=np.float64)
         bi = np.asarray(self.item_bias, dtype=np.float64)
         if P.ndim != 2 or Q.ndim != 2 or P.shape[1] != Q.shape[1]:
-            raise ValueError("factor matrices must be 2-d with a common width")
+            raise FairrecError("factor matrices must be 2-d with a common width")
         if bu.shape != (P.shape[0],) or bi.shape != (Q.shape[0],):
-            raise ValueError("bias vectors must match the factor row counts")
+            raise FairrecError("bias vectors must match the factor row counts")
         object.__setattr__(self, "user_factors", _frozen(P))
         object.__setattr__(self, "item_factors", _frozen(Q))
         object.__setattr__(self, "user_bias", _frozen(bu))
@@ -214,19 +215,19 @@ class Hyperparams:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise FairrecError("seed must be >= 0")
         if self.d < 1:
-            raise ValueError("d (latent dimension) must be >= 1")
+            raise FairrecError("d (latent dimension) must be >= 1")
         if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lambda (lam) must be finite and >= 0")
+            raise FairrecError("lambda (lam) must be finite and >= 0")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be finite and >= 0")
+            raise FairrecError("alpha must be finite and >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("lr (learning_rate) must be finite and > 0")
+            raise FairrecError("lr (learning_rate) must be finite and > 0")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise FairrecError("iterations must be >= 1")
         if not (np.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ValueError("init_scale must be finite and > 0")
+            raise FairrecError("init_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -450,6 +451,16 @@ def save_dataset(d: Dataset, path) -> None:
     _write_text(path, _dataset_pieces(d))
 
 
-def load_dataset(path) -> Dataset:
+@contextmanager
+def _open_text(path):
+    """path open as UTF-8 text; a byte that does not decode raises FairrecError."""
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FairrecError(str(exc)) from exc
+
+
+def load_dataset(path) -> Dataset:
+    with _open_text(path) as fh:
         return parse_dataset(fh)

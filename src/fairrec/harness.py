@@ -21,6 +21,7 @@ from .core import (
     MalformedLineError,
     METRIC_FIELDS,
     _fmt,
+    _open_text,
 )
 from .metrics import full_report
 from .movielens import (
@@ -51,7 +52,7 @@ DEFAULT_PENALTIES = (
 
 def _check_source(source: str) -> None:
     if source not in SOURCES:
-        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
+        raise FairrecError(f"source must be one of {SOURCES}, got {source!r}")
 
 
 def default_trials(source: str) -> int:
@@ -90,34 +91,34 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_source(self.source)
         if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+            raise FairrecError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.genre_mode not in GENRE_MODES:
-            raise ValueError(
+            raise FairrecError(
                 f"genre_mode must be one of {GENRE_MODES}, got {self.genre_mode!r}")
         if self.source == "movielens" and not self.ml_path:
-            raise ValueError("movielens experiments need ml_path")
+            raise FairrecError("movielens experiments need ml_path")
         if self.source == "synthetic":
             # fails here, not at the first trial, on sizes the shares cannot split
             RegimeConfig(self.regime, self.num_users, self.num_items)
         if self.min_ratings < 0:
-            raise ValueError("min_ratings must be >= 0")
+            raise FairrecError("min_ratings must be >= 0")
         if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split (split_fraction) must lie strictly between 0 and 1")
+            raise FairrecError("split (split_fraction) must lie strictly between 0 and 1")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise FairrecError("trials must be >= 1")
         if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
+            raise FairrecError("base_seed must be >= 0")
         if not self.penalties:
-            raise ValueError("need at least one penalty spec")
+            raise FairrecError("need at least one penalty spec")
         if not self.genres:
-            raise ValueError("need at least one genre")
+            raise FairrecError("need at least one genre")
         object.__setattr__(self, "genres", canonical_genres(self.genres))
         object.__setattr__(self, "penalties", tuple(self.penalties))
         # a table's rows are looked up by label, so a repeated one could not be told apart
         labels = [spec.label for spec in self.penalties]
         for label in labels:
             if labels.count(label) > 1:
-                raise ValueError(f"penalty {label!r} is listed more than once")
+                raise FairrecError(f"penalty {label!r} is listed more than once")
 
 
 def load_movielens(config: ExperimentConfig) -> Dataset:
@@ -177,7 +178,7 @@ class ResultTable:
         raw = np.asarray(self.raw, dtype=np.float64)
         if (raw.ndim != 3 or raw.shape[:2] != (len(self.rows), len(METRIC_FIELDS))
                 or not raw.shape[2]):
-            raise ValueError("raw must be (rows, metrics, trials) with trials >= 1")
+            raise FairrecError("raw must be (rows, metrics, trials) with trials >= 1")
         trials = raw.shape[2]
         means = raw.mean(axis=2)
         stderrs = (raw.std(axis=2, ddof=1) / np.sqrt(trials) if trials > 1
@@ -187,20 +188,12 @@ class ResultTable:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stderrs", stderrs)
 
-    @property
-    def trials(self) -> int:
-        return self.raw.shape[2]
-
     def _cell(self, row: str, metric: str) -> tuple:
         return self.rows.index(row), METRIC_FIELDS.index(metric)
 
     def mean(self, row: str, metric: str) -> float:
         r, c = self._cell(row, metric)
         return float(self.means[r, c])
-
-    def stderr(self, row: str, metric: str) -> float:
-        r, c = self._cell(row, metric)
-        return float(self.stderrs[r, c])
 
     def values(self, row: str, metric: str) -> np.ndarray:
         r, c = self._cell(row, metric)
@@ -219,7 +212,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 def regime_comparison(config: ExperimentConfig) -> ResultTable:
     """Penalty-free runs across all four regimes, one row per regime."""
     if config.source != "synthetic":
-        raise ValueError("the regime comparison is defined for synthetic data only")
+        raise FairrecError("the regime comparison is defined for synthetic data only")
     return ResultTable("regime", REGIMES, [
         run_experiment(replace(config, regime=r, penalties=(PenaltySpec.none(),))).raw[0]
         for r in REGIMES])
@@ -293,7 +286,7 @@ def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
     """Flat key=value experiment config; # comments and blank lines skipped.
     A key outside ``keys``, or set a second time, is rejected at its line."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for no, line in enumerate(fh.read().splitlines(), start=1):
             text = line.strip()
             if not text or text.startswith("#"):

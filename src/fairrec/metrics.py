@@ -48,7 +48,7 @@ def item_terms(kind: str, D: np.ndarray, eps: float = 0.0):
     elif kind == "over":
         inner, slope = np.maximum(D, 0.0), (D > 0).astype(np.float64)
     else:
-        raise ValueError(f"unknown per-item unfairness kind {kind!r}")
+        raise FairrecError(f"unknown per-item unfairness kind {kind!r}")
     phi, outer = smooth_abs(inner[1] - inner[0], eps)
     return phi, np.stack([-outer, outer]) * slope
 

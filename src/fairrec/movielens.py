@@ -69,8 +69,7 @@ class MovieLensRaw:
 
     user_pos and movie_pos hold each rating's user and movie as a position
     among the sorted ids of users and movies. Columns that are not 1-d and
-    equally long raise ValueError; a position outside the users or movies
-    raises FairrecError.
+    equally long, or a position outside the users or movies, raise FairrecError.
     """
 
     users: dict
@@ -83,7 +82,7 @@ class MovieLensRaw:
         u, m = (np.asarray(pos, dtype=np.intp) for pos in (self.user_pos, self.movie_pos))
         v = np.asarray(self.values, dtype=np.float64)
         if not (u.ndim == m.ndim == v.ndim == 1 and len(u) == len(m) == len(v)):
-            raise ValueError("user_pos, movie_pos, values must be 1-d and equally long")
+            raise FairrecError("user_pos, movie_pos, values must be 1-d and equally long")
         for kind, pos, ids in (("user", u, self.users), ("movie", m, self.movies)):
             if len(pos) and (pos.min() < 0 or pos.max() >= len(ids)):
                 raise FairrecError(f"{kind} position outside [0, {len(ids)})")
@@ -230,7 +229,7 @@ def _genre_match(movie_genres: frozenset, selected: frozenset, mode: str) -> boo
         return bool(movie_genres & selected)
     if mode == "only-genres":
         return bool(movie_genres) and movie_genres <= selected
-    raise ValueError(f"genre mode must be one of {GENRE_MODES}, got {mode!r}")
+    raise FairrecError(f"genre mode must be one of {GENRE_MODES}, got {mode!r}")
 
 
 def filter_dataset(raw: MovieLensRaw, genres=SELECTED_GENRES, min_ratings: int = 50,
@@ -280,7 +279,7 @@ def split(d: Dataset, train_fraction: float, seed) -> tuple:
     """Random disjoint (train, test) Datasets of d's ratings; both keep d's
     users, items, protected flags and labels."""
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+        raise FairrecError("train_fraction must lie strictly between 0 and 1")
     k = d.num_ratings
     n_train = int(round(train_fraction * k))
     if n_train == 0 or n_train == k:

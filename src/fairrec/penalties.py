@@ -46,12 +46,12 @@ class PenaltySpec:
             if kind not in PENALTY_KINDS:
                 raise FairrecError(f"unknown penalty kind {kind!r}")
             if not np.isfinite(weight) or weight < 0:
-                raise ValueError(f"penalty weight for {kind!r} must be finite and >= 0")
+                raise FairrecError(f"penalty weight for {kind!r} must be finite and >= 0")
         kinds = [kind for kind, _ in terms]
         if len(set(kinds)) != len(kinds):
-            raise ValueError("each penalty kind may appear only once")
+            raise FairrecError("each penalty kind may appear only once")
         if not (np.isfinite(self.smoothing) and self.smoothing >= 0):
-            raise ValueError("smoothing must be finite and >= 0")
+            raise FairrecError("smoothing must be finite and >= 0")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "smoothing", float(self.smoothing))
 
@@ -78,17 +78,20 @@ def parse_penalty(text: str, smoothing: float = 0.0) -> PenaltySpec:
     """Parse "none", "value", "under:0.5,over:0.5", or "under+over"."""
     stripped = text.strip().lower()
     if not stripped:
-        raise ValueError("empty penalty specification")
+        raise FairrecError("empty penalty specification")
     # "," and "+" separate terms, except the "+" of an exponent such as 1e+3
     parts = re.split(r",|(?<![\d.]e)\+", stripped)
     if "none" in parts:
         if len(parts) > 1:
-            raise ValueError('"none" cannot be combined with other penalty terms')
+            raise FairrecError('"none" cannot be combined with other penalty terms')
         return PenaltySpec((), smoothing)
     terms = []
     for part in parts:
         kind, sep, weight = part.partition(":")
-        terms.append((kind.strip(), float(weight) if sep else 1.0))
+        try:
+            terms.append((kind.strip(), float(weight) if sep else 1.0))
+        except ValueError as exc:
+            raise FairrecError(f"penalty {part!r}: {exc}") from exc
     return PenaltySpec(tuple(terms), smoothing)
 
 

@@ -64,16 +64,16 @@ class RegimeConfig:
 
     def __post_init__(self):
         if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+            raise FairrecError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         # group sizes and indices are int64 arrays
         if max(self.num_users, self.num_items) > np.iinfo(np.int64).max:
-            raise ValueError("user and item counts must fit in int64")
+            raise FairrecError("user and item counts must fit in int64")
         if self.num_users < len(USER_FINE_GROUPS):
-            raise ValueError("need at least one user per group")
+            raise FairrecError("need at least one user per group")
         if self.num_items < len(ITEM_GROUPS):
-            raise ValueError("need at least one item per group")
+            raise FairrecError("need at least one item per group")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise FairrecError("seed must be >= 0")
         _user_counts(self.num_users, _REGIMES[self.regime][0])
         if self.num_items % len(ITEM_GROUPS) != 0:
             raise FairrecError(f"{self.num_items} items cannot be split into exact thirds")
@@ -134,7 +134,7 @@ def expected_value_eval(train: Dataset, expected: np.ndarray) -> Dataset:
     unseen = np.ones((train.num_users, train.num_items), dtype=bool)
     unseen[train.user_idx, train.item_idx] = False
     if np.shape(expected) != unseen.shape:
-        raise ValueError(f"expected must be {unseen.shape}, got {np.shape(expected)}")
+        raise FairrecError(f"expected must be {unseen.shape}, got {np.shape(expected)}")
     flat = np.flatnonzero(unseen)
     user_idx, item_idx = np.divmod(flat, train.num_items)
     return replace(train, user_idx=user_idx, item_idx=item_idx,

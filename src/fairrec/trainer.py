@@ -32,6 +32,7 @@ from .core import (
     MalformedLineError,
     _check_memory,
     _fmt,
+    _open_text,
     _write_text,
 )
 from .factorization import flat_params, param_blocks
@@ -53,7 +54,7 @@ class TrainTrace:
         for name in ("objective", "penalty"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 1 or len(arr) != len(np.asarray(self.objective)):
-                raise ValueError("trace columns must be 1-d and equally long")
+                raise FairrecError("trace columns must be 1-d and equally long")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -65,7 +66,7 @@ def init_model(num_users: int, num_items: int, d: int, seed: int,
                init_scale: float) -> FactorModel:
     """Normal(0, init_scale) factors, zero biases, deterministic per seed."""
     if num_users < 1 or num_items < 1 or d < 1:
-        raise ValueError("num_users, num_items, d must all be >= 1")
+        raise FairrecError("num_users, num_items, d must all be >= 1")
     rng = np.random.default_rng(seed)
     return FactorModel(
         user_factors=rng.normal(0.0, init_scale, (num_users, d)),
@@ -172,7 +173,7 @@ def save_model(model: FactorModel, path) -> None:
 
 
 def load_model(path) -> FactorModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return parse_model(fh.read())
 
 

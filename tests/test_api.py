@@ -1,6 +1,7 @@
 """The public surface of the package root, and the module attributes that the
 benchmark's tracer wraps."""
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -48,3 +49,17 @@ def test_benchmark_tracer_bindings_stay_live(monkeypatch):
     absent = {f"{module}.{attr}" for module, attr, _ in tracer.BINDINGS
               if not hasattr(importlib.import_module(module), attr)}
     assert absent <= DEAD_BINDINGS
+
+
+def test_package_raises_no_bare_value_error():
+    """Bad input is rejected with a FairrecError, the one exception the CLI
+    maps to exit 2 besides OSError and MemoryError; a ValueError that leaves
+    the package is a bug, not a rejection."""
+    raises = []
+    for path in sorted(Path(fairrec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    raises.append(f"{path.name}:{node.lineno}")
+    assert raises == []

@@ -344,6 +344,25 @@ class TestTrain:
         assert code == 2
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("spec, weight", [("value:abc", "'abc'"), ("value:", "''"),
+                                              (": value", "' value'")])
+    def test_unreadable_penalty_weight_exits_two(self, synth_file, tmp_path, capsys,
+                                                 spec, weight):
+        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file),
+                                   "--penalty", spec, "--out", str(tmp_path / "m.txt"))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: penalty {spec!r}: could not convert string to float: {weight}\n"
+        assert not os.listdir(tmp_path)
+
+    def test_long_bad_line_is_cut_in_the_message(self, tmp_path, capsys):
+        bad = tmp_path / "long.txt"
+        bad.write_text("users=1 items=1 scale=0.0,5.0\n" + "x" * 100_000 + "\n")
+        code, _, stderr = run(capsys, "train", "--data", str(bad),
+                              "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert stderr.startswith("error: line 2: ") and stderr.endswith("xxx...\n")
+        assert len(stderr.encode()) < 1100
+
 
 class TestEval:
     def test_reports_every_metric(self, synth_file, model_file, capsys):
@@ -768,6 +787,21 @@ def test_sizes_beyond_memory_exit_two_before_generating(argv, tmp_path, capsys, 
     assert (code, stdout) == (2, "")
     assert stderr.startswith("error: 400 x 300 generated data needs at least 3 MB, more than the 3 MB ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{bad}", "--out", "{out}"],
+    ["train", "--data", "{data}", "--config", "{bad}", "--out", "{out}"],
+    ["eval", "--model", "{bad}", "--data", "{data}"],
+], ids=["dataset", "config", "checkpoint"])
+def test_input_file_not_utf8_exits_two(argv, synth_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"d=1 \xff\n")
+    code, stdout, stderr = run(capsys, *(arg.format(bad=bad, data=synth_file,
+                                                    out=tmp_path / "m.txt") for arg in argv))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert os.listdir(tmp_path) == ["bad.txt"]
 
 
 def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):

@@ -75,15 +75,15 @@ class TestDataset:
             d.values[0] = 9.9
 
     def test_rejects_mismatched_protected_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             small_dataset(protected=[True, False])
 
     def test_rejects_bad_fine_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             small_dataset(user_group_fine=("W", "K", "M"))
 
     def test_rejects_bad_item_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             small_dataset(item_group=("Fem", "Other"))
 
     def test_num_ratings(self):
@@ -147,9 +147,9 @@ class TestDatasetIsValidOnceBuilt:
 
 class TestFactorModel:
     def test_shape_checks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             FactorModel(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             FactorModel(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(1), np.zeros(2))
 
     def test_dimensions(self):
@@ -175,7 +175,7 @@ class TestHyperparams:
         dict(init_scale=float("inf")),
     ])
     def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             Hyperparams(**bad)
 
 

@@ -72,24 +72,24 @@ class TestDefaults:
 
 class TestExperimentConfig:
     def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             tiny_config(source="csv")
 
     def test_rejects_unknown_regime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             tiny_config(regime="X")
 
     def test_rejects_nonpositive_trials(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             tiny_config(trials=0)
 
     def test_rejects_bad_split(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             tiny_config(split_fraction=1.5)
 
     def test_rejects_repeated_penalty_label(self):
         value = PenaltySpec.single("value")
-        with pytest.raises(ValueError, match="'value'"):
+        with pytest.raises(FairrecError, match="'value'"):
             tiny_config(penalties=(PenaltySpec.none(), value, value))
 
     def test_weights_apart_in_the_seventh_digit_are_two_rows(self):
@@ -105,7 +105,7 @@ class TestExperimentConfig:
             tiny_config(**sizes)
 
     def test_rejects_negative_base_seed_when_built(self):
-        with pytest.raises(ValueError, match="base_seed must be >= 0"):
+        with pytest.raises(FairrecError, match="base_seed must be >= 0"):
             tiny_config(base_seed=-1)
 
     def test_rejects_unknown_genre_before_reading(self, tmp_path):
@@ -114,24 +114,24 @@ class TestExperimentConfig:
                         genres=("Action", "bogus"))
 
     def test_rejects_negative_min_ratings_before_reading(self, tmp_path):
-        with pytest.raises(ValueError, match="min_ratings must be >= 0"):
+        with pytest.raises(FairrecError, match="min_ratings must be >= 0"):
             tiny_config(source="movielens", ml_path=str(tmp_path / "nowhere"),
                         min_ratings=-1)
 
     def test_rejects_empty_genres(self, tmp_path):
-        with pytest.raises(ValueError, match="need at least one genre"):
+        with pytest.raises(FairrecError, match="need at least one genre"):
             tiny_config(source="movielens", ml_path=str(tmp_path / "nowhere"), genres=())
 
     def test_rejects_unknown_genre_mode(self):
-        with pytest.raises(ValueError, match="genre_mode must be one of"):
+        with pytest.raises(FairrecError, match="genre_mode must be one of"):
             tiny_config(genre_mode="most-genres")
 
     def test_movielens_needs_ml_path(self):
-        with pytest.raises(ValueError, match="movielens experiments need ml_path"):
+        with pytest.raises(FairrecError, match="movielens experiments need ml_path"):
             tiny_config(source="movielens")
 
     def test_rejects_no_penalties(self):
-        with pytest.raises(ValueError, match="need at least one penalty spec"):
+        with pytest.raises(FairrecError, match="need at least one penalty spec"):
             tiny_config(penalties=())
 
 
@@ -287,7 +287,7 @@ class TestResultTable:
         raw = rng.random((2, len(METRIC_FIELDS), 4))
         table = ResultTable("penalty", ("none", "value"), raw)
         assert table.rows == ("none", "value")
-        assert table.trials == 4
+        assert table.raw.shape[2] == 4
         np.testing.assert_array_equal(table.means, raw.mean(axis=2))
         np.testing.assert_array_equal(table.stderrs, raw.std(axis=2, ddof=1) / 2.0)
         assert table.mean("none", "error") == raw[0, 0].mean()
@@ -296,7 +296,7 @@ class TestResultTable:
 
     def test_single_trial_zero_stderr(self, rng):
         table = ResultTable("penalty", ("none",), rng.random((1, len(METRIC_FIELDS), 1)))
-        assert table.trials == 1
+        assert table.raw.shape[2] == 1
         assert not table.stderrs.any()
 
     def test_rejects_ragged(self):
@@ -305,7 +305,7 @@ class TestResultTable:
             ResultTable("penalty", ("a", "b"), ragged)
 
     def test_table_needs_a_trial(self):
-        with pytest.raises(ValueError, match="trials >= 1"):
+        with pytest.raises(FairrecError, match="trials >= 1"):
             ResultTable("penalty", ("none",), np.zeros((1, len(METRIC_FIELDS), 0)))
 
 
@@ -404,7 +404,7 @@ class TestRunExperiment:
     def test_rows_follow_penalties(self):
         table = run_experiment(tiny_config())
         assert table.rows == ("none", "value")
-        assert table.trials == 3
+        assert table.raw.shape[2] == 3
         assert table.raw.shape == (2, len(METRIC_FIELDS), 3)
         assert (table.means[:, 0] > 0).all()
 
@@ -427,7 +427,7 @@ class TestRunExperiment:
     def test_regime_comparison_needs_synthetic(self, ml_dir):
         config = tiny_config(source="movielens", ml_path=str(ml_dir),
                              min_ratings=2, trials=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             regime_comparison(config)
 
     def test_movielens_source(self, ml_dir):

@@ -232,7 +232,7 @@ class TestRawPositions:
         ([0, 1], [0], [1.0, 2.0]), ([0, 1], [0, 1], [1.0]), ([[0, 1]], [[0, 1]], [[1.0, 2.0]]),
         ([0], [0], 1.0)])
     def test_columns_must_be_1d_and_equally_long(self, user_pos, movie_pos, values):
-        with pytest.raises(ValueError,
+        with pytest.raises(FairrecError,
                            match="^user_pos, movie_pos, values must be 1-d and equally long$"):
             MovieLensRaw(self.USERS, self.MOVIES, user_pos, movie_pos, values)
 
@@ -471,7 +471,7 @@ class TestFilter:
             filter_dataset(again, SELECTED_GENRES, min_ratings=2)
 
     def test_bad_mode_rejected(self, raw):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             filter_dataset(raw, SELECTED_GENRES, mode="sideways")
 
 
@@ -583,5 +583,5 @@ class TestSplit:
             split(filtered, 0.01, seed=0)
 
     def test_bad_fraction_rejected(self, filtered):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             split(filtered, 1.0, seed=0)

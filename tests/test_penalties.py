@@ -54,15 +54,15 @@ class TestPenaltySpec:
             PenaltySpec((("sideways", 1.0),))
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             PenaltySpec((("value", -1.0),))
 
     def test_rejects_duplicate_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             PenaltySpec((("value", 1.0), ("value", 2.0)))
 
     def test_rejects_negative_smoothing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             PenaltySpec((("value", 1.0),), smoothing=-0.1)
 
 
@@ -115,7 +115,7 @@ class TestParsePenalty:
 
     @pytest.mark.parametrize("bad", list(GARBAGE))
     def test_rejects_garbage(self, bad):
-        with pytest.raises((FairrecError, ValueError), match=self.GARBAGE[bad]):
+        with pytest.raises(FairrecError, match=self.GARBAGE[bad]):
             parse_penalty(bad)
 
     def test_smoothing_carried(self):

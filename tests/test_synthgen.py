@@ -47,22 +47,22 @@ class TestBlockModels:
 
 class TestRegimeConfig:
     def test_rejects_unknown_regime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             RegimeConfig("diagonal")
 
     def test_rejects_tiny_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             RegimeConfig("U", num_users=2)
-        with pytest.raises(ValueError, match="need at least one item per group"):
+        with pytest.raises(FairrecError, match="need at least one item per group"):
             RegimeConfig("U", num_items=2)
 
     @pytest.mark.parametrize("users, items", [(2**63, 300), (400, 3 * 2**62)])
     def test_rejects_counts_beyond_int64(self, users, items):
-        with pytest.raises(ValueError, match="must fit in int64"):
+        with pytest.raises(FairrecError, match="must fit in int64"):
             RegimeConfig("U", users, items)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(FairrecError, match="seed must be >= 0"):
             RegimeConfig("U", seed=-1)
 
     def test_rejects_sizes_beyond_memory_before_allocating(self, monkeypatch):
@@ -191,7 +191,7 @@ class TestExpectedValueEval:
     def test_expected_of_another_shape_rejected(self):
         # the transpose has as many entries, so only its shape tells it apart
         data, expected = generate(RegimeConfig("U", 8, 6, seed=3))
-        with pytest.raises(ValueError, match=r"expected must be \(8, 6\), got \(6, 8\)"):
+        with pytest.raises(FairrecError, match=r"expected must be \(8, 6\), got \(6, 8\)"):
             expected_value_eval(data, expected.T)
 
 

@@ -57,7 +57,7 @@ class TestInitModel:
         assert large.user_factors.std() > 10 * small.user_factors.std()
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             init_model(0, 3, 2, seed=0, init_scale=0.1)
 
 
@@ -105,7 +105,7 @@ class TestTrainTrace:
             tr.objective[0] = 5.0
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FairrecError):
             TrainTrace(np.zeros(3), np.zeros(2))
 
 

@@ -122,6 +122,7 @@ CASES = {
                ["train", "--data", "d.txt", "--d", "0", "--out", "e.txt"],
                ["train", "--data", "d.txt", "--lambda", "-1", "--out", "e.txt"],
                ["train", "--data", "d.txt", "--lr", "0", "--out", "e.txt"],
+               ["train", "--data", "d.txt", "--penalty", "value:abc", "--out", "e.txt"],
                ["reproduce-table2", "--ml-path", "ml", "--split", "1.5", "--out", "t.csv"]],
     "reader exit 2": [GEN, ["train", "--data", "d.txt", "--iterations", "3", "--out", "m.txt"],
                       bad_inputs,
