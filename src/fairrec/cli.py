@@ -94,14 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_synth_gen)
 
     mlp = subs.add_parser("ml-prepare", help="parse and filter MovieLens-1M")
-    mlp.add_argument("--ml-path", help="directory with users.dat/movies.dat/ratings.dat")
-    mlp.add_argument("--genres", help="comma-separated genre list")
-    mlp.add_argument("--min-ratings", type=int,
-                     help=f"per-user rating floor (default {_CONFIG.min_ratings})")
-    mlp.add_argument("--mode", dest="genre_mode", choices=GENRE_MODES, help="genre matching mode")
-    mlp.add_argument("--out", help="write the filtered dataset here")
-    _add_config_flag(mlp)
-    mlp.set_defaults(func=_cmd_ml_prepare)
+    # its flags follow reproduce-table2's parser, which shares the MovieLens ones
 
     tr = subs.add_parser("train", help="train one model on a dataset file")
     tr.add_argument("--data", required=True, help="dataset file to train on")
@@ -133,11 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     t2 = subs.add_parser("reproduce-table2",
                          help="penalty comparison on filtered MovieLens-1M")
-    t2.add_argument("--ml-path", help="directory with the ML-1M files")
-    t2.add_argument("--genres", help="comma-separated genre list")
-    t2.add_argument("--min-ratings", type=int,
-                    help=f"per-user rating floor (default {_CONFIG.min_ratings})")
-    t2.add_argument("--mode", dest="genre_mode", choices=GENRE_MODES, help="genre matching mode")
+    for sub in (mlp, t2):
+        sub.add_argument("--ml-path", help="directory with users.dat/movies.dat/ratings.dat")
+        sub.add_argument("--genres", help="comma-separated genre list")
+        sub.add_argument("--min-ratings", type=int,
+                         help=f"per-user rating floor (default {_CONFIG.min_ratings})")
+        sub.add_argument("--mode", dest="genre_mode", choices=GENRE_MODES,
+                         help="genre matching mode")
+    mlp.add_argument("--out", help="write the filtered dataset here")
+    _add_config_flag(mlp)
+    mlp.set_defaults(func=_cmd_ml_prepare)
     t2.add_argument("--split", type=float,
                     help=f"train fraction (default {_CONFIG.split_fraction})")
     t2.add_argument("--trials", type=int, help=f"trials (default {default_trials('movielens')})")

@@ -254,9 +254,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# Input files, dataset files and ratings.dat alike, are read from the open
-# file by _file_pieces in pieces of about 16 * _CHUNK_LINES characters, each
-# cut at a line feed. This bounds the text and the lines held at once.
+# Every input file is opened by _open_text, and all but checkpoints are read
+# by _file_pieces in pieces of about 16 * _CHUNK_LINES characters, each cut at
+# a line feed. This bounds the text and the lines held at once.
 _CHUNK_LINES = 1 << 16
 # Characters that keep a piece from numpy's C reader: it reads a NUL in a text
 # field as empty and strips \x1f around a number, and the others are the
@@ -270,6 +270,14 @@ def _file_pieces(fh) -> Iterator[str]:
     the end of the file."""
     while piece := fh.read(16 * _CHUNK_LINES):
         yield piece if piece.endswith("\n") else piece + fh.readline()
+
+
+def _file_lines(fh) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every line of an open file that is not blank."""
+    lines = chain.from_iterable(piece.splitlines() for piece in _file_pieces(fh))
+    for no, line in enumerate(lines, start=1):
+        if line.strip():
+            yield no, line
 
 
 def _read_rows(piece: str, first_no: int, dtype: np.dtype, read_line, prefix: str = "",
@@ -452,9 +460,9 @@ def save_dataset(d: Dataset, path) -> None:
 
 
 @contextmanager
-def _open_text(path):
-    """path open as UTF-8 text; a byte that does not decode raises FairrecError."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _open_text(path, encoding: str = "utf-8"):
+    """path open as text in encoding; a byte that does not decode raises FairrecError."""
+    with open(path, "r", encoding=encoding) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -23,8 +23,9 @@ DENSE_FILL = 0.1
 # 20% fill at 400 x 300 and 25-35% at 3000 x 1005 (d = 4, a 2-core host). The
 # threshold stays at 15% all the same: set at the crossover, it would send the
 # training split of the generated MovieLens-scale data (about 24% filled) to
-# CSR, which pays a cold `import scipy.sparse` of about 0.2 s. A benchmark
-# workload at MovieLens-1M's sparsity is to settle it (ROADMAP item 5).
+# CSR, which pays a cold `import scipy.sparse` of about 0.2 s. CSR stays below
+# it: at 4.5-13% fill dense blocks took 1.5-4.8 times as long (2953 x 1006 and
+# 6040 x 3706, d = 4, one BLAS thread).
 DENSE_GRADIENT_FILL = 0.15
 
 # OpenBLAS runs a matrix product of at most 2**18 multiply-adds on the calling

@@ -20,6 +20,7 @@ from .core import (
     Hyperparams,
     MalformedLineError,
     METRIC_FIELDS,
+    _file_lines,
     _fmt,
     _open_text,
 )
@@ -287,9 +288,9 @@ def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
     A key outside ``keys``, or set a second time, is rejected at its line."""
     mapping = {}
     with _open_text(path) as fh:
-        for no, line in enumerate(fh.read().splitlines(), start=1):
+        for no, line in _file_lines(fh):
             text = line.strip()
-            if not text or text.startswith("#"):
+            if text.startswith("#"):
                 continue
             key, sep, value = text.partition("=")
             if not sep:

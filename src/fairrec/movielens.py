@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
@@ -19,8 +17,10 @@ from .core import (
     Dataset,
     FairrecError,
     MalformedLineError,
+    _file_lines,
     _file_pieces,
     _frozen,
+    _open_text,
     _read_rows,
 )
 
@@ -106,21 +106,6 @@ def canonical_genres(names) -> tuple:
     return tuple(result)
 
 
-def _pieces(path) -> Iterator[str]:
-    """The text of a file in slices, each ending at a line feed or at its end."""
-    # titles may contain ISO-8859-1 characters; all structure is ASCII
-    with open(path, "r", encoding="latin-1") as fh:
-        yield from _file_pieces(fh)
-
-
-def _file_lines(path) -> Iterator[tuple[int, str]]:
-    """(line number, line) for every line of a file that is not blank."""
-    lines = chain.from_iterable(piece.splitlines() for piece in _pieces(path))
-    for no, line in enumerate(lines, start=1):
-        if line.strip():
-            yield no, line
-
-
 def _new_id(no: int, text: str, seen: dict) -> int:
     """The id in text, which must fit int64 and be absent from seen."""
     try:
@@ -188,33 +173,37 @@ def _rating_block(ratings_file, users: _Ids, movies: _Ids) -> tuple:
     empty = np.zeros(0, dtype=np.int64)
     chunks = [(empty, empty, empty)]  # a file may hold no ratings
     next_no = 1
-    for piece in _pieces(ratings_file):
-        columns, count = _rating_columns(piece, next_no, users, movies)
-        chunks.append(columns)
-        next_no += count
+    with _open_text(ratings_file, "latin-1") as fh:
+        for piece in _file_pieces(fh):
+            columns, count = _rating_columns(piece, next_no, users, movies)
+            chunks.append(columns)
+            next_no += count
     return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
-    """Parse the three "::"-separated ML-1M files.
+    """Parse the three "::"-separated ML-1M files, read as latin-1: titles
+    may hold ISO-8859-1 characters, and all structure is ASCII.
 
     Blank lines are skipped but counted. The first bad line, a rating of an
     unknown user or movie included, raises MalformedLineError with its
     number; an id may occur once per file.
     """
     users = {}
-    for no, line in _file_lines(users_file):
-        parts = line.split("::")
-        if len(parts) != 5 or parts[1] not in ("M", "F"):
-            raise MalformedLineError(no, f"bad users line {line!r}")
-        users[_new_id(no, parts[0], users)] = parts[1]
+    with _open_text(users_file, "latin-1") as fh:
+        for no, line in _file_lines(fh):
+            parts = line.split("::")
+            if len(parts) != 5 or parts[1] not in ("M", "F"):
+                raise MalformedLineError(no, f"bad users line {line!r}")
+            users[_new_id(no, parts[0], users)] = parts[1]
 
     movies = {}
-    for no, line in _file_lines(movies_file):
-        parts = line.split("::")
-        if len(parts) != 3:
-            raise MalformedLineError(no, f"bad movies line {line!r}")
-        movies[_new_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
+    with _open_text(movies_file, "latin-1") as fh:
+        for no, line in _file_lines(fh):
+            parts = line.split("::")
+            if len(parts) != 3:
+                raise MalformedLineError(no, f"bad movies line {line!r}")
+            movies[_new_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
 
     return MovieLensRaw(users, movies, *_rating_block(ratings_file, _Ids(users), _Ids(movies)))
 

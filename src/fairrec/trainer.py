@@ -32,6 +32,7 @@ from .core import (
     MalformedLineError,
     _check_memory,
     _fmt,
+    _frozen,
     _open_text,
     _write_text,
 )
@@ -52,11 +53,10 @@ class TrainTrace:
 
     def __post_init__(self):
         for name in ("objective", "penalty"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 1 or len(arr) != len(np.asarray(self.objective)):
                 raise FairrecError("trace columns must be 1-d and equally long")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     def __len__(self) -> int:
         return len(self.objective)

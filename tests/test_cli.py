@@ -1,5 +1,6 @@
 """Command-line workflows, exercised in process through cli.main()."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -1010,7 +1011,27 @@ class TestUsageErrors:
         assert code == 1
         assert "--out" in stderr
 
-    def test_help_exits_zero(self, capsys):
-        code, stdout, _ = run(capsys, "--help")
+    @pytest.mark.parametrize("command", [
+        (), ("synth-gen",), ("ml-prepare",), ("train",), ("eval",),
+        ("reproduce-fig1",), ("reproduce-table1",), ("reproduce-table2",),
+    ], ids=lambda command: command[0] if command else "fairrec")
+    def test_help_exits_zero(self, capsys, command):
+        code, stdout, _ = run(capsys, *command, "--help")
         assert code == 0
-        assert "synth-gen" in stdout
+        assert stdout.startswith(" ".join(("usage: fairrec",) + command) + " ")
+        if not command:
+            assert "synth-gen" in stdout
+
+    def test_movielens_options_declared_once(self):
+        subs = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+        def movielens_options(command):
+            return [(a.option_strings, a.dest, a.type, a.choices, a.help)
+                    for a in subs.choices[command]._actions
+                    if a.dest in ("ml_path", "genres", "min_ratings", "genre_mode")]
+
+        options = movielens_options("ml-prepare")
+        assert [flags for flags, *_ in options] == [
+            ["--ml-path"], ["--genres"], ["--min-ratings"], ["--mode"]]
+        assert movielens_options("reproduce-table2") == options

@@ -139,6 +139,21 @@ class TestDatasetIsValidOnceBuilt:
     def test_no_ratings_allowed(self):
         assert small_dataset(ratings=[]).num_ratings == 0
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("num_users", 0, "dataset needs at least one user and one item"),
+        ("num_items", 0, "dataset needs at least one user and one item"),
+        ("values", np.ones(3), "user_idx, item_idx, values must be 1-d and equally long"),
+        ("user_idx", np.zeros((4, 1)), "user_idx, item_idx, values must be 1-d and equally long"),
+        ("rating_scale", (5.0, 1.0), "invalid rating scale (5.0, 1.0)"),
+        ("rating_scale", (1.0, float("inf")), "invalid rating scale (1.0, inf)"),
+        ("user_group_fine", ("W", "M"), "user_group_fine must have one label per user"),
+        ("item_group", ("Fem",), "item_group must have one label per item"),
+    ])
+    def test_malformed_field_rejected(self, field, bad, message):
+        with pytest.raises(FairrecError) as exc:
+            replace(small_dataset(), **{field: bad})
+        assert str(exc.value) == message
+
     def test_replace_checks_again(self):
         d = small_dataset()
         with pytest.raises(FairrecError, match="rating outside scale"):
@@ -287,6 +302,15 @@ class TestDatasetFormat:
         with pytest.raises(MalformedLineError) as exc:
             parse_text(text)
         assert exc.value.line_no == 4
+
+    @pytest.mark.parametrize("error", [OSError, ValueError])
+    def test_unreported_memory_bounds_nothing(self, monkeypatch, error):
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(core.os, "sysconf", sysconf)
+        assert core._memory_budget() is None
+        core._check_memory(10**30, "a huge dataset")
 
     @pytest.mark.parametrize("line, message", [
         ("u 1 0 X", "unknown fine user group 'X'"),

@@ -15,7 +15,7 @@ from fairrec import (
     full_report,
 )
 from fairrec.factorization import Entries
-from fairrec.metrics import KINDS, Unfairness
+from fairrec.metrics import KINDS, Unfairness, item_terms
 
 from conftest import (dataset_from_ratings, dataset_triples, make_eval_instance, make_model,
                       make_train_dataset)
@@ -63,6 +63,11 @@ class TestUnfairness:
         unfairness = Unfairness(data, KINDS, "evaluation entries")
         assert unfairness.comparable.tolist() == [False, True, False]
         assert full_report(model, data).items_counted == 1
+
+
+    def test_unknown_item_kind_rejected(self):
+        with pytest.raises(FairrecError, match="^unknown per-item unfairness kind 'parity'$"):
+            item_terms("parity", np.zeros((2, 3)))
 
 
 class TestMetricsAgainstOracle:

@@ -104,9 +104,14 @@ class TestTrainTrace:
         with pytest.raises(ValueError):
             tr.objective[0] = 5.0
 
-    def test_rejects_ragged(self):
-        with pytest.raises(FairrecError):
-            TrainTrace(np.zeros(3), np.zeros(2))
+    @pytest.mark.parametrize("objective, penalty", [
+        (np.zeros(3), np.zeros(2)),
+        (np.zeros(1), 0.0),
+        (np.zeros((1, 1)), np.zeros(1)),
+    ], ids=["ragged", "scalar", "2-d"])
+    def test_rejects_ragged(self, objective, penalty):
+        with pytest.raises(FairrecError, match="^trace columns must be 1-d and equally long$"):
+            TrainTrace(objective, penalty)
 
 
 class TestTrain:
