@@ -5,6 +5,7 @@ format's exact per-line reader as its fallback."""
 
 from __future__ import annotations
 
+import operator
 import os
 import warnings
 from contextlib import contextmanager
@@ -30,6 +31,14 @@ class MalformedLineError(FairrecError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _whole_number(obj, name: str) -> int:
+    """obj's field name, which must be an int or a numpy integer, else FairrecError."""
+    try:
+        return operator.index(value := getattr(obj, name))
+    except TypeError:
+        raise FairrecError(f"{name} must be a whole number, got {value!r}") from None
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -105,7 +114,7 @@ class Dataset:
     item_group: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.num_users < 1 or self.num_items < 1:
+        if _whole_number(self, "num_users") < 1 or _whole_number(self, "num_items") < 1:
             raise FairrecError("dataset needs at least one user and one item")
         u = np.asarray(self.user_idx, dtype=np.int64)
         i = np.asarray(self.item_idx, dtype=np.int64)
@@ -214,9 +223,9 @@ class Hyperparams:
     init_scale: float = 0.5
 
     def __post_init__(self):
-        if self.seed < 0:
+        if _whole_number(self, "seed") < 0:
             raise FairrecError("seed must be >= 0")
-        if self.d < 1:
+        if _whole_number(self, "d") < 1:
             raise FairrecError("d (latent dimension) must be >= 1")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise FairrecError("lambda (lam) must be finite and >= 0")
@@ -224,7 +233,7 @@ class Hyperparams:
             raise FairrecError("alpha must be finite and >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise FairrecError("lr (learning_rate) must be finite and > 0")
-        if self.iterations < 1:
+        if _whole_number(self, "iterations") < 1:
             raise FairrecError("iterations must be >= 1")
         if not (np.isfinite(self.init_scale) and self.init_scale > 0):
             raise FairrecError("init_scale must be finite and > 0")

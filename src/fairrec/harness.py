@@ -23,6 +23,7 @@ from .core import (
     _file_lines,
     _fmt,
     _open_text,
+    _whole_number,
 )
 from .metrics import full_report
 from .movielens import (
@@ -90,6 +91,7 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        _whole_number(self, "num_users"), _whole_number(self, "num_items")
         _check_source(self.source)
         if self.regime not in REGIMES:
             raise FairrecError(f"regime must be one of {REGIMES}, got {self.regime!r}")
@@ -101,13 +103,13 @@ class ExperimentConfig:
         if self.source == "synthetic":
             # fails here, not at the first trial, on sizes the shares cannot split
             RegimeConfig(self.regime, self.num_users, self.num_items)
-        if self.min_ratings < 0:
+        if _whole_number(self, "min_ratings") < 0:
             raise FairrecError("min_ratings must be >= 0")
         if not 0.0 < self.split_fraction < 1.0:
             raise FairrecError("split (split_fraction) must lie strictly between 0 and 1")
-        if self.trials < 1:
+        if _whole_number(self, "trials") < 1:
             raise FairrecError("trials must be >= 1")
-        if self.base_seed < 0:
+        if _whole_number(self, "base_seed") < 0:
             raise FairrecError("base_seed must be >= 0")
         if not self.penalties:
             raise FairrecError("need at least one penalty spec")

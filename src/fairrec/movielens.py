@@ -42,7 +42,6 @@ class _Ids:
     is found by its position among them."""
 
     def __init__(self, ids: dict):
-        self.ids = ids
         self.keys = np.array(sorted(ids), dtype=np.int64)
         self.table = None
         if len(ids) and (span := int(self.keys[-1]) - int(self.keys[0])) < 16 * len(ids):
@@ -126,61 +125,6 @@ _RATING_LINE = np.dtype([("user", np.int64), ("gap1", "U1"), ("movie", np.int64)
                          ("stamp", np.int64)])
 
 
-def _rating_columns(piece: str, first_no: int, users: _Ids, movies: _Ids) -> tuple:
-    """Columns (user position, movie position, star) of a piece of rating
-    lines, and the number of its lines; raises for its first bad line, a
-    timestamp outside int64 or an unknown user or movie included. Blank lines
-    hold no rating."""
-    def read_line(no: int, line: str):
-        if not line.strip():
-            return None
-        parts = line.split("::")
-        if len(parts) != 4:
-            raise MalformedLineError(no, f"bad ratings line {line!r}")
-        try:
-            uid, mid, val, ts = map(int, parts)
-        except ValueError as exc:
-            raise MalformedLineError(no, str(exc)) from exc
-        if not 1 <= val <= 5:
-            raise MalformedLineError(no, f"rating {val} outside [1, 5]")
-        if ts not in _INT64:
-            raise MalformedLineError(no, f"timestamp {ts} outside the int64 range")
-        if uid not in users.ids:
-            raise MalformedLineError(no, f"rating references unknown user {uid}")
-        if mid not in movies.ids:
-            raise MalformedLineError(no, f"rating references unknown movie {mid}")
-        return uid, "", mid, "", val, "", ts
-
-    rows, count = _read_rows(piece, first_no, _RATING_LINE, read_line, delimiter=":")
-    user_pos, user_found = users.find(rows["user"])
-    movie_pos, movie_found = movies.find(rows["movie"])
-    # A gap holding text, which U1 cuts to one character, is a lone ":"; an
-    # empty U1 field is the code point 0.
-    gaps = [rows[name].view(np.uint32) for name in ("gap1", "gap2", "gap3")]
-    if (gaps[0] | gaps[1] | gaps[2]).any() or not (
-            (1 <= rows["star"]) & (rows["star"] <= 5) & user_found & movie_found).all():
-        # only the C reader lets such a row through; read_line raises for the
-        # piece's first bad line
-        for no, line in enumerate(piece.splitlines(), start=first_no):
-            read_line(no, line)
-    # the stars as a copy, so that the piece's rows can be freed
-    return (user_pos, movie_pos, rows["star"].astype(np.float64)), count
-
-
-def _rating_block(ratings_file, users: _Ids, movies: _Ids) -> tuple:
-    """Columns (user position, movie position, star) of every rating in the
-    file."""
-    empty = np.zeros(0, dtype=np.int64)
-    chunks = [(empty, empty, empty)]  # a file may hold no ratings
-    next_no = 1
-    with _open_text(ratings_file, "latin-1") as fh:
-        for piece in _file_pieces(fh):
-            columns, count = _rating_columns(piece, next_no, users, movies)
-            chunks.append(columns)
-            next_no += count
-    return tuple(map(np.concatenate, zip(*chunks)))
-
-
 def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
     """Parse the three "::"-separated ML-1M files, read as latin-1: titles
     may hold ISO-8859-1 characters, and all structure is ASCII.
@@ -205,7 +149,49 @@ def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
                 raise MalformedLineError(no, f"bad movies line {line!r}")
             movies[_new_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
 
-    return MovieLensRaw(users, movies, *_rating_block(ratings_file, _Ids(users), _Ids(movies)))
+    def read_line(no: int, line: str):
+        """The record of one ratings line, None for a blank one; raises for a
+        bad line, a timestamp outside int64 or an unknown user or movie."""
+        if not line.strip():
+            return None
+        parts = line.split("::")
+        if len(parts) != 4:
+            raise MalformedLineError(no, f"bad ratings line {line!r}")
+        try:
+            uid, mid, val, ts = map(int, parts)
+        except ValueError as exc:
+            raise MalformedLineError(no, str(exc)) from exc
+        if not 1 <= val <= 5:
+            raise MalformedLineError(no, f"rating {val} outside [1, 5]")
+        if ts not in _INT64:
+            raise MalformedLineError(no, f"timestamp {ts} outside the int64 range")
+        if uid not in users:
+            raise MalformedLineError(no, f"rating references unknown user {uid}")
+        if mid not in movies:
+            raise MalformedLineError(no, f"rating references unknown movie {mid}")
+        return uid, "", mid, "", val, "", ts
+
+    user_ids, movie_ids = _Ids(users), _Ids(movies)
+    chunks = [(np.zeros(0, dtype=np.int64),) * 3]  # a file may hold no ratings
+    next_no = 1
+    with _open_text(ratings_file, "latin-1") as fh:
+        for piece in _file_pieces(fh):
+            rows, count = _read_rows(piece, next_no, _RATING_LINE, read_line, delimiter=":")
+            user_pos, user_found = user_ids.find(rows["user"])
+            movie_pos, movie_found = movie_ids.find(rows["movie"])
+            # A gap holding text, which U1 cuts to one character, is a lone ":";
+            # an empty U1 field is the code point 0.
+            gaps = [rows[name].view(np.uint32) for name in ("gap1", "gap2", "gap3")]
+            if (gaps[0] | gaps[1] | gaps[2]).any() or not (
+                    (1 <= rows["star"]) & (rows["star"] <= 5) & user_found & movie_found).all():
+                # only the C reader lets such a row through; read_line raises
+                # for the piece's first bad line
+                for no, line in enumerate(piece.splitlines(), start=next_no):
+                    read_line(no, line)
+            # the stars as a copy, so that the piece's rows can be freed
+            chunks.append((user_pos, movie_pos, rows["star"].astype(np.float64)))
+            next_no += count
+    return MovieLensRaw(users, movies, *map(np.concatenate, zip(*chunks)))
 
 
 def parse_ml1m_dir(directory) -> MovieLensRaw:

@@ -30,6 +30,7 @@ from .core import (
     _check_memory,
     _fmt,
     _frozen,
+    _whole_number,
     _write_text,
 )
 
@@ -66,21 +67,21 @@ class RegimeConfig:
         if self.regime not in REGIMES:
             raise FairrecError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         # group sizes and indices are int64 arrays
-        if max(self.num_users, self.num_items) > np.iinfo(np.int64).max:
+        n, m = _whole_number(self, "num_users"), _whole_number(self, "num_items")
+        if max(n, m) > np.iinfo(np.int64).max:
             raise FairrecError("user and item counts must fit in int64")
-        if self.num_users < len(USER_FINE_GROUPS):
+        if n < len(USER_FINE_GROUPS):
             raise FairrecError("need at least one user per group")
-        if self.num_items < len(ITEM_GROUPS):
+        if m < len(ITEM_GROUPS):
             raise FairrecError("need at least one item per group")
-        if self.seed < 0:
+        if _whole_number(self, "seed") < 0:
             raise FairrecError("seed must be >= 0")
-        _user_counts(self.num_users, _REGIMES[self.regime][0])
-        if self.num_items % len(ITEM_GROUPS) != 0:
-            raise FairrecError(f"{self.num_items} items cannot be split into exact thirds")
+        _user_counts(n, _REGIMES[self.regime][0])
+        if m % len(ITEM_GROUPS) != 0:
+            raise FairrecError(f"{m} items cannot be split into exact thirds")
         # generate holds three float64 and two bool n x m grids at once, and
         # expected_value_eval one more bool grid
-        _check_memory(27 * self.num_users * self.num_items,
-                      f"{self.num_users} x {self.num_items} generated data")
+        _check_memory(27 * n * m, f"{n} x {m} generated data")
 
 
 def _user_counts(n: int, shares: dict) -> list:

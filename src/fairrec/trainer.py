@@ -95,7 +95,8 @@ def adam_step(params: np.ndarray, grad: np.ndarray, first: np.ndarray, second: n
 def train(train_set: Dataset, hyper: Hyperparams,
           spec: PenaltySpec = PenaltySpec.none()) -> tuple[FactorModel, TrainTrace]:
     """Full-batch Adam on objective + alpha * penalty for hyper.iterations steps."""
-    n, m, d = train_set.num_users, train_set.num_items, hyper.d
+    # Python ints, so that the memory estimate cannot overflow as a numpy integer
+    n, m, d = map(int, (train_set.num_users, train_set.num_items, hyper.d))
     # the parameters, their gradient and Adam's two moments, at 8 bytes each
     _check_memory(32 * (n + m) * (d + 1), f"a {n} x {m} model at d = {d}")
     loss = TrainingObjective(train_set, hyper.lam, spec, hyper.alpha)

@@ -3,6 +3,7 @@
 import io
 import random
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -12,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 import fairrec.core as core
 from fairrec import (
     Dataset,
+    ExperimentConfig,
     FactorModel,
     FairrecError,
     Hyperparams,
     MalformedLineError,
+    RegimeConfig,
     load_dataset,
     save_dataset,
 )
@@ -192,6 +195,23 @@ class TestHyperparams:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(FairrecError):
             Hyperparams(**bad)
+
+
+@pytest.mark.parametrize("build, field", [
+    (small_dataset, "num_users"), (small_dataset, "num_items"),
+    (Hyperparams, "d"), (Hyperparams, "iterations"), (Hyperparams, "seed"),
+    *((partial(RegimeConfig, "U"), field) for field in ("num_users", "num_items", "seed")),
+    *((ExperimentConfig, field)
+      for field in ("num_users", "num_items", "min_ratings", "trials", "base_seed")),
+])
+@pytest.mark.parametrize("bad", [2.0, 2.5, np.float64(4.0), "4", None])
+def test_sizes_and_seeds_must_be_whole_numbers(build, field, bad):
+    with pytest.raises(FairrecError) as exc:
+        build(**{field: bad})
+    assert str(exc.value) == f"{field} must be a whole number, got {bad!r}"
+    # a numpy integer is a whole number
+    default = getattr(build(), field)
+    assert getattr(build(**{field: np.int64(default)}), field) == default
 
 
 class TestDatasetFormat:

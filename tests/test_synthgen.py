@@ -72,6 +72,12 @@ class TestRegimeConfig:
         with pytest.raises(FairrecError, match="^400 x 303 generated data needs at least "):
             RegimeConfig("U", 400, 303)
 
+    def test_numpy_integer_sizes_are_multiplied_without_overflow(self, monkeypatch):
+        # 27 * 4e9 * 3e9 exceeds int64: the product must be taken on Python ints
+        monkeypatch.setattr(core, "_memory_budget", lambda: 10**12)
+        with pytest.raises(FairrecError, match="^4000000000 x 3000000000 generated data needs"):
+            RegimeConfig("U", np.int64(4 * 10**9), np.int64(3 * 10**9))
+
     def test_host_without_a_memory_size_is_not_checked(self, monkeypatch):
         monkeypatch.setattr(core, "_memory_budget", lambda: None)
         RegimeConfig("U", 4 * 10**9, 3 * 10**9)

@@ -124,6 +124,12 @@ class TestTrain:
         assert trace.objective[-1] < trace.objective[0]
         assert objective(model, d, 0.0) <= trace.objective[-1] + 1e-9
 
+    def test_numpy_integer_d_is_sized_without_overflow(self, rng):
+        # 32 * (n + m) * (d + 1) exceeds int64 at d = 2**60
+        d, _ = make_train_dataset(rng, num_users=6, num_items=5)
+        with pytest.raises(FairrecError, match=f"^a 6 x 5 model at d = {2**60} needs at least"):
+            train(d, Hyperparams(d=np.int64(2**60), iterations=1))
+
     def test_same_seed_same_model(self, rng):
         d, _ = make_train_dataset(rng, num_users=6, num_items=5)
         hyper = Hyperparams(d=2, iterations=15, seed=11)

@@ -13,8 +13,9 @@ printed as a table; the exit status is 1 if there is any, else 0. A change
 that means to move a result names the lines that moved in CHANGES.md.
 
 The inputs a case needs besides its own commands' outputs (the
-MovieLens-layout directory and the thinned dataset) are written by this
-working tree's code for both trees.
+MovieLens-layout directory and its faulty copies, the thinned dataset, the
+faulty dataset and checkpoint files, and the config files) are written by
+this working tree's code for both trees.
 """
 
 from __future__ import annotations
@@ -87,6 +88,52 @@ def bad_inputs(directory: str) -> None:
             fh.writelines(text)
 
 
+BAD_ML = ("star", "user", "movie", "gap", "stamp", "blank", "latin", "gender", "repeat")
+
+
+def bad_ml(directory: str) -> None:
+    """Copies of ml/, each named ml-FAULT, with one fault each: a star of 9;
+    an unknown user; an unknown movie; a lone ":" gap; a timestamp beyond
+    int64; a blank line before a bad line; a non-ASCII character in a field;
+    gender X; a repeated movie id."""
+    def lines(name):
+        with open(os.path.join(directory, "ml", name), encoding="latin-1") as fh:
+            return fh.read().splitlines(keepends=True)
+
+    users, movies, ratings = (lines(name) for name in ("users.dat", "movies.dat", "ratings.dat"))
+
+    def rating(no: int, line: str) -> tuple:
+        """ratings.dat with line ``no`` replaced by ``line``."""
+        return "ratings.dat", ratings[:no - 1] + [line + "\n"] + ratings[no:]
+
+    faulty = dict(zip(BAD_ML, (
+        rating(5, "1::2::9::978300000"),
+        rating(7, "999::2::3::978300000"),
+        rating(9, "1::999::3::978300000"),
+        rating(3, "1:::2::3::978300000"),
+        rating(11, "1::2::3::9223372036854775808"),
+        ("ratings.dat", ratings[:12] + ["\n", "1::2::3\n"] + ratings[12:]),
+        rating(15, "1::2\u00e9::3::978300000"),
+        ("users.dat", users[:3] + ["4::X::25::0::00000\n"] + users[4:]),
+        ("movies.dat", movies + movies[:1]))))
+    for fault, (name, text) in faulty.items():
+        copy = os.path.join(directory, "ml-" + fault)
+        shutil.copytree(os.path.join(directory, "ml"), copy)
+        with open(os.path.join(copy, name), "w", encoding="latin-1", newline="") as fh:
+            fh.writelines(text)
+
+
+def configs(directory: str) -> None:
+    """Config files for synth-gen (with a comment and the "key value" form),
+    train (read as a MovieLens run, with a penalty) and reproduce-table1."""
+    for name, text in (("gen.cfg", "# a comment\nusers 40\nitems = 30\nregime P\n"),
+                       ("train.cfg", "source = movielens\npenalty = absolute\niterations = 10\n"),
+                       ("t1.cfg", "regime = U\nusers = 40\nitems = 30\ntrials = 2\n"
+                                  "iterations = 5\n")):
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
 def trains(data: str) -> list:
     """A 20-iteration train of every default penalty on ``data``, each model
     evaluated by RMSE, and the unpenalized one by MSE as well."""
@@ -129,6 +176,16 @@ CASES = {
                       *(["train", "--data", name, "--iterations", "3", "--out", "e.txt"]
                         for name in BAD_DATA),
                       *(["eval", "--model", name, "--data", "d.txt"] for name in BAD_MODELS)],
+    "ml reader exit 2": [write_ml, bad_ml,
+                         *(["ml-prepare", "--ml-path", "ml-" + fault, "--min-ratings", "5",
+                            "--out", "e.txt"] for fault in BAD_ML)],
+    "config and smoothing": [
+        configs,
+        ["synth-gen", "--config", "gen.cfg", "--out", "g.txt"],
+        ["train", "--data", "g.txt", "--config", "train.cfg", "--out", "m1.txt"],
+        ["train", "--data", "g.txt", "--penalty", "absolute", "--smoothing", "1e-3",
+         "--iterations", "10", "--out", "m2.txt"],
+        ["reproduce-table1", "--config", "t1.cfg", "--out", "t1.csv"]],
 }
 
 
