@@ -475,7 +475,9 @@ def _open_text(path, encoding: str = "utf-8"):
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise FairrecError(str(exc)) from exc
+            # the codec's position counts from the piece being read, not the file
+            raise FairrecError(f"{path}: {exc.encoding!r} codec can't decode byte "
+                               f"{exc.object[exc.start]:#04x}: {exc.reason}") from exc
 
 
 def load_dataset(path) -> Dataset:

@@ -63,3 +63,9 @@ def test_package_raises_no_bare_value_error():
                 if isinstance(exc, ast.Name) and exc.id == "ValueError":
                     raises.append(f"{path.name}:{node.lineno}")
     assert raises == []
+
+
+def test_every_warning_is_an_error(request):
+    """pyproject.toml turns every warning into an error, so a numpy warning or
+    a file left open fails the test that caused it, and no test sets a filter."""
+    assert request.config.getini("filterwarnings") == ["error"]

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,6 +25,7 @@ from fairrec import (
 )
 from fairrec import cli
 from fairrec.cli import main
+from fairrec.factorization import Entries
 
 from conftest import make_model
 
@@ -51,6 +51,19 @@ def model_file(synth_file, tmp_path_factory):
     code = main(["train", "--data", str(synth_file), "--d", "2", "--lambda", "1e-4",
                  "--iterations", "20", "--seed", "1", "--out", str(path)])
     assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def sparse_file(synth_file, tmp_path_factory):
+    """synth_file with every fourth rating (7% fill), which takes the gathered
+    predictions and the CSR gradient."""
+    path = tmp_path_factory.mktemp("cli-sparse") / "sparse.txt"
+    lines = synth_file.read_text().splitlines(keepends=True)
+    first = next(k for k, line in enumerate(lines) if line.startswith("r "))
+    path.write_text("".join(lines[:first] + lines[first + 3::4]))
+    entries = Entries(load_dataset(path))
+    assert not (entries.dense_predict or entries.dense_gradient)
     return path
 
 
@@ -113,18 +126,23 @@ class TestSynthGen:
 
 
 class TestMlPrepare:
-    def test_prints_counts(self, ml_dir, capsys):
+    @pytest.mark.parametrize("min_ratings, counts", [("2", "users=5 movies=5\nratings=14\n"),
+                                                     ("0", "users=6 movies=5\nratings=15\n")],
+                             ids=["min-2", "min-0"])
+    def test_prints_counts(self, ml_dir, capsys, min_ratings, counts):
         code, stdout, _ = run(capsys, "ml-prepare", "--ml-path", str(ml_dir),
-                              "--min-ratings", "2")
+                              "--min-ratings", min_ratings)
         assert code == 0
-        assert stdout == "users=5 movies=5\nratings=14\n"
+        assert stdout == counts
 
     def test_writes_dataset(self, ml_dir, tmp_path, capsys):
-        out = tmp_path / "ml.txt"
-        code, _, _ = run(capsys, "ml-prepare", "--ml-path", str(ml_dir),
-                         "--min-ratings", "2", "--out", str(out))
-        assert code == 0
-        data = load_dataset(out)
+        outs = [tmp_path / "ml.txt", tmp_path / "ml-again.txt"]
+        for out in outs:
+            code, _, _ = run(capsys, "ml-prepare", "--ml-path", str(ml_dir),
+                             "--min-ratings", "2", "--out", str(out))
+            assert code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        data = load_dataset(outs[0])
         assert (data.num_users, data.num_items, data.num_ratings) == (5, 5, 14)
         assert data.protected.sum() == 3
 
@@ -154,18 +172,29 @@ class TestMlPrepare:
         assert code == 0
         assert stdout == "users=3 movies=1\nratings=3\n"
 
-    def test_repeated_rating_exits_two(self, ml_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("name, edit, message", [
+        ("ratings.dat", lambda text: text + "3::5::2::978302040\n",
+         "duplicate rating for MovieLens user 3, movie 5"),
+        ("users.dat", lambda text: text.replace("1::F::", "1::X::", 1),
+         "line 1: bad users line '1::X::1::10::48067'"),
+        # numpy's C reader accepts the lone ":", so the piece is read again by line
+        ("ratings.dat", lambda text: text.replace("1::6::4::978301968", "1:::2::3::978300000"),
+         "line 3: invalid literal for int() with base 10: ':2'"),
+    ], ids=["duplicate", "gender-x", "lone-colon"])
+    def test_repeated_rating_exits_two(self, ml_dir, tmp_path, capsys, name, edit, message):
         root = tmp_path / "ml"
         root.mkdir()
-        for name in ("users.dat", "movies.dat", "ratings.dat"):
-            (root / name).write_bytes((ml_dir / name).read_bytes())
-        with open(root / "ratings.dat", "a", encoding="latin-1") as fh:
-            fh.write("3::5::2::978302040\n")
+        for part in ("users.dat", "movies.dat", "ratings.dat"):
+            text = (ml_dir / part).read_text(encoding="latin-1")
+            if part == name:
+                text, before = edit(text), text
+                assert text != before
+            (root / part).write_text(text, encoding="latin-1")
         out = tmp_path / "ml.txt"
         code, stdout, stderr = run(capsys, "ml-prepare", "--ml-path", str(root),
                                    "--min-ratings", "2", "--out", str(out))
         assert (code, stdout) == (2, "")
-        assert stderr == "error: duplicate rating for MovieLens user 3, movie 5\n"
+        assert stderr == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_directory_exits_two(self, tmp_path, capsys):
@@ -217,15 +246,17 @@ class TestTrain:
         assert trace.exists()
         assert not (tmp_path / "m.txt.trace.csv").exists()
 
-    def test_penalty_reported(self, synth_file, tmp_path, capsys):
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_penalty_reported(self, synth_file, sparse_file, tmp_path, capsys, sparse):
+        data = sparse_file if sparse else synth_file
         out = tmp_path / "m.txt"
-        code, stdout, _ = run(capsys, "train", "--data", str(synth_file), "--d", "2",
+        code, stdout, _ = run(capsys, "train", "--data", str(data), "--d", "2",
                               "--iterations", "10", "--penalty", "value",
                               "--alpha", "0.5", "--out", str(out))
         assert code == 0
         assert float(stdout.rsplit("penalty=", 1)[1]) > 0
 
-        code, stdout, _ = run(capsys, "train", "--data", str(synth_file), "--d", "2",
+        code, stdout, _ = run(capsys, "train", "--data", str(data), "--d", "2",
                               "--iterations", "10", "--penalty", "none",
                               "--out", str(out))
         assert code == 0
@@ -245,13 +276,20 @@ class TestTrain:
         assert code == 2
         assert stderr.startswith("error:")
 
-    def test_malformed_data_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: "not a dataset\n", "line 1: bad header"),
+        # more users than the file has u lines
+        (lambda text: text.replace("users=40 ", "users=5000 ", 1),
+         "line 407: no 'u' line for user 40"),
+    ], ids=["no-header", "users-beyond-u-lines"])
+    def test_malformed_data_exits_two(self, synth_file, tmp_path, capsys, edit, message):
         bad = tmp_path / "bad.txt"
-        bad.write_text("not a dataset\n")
-        code, _, stderr = run(capsys, "train", "--data", str(bad),
-                              "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr.startswith("error:")
+        bad.write_text(edit(synth_file.read_text()))
+        code, stdout, stderr = run(capsys, "train", "--data", str(bad),
+                                   "--out", str(tmp_path / "m.txt"))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {message}")
+        assert not (tmp_path / "m.txt").exists()
 
     def test_negative_learning_rate_exits_two(self, synth_file, tmp_path, capsys):
         code, _, stderr = run(capsys, "train", "--data", str(synth_file), "--lr", "-1",
@@ -328,15 +366,21 @@ class TestTrain:
         assert code == 2
         assert stderr == f"error: {message}\n"
 
-    @pytest.mark.filterwarnings("error")
-    def test_huge_init_scale_diverges_without_warning(self, synth_file, tmp_path, capsys):
+    @pytest.mark.parametrize("sparse, flags, iteration", [
+        (False, ["--config", "{cfg}"], 0),
+        (False, ["--penalty", "parity", "--lr", "1e300", "--iterations", "2"], 1),
+        (True, ["--penalty", "parity", "--lr", "1e300", "--iterations", "2"], 1),
+    ], ids=["init-scale", "parity-lr-dense", "parity-lr-sparse"])
+    def test_diverging_run_exits_two(self, synth_file, sparse_file, tmp_path, capsys,
+                                     sparse, flags, iteration):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("init_scale = 1e308\niterations = 3\n")
         out = tmp_path / "m.txt"
-        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file),
-                                   "--config", str(cfg), "--out", str(out))
+        code, stdout, stderr = run(capsys, "train", "--data",
+                                   str(sparse_file if sparse else synth_file),
+                                   *(flag.format(cfg=cfg) for flag in flags), "--out", str(out))
         assert (code, stdout) == (2, "")
-        assert stderr == "error: combined objective became non-finite at iteration 0\n"
+        assert stderr == f"error: combined objective became non-finite at iteration {iteration}\n"
         assert not out.exists()
 
     def test_bad_penalty_exits_two(self, synth_file, tmp_path, capsys):
@@ -414,8 +458,10 @@ class TestEval:
         assert (code, stdout) == (2, "")
         assert stderr == "error: line 2: parameters must be finite\n"
 
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_predictions_exit_two(self, synth_file, model_file, tmp_path, capsys):
+    @pytest.mark.parametrize("sparse, terms", [(False, "error, parity"), (True, "error")],
+                             ids=["dense", "sparse"])
+    def test_overflowing_predictions_exit_two(self, synth_file, sparse_file, model_file,
+                                              tmp_path, capsys, sparse, terms):
         lines = model_file.read_text().splitlines()
         parts = lines[1].split()
         parts[1] = "1e308"
@@ -423,9 +469,9 @@ class TestEval:
         model = tmp_path / "m.txt"
         model.write_text("\n".join(lines) + "\n")
         code, stdout, stderr = run(capsys, "eval", "--model", str(model),
-                                   "--data", str(synth_file))
+                                   "--data", str(sparse_file if sparse else synth_file))
         assert (code, stdout) == (2, "")
-        assert stderr == "error: the model's predictions overflow: error, parity not finite\n"
+        assert stderr == f"error: the model's predictions overflow: {terms} not finite\n"
 
     @pytest.mark.parametrize("model_shape, ratings, message", [
         ((7, 9), [(0, 0, 1.0), (1, 0, 2.0)], "model is 7 x 9, data 3 x 3"),
@@ -801,7 +847,7 @@ def test_input_file_not_utf8_exits_two(argv, synth_file, tmp_path, capsys):
     code, stdout, stderr = run(capsys, *(arg.format(bad=bad, data=synth_file,
                                                     out=tmp_path / "m.txt") for arg in argv))
     assert (code, stdout) == (2, "")
-    assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert stderr == f"error: {bad}: 'utf-8' codec can't decode byte 0xff: invalid start byte\n"
     assert os.listdir(tmp_path) == ["bad.txt"]
 
 
@@ -907,12 +953,11 @@ def mutate(text, edits, sep=" "):
 
 
 def exits_zero_or_two(argv, outputs):
-    """Run main(argv) under a 50 MB memory budget with warnings as errors;
-    it must exit 0, or 2 with none of outputs left behind."""
+    """Run main(argv) under a 50 MB memory budget; it must exit 0, or 2 with
+    none of outputs left behind."""
     with mock.patch.object(fairrec.core, "_memory_budget", lambda: 50 * 10**6), \
-            warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 2), (argv, err.getvalue())
     if code == 2:

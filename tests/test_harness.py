@@ -186,7 +186,6 @@ class TestRunTrials:
             for spec, report in zip(config.penalties, reports):
                 assert report.error == table.values(spec.label, "error")[t]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_trial_seed_and_penalty(self):
         config = tiny_config(
             hyper=Hyperparams(learning_rate=1e200, iterations=5),
@@ -216,7 +215,6 @@ class TestRunTrials:
         assert str(info.value).startswith("trial 0 (seed 4): fraction 0.01 leaves")
         assert str(info.value).endswith(str(info.value.__cause__))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_in_regime_comparison_names_regime(self):
         config = tiny_config(hyper=Hyperparams(learning_rate=1e200, iterations=5),
                              trials=2, base_seed=3)
@@ -225,7 +223,6 @@ class TestRunTrials:
         assert str(info.value).startswith(
             f"trial 0 (seed 3, regime {REGIMES[0]}, penalty none): ")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_on_movielens_names_trial_seed_and_penalty(self, ml_dir):
         config = tiny_config(source="movielens", ml_path=str(ml_dir), min_ratings=2,
                              hyper=Hyperparams(learning_rate=1e200, iterations=5),

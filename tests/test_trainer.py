@@ -156,7 +156,6 @@ class TestTrain:
         model, trace = train(d, Hyperparams(d=2, iterations=5, seed=1))
         assert not trace.penalty.any()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("iterations, where", [(1, "after the last step"),
                                                    (5, "at iteration 1$")])
     @pytest.mark.parametrize("spec", DEFAULT_PENALTIES, ids=lambda spec: spec.label)
