@@ -263,9 +263,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# Every input file is opened by _open_text, and all but checkpoints are read
-# by _file_pieces in pieces of about 16 * _CHUNK_LINES characters, each cut at
-# a line feed. This bounds the text and the lines held at once.
+# Every input file is opened by _open_text and read by _file_pieces in pieces
+# of about 16 * _CHUNK_LINES characters, each cut at a line feed. This bounds
+# the text and the lines held at once.
 _CHUNK_LINES = 1 << 16
 # Characters that keep a piece from numpy's C reader: it reads a NUL in a text
 # field as empty and strips \x1f around a number, and the others are the
@@ -373,14 +373,15 @@ def parse_dataset(fh) -> Dataset:
     first = piece[:piece.find("\n") + 1 or None].splitlines(keepends=True)
     if not first:
         raise MalformedLineError(1, "empty dataset file")
-    header = first[0].split()
     try:
-        fields = dict(part.split("=", 1) for part in header)
-        num_users = int(fields["users"])
-        num_items = int(fields["items"])
-        lo_s, hi_s = fields["scale"].split(",")
-        scale = (float(lo_s), float(hi_s))
+        fields = dict(part.split("=", 1) for part in first[0].split())
+        users, items, (lo_s, hi_s) = fields["users"], fields["items"], fields["scale"].split(",")
     except (ValueError, KeyError) as exc:
+        raise MalformedLineError(1, f"bad header {first[0].strip()!r}: "
+                                    "expected users=N items=M scale=LO,HI") from exc
+    try:
+        num_users, num_items, scale = int(users), int(items), (float(lo_s), float(hi_s))
+    except ValueError as exc:
         raise MalformedLineError(1, f"bad header: {exc}") from exc
     if num_users < 1 or num_items < 1:
         raise MalformedLineError(1, "user and item counts must be >= 1")

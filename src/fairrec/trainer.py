@@ -19,6 +19,7 @@ usual RuntimeWarning when called on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import isfinite
 
 import numpy as np
@@ -31,6 +32,7 @@ from .core import (
     Hyperparams,
     MalformedLineError,
     _check_memory,
+    _file_pieces,
     _fmt,
     _frozen,
     _open_text,
@@ -135,20 +137,27 @@ def format_model(model: FactorModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_model(text: str) -> FactorModel:
-    lines = text.splitlines()
-    if not lines:
+def parse_model(fh) -> FactorModel:
+    rest = chain.from_iterable(piece.splitlines() for piece in _file_pieces(fh))
+    if (first := next(rest, None)) is None:
         raise MalformedLineError(1, "empty checkpoint")
     try:
-        header = dict(part.split("=", 1) for part in lines[0].split())
-        d, n, m = int(header["d"]), int(header["n"]), int(header["m"])
+        header = dict(part.split("=", 1) for part in first.split())
+        d, n, m = header["d"], header["n"], header["m"]
     except (ValueError, KeyError) as exc:
+        raise MalformedLineError(1, f"bad checkpoint header {first!r}: "
+                                    "expected d=D n=N m=M") from exc
+    try:
+        d, n, m = int(d), int(n), int(m)
+    except ValueError as exc:
         raise MalformedLineError(1, f"bad checkpoint header: {exc}") from exc
     if min(d, n, m) < 1:
         raise MalformedLineError(1, f"checkpoint sizes must be >= 1, got d={d} n={n} m={m}")
     expected = 1 + n + m + 2
+    lines = [first, *islice(rest, expected)]
     if len(lines) != expected:
-        raise MalformedLineError(len(lines), f"expected {expected} lines, got {len(lines)}")
+        count = len(lines) + sum(1 for _ in rest)
+        raise MalformedLineError(count, f"expected {expected} lines, got {count}")
 
     def row(no: int, tag: str, width: int) -> list:
         """The values of line no, which must hold tag and width finite numbers."""
@@ -175,7 +184,7 @@ def save_model(model: FactorModel, path) -> None:
 
 def load_model(path) -> FactorModel:
     with _open_text(path) as fh:
-        return parse_model(fh.read())
+        return parse_model(fh)
 
 
 def save_trace(trace: TrainTrace, alpha: float, path) -> None:

@@ -226,14 +226,17 @@ def oracle_parse_dataset(text):
     lines = text.splitlines()
     if not lines:
         raise MalformedLineError(1, "empty dataset file")
-    header = lines[0].split()
     try:
-        fields = dict(part.split("=", 1) for part in header)
-        num_users = int(fields["users"])
-        num_items = int(fields["items"])
+        fields = dict(part.split("=", 1) for part in lines[0].split())
+        users, items = fields["users"], fields["items"]
         lo_s, hi_s = fields["scale"].split(",")
-        scale = (float(lo_s), float(hi_s))
     except (ValueError, KeyError) as exc:
+        raise MalformedLineError(1, f"bad header {lines[0].strip()!r}: "
+                                    "expected users=N items=M scale=LO,HI") from exc
+    try:
+        num_users, num_items = int(users), int(items)
+        scale = (float(lo_s), float(hi_s))
+    except ValueError as exc:
         raise MalformedLineError(1, f"bad header: {exc}") from exc
     if num_users < 1 or num_items < 1:
         raise MalformedLineError(1, "user and item counts must be >= 1")
@@ -402,16 +405,23 @@ def oracle_filter_dataset(raw, genres, min_ratings, mode):
 
 
 def oracle_parse_model(text):
-    """The checkpoint format read one line at a time. trainer.parse_model
-    reads its rows line by line too, by this same algorithm, so agreement
-    between the two shows little: a bug both share goes unseen."""
+    """The checkpoint format read whole, then one line at a time.
+    trainer.parse_model reads an open stream in pieces and holds at most the
+    lines its header declares, plus one, but checks its rows line by line
+    with this same algorithm, so agreement on the rows shows little: a bug
+    both share goes unseen."""
     lines = text.splitlines()
     if not lines:
         raise MalformedLineError(1, "empty checkpoint")
     try:
         header = dict(part.split("=", 1) for part in lines[0].split())
-        d, n, m = int(header["d"]), int(header["n"]), int(header["m"])
+        d, n, m = header["d"], header["n"], header["m"]
     except (ValueError, KeyError) as exc:
+        raise MalformedLineError(1, f"bad checkpoint header {lines[0]!r}: "
+                                    "expected d=D n=N m=M") from exc
+    try:
+        d, n, m = int(d), int(n), int(m)
+    except ValueError as exc:
         raise MalformedLineError(1, f"bad checkpoint header: {exc}") from exc
     if min(d, n, m) < 1:
         raise MalformedLineError(1, f"checkpoint sizes must be >= 1, got d={d} n={n} m={m}")

@@ -180,8 +180,23 @@ class TestMlPrepare:
         # numpy's C reader accepts the lone ":", so the piece is read again by line
         ("ratings.dat", lambda text: text.replace("1::6::4::978301968", "1:::2::3::978300000"),
          "line 3: invalid literal for int() with base 10: ':2'"),
-    ], ids=["duplicate", "gender-x", "lone-colon"])
-    def test_repeated_rating_exits_two(self, ml_dir, tmp_path, capsys, name, edit, message):
+        ("ratings.dat", lambda text: text.replace("2::3::4::", "2::3::9::", 1),
+         "line 5: rating 9 outside [1, 5]"),
+        ("ratings.dat", lambda text: text.replace("2::8::5::", "999::8::5::", 1),
+         "line 7: rating references unknown user 999"),
+        ("ratings.dat", lambda text: text.replace("3::5::5::", "3::999::5::", 1),
+         "line 9: rating references unknown movie 999"),
+        ("ratings.dat", lambda text: text.replace("978300719", "9223372036854775808", 1),
+         "line 11: timestamp 9223372036854775808 outside the int64 range"),
+        ("ratings.dat", lambda text: text.replace("5::7::4::", "\n1::2::3\n5::7::4::", 1),
+         "line 14: bad ratings line '1::2::3'"),
+        ("ratings.dat", lambda text: text.replace("6::6::5::", "6::2\u00e9::5::", 1),
+         "line 15: invalid literal for int() with base 10: '2\u00e9'"),
+        ("movies.dat", lambda text: text + "1::Toy Story (1995)::Comedy\n",
+         "line 9: repeated id 1"),
+    ], ids=["duplicate", "gender-x", "lone-colon", "star-9", "unknown-user", "unknown-movie",
+            "timestamp-beyond-int64", "blank-line", "non-ascii-field", "repeated-movie-id"])
+    def test_bad_movielens_file_exits_two(self, ml_dir, tmp_path, capsys, name, edit, message):
         root = tmp_path / "ml"
         root.mkdir()
         for part in ("users.dat", "movies.dat", "ratings.dat"):
@@ -277,33 +292,47 @@ class TestTrain:
         assert stderr.startswith("error:")
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda text: "not a dataset\n", "line 1: bad header"),
+        (lambda text: "not a dataset\n",
+         "line 1: bad header 'not a dataset': expected users=N items=M scale=LO,HI"),
         # more users than the file has u lines
         (lambda text: text.replace("users=40 ", "users=5000 ", 1),
          "line 407: no 'u' line for user 40"),
-    ], ids=["no-header", "users-beyond-u-lines"])
+        (lambda text: text.replace("u 0 1 W\n", "", 1), "line 406: no 'u' line for user 0"),
+        (lambda text: text.replace("u 0 1 W\n", "u 0 1 X\n", 1),
+         "line 2: unknown fine user group 'X'"),
+        (lambda text: text.replace("\nr ", "\nr 3 x 1.0\nr ", 1),
+         "line 72: invalid literal for int() with base 10: 'x'"),
+        (lambda text: text.replace("r 0 1 0.0\n", "r 0 1 0.0\n" * 2, 1),
+         "duplicate rating for user 0, item 1"),
+        (lambda text: text.replace("r 0 1 0.0\n", "r 0 1 7.0\n", 1),
+         "rating outside scale [0.0, 1.0]"),
+    ], ids=["no-header", "users-beyond-u-lines", "no-u-line-for-user-0", "fine-label-x",
+            "unreadable-item-index", "repeated-rating", "rating-outside-scale"])
     def test_malformed_data_exits_two(self, synth_file, tmp_path, capsys, edit, message):
         bad = tmp_path / "bad.txt"
         bad.write_text(edit(synth_file.read_text()))
         code, stdout, stderr = run(capsys, "train", "--data", str(bad),
                                    "--out", str(tmp_path / "m.txt"))
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith(f"error: {message}")
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "m.txt").exists()
 
     def test_negative_learning_rate_exits_two(self, synth_file, tmp_path, capsys):
-        code, _, stderr = run(capsys, "train", "--data", str(synth_file), "--lr", "-1",
-                              "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr.startswith("error:") and "Traceback" not in stderr
+        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file), "--lr", "-1",
+                                   "--out", str(tmp_path / "m.txt"))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: lr (learning_rate) must be finite and > 0\n"
+        assert not (tmp_path / "m.txt").exists()
 
-    def test_huge_user_count_header_exits_two(self, tmp_path, capsys):
+    def test_huge_user_count_header_exits_two(self, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "huge.txt"
         bad.write_text("users=100000000000 items=1 scale=0.0,5.0\nu 0 1\n")
-        code, _, stderr = run(capsys, "train", "--data", str(bad),
-                              "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr.startswith("error: a 100000000000 x 1 dataset needs at least")
+        monkeypatch.setattr("fairrec.core._memory_budget", lambda: 10**6)
+        code, stdout, stderr = run(capsys, "train", "--data", str(bad),
+                                   "--out", str(tmp_path / "m.txt"))
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: a 100000000000 x 1 dataset needs at least 1,600,000 MB, "
+                          "more than the 1 MB of memory on this host\n")
+        assert not (tmp_path / "m.txt").exists()
 
     def test_item_count_header_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "huge.txt"
@@ -361,10 +390,10 @@ class TestTrain:
     ])
     def test_bad_seed_or_init_scale_exits_two(self, synth_file, tmp_path, capsys,
                                               flag, value, message):
-        code, _, stderr = run(capsys, "train", "--data", str(synth_file), flag, value,
-                              "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr == f"error: {message}\n"
+        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file), flag, value,
+                                   "--out", str(tmp_path / "m.txt"))
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("sparse, flags, iteration", [
         (False, ["--config", "{cfg}"], 0),
@@ -432,31 +461,28 @@ class TestEval:
         rmse, mse = error_of("rmse"), error_of("mse")
         assert mse == pytest.approx(rmse ** 2, rel=1e-12)
 
-    def test_nonpositive_checkpoint_size_exits_two(self, synth_file, tmp_path, capsys):
-        model = tmp_path / "m.txt"
-        model.write_text("d=-1 n=1 m=1\n\n\nbu 0\nbi 0\n")
-        code, stdout, stderr = run(capsys, "eval", "--model", str(model),
-                                   "--data", str(synth_file))
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error:") and "line 1" in stderr
-
     def test_missing_model_exits_two(self, synth_file, tmp_path, capsys):
         code, _, stderr = run(capsys, "eval", "--model", str(tmp_path / "no.txt"),
                               "--data", str(synth_file))
         assert code == 2
         assert stderr.startswith("error:")
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_checkpoint_exits_two(self, synth_file, model_file, tmp_path,
-                                             capsys, bad):
-        lines = model_file.read_text().splitlines()
-        lines[1] = "p " + " ".join([bad] * (len(lines[1].split()) - 1))
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [lines[0], "p nan nan", *lines[2:]], "line 2: parameters must be finite"),
+        (lambda lines: [lines[0], "p inf inf", *lines[2:]], "line 2: parameters must be finite"),
+        (lambda lines: lines[:-1], "line 72: expected 73 lines, got 72"),
+        (lambda lines: ["d=-1 n=40 m=30", *lines[1:]],
+         "line 1: checkpoint sizes must be >= 1, got d=-1 n=40 m=30"),
+        (lambda lines: ["n=40 m=30", *lines[1:]],
+         "line 1: bad checkpoint header 'n=40 m=30': expected d=D n=N m=M"),
+    ], ids=["nan", "inf", "no-last-line", "nonpositive-size", "header-without-d"])
+    def test_bad_checkpoint_exits_two(self, synth_file, model_file, tmp_path, capsys,
+                                      edit, message):
         model = tmp_path / "m.txt"
-        model.write_text("\n".join(lines) + "\n")
+        model.write_text("\n".join(edit(model_file.read_text().splitlines())) + "\n")
         code, stdout, stderr = run(capsys, "eval", "--model", str(model),
                                    "--data", str(synth_file))
-        assert (code, stdout) == (2, "")
-        assert stderr == "error: line 2: parameters must be finite\n"
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("sparse, terms", [(False, "error, parity"), (True, "error")],
                              ids=["dense", "sparse"])
@@ -636,17 +662,29 @@ class TestReproductions:
         rows = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert rows == ["none", "value", "absolute", "under", "over", "parity", "under:2+over"]
 
-    def test_table1_indivisible_users_exit_two_before_training(self, tmp_path, capsys,
-                                                               monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("training started")
+    @pytest.mark.parametrize("argv, trains, message", [
+        (["reproduce-table1", "--users", "401"], 0, "401 users cannot be split as "
+         "{'W': 0.4, 'WS': 0.1, 'MS': 0.4, 'M': 0.1} with exact counts"),
+        (["reproduce-fig1", "--users", "30"], 0, "30 users cannot be split as "
+         "{'W': 0.25, 'WS': 0.25, 'MS': 0.25, 'M': 0.25} with exact counts"),
+        (["reproduce-table1", *FAST, "--lr", "1e300"], 1, "trial 0 (seed 0, regime P+O, "
+         "penalty none): combined objective became non-finite at iteration 1"),
+        (["reproduce-fig1", *FAST, "--lr", "1e300"], 1, "trial 0 (seed 0, regime U, "
+         "penalty none): combined objective became non-finite at iteration 1"),
+    ], ids=["table1-users", "fig1-users", "table1-diverging", "fig1-diverging"])
+    def test_reproduction_refusal_exits_two(self, tmp_path, capsys, monkeypatch, argv, trains,
+                                            message):
+        real, calls = fairrec.harness.train, []
 
-        monkeypatch.setattr("fairrec.harness.train", no_training)
-        out = tmp_path / "t1.csv"
-        code, _, stderr = run(capsys, "reproduce-table1", "--users", "401",
-                              "--out", str(out))
-        assert code == 2
-        assert "401 users" in stderr
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("fairrec.harness.train", counted)
+        out = tmp_path / "out.csv"
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        assert len(calls) == trains
         assert not out.exists()
 
     def test_table2_csv(self, ml_dir, tmp_path, capsys):
@@ -669,10 +707,9 @@ class TestReproductions:
 
         monkeypatch.setattr("fairrec.harness.parse_ml1m_dir", no_loading)
         out = tmp_path / "t2.csv"
-        code, _, stderr = run(capsys, "reproduce-table2", "--ml-path", str(ml_dir),
-                              flag, value, "--out", str(out))
-        assert code == 2
-        assert stderr == f"error: {message}\n"
+        code, stdout, stderr = run(capsys, "reproduce-table2", "--ml-path", str(ml_dir),
+                                   flag, value, "--out", str(out))
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
         assert not out.exists()
 
     def test_table2_unusable_split_names_trial(self, ml_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Optimizer steps, the training loop, and the checkpoint format."""
 
+import io
 import random
 import tracemalloc
 
@@ -36,6 +37,11 @@ from fairrec.trainer import (
 
 from conftest import make_model, make_train_dataset, model_to_vector
 from oracles import oracle_parse_model
+
+
+def parse_text(text):
+    """parse_model on a string."""
+    return parse_model(io.StringIO(text))
 
 
 class TestInitModel:
@@ -204,11 +210,11 @@ class TestModelFormat:
     def test_round_trip_is_byte_identical(self, rng):
         m = make_model(rng, 5, 4, d=3)
         text = format_model(m)
-        assert format_model(parse_model(text)) == text
+        assert format_model(parse_text(text)) == text
 
     def test_round_trip_is_exact(self, rng):
         m = make_model(rng, 4, 3, d=2)
-        back = parse_model(format_model(m))
+        back = parse_text(format_model(m))
         assert np.array_equal(back.user_factors, m.user_factors)
         assert np.array_equal(back.item_factors, m.item_factors)
         assert np.array_equal(back.user_bias, m.user_bias)
@@ -224,6 +230,21 @@ class TestModelFormat:
         save_model(m, path)
         assert format_model(load_model(path)) == format_model(m)
 
+    def test_large_non_checkpoint_file_rejected_without_reading_it_whole(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("users=2000 items=1000 scale=0.0,1.0\n"
+                        + "r 1234 567 0.123456789\n" * 900_000, encoding="utf-8")
+        assert path.stat().st_size > 20 * 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedLineError) as exc:
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line_no == 1
+        assert peak < 10**7
+
     @pytest.mark.parametrize("mutate", [
         lambda lines: lines[1:],                      # missing row
         lambda lines: ["d=x n=3 m=3"] + lines[1:],    # bad header
@@ -234,17 +255,17 @@ class TestModelFormat:
         m = make_model(rng, 3, 3, d=3)
         lines = format_model(m).splitlines()
         with pytest.raises(MalformedLineError):
-            parse_model("\n".join(mutate(lines)) + "\n")
+            parse_text("\n".join(mutate(lines)) + "\n")
 
     def test_empty_checkpoint_rejected(self):
         with pytest.raises(MalformedLineError, match="line 1: empty checkpoint"):
-            parse_model("")
+            parse_text("")
 
     def test_non_numeric_parameter_rejected_at_its_line(self, rng):
         lines = format_model(make_model(rng, 3, 2, d=2)).splitlines()
         lines[2] = "p 0.5 half"
         with pytest.raises(MalformedLineError, match="bad number") as info:
-            parse_model("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
         assert info.value.line_no == 3
 
     @pytest.mark.parametrize("header", ["d=-1 n=1 m=1", "d=0 n=1 m=1",
@@ -252,7 +273,7 @@ class TestModelFormat:
     def test_nonpositive_sizes_rejected_on_line_one(self, header):
         text = "\n".join([header, "", "", "bu 0", "bi 0"]) + "\n"
         with pytest.raises(MalformedLineError) as info:
-            parse_model(text)
+            parse_text(text)
         assert info.value.line_no == 1
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -263,7 +284,7 @@ class TestModelFormat:
         fields[-1] = bad
         lines[row] = " ".join(fields)
         with pytest.raises(MalformedLineError, match="parameters must be finite") as info:
-            parse_model("\n".join(lines) + "\n")
+            parse_text("\n".join(lines) + "\n")
         assert info.value.line_no == row + 1
 
 
@@ -288,7 +309,7 @@ class TestModelFormatProperties:
     @given(model=models())
     def test_round_trip_is_bit_exact_and_byte_stable(self, model):
         text = format_model(model)
-        back = parse_model(text)
+        back = parse_text(text)
         for name in ("user_factors", "item_factors", "user_bias", "item_bias"):
             assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
         assert format_model(back) == text
@@ -352,7 +373,7 @@ class TestParseModelAgainstOracle:
         for edit in edits:
             apply_model_edit(lines, edit, model)
         text = "\n".join(lines) + "\n"
-        assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
+        assert model_outcome(parse_text, text) == model_outcome(oracle_parse_model, text)
 
     def test_huge_width_rejected_before_allocation(self):
         # four short lines match the line count of n=1 m=1, but no row is
@@ -361,13 +382,13 @@ class TestParseModelAgainstOracle:
         tracemalloc.start()
         try:
             with pytest.raises(MalformedLineError) as exc:
-                parse_model(text)
+                parse_text(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert exc.value.line_no == 2
-        assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
+        assert model_outcome(parse_text, text) == model_outcome(oracle_parse_model, text)
 
     @pytest.mark.parametrize("line", [
         "pp 0.5 1.0", "q 0.5 1.0", "bu 0.5 1.0", "p 0.5 1.0 2.0", "p 0.5", "", " ",
@@ -379,7 +400,7 @@ class TestParseModelAgainstOracle:
         lines = format_model(init_model(2, 3, 2, seed=1, init_scale=0.1)).splitlines()
         lines[2] = line
         text = "\n".join(lines) + "\n"
-        assert model_outcome(parse_model, text) == model_outcome(oracle_parse_model, text)
+        assert model_outcome(parse_text, text) == model_outcome(oracle_parse_model, text)
 
 
 class TestTraceFile:
