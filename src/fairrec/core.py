@@ -267,6 +267,10 @@ def _fmt(x: float) -> str:
 # of about 16 * _CHUNK_LINES characters, each cut at a line feed. This bounds
 # the text and the lines held at once.
 _CHUNK_LINES = 1 << 16
+# A longer piece holds a line of over a million characters, which numpy's C
+# reader would copy at 4 bytes each. It is not a multiple of _CHUNK_LINES,
+# which tests shrink to cut a file into many pieces for the C reader.
+_LONG_PIECE = 1 << 21
 # Characters that keep a piece from numpy's C reader: it reads a NUL in a text
 # field as empty and strips \x1f around a number, and the others are the
 # ASCII line breaks of str.splitlines besides \n, at which split("\n") does
@@ -295,17 +299,17 @@ def _read_rows(piece: str, first_no: int, dtype: np.dtype, read_line, prefix: st
     at the end of its file, and the number of lines in it, as str.splitlines
     counts them; its first line is numbered first_no.
 
-    A piece of ASCII text without any character of _REFUSED, whose every
-    line starts with prefix, goes to numpy's C reader whole. Any other piece,
-    or one the C reader rejects, warns on (numpy 1.x reads "5.0" as an int
-    with a warning) or skips a line of, is read by read_line(no, line), which
-    gives a line's record or None, one line at a time in file order, so the
-    first bad line is the one it raises for. It only reads: a format's other
-    rules are its caller's to check. On the text it gets, the C reader
-    accepts only what int() and float() accept; numpy 2.4 segfaults on the
-    non-ASCII field "\\U0009c6ca".
+    A piece of at most _LONG_PIECE characters of ASCII text without any
+    character of _REFUSED, whose every line starts with prefix, goes to
+    numpy's C reader whole. Any other piece, or one the C reader rejects,
+    warns on (numpy 1.x reads "5.0" as an int with a warning) or skips a
+    line of, is read by read_line(no, line), which gives a line's record or
+    None, one line at a time in file order, so the first bad line is the one
+    it raises for. It only reads: a format's other rules are its caller's to
+    check. On the text it gets, the C reader accepts only what int() and
+    float() accept; numpy 2.4 segfaults on the non-ASCII field "\\U0009c6ca".
     """
-    if piece.isascii() and not any(c in piece for c in _REFUSED):
+    if len(piece) <= _LONG_PIECE and piece.isascii() and not any(c in piece for c in _REFUSED):
         rows = piece.split("\n")
         if piece.endswith("\n"):
             rows.pop()
@@ -377,7 +381,7 @@ def parse_dataset(fh) -> Dataset:
         fields = dict(part.split("=", 1) for part in first[0].split())
         users, items, (lo_s, hi_s) = fields["users"], fields["items"], fields["scale"].split(",")
     except (ValueError, KeyError) as exc:
-        raise MalformedLineError(1, f"bad header {first[0].strip()!r}: "
+        raise MalformedLineError(1, f"bad header {first[0].strip()[:1000]!r}: "
                                     "expected users=N items=M scale=LO,HI") from exc
     try:
         num_users, num_items, scale = int(users), int(items), (float(lo_s), float(hi_s))
@@ -424,7 +428,7 @@ def parse_dataset(fh) -> Dataset:
             elif kind == "r" and len(parts) == 4:
                 return "r", np.int64(int(parts[1])), np.int64(int(parts[2])), float(parts[3])
             else:
-                raise MalformedLineError(no, f"unrecognized line {line!r}")
+                raise MalformedLineError(no, f"unrecognized line {line[:1000]!r}")
         except (ValueError, OverflowError) as exc:
             raise MalformedLineError(no, str(exc)) from exc
         return None

@@ -299,7 +299,7 @@ def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
                 key, _, value = text.partition(" ")
             key, value = key.strip(), value.strip()
             if not key or not value:
-                raise MalformedLineError(no, f"expected 'key = value', got {line!r}")
+                raise MalformedLineError(no, f"expected 'key = value', got {line[:1000]!r}")
             if key not in keys:
                 raise MalformedLineError(
                     no, f"config key {key!r} is not read here; keys: {', '.join(keys)}")

@@ -138,7 +138,7 @@ def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
         for no, line in _file_lines(fh):
             parts = line.split("::")
             if len(parts) != 5 or parts[1] not in ("M", "F"):
-                raise MalformedLineError(no, f"bad users line {line!r}")
+                raise MalformedLineError(no, f"bad users line {line[:1000]!r}")
             users[_new_id(no, parts[0], users)] = parts[1]
 
     movies = {}
@@ -146,7 +146,7 @@ def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
         for no, line in _file_lines(fh):
             parts = line.split("::")
             if len(parts) != 3:
-                raise MalformedLineError(no, f"bad movies line {line!r}")
+                raise MalformedLineError(no, f"bad movies line {line[:1000]!r}")
             movies[_new_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
 
     def read_line(no: int, line: str):
@@ -156,7 +156,7 @@ def parse_ml1m(users_file, movies_file, ratings_file) -> MovieLensRaw:
             return None
         parts = line.split("::")
         if len(parts) != 4:
-            raise MalformedLineError(no, f"bad ratings line {line!r}")
+            raise MalformedLineError(no, f"bad ratings line {line[:1000]!r}")
         try:
             uid, mid, val, ts = map(int, parts)
         except ValueError as exc:

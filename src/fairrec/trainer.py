@@ -18,6 +18,7 @@ usual RuntimeWarning when called on their own.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import isfinite
@@ -145,7 +146,7 @@ def parse_model(fh) -> FactorModel:
         header = dict(part.split("=", 1) for part in first.split())
         d, n, m = header["d"], header["n"], header["m"]
     except (ValueError, KeyError) as exc:
-        raise MalformedLineError(1, f"bad checkpoint header {first!r}: "
+        raise MalformedLineError(1, f"bad checkpoint header {first[:1000]!r}: "
                                     "expected d=D n=N m=M") from exc
     try:
         d, n, m = int(d), int(n), int(m)
@@ -154,7 +155,8 @@ def parse_model(fh) -> FactorModel:
     if min(d, n, m) < 1:
         raise MalformedLineError(1, f"checkpoint sizes must be >= 1, got d={d} n={n} m={m}")
     expected = 1 + n + m + 2
-    lines = [first, *islice(rest, expected)]
+    # islice stops at most at sys.maxsize, more lines than any file holds
+    lines = [first, *islice(rest, min(expected, sys.maxsize))]
     if len(lines) != expected:
         count = len(lines) + sum(1 for _ in rest)
         raise MalformedLineError(count, f"expected {expected} lines, got {count}")

@@ -231,7 +231,7 @@ def oracle_parse_dataset(text):
         users, items = fields["users"], fields["items"]
         lo_s, hi_s = fields["scale"].split(",")
     except (ValueError, KeyError) as exc:
-        raise MalformedLineError(1, f"bad header {lines[0].strip()!r}: "
+        raise MalformedLineError(1, f"bad header {lines[0].strip()[:1000]!r}: "
                                     "expected users=N items=M scale=LO,HI") from exc
     try:
         num_users, num_items = int(users), int(items)
@@ -276,7 +276,7 @@ def oracle_parse_dataset(text):
             elif kind == "r" and len(parts) == 4:
                 triples.append((int(parts[1]), int(parts[2]), float(parts[3])))
             else:
-                raise MalformedLineError(no, f"unrecognized line {line!r}")
+                raise MalformedLineError(no, f"unrecognized line {line[:1000]!r}")
         except ValueError as exc:
             raise MalformedLineError(no, str(exc)) from exc
     if not seen_user.all():
@@ -324,7 +324,7 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
             continue
         parts = line.split("::")
         if len(parts) != 5 or parts[1] not in ("M", "F"):
-            raise MalformedLineError(no, f"bad users line {line!r}")
+            raise MalformedLineError(no, f"bad users line {line[:1000]!r}")
         users[_ml_id(no, parts[0], users)] = parts[1]
 
     movies = {}
@@ -333,7 +333,7 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
             continue
         parts = line.split("::")
         if len(parts) != 3:
-            raise MalformedLineError(no, f"bad movies line {line!r}")
+            raise MalformedLineError(no, f"bad movies line {line[:1000]!r}")
         movies[_ml_id(no, parts[0], movies)] = frozenset(parts[2].split("|"))
 
     user_ids, movie_ids, values = [], [], []
@@ -342,7 +342,7 @@ def oracle_parse_ml1m(users_file, movies_file, ratings_file):
             continue
         parts = line.split("::")
         if len(parts) != 4:
-            raise MalformedLineError(no, f"bad ratings line {line!r}")
+            raise MalformedLineError(no, f"bad ratings line {line[:1000]!r}")
         try:
             uid, mid, val, ts = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError as exc:
@@ -417,7 +417,7 @@ def oracle_parse_model(text):
         header = dict(part.split("=", 1) for part in lines[0].split())
         d, n, m = header["d"], header["n"], header["m"]
     except (ValueError, KeyError) as exc:
-        raise MalformedLineError(1, f"bad checkpoint header {lines[0]!r}: "
+        raise MalformedLineError(1, f"bad checkpoint header {lines[0][:1000]!r}: "
                                     "expected d=D n=N m=M") from exc
     try:
         d, n, m = int(d), int(n), int(m)

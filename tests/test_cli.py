@@ -29,11 +29,24 @@ from fairrec.factorization import Entries
 
 from conftest import make_model
 
+# config keys that every training command reads, in the order refusals list them
+HYPER_KEYS = "d, lambda, alpha, lr, iterations, init_scale"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuses(capsys, argv, message, *outputs):
+    """Run main(argv) in process and assert a refusal: exit 2, the one line
+    ``error: message`` on stderr, an empty stdout, and none of outputs, the
+    files the command would write, left behind."""
+    code = main([str(arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert [path for path in outputs if os.path.lexists(path)] == []
 
 
 @pytest.fixture(scope="module")
@@ -103,26 +116,16 @@ class TestSynthGen:
         assert code == 1
         assert "invalid choice" in stderr
 
-    def test_indivisible_counts_exit_two(self, tmp_path, capsys):
-        code, _, stderr = run(capsys, "synth-gen", "--users", "41", "--items", "30",
-                              "--out", str(tmp_path / "x.txt"))
-        assert code == 2
-        assert stderr.startswith("error:")
-
-    def test_count_beyond_int64_exits_two(self, tmp_path, capsys):
-        code, _, stderr = run(capsys, "synth-gen", "--regime", "U",
-                              "--users", "400000000000000000000", "--items", "300",
-                              "--out", str(tmp_path / "x.txt"))
-        assert code == 2
-        assert stderr == "error: user and item counts must fit in int64\n"
-        assert not (tmp_path / "x.txt").exists()
-
-    def test_negative_seed_exits_two(self, tmp_path, capsys):
-        code, _, stderr = run(capsys, "synth-gen", "--seed", "-1",
-                              "--out", str(tmp_path / "x.txt"))
-        assert code == 2
-        assert stderr == "error: seed must be >= 0\n"
-        assert not (tmp_path / "x.txt").exists()
+    @pytest.mark.parametrize("flags, message", [
+        (["--users", "41", "--items", "30"], "41 users cannot be split as "
+         "{'W': 0.4, 'WS': 0.1, 'MS': 0.4, 'M': 0.1} with exact counts"),
+        (["--regime", "U", "--users", "400000000000000000000", "--items", "300"],
+         "user and item counts must fit in int64"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["indivisible-counts", "count-beyond-int64", "negative-seed"])
+    def test_bad_size_or_seed_exits_two(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.txt"
+        refuses(capsys, ["synth-gen", *flags, "--out", out], message, out, f"{out}.blocks")
 
 
 class TestMlPrepare:
@@ -156,14 +159,6 @@ class TestMlPrepare:
         code, _, stderr = run(capsys, "ml-prepare")
         assert code == 1
         assert "--ml-path" in stderr
-
-    def test_unknown_config_key_exits_two(self, ml_dir, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("min_ratings = 2\nbogus = 1\n")
-        code, stdout, stderr = run(capsys, "ml-prepare", "--ml-path", str(ml_dir),
-                                   "--config", str(cfg))
-        assert (code, stdout) == (2, "")
-        assert "bogus" in stderr
 
     def test_config_supplies_path_and_filters(self, ml_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -206,17 +201,13 @@ class TestMlPrepare:
                 assert text != before
             (root / part).write_text(text, encoding="latin-1")
         out = tmp_path / "ml.txt"
-        code, stdout, stderr = run(capsys, "ml-prepare", "--ml-path", str(root),
-                                   "--min-ratings", "2", "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert stderr == f"error: {message}\n"
-        assert not out.exists()
+        refuses(capsys, ["ml-prepare", "--ml-path", root, "--min-ratings", "2", "--out", out],
+                message, out)
 
     def test_missing_directory_exits_two(self, tmp_path, capsys):
-        code, _, stderr = run(capsys, "ml-prepare", "--ml-path",
-                              str(tmp_path / "nowhere"))
-        assert code == 2
-        assert stderr.startswith("error:")
+        missing = tmp_path / "nowhere"
+        refuses(capsys, ["ml-prepare", "--ml-path", missing],
+                f"[Errno 2] No such file or directory: '{missing / 'users.dat'}'")
 
     @pytest.mark.parametrize("command", ["ml-prepare", "reproduce-table2"])
     @pytest.mark.parametrize("flag, value, message", [
@@ -230,10 +221,8 @@ class TestMlPrepare:
             raise AssertionError("MovieLens files loaded")
 
         monkeypatch.setattr("fairrec.harness.parse_ml1m_dir", no_loading)
-        code, _, stderr = run(capsys, command, "--ml-path", str(ml_dir), flag, value,
-                              "--out", str(tmp_path / "out.txt"))
-        assert code == 2
-        assert stderr == f"error: {message}\n"
+        out = tmp_path / "out.txt"
+        refuses(capsys, [command, "--ml-path", ml_dir, flag, value, "--out", out], message, out)
 
 
 class TestTrain:
@@ -285,12 +274,6 @@ class TestTrain:
             assert code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_missing_data_exits_two(self, tmp_path, capsys):
-        code, _, stderr = run(capsys, "train", "--data", str(tmp_path / "nope.txt"),
-                              "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr.startswith("error:")
-
     @pytest.mark.parametrize("edit, message", [
         (lambda text: "not a dataset\n",
          "line 1: bad header 'not a dataset': expected users=N items=M scale=LO,HI"),
@@ -306,79 +289,47 @@ class TestTrain:
          "duplicate rating for user 0, item 1"),
         (lambda text: text.replace("r 0 1 0.0\n", "r 0 1 7.0\n", 1),
          "rating outside scale [0.0, 1.0]"),
+        (lambda text: text.replace("r 0 1 0.0\n", "r 0 1 nan\n", 1),
+         "rating outside scale [0.0, 1.0]"),
+        # the CLI prints the first 1,000 characters of a message
+        (lambda text: "users=1 items=1 scale=0.0,5.0\n" + "x" * 100_000 + "\n",
+         "line 2: unrecognized line '" + "x" * 973 + "..."),
     ], ids=["no-header", "users-beyond-u-lines", "no-u-line-for-user-0", "fine-label-x",
-            "unreadable-item-index", "repeated-rating", "rating-outside-scale"])
+            "unreadable-item-index", "repeated-rating", "rating-outside-scale", "nan-rating",
+            "long-bad-line"])
     def test_malformed_data_exits_two(self, synth_file, tmp_path, capsys, edit, message):
-        bad = tmp_path / "bad.txt"
+        bad, out = tmp_path / "bad.txt", tmp_path / "m.txt"
         bad.write_text(edit(synth_file.read_text()))
-        code, stdout, stderr = run(capsys, "train", "--data", str(bad),
-                                   "--out", str(tmp_path / "m.txt"))
-        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
-        assert not (tmp_path / "m.txt").exists()
+        refuses(capsys, ["train", "--data", bad, "--out", out], message, out, f"{out}.trace.csv")
 
-    def test_negative_learning_rate_exits_two(self, synth_file, tmp_path, capsys):
-        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file), "--lr", "-1",
-                                   "--out", str(tmp_path / "m.txt"))
-        assert (code, stdout) == (2, "")
-        assert stderr == "error: lr (learning_rate) must be finite and > 0\n"
-        assert not (tmp_path / "m.txt").exists()
-
-    def test_huge_user_count_header_exits_two(self, tmp_path, capsys, monkeypatch):
-        bad = tmp_path / "huge.txt"
-        bad.write_text("users=100000000000 items=1 scale=0.0,5.0\nu 0 1\n")
-        monkeypatch.setattr("fairrec.core._memory_budget", lambda: 10**6)
-        code, stdout, stderr = run(capsys, "train", "--data", str(bad),
-                                   "--out", str(tmp_path / "m.txt"))
-        assert (code, stdout) == (2, "")
-        assert stderr == ("error: a 100000000000 x 1 dataset needs at least 1,600,000 MB, "
-                          "more than the 1 MB of memory on this host\n")
-        assert not (tmp_path / "m.txt").exists()
-
-    def test_item_count_header_beyond_memory_exits_two(self, tmp_path, capsys, monkeypatch):
-        bad = tmp_path / "huge.txt"
-        bad.write_text("users=20 items=100000 scale=0.0,5.0\n"
-                       + "".join(f"u {u} {u % 2}\n" for u in range(20)) + "r 0 0 3.0\n")
-        monkeypatch.setattr("fairrec.core._memory_budget", lambda: 10**6)
-        code, stdout, stderr = run(capsys, "train", "--data", str(bad),
-                                   "--out", str(tmp_path / "m.txt"))
-        assert (code, stdout) == (2, "")
-        assert stderr == ("error: a 20 x 100000 dataset needs at least 2 MB, "
-                          "more than the 1 MB of memory on this host\n")
-        assert not (tmp_path / "m.txt").exists()
-
-    def test_model_beyond_memory_exits_two(self, synth_file, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("text, flags, message", [
+        ("users=100000000000 items=1 scale=0.0,5.0\nu 0 1\n", [],
+         "a 100000000000 x 1 dataset needs at least 1,600,000 MB"),
+        ("users=20 items=100000 scale=0.0,5.0\n"
+         + "".join(f"u {u} {u % 2}\n" for u in range(20)) + "r 0 0 3.0\n", [],
+         "a 20 x 100000 dataset needs at least 2 MB"),
+        (None, ["--d", "5000000"], "a 40 x 30 model at d = 5000000 needs at least 11,200 MB"),
+    ], ids=["user-count-header", "item-count-header", "model"])
+    def test_beyond_memory_exits_two(self, synth_file, tmp_path, capsys, monkeypatch,
+                                     text, flags, message):
         def init_model(*args):
             raise AssertionError("the model was allocated")
 
         monkeypatch.setattr("fairrec.core._memory_budget", lambda: 10**6)
         monkeypatch.setattr("fairrec.trainer.init_model", init_model)
-        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file), "--d", "5000000",
-                                   "--out", str(tmp_path / "m.txt"))
-        assert (code, stdout) == (2, "")
-        assert stderr == ("error: a 40 x 30 model at d = 5000000 needs at least 11,200 MB, "
-                          "more than the 1 MB of memory on this host\n")
-        assert not (tmp_path / "m.txt").exists()
+        data, out = tmp_path / "huge.txt", tmp_path / "m.txt"
+        data.write_text(text or synth_file.read_text())
+        refuses(capsys, ["train", "--data", data, *flags, "--out", out],
+                f"{message}, more than the 1 MB of memory on this host", out, f"{out}.trace.csv")
 
     def test_memory_error_exits_two(self, synth_file, tmp_path, capsys, monkeypatch):
         def out_of_memory(path):
             raise MemoryError("Unable to allocate 745. GiB")
 
         monkeypatch.setattr(cli, "load_dataset", out_of_memory)
-        code, _, stderr = run(capsys, "train", "--data", str(synth_file),
-                              "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr.startswith("error: out of memory:") and "Traceback" not in stderr
-
-    def test_nan_rating_exits_two(self, synth_file, tmp_path, capsys):
-        lines = synth_file.read_text().splitlines()
-        k = next(k for k, line in enumerate(lines) if line.startswith("r "))
-        lines[k] = lines[k].rsplit(" ", 1)[0] + " nan"
-        bad = tmp_path / "nan.txt"
-        bad.write_text("\n".join(lines) + "\n")
-        code, _, stderr = run(capsys, "train", "--data", str(bad),
-                              "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr == "error: rating outside scale [0.0, 1.0]\n"
+        out = tmp_path / "m.txt"
+        refuses(capsys, ["train", "--data", synth_file, "--out", out],
+                "out of memory: Unable to allocate 745. GiB", out, f"{out}.trace.csv")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be >= 0"),
@@ -387,13 +338,21 @@ class TestTrain:
         ("--d", "0", "d (latent dimension) must be >= 1"),
         ("--lambda", "-1", "lambda (lam) must be finite and >= 0"),
         ("--lr", "0", "lr (learning_rate) must be finite and > 0"),
-    ])
-    def test_bad_seed_or_init_scale_exits_two(self, synth_file, tmp_path, capsys,
-                                              flag, value, message):
-        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file), flag, value,
-                                   "--out", str(tmp_path / "m.txt"))
-        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
-        assert not (tmp_path / "m.txt").exists()
+        ("--lr", "-1", "lr (learning_rate) must be finite and > 0"),
+        ("--penalty", "sideways", "unknown penalty kind 'sideways'"),
+        ("--penalty", "value:abc", "penalty 'value:abc': could not convert string to float: "
+                                   "'abc'"),
+        ("--penalty", "value:", "penalty 'value:': could not convert string to float: ''"),
+        ("--penalty", ": value", "penalty ': value': could not convert string to float: "
+                                 "' value'"),
+    ], ids=["negative-seed", "infinite-init-scale", "nan-init-scale", "zero-d", "negative-lambda",
+            "zero-lr", "negative-lr", "unknown-penalty", "penalty-weight-abc",
+            "empty-penalty-weight", "penalty-weight-without-term"])
+    def test_bad_flag_exits_two(self, synth_file, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "m.txt"
+        refuses(capsys, ["train", "--data", synth_file, flag, value, "--out", out], message,
+                out, f"{out}.trace.csv")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("sparse, flags, iteration", [
         (False, ["--config", "{cfg}"], 0),
@@ -405,37 +364,10 @@ class TestTrain:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("init_scale = 1e308\niterations = 3\n")
         out = tmp_path / "m.txt"
-        code, stdout, stderr = run(capsys, "train", "--data",
-                                   str(sparse_file if sparse else synth_file),
-                                   *(flag.format(cfg=cfg) for flag in flags), "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert stderr == f"error: combined objective became non-finite at iteration {iteration}\n"
-        assert not out.exists()
-
-    def test_bad_penalty_exits_two(self, synth_file, tmp_path, capsys):
-        code, _, stderr = run(capsys, "train", "--data", str(synth_file),
-                              "--penalty", "sideways", "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr.startswith("error:")
-
-    @pytest.mark.parametrize("spec, weight", [("value:abc", "'abc'"), ("value:", "''"),
-                                              (": value", "' value'")])
-    def test_unreadable_penalty_weight_exits_two(self, synth_file, tmp_path, capsys,
-                                                 spec, weight):
-        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file),
-                                   "--penalty", spec, "--out", str(tmp_path / "m.txt"))
-        assert (code, stdout) == (2, "")
-        assert stderr == f"error: penalty {spec!r}: could not convert string to float: {weight}\n"
-        assert not os.listdir(tmp_path)
-
-    def test_long_bad_line_is_cut_in_the_message(self, tmp_path, capsys):
-        bad = tmp_path / "long.txt"
-        bad.write_text("users=1 items=1 scale=0.0,5.0\n" + "x" * 100_000 + "\n")
-        code, _, stderr = run(capsys, "train", "--data", str(bad),
-                              "--out", str(tmp_path / "m.txt"))
-        assert code == 2
-        assert stderr.startswith("error: line 2: ") and stderr.endswith("xxx...\n")
-        assert len(stderr.encode()) < 1100
+        refuses(capsys, ["train", "--data", sparse_file if sparse else synth_file,
+                         *(flag.format(cfg=cfg) for flag in flags), "--out", out],
+                f"combined objective became non-finite at iteration {iteration}",
+                out, f"{out}.trace.csv")
 
 
 class TestEval:
@@ -461,12 +393,6 @@ class TestEval:
         rmse, mse = error_of("rmse"), error_of("mse")
         assert mse == pytest.approx(rmse ** 2, rel=1e-12)
 
-    def test_missing_model_exits_two(self, synth_file, tmp_path, capsys):
-        code, _, stderr = run(capsys, "eval", "--model", str(tmp_path / "no.txt"),
-                              "--data", str(synth_file))
-        assert code == 2
-        assert stderr.startswith("error:")
-
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: [lines[0], "p nan nan", *lines[2:]], "line 2: parameters must be finite"),
         (lambda lines: [lines[0], "p inf inf", *lines[2:]], "line 2: parameters must be finite"),
@@ -475,14 +401,16 @@ class TestEval:
          "line 1: checkpoint sizes must be >= 1, got d=-1 n=40 m=30"),
         (lambda lines: ["n=40 m=30", *lines[1:]],
          "line 1: bad checkpoint header 'n=40 m=30': expected d=D n=N m=M"),
-    ], ids=["nan", "inf", "no-last-line", "nonpositive-size", "header-without-d"])
+        # more lines than islice can count
+        (lambda lines: [f"d=2 n={2**63} m=30", *lines[1:]],
+         f"line 73: expected {2**63 + 33} lines, got 73"),
+    ], ids=["nan", "inf", "no-last-line", "nonpositive-size", "header-without-d",
+            "count-beyond-sys-maxsize"])
     def test_bad_checkpoint_exits_two(self, synth_file, model_file, tmp_path, capsys,
                                       edit, message):
         model = tmp_path / "m.txt"
         model.write_text("\n".join(edit(model_file.read_text().splitlines())) + "\n")
-        code, stdout, stderr = run(capsys, "eval", "--model", str(model),
-                                   "--data", str(synth_file))
-        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        refuses(capsys, ["eval", "--model", model, "--data", synth_file], message)
 
     @pytest.mark.parametrize("sparse, terms", [(False, "error, parity"), (True, "error")],
                              ids=["dense", "sparse"])
@@ -494,14 +422,13 @@ class TestEval:
         lines[1] = " ".join(parts)
         model = tmp_path / "m.txt"
         model.write_text("\n".join(lines) + "\n")
-        code, stdout, stderr = run(capsys, "eval", "--model", str(model),
-                                   "--data", str(sparse_file if sparse else synth_file))
-        assert (code, stdout) == (2, "")
-        assert stderr == f"error: the model's predictions overflow: {terms} not finite\n"
+        data = sparse_file if sparse else synth_file
+        refuses(capsys, ["eval", "--model", model, "--data", data],
+                f"the model's predictions overflow: {terms} not finite")
 
     @pytest.mark.parametrize("model_shape, ratings, message", [
         ((7, 9), [(0, 0, 1.0), (1, 0, 2.0)], "model is 7 x 9, data 3 x 3"),
-        ((3, 3), [], "no entries"),
+        ((3, 3), [], "evaluation set has no entries"),
         ((3, 3), [(0, 0, 1.0), (1, 0, float("nan"))], "rating outside scale [1.0, 5.0]"),
         ((3, 3), [(0, 0, 1.0), (1, 0, 6.0)], "rating outside scale [1.0, 5.0]"),
         ((3, 3), [(0, 0, 1.0), (1, 0, 2.0), (1, 0, 3.0)], "duplicate rating for user 1, item 0"),
@@ -515,10 +442,8 @@ class TestEval:
         (tmp_path / "d.txt").write_text(
             "users=3 items=3 scale=1.0,5.0\nu 0 1\nu 1 0\nu 2 1\n"
             + "".join(f"r {u} {i} {v!r}\n" for u, i, v in ratings))
-        code, stdout, stderr = run(capsys, "eval", "--model", str(tmp_path / "m.txt"),
-                                   "--data", str(tmp_path / "d.txt"))
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error:") and message in stderr
+        refuses(capsys, ["eval", "--model", tmp_path / "m.txt", "--data", tmp_path / "d.txt"],
+                message)
 
 
 class TestConfigFile:
@@ -555,80 +480,43 @@ class TestConfigFile:
         assert code == 0
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
 
-    def test_malformed_config_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("justakey\n")
-        code, _, stderr = run(capsys, "synth-gen", "--config", str(cfg),
-                              "--out", str(tmp_path / "syn.txt"))
-        assert code == 2
-        assert stderr.startswith("error:")
-
-    @pytest.mark.parametrize("command, key", [
-        ("train", "iteratons"),
-        ("synth-gen", "d"),
-        ("reproduce-table1", "penalty"),
-        ("reproduce-fig1", "regime"),
-    ])
-    def test_key_the_command_does_not_read_exits_two(self, synth_file, tmp_path, capsys,
-                                                     command, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"# fast\nseed = 1\n{key} = U\n")
-        out = tmp_path / "out.txt"
-        data = ["--data", str(synth_file)] if command == "train" else []
-        code, stdout, stderr = run(capsys, command, *data, "--config", str(cfg),
-                                   "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith(f"error: line 3: config key {key!r} is not read here")
-        assert not out.exists()
-
-    def test_repeated_key_exits_two(self, synth_file, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("iterations = 5\nd = 2\niterations = 7\n")
-        out = tmp_path / "m.txt"
-        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file),
-                                   "--config", str(cfg), "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error: line 3: config key 'iterations' is set twice")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("alpha", ["", "alpha = 0.2\n"])
-    def test_unknown_source_exits_two(self, synth_file, tmp_path, capsys, alpha):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"source = bogus\niterations = 2\n{alpha}")
-        out = tmp_path / "m.txt"
-        code, stdout, stderr = run(capsys, "train", "--data", str(synth_file),
-                                   "--config", str(cfg), "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert stderr == ("error: source must be one of ('synthetic', 'movielens'), "
-                          "got 'bogus'\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command, line, message", [
-        ("synth-gen", "users = abc", "config key 'users': invalid literal for int() "
-                                     "with base 10: 'abc'"),
-        ("train", "lambda = small", "config key 'lambda': could not convert string "
-                                    "to float: 'small'"),
-        ("reproduce-table1", "trials = two", "config key 'trials': invalid literal "
-                                             "for int() with base 10: 'two'"),
-    ])
-    def test_unreadable_value_names_its_key(self, synth_file, tmp_path, capsys,
-                                            command, line, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{line}\n")
-        out = tmp_path / "out.txt"
-        data = ["--data", str(synth_file)] if command == "train" else []
-        code, stdout, stderr = run(capsys, command, *data, "--config", str(cfg),
-                                   "--out", str(out))
-        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
-        assert not out.exists()
-
-    def test_unknown_key_rejected_by_experiments(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        code, _, stderr = run(capsys, "reproduce-fig1", "--config", str(cfg),
-                              "--out", str(tmp_path / "f.csv"))
-        assert code == 2
-        assert "bogus" in stderr
+    @pytest.mark.parametrize("command, text, message", [
+        ("train", "# fast\nseed = 1\niteratons = U\n", "line 3: config key 'iteratons' is not "
+         f"read here; keys: source, {HYPER_KEYS}, seed, penalty"),
+        ("synth-gen", "# fast\nseed = 1\nd = U\n", "line 3: config key 'd' is not read here; "
+         "keys: regime, users, items, seed"),
+        ("reproduce-table1", "# fast\nseed = 1\npenalty = U\n", "line 3: config key 'penalty' "
+         f"is not read here; keys: regime, users, items, {HYPER_KEYS}, trials, seed"),
+        ("reproduce-fig1", "# fast\nseed = 1\nregime = U\n", "line 3: config key 'regime' "
+         f"is not read here; keys: users, items, {HYPER_KEYS}, trials, seed"),
+        ("reproduce-fig1", "bogus = 1\n", "line 1: config key 'bogus' is not read here; "
+         f"keys: users, items, {HYPER_KEYS}, trials, seed"),
+        ("ml-prepare", "min_ratings = 2\nbogus = 1\n", "line 2: config key 'bogus' is not "
+         "read here; keys: ml_path, genres, genre_mode, min_ratings"),
+        ("synth-gen", "justakey\n", "line 1: expected 'key = value', got 'justakey'"),
+        ("train", "iterations = 5\nd = 2\niterations = 7\n",
+         "line 3: config key 'iterations' is set twice"),
+        ("train", "source = bogus\niterations = 2\n",
+         "source must be one of ('synthetic', 'movielens'), got 'bogus'"),
+        ("train", "source = bogus\niterations = 2\nalpha = 0.2\n",
+         "source must be one of ('synthetic', 'movielens'), got 'bogus'"),
+        ("synth-gen", "users = abc\n",
+         "config key 'users': invalid literal for int() with base 10: 'abc'"),
+        ("train", "lambda = small\n",
+         "config key 'lambda': could not convert string to float: 'small'"),
+        ("reproduce-table1", "trials = two\n",
+         "config key 'trials': invalid literal for int() with base 10: 'two'"),
+    ], ids=["train-unread-key", "synth-gen-unread-key", "reproduce-table1-unread-key",
+            "reproduce-fig1-unread-key", "reproduce-fig1-unknown-key", "ml-prepare-unknown-key",
+            "no-value", "repeated-key", "unknown-source", "unknown-source-with-alpha",
+            "unreadable-users", "unreadable-lambda", "unreadable-trials"])
+    def test_bad_config_exits_two(self, synth_file, ml_dir, tmp_path, capsys,
+                                  command, text, message):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+        cfg.write_text(text)
+        inputs = {"train": ["--data", synth_file], "ml-prepare": ["--ml-path", ml_dir]}
+        refuses(capsys, [command, *inputs.get(command, []), "--config", cfg, "--out", out],
+                message, out, f"{out}.blocks", f"{out}.trace.csv")
 
 
 class TestReproductions:
@@ -671,9 +559,13 @@ class TestReproductions:
          "penalty none): combined objective became non-finite at iteration 1"),
         (["reproduce-fig1", *FAST, "--lr", "1e300"], 1, "trial 0 (seed 0, regime U, "
          "penalty none): combined objective became non-finite at iteration 1"),
-    ], ids=["table1-users", "fig1-users", "table1-diverging", "fig1-diverging"])
-    def test_reproduction_refusal_exits_two(self, tmp_path, capsys, monkeypatch, argv, trains,
-                                            message):
+        (["reproduce-table2", "--ml-path", "{ml}", "--min-ratings", "2", "--split", "0.9",
+          "--trials", "3", "--iterations", "5"], 1, "trial 0 (seed 0, penalty none): "
+         "no item has evaluation entries from both groups"),
+    ], ids=["table1-users", "fig1-users", "table1-diverging", "fig1-diverging",
+            "table2-unusable-split"])
+    def test_reproduction_refusal_exits_two(self, ml_dir, tmp_path, capsys, monkeypatch, argv,
+                                            trains, message):
         real, calls = fairrec.harness.train, []
 
         def counted(*args, **kwargs):
@@ -682,10 +574,8 @@ class TestReproductions:
 
         monkeypatch.setattr("fairrec.harness.train", counted)
         out = tmp_path / "out.csv"
-        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
-        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        refuses(capsys, [*(arg.format(ml=ml_dir) for arg in argv), "--out", out], message, out)
         assert len(calls) == trains
-        assert not out.exists()
 
     def test_table2_csv(self, ml_dir, tmp_path, capsys):
         out = tmp_path / "t2.csv"
@@ -707,18 +597,8 @@ class TestReproductions:
 
         monkeypatch.setattr("fairrec.harness.parse_ml1m_dir", no_loading)
         out = tmp_path / "t2.csv"
-        code, stdout, stderr = run(capsys, "reproduce-table2", "--ml-path", str(ml_dir),
-                                   flag, value, "--out", str(out))
-        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
-        assert not out.exists()
-
-    def test_table2_unusable_split_names_trial(self, ml_dir, tmp_path, capsys):
-        code, _, stderr = run(capsys, "reproduce-table2", "--ml-path", str(ml_dir),
-                              "--min-ratings", "2", "--split", "0.9", "--trials", "3",
-                              "--iterations", "5", "--out", str(tmp_path / "t2.csv"))
-        assert code == 2
-        assert stderr == ("error: trial 0 (seed 0, penalty none): "
-                          "no item has evaluation entries from both groups\n")
+        refuses(capsys, ["reproduce-table2", "--ml-path", ml_dir, flag, value, "--out", out],
+                message, out)
 
     def test_table2_requires_path(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "reproduce-table2",
@@ -730,47 +610,60 @@ class TestReproductions:
 class TestOutputPaths:
     """A file that cannot be created stops the command before any work."""
 
-    @pytest.mark.parametrize("argv, work", [
+    @pytest.mark.parametrize("argv, work, message", [
         (["synth-gen", "--users", "40", "--items", "30", "--out", "{tmp}/d.txt",
-          "--sidecar", "{tmp}/missing/s.blocks"], "fairrec.cli.generate"),
+          "--sidecar", "{tmp}/missing/s.blocks"], "fairrec.cli.generate",
+         "'{tmp}/missing/s.blocks': no directory '{tmp}/missing'"),
         (["synth-gen", "--users", "40", "--items", "30", "--out", "{tmp}"],
-         "fairrec.cli.generate"),
+         "fairrec.cli.generate", "'{tmp}': it is a directory"),
         (["ml-prepare", "--ml-path", "{ml}", "--min-ratings", "2",
-          "--out", "{tmp}/missing/ml.txt"], "fairrec.harness.parse_ml1m_dir"),
+          "--out", "{tmp}/missing/ml.txt"], "fairrec.harness.parse_ml1m_dir",
+         "'{tmp}/missing/ml.txt': no directory '{tmp}/missing'"),
         (["train", "--data", "{data}", "--iterations", "5", "--out", "{tmp}/m.txt",
-          "--trace", "{tmp}/missing/t.csv"], "fairrec.cli.train"),
+          "--trace", "{tmp}/missing/t.csv"], "fairrec.cli.train",
+         "'{tmp}/missing/t.csv': no directory '{tmp}/missing'"),
         (["train", "--data", "{data}", "--iterations", "5", "--out", "{tmp}/missing/m.txt"],
-         "fairrec.cli.train"),
+         "fairrec.cli.train", "'{tmp}/missing/m.txt': no directory '{tmp}/missing'"),
         (["reproduce-table1", "--trials", "1", "--iterations", "5",
-          "--out", "{tmp}/missing/t1.csv"], "fairrec.harness.train"),
+          "--out", "{tmp}/missing/t1.csv"], "fairrec.harness.train",
+         "'{tmp}/missing/t1.csv': no directory '{tmp}/missing'"),
         (["reproduce-fig1", "--trials", "1", "--iterations", "5", "--out", "{tmp}"],
-         "fairrec.harness.train"),
+         "fairrec.harness.train", "'{tmp}': it is a directory"),
         (["reproduce-table2", "--ml-path", "{ml}", "--min-ratings", "2",
-          "--out", "{tmp}/missing/t2.csv"], "fairrec.harness.parse_ml1m_dir"),
+          "--out", "{tmp}/missing/t2.csv"], "fairrec.harness.parse_ml1m_dir",
+         "'{tmp}/missing/t2.csv': no directory '{tmp}/missing'"),
         (["synth-gen", "--users", "40", "--items", "30", "--out", "{tmp}/d.txt",
-          "--sidecar", "{tmp}/./d.txt"], "fairrec.cli.generate"),
+          "--sidecar", "{tmp}/./d.txt"], "fairrec.cli.generate",
+         "'{tmp}/./d.txt': another output, '{tmp}/d.txt', is the same file"),
         (["train", "--data", "{data}", "--iterations", "5", "--out", "{tmp}/m.txt",
-          "--trace", "{tmp}/m.txt"], "fairrec.cli.train"),
+          "--trace", "{tmp}/m.txt"], "fairrec.cli.train",
+         "'{tmp}/m.txt': another output, '{tmp}/m.txt', is the same file"),
         (["synth-gen", "--users", "40", "--items", "30", "--out", ""],
-         "fairrec.cli.generate"),
+         "fairrec.cli.generate", "'': the path is empty"),
         (["train", "--data", "{data}", "--iterations", "3", "--out", "{data}"],
-         "fairrec.cli.train"),
+         "fairrec.cli.train", "'{data}': the input '{data}' is the same file"),
         (["train", "--data", "{data}", "--config", "{cfg}/train.cfg", "--out", "{tmp}/m.txt",
-          "--trace", "{cfg}/train.cfg"], "fairrec.cli.train"),
+          "--trace", "{cfg}/train.cfg"], "fairrec.cli.train",
+         "'{cfg}/train.cfg': the input '{cfg}/train.cfg' is the same file"),
         (["ml-prepare", "--ml-path", "{ml}", "--min-ratings", "5", "--out", "{ml}/ratings.dat"],
-         "fairrec.harness.parse_ml1m_dir"),
+         "fairrec.harness.parse_ml1m_dir",
+         "'{ml}/ratings.dat': the input '{ml}/ratings.dat' is the same file"),
         (["ml-prepare", "--config", "{cfg}/ml.cfg", "--out", "{ml}/../{ml_name}/users.dat"],
-         "fairrec.harness.parse_ml1m_dir"),
+         "fairrec.harness.parse_ml1m_dir",
+         "'{ml}/../{ml_name}/users.dat': the input '{ml}/users.dat' is the same file"),
         (["reproduce-table2", "--ml-path", "{ml}", "--min-ratings", "2",
-          "--out", "{ml}/movies.dat"], "fairrec.harness.parse_ml1m_dir"),
+          "--out", "{ml}/movies.dat"], "fairrec.harness.parse_ml1m_dir",
+         "'{ml}/movies.dat': the input '{ml}/movies.dat' is the same file"),
     ], ids=["synth-gen-sidecar", "synth-gen-directory", "ml-prepare", "train-trace",
             "train-out", "reproduce-table1", "reproduce-fig1-directory", "reproduce-table2",
             "synth-gen-sidecar-is-out", "train-trace-is-out", "synth-gen-empty-out",
             "train-out-is-data", "train-trace-is-config", "ml-prepare-out-is-ratings",
             "ml-prepare-out-is-config-users", "reproduce-table2-out-is-movies"])
-    def test_unwritable_output_exits_two_before_work(self, argv, work, synth_file, ml_dir,
-                                                      tmp_path, tmp_path_factory, capsys,
-                                                      monkeypatch):
+    def test_unwritable_output_exits_two_before_work(self, argv, work, message, synth_file,
+                                                      ml_dir, tmp_path, tmp_path_factory,
+                                                      capsys, monkeypatch):
+        """Every output lies in tmp_path, which stays empty, or is an input,
+        which stays as it was."""
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
@@ -783,11 +676,9 @@ class TestOutputPaths:
         # a relative path, such as a default sidecar next to an empty --out,
         # lands in tmp_path too
         monkeypatch.chdir(tmp_path)
-        argv = [arg.format(tmp=tmp_path, ml=ml_dir, ml_name=ml_dir.name, data=synth_file,
-                           cfg=cfg) for arg in argv]
-        code, stdout, stderr = run(capsys, *argv)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error: cannot write ")
+        names = dict(tmp=tmp_path, ml=ml_dir, ml_name=ml_dir.name, data=synth_file, cfg=cfg)
+        refuses(capsys, [arg.format(**names) for arg in argv],
+                "cannot write " + message.format(**names))
         assert list(tmp_path.iterdir()) == []
         assert {path: path.read_bytes() for path in inputs} == inputs
 
@@ -825,10 +716,8 @@ class TestFailedOutputs:
     def test_earlier_outputs_removed(self, argv, half_made, synth_file, tmp_path, capsys,
                                      monkeypatch):
         paths = fail_second_write(monkeypatch, half_made)
-        code, stdout, stderr = run(capsys, *[arg.format(tmp=tmp_path, data=synth_file)
-                                             for arg in argv])
-        assert (code, stdout) == (2, "")
-        assert stderr == "error: [Errno 28] No space left on device\n"
+        refuses(capsys, [arg.format(tmp=tmp_path, data=synth_file) for arg in argv],
+                "[Errno 28] No space left on device")
         assert len(paths) == 2
         assert list(tmp_path.iterdir()) == []
 
@@ -836,9 +725,9 @@ class TestFailedOutputs:
                                                 monkeypatch):
         fail_second_write(monkeypatch, half_made=False)
         (tmp_path / "t.csv").write_text("older trace\n", encoding="utf-8")
-        code, _, _ = run(capsys, "train", "--data", str(synth_file), "--iterations", "2",
-                         "--out", str(tmp_path / "m.txt"), "--trace", str(tmp_path / "t.csv"))
-        assert code == 2
+        refuses(capsys, ["train", "--data", synth_file, "--iterations", "2", "--out",
+                         tmp_path / "m.txt", "--trace", tmp_path / "t.csv"],
+                "[Errno 28] No space left on device", tmp_path / "m.txt")
         assert os.listdir(tmp_path) == ["t.csv"]
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "older trace\n"
 
@@ -847,9 +736,9 @@ class TestFailedOutputs:
         fail_second_write(monkeypatch, half_made=True)
         (tmp_path / "target.txt").write_text("", encoding="utf-8")
         os.symlink(tmp_path / "target.txt", tmp_path / "link.txt")
-        code, _, _ = run(capsys, "train", "--data", str(synth_file), "--iterations", "2",
-                         "--out", str(tmp_path / "link.txt"))
-        assert code == 2
+        refuses(capsys, ["train", "--data", synth_file, "--iterations", "2",
+                         "--out", tmp_path / "link.txt"],
+                "[Errno 28] No space left on device", tmp_path / "link.txt.trace.csv")
         assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
         assert os.path.islink(tmp_path / "link.txt")
         assert (tmp_path / "target.txt").read_text(encoding="utf-8").startswith("d=")
@@ -867,25 +756,66 @@ def test_sizes_beyond_memory_exit_two_before_generating(argv, tmp_path, capsys, 
     monkeypatch.setattr("fairrec.core._memory_budget", lambda: 27 * 400 * 300 - 1)
     monkeypatch.setattr("fairrec.cli.generate", no_work)
     monkeypatch.setattr("fairrec.harness.generate", no_work)
-    code, stdout, stderr = run(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
-    assert (code, stdout) == (2, "")
-    assert stderr.startswith("error: 400 x 300 generated data needs at least 3 MB, more than the 3 MB ")
+    refuses(capsys, [arg.format(tmp=tmp_path) for arg in argv],
+            "400 x 300 generated data needs at least 3 MB, more than the 3 MB of memory on "
+            "this host")
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "[Errno 2] No such file or directory: '{bad}'"),
+    (b"d=1 \xff\n", "{bad}: 'utf-8' codec can't decode byte 0xff: invalid start byte"),
+], ids=["missing", "not-utf8"])
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "{bad}", "--out", "{out}"],
     ["train", "--data", "{data}", "--config", "{bad}", "--out", "{out}"],
     ["eval", "--model", "{bad}", "--data", "{data}"],
 ], ids=["dataset", "config", "checkpoint"])
-def test_input_file_not_utf8_exits_two(argv, synth_file, tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"d=1 \xff\n")
-    code, stdout, stderr = run(capsys, *(arg.format(bad=bad, data=synth_file,
-                                                    out=tmp_path / "m.txt") for arg in argv))
-    assert (code, stdout) == (2, "")
-    assert stderr == f"error: {bad}: 'utf-8' codec can't decode byte 0xff: invalid start byte\n"
-    assert os.listdir(tmp_path) == ["bad.txt"]
+def test_unreadable_input_file_exits_two(argv, content, message, synth_file, tmp_path, capsys):
+    bad, out = tmp_path / "bad.txt", tmp_path / "m.txt"
+    if content:
+        bad.write_bytes(content)
+    refuses(capsys, [arg.format(bad=bad, data=synth_file, out=out) for arg in argv],
+            message.format(bad=bad))
+    assert os.listdir(tmp_path) == (["bad.txt"] if content else [])
+
+
+# Starts the CLI from a small parent and prints the child's peak RSS in KiB:
+# a child forked by pytest itself would report pytest's peak.
+PEAK_RSS = ("import os, sys\n"
+            "argv = [sys.executable, '-m', 'fairrec.cli', *sys.argv[1:]]\n"
+            "print(os.wait4(os.posix_spawn(argv[0], argv, os.environ), 0)[2].ru_maxrss)\n")
+
+
+@pytest.mark.parametrize("argv, text, quote, per_char", [
+    (["eval", "--model", "{bad}", "--data", "{data}"], "{x}", "line 1: bad checkpoint header '",
+     2.5),
+    (["train", "--data", "{bad}", "--out", "{out}"], "{x}", "line 1: bad header '", 2.5),
+    (["train", "--data", "{bad}", "--out", "{out}"],
+     "users=2 items=1 scale=0.0,5.0\nu 0 1\nu 1 0\nr 0 0 {x}\n",
+     "line 4: could not convert string to float: '", 8.2),
+], ids=["checkpoint-header", "dataset-header", "rating-value"])
+def test_huge_line_refused_in_bounded_memory(argv, text, quote, per_char, synth_file,
+                                             tmp_path, capsys):
+    """A file of one 20 MB line, or a dataset whose one rating value is
+    20 MB, is refused with the start of the line quoted. Its peak RSS exceeds
+    that of a one-character line by at most per_char bytes per character.
+    Measured on Linux: 2.0 and 7.0, against 3.0 and 9.4 when the whole line
+    was quoted and numpy's C reader read the long piece."""
+    bad, out, size = tmp_path / "bad.txt", tmp_path / "m.txt", 20_000_000
+    argv = [arg.format(bad=bad, data=synth_file, out=out) for arg in argv]
+    message = quote + "x" * (1000 - len(quote)) + "..."
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fairrec.__file__)))
+    env, peaks = dict(os.environ, PYTHONPATH=src), []
+    for length in (1, size):
+        bad.write_text(text.format(x="x" * length), encoding="utf-8")
+        done = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stderr.startswith("error: " + quote)
+        peaks.append(int(done.stdout) * 1024)
+    assert done.stderr == f"error: {message}\n"
+    assert peaks[1] - peaks[0] <= per_char * size
+    refuses(capsys, argv, message, out, f"{out}.trace.csv")
 
 
 def test_scipy_loaded_only_to_train_on_sparse_data(tmp_path):
@@ -997,7 +927,7 @@ def exits_zero_or_two(argv, outputs):
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 2), (argv, err.getvalue())
-    if code == 2:
+    if code:
         assert not any(map(os.path.exists, outputs)), (argv, err.getvalue())
 
 

@@ -13,9 +13,11 @@ printed as a table; the exit status is 1 if there is any, else 0. A change
 that means to move a result names the lines that moved in CHANGES.md.
 
 Every case exits 0: refusals (exit 2) are pinned in process by
-tests/test_cli.py. The inputs a case needs besides its own commands' outputs
-(the MovieLens-layout directory, the thinned dataset and the config files)
-are written by this working tree's code for both trees.
+tests/test_cli.py. A command that exits otherwise on this working tree is
+reported as a difference, even where BASE_REV exits the same way. The
+inputs a case needs besides its own commands' outputs (the MovieLens-layout
+directory, the thinned dataset and the config files) are written by this
+working tree's code for both trees.
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ def run_case(tree: str, steps: list, root: str, threads: int) -> tuple:
 
 def first_difference(a, b) -> tuple:
     """The first line at which two outputs differ, from each; None stands
-    for an absent file."""
-    if a is None or b is None:
+    for an absent file, and equal outputs, such as a shared exit code, are
+    given whole."""
+    if a is None or b is None or a == b:
         return a, b
     lines_a, lines_b = a.splitlines(), b.splitlines()
     k = next((k for k, pair in enumerate(zip(lines_a, lines_b)) if pair[0] != pair[1]),
@@ -139,11 +142,12 @@ def first_difference(a, b) -> tuple:
 
 
 def compare(base: tuple, head: tuple) -> list:
-    """(output, base line, head line) for every command output and file that differs."""
+    """(output, base line, head line) for every command output and file that
+    differs, and for every exit code of head that is not 0."""
     rows = []
     for (argv, *outs_a), (_, *outs_b) in zip(base[0], head[0]):
         for part, a, b in zip(("exit", "stdout", "stderr"), outs_a, outs_b):
-            if a != b:
+            if a != b or (part == "exit" and b != b"0"):
                 rows.append((f"{' '.join(argv)}: {part}", *first_difference(a, b)))
     for name in sorted(set(base[1]) | set(head[1])):
         a, b = base[1].get(name), head[1].get(name)
