@@ -171,6 +171,16 @@ class Dataset:
     def __len__(self) -> int:
         return self.num_ratings
 
+    def _kept(self, build):
+        """build(self), made at the first call and kept with this dataset,
+        whose columns are frozen; dataclasses.replace gives a new dataset
+        without it. It must not refer to the dataset: a cycle would outlive
+        the last reference until the cyclic garbage collector runs."""
+        kept, name = vars(self), f"_kept_{build.__name__}"
+        if name not in kept:
+            kept[name] = build(self)
+        return kept[name]
+
 
 @dataclass(frozen=True, eq=False)
 class FactorModel:

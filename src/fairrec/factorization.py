@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, FactorModel, FairrecError
+from .core import Dataset, FactorModel, FairrecError, _frozen
 
 # Fill from which the score matrix is the faster path. With d = 4 on a
 # 2-core host, the matrix plus one read-out overtook the gathers near 10% fill
@@ -83,55 +83,56 @@ class Entries:
     entries of a user x item matrix C, [dP | dbu] = C [Q | 1] and
     [dQ | dbi] = C^T [P | 1].
 
-    Each use picks its path once, by the data's fill (observed fraction of
-    the grid). From DENSE_FILL up, predictions are read out of score_matrix at
-    flat indices u * m + i; below it they are gathered by predict_entries.
-    From DENSE_GRADIENT_FILL up, C is written into zeroed row blocks; below
-    it, C is one CSR matrix, a single block. Both storages run the same two
-    products, the C^T ones summed over the blocks in order, and rely on
-    entries sorted by (user, item): a row block's entries are one slice, and
-    CSR data order is entry order. The paths agree to rounding. The
-    gradient's structure is built at its first use, so prediction alone never
-    loads scipy.
+    A dataset's Entries is built once, at its first use, and kept with the
+    dataset (``Dataset._kept``): every spec of a trial shares it, so it
+    holds the dataset's columns, not the dataset. It picks its paths once,
+    by the data's fill (observed fraction of the grid). From DENSE_FILL up,
+    predictions are read out of score_matrix at flat indices u * m + i;
+    below it they are gathered by predict_entries. From DENSE_GRADIENT_FILL
+    up, C is written into zeroed row blocks; below it, C is one CSR matrix,
+    a single block. Both storages run the same two products, the C^T ones
+    summed over the blocks in order, and rely on entries sorted by (user,
+    item): a row block's entries are one slice, and CSR data order is entry
+    order. The paths agree to rounding. The gradient's structure is built at
+    its first use, so prediction alone never loads scipy.
     """
 
     def __init__(self, data: Dataset):
-        self._data = data
-        grid = data.num_users * data.num_items
-        self.dense_predict = data.num_ratings >= DENSE_FILL * grid
-        self.dense_gradient = data.num_ratings >= DENSE_GRADIENT_FILL * grid
+        self._users, self._items = data.user_idx, data.item_idx
+        self._shape = n, m = data.num_users, data.num_items
+        self.dense_predict = data.num_ratings >= DENSE_FILL * (n * m)
+        self.dense_gradient = data.num_ratings >= DENSE_GRADIENT_FILL * (n * m)
         if self.dense_predict or self.dense_gradient:
-            self._flat = data.user_idx * data.num_items + data.item_idx
+            # writeable: numpy's take copies a read-only index at every call
+            self._flat = self._users * m + self._items
         self._row_starts = None
 
     def _check(self, model: FactorModel) -> None:
-        data = self._data
-        if (model.num_users, model.num_items) != (data.num_users, data.num_items):
+        if (model.num_users, model.num_items) != self._shape:
             raise FairrecError(f"model is {model.num_users} x {model.num_items}, "
-                               f"data {data.num_users} x {data.num_items}")
+                               f"data {self._shape[0]} x {self._shape[1]}")
 
     def predict(self, model: FactorModel) -> np.ndarray:
         self._check(model)
         if self.dense_predict:
             return score_matrix(model).ravel().take(self._flat)
-        return predict_entries(model, self._data.user_idx, self._data.item_idx)
+        return predict_entries(model, self._users, self._items)
 
     def _blocks(self, coeffs: np.ndarray, width: int):
         """C as (start, stop, rows start:stop of C), in row order; a dense
         block's product with a width-column matrix stays within
         _BLOCK_MULADDS. Each block is valid until the next is drawn."""
-        data = self._data
-        n, m = data.num_users, data.num_items
+        n, m = self._shape
         if self._row_starts is None:
             # the entries of user u are row_starts[u]:row_starts[u + 1]
-            self._row_starts = np.concatenate(
-                ([0], np.cumsum(np.bincount(data.user_idx, minlength=n))))
+            self._row_starts = _frozen(np.concatenate(
+                ([0], np.cumsum(np.bincount(self._users, minlength=n)))))
             if not self.dense_gradient:
                 # imported here, its only use: scipy.sparse is most of a
                 # cold start, and dense data never needs it
                 from scipy.sparse import csr_matrix
 
-                self._matrix = csr_matrix((np.zeros(data.num_ratings), data.item_idx,
+                self._matrix = csr_matrix((np.zeros(len(self._users)), self._items,
                                            self._row_starts), shape=(n, m))
         if not self.dense_gradient:
             self._matrix.data = coeffs

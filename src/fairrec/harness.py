@@ -3,8 +3,10 @@
 A trial is a pure function of (config, trial index): one seed's data plus
 every penalty spec of the config, each trained and scored on that data. The
 trial seed is base_seed + index; it drives data generation or splitting
-once, and model initialization for each spec. Trials run one after another
-in index order.
+once, and model initialization for each spec. The training and evaluation
+sets each build their prediction and group-cell indexes once, at first use,
+and every spec of the trial shares them. Trials run one after another in
+index order.
 """
 
 from __future__ import annotations

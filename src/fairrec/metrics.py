@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, FactorModel, FairrecError, METRIC_FIELDS, MetricReport
+from .core import Dataset, FactorModel, FairrecError, METRIC_FIELDS, MetricReport, _frozen
 from .factorization import Entries
 
 # the unfairness measures, in report order after the error
@@ -57,26 +57,35 @@ class Unfairness:
     """The unfairness measures of one dataset's entries, valued and
     differentiated at any predictions of them. Cell i holds the advantaged
     group's entries for item i and cell num_items + i the protected group's.
-    The data-only work is done here, once, for the ``kinds`` that calls will
-    ask for; ``what`` names the entries in the error when they cannot be
-    measured.
+    The data-only work is done here, once per dataset: ``of`` builds it at
+    the dataset's first use and keeps it with the dataset, and every spec of
+    a trial shares it.
     """
 
-    def __init__(self, data: Dataset, kinds, what: str):
-        self._in_protected = data.protected[data.user_idx]
+    def __init__(self, data: Dataset):
+        self._in_protected = _frozen(data.protected[data.user_idx])
+        # writeable: numpy's bincount and take copy a read-only index at every call
         self.cell = data.item_idx + data.num_items * self._in_protected
-        self.count = np.bincount(self.cell, minlength=2 * data.num_items).astype(np.float64)
-        self.comparable = (self.count.reshape(2, -1) > 0).all(axis=0)
+        self.count = _frozen(np.bincount(self.cell, minlength=2 * data.num_items)
+                             .astype(np.float64))
+        self.comparable = _frozen((self.count.reshape(2, -1) > 0).all(axis=0))
         self.n_p = int(self._in_protected.sum())
         self.n_a = data.num_ratings - self.n_p
-        self.true_means = None
-        if set(kinds) - {"parity"}:
-            if not self.comparable.any():
-                raise FairrecError(f"no item has {what} from both groups")
-            self._scale = self.comparable.sum() * self.count.reshape(2, -1)[:, self.comparable]
-            self.true_means = self._means(data.values)
-        if "parity" in kinds and (self.n_p == 0 or self.n_a == 0):
+        self._scale = _frozen(self.comparable.sum()
+                              * self.count.reshape(2, -1)[:, self.comparable])
+        self.true_means = _frozen(self._means(data.values))
+
+    @classmethod
+    def of(cls, data: Dataset, kinds, what: str) -> "Unfairness":
+        """data's Unfairness, checked at each use for the ``kinds`` that calls
+        will ask for; ``what`` names the entries in the error when they
+        cannot be measured."""
+        unfairness = data._kept(cls)
+        if set(kinds) - {"parity"} and not unfairness.comparable.any():
+            raise FairrecError(f"no item has {what} from both groups")
+        if "parity" in kinds and (unfairness.n_p == 0 or unfairness.n_a == 0):
             raise FairrecError("both groups need at least one training rating")
+        return unfairness
 
     def _means(self, values: np.ndarray) -> np.ndarray:
         """Per-cell means of one value per entry; 0.0 in empty cells."""
@@ -91,7 +100,7 @@ class Unfairness:
         """
         values, parity = [], None
         cell_coeffs = np.zeros(len(self.count))
-        if self.true_means is not None:
+        if any(kind != "parity" for kind, _ in terms):
             D = (self._means(preds) - self.true_means).reshape(2, -1)[:, self.comparable]
         for kind, weight in terms:
             if kind == "parity":
@@ -121,9 +130,9 @@ def full_report(model: FactorModel, eval_data: Dataset,
         raise FairrecError(f"unknown error metric {error_metric!r}")
     if eval_data.num_ratings == 0:
         raise FairrecError("evaluation set has no entries")
-    preds = Entries(eval_data).predict(model)
+    preds = eval_data._kept(Entries).predict(model)
     err = float(np.mean((preds - eval_data.values) ** 2))
-    unfairness = Unfairness(eval_data, KINDS, "evaluation entries")
+    unfairness = Unfairness.of(eval_data, KINDS, "evaluation entries")
     values, _ = unfairness(preds, [(kind, 1.0) for kind in KINDS])
     scores = dict(zip(METRIC_FIELDS, [err, *values]))
     bad = [name for name, x in scores.items() if not np.isfinite(x)]

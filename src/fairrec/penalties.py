@@ -100,16 +100,18 @@ class TrainingObjective:
     differentiated from a single prediction pass: the only code that turns
     training predictions into the loss.
 
-    Construction does the data-only work once (prediction and gradient
-    paths, group cells; the gradient's structure at the first call), so the
-    trainer builds one per run and calls it once per iteration.
+    The data-only work (prediction and gradient paths, group cells; the
+    gradient's structure at the first call) is done once per dataset and
+    kept with it, so every spec of a trial shares it. The trainer builds one
+    objective per run and calls it once per iteration.
     """
 
     def __init__(self, train: Dataset, lam: float, spec: PenaltySpec, alpha: float):
         if train.num_ratings == 0:
             raise FairrecError("training needs at least one rating")
-        self._entries = Entries(train)
-        self._unfairness = Unfairness(train, [kind for kind, _ in spec.terms], "training ratings")
+        self._entries = train._kept(Entries)
+        self._unfairness = Unfairness.of(train, [kind for kind, _ in spec.terms],
+                                         "training ratings")
         self._train, self._lam, self._spec, self._alpha = train, lam, spec, alpha
 
     def values(self, model: FactorModel) -> tuple[float, float, np.ndarray, np.ndarray]:

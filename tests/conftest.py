@@ -1,9 +1,22 @@
 """Shared fixtures and small builders for the test suite."""
 
+import warnings
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
 from fairrec import Dataset, FactorModel
+
+# On a falsifying example, Hypothesis's pytest plugin imports this module
+# inside its report hook. It imports libcst, which warns that
+# mypy_extensions.TypedDict is deprecated; with every warning an error, that
+# ends the run in INTERNALERROR and hides the example. So it is imported
+# here, once, with DeprecationWarning ignored for this import alone. Without
+# libcst the plugin skips the module, and so does this.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def dataset_from_ratings(num_users, num_items, ratings, protected,
@@ -93,6 +106,19 @@ def make_train_dataset(rng, num_users=None, num_items=None, scale=(0.0, 5.0), de
             triples.append((u, i, v))
     return dataset_from_ratings(num_users, num_items, triples, protected,
                                 rating_scale=scale), protected
+
+
+def counting_builds(monkeypatch, cls):
+    """Record the dataset of every construction of cls, an index that a
+    dataset builds from its columns."""
+    built, init = [], cls.__init__
+
+    def counted(self, data):
+        built.append(data)
+        init(self, data)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
 
 
 def model_to_vector(model):

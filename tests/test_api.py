@@ -3,6 +3,10 @@ benchmark's tracer wraps."""
 
 import ast
 import importlib
+import os
+import shutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -69,3 +73,27 @@ def test_every_warning_is_an_error(request):
     """pyproject.toml turns every warning into an error, so a numpy warning or
     a file left open fails the test that caused it, and no test sets a filter."""
     assert request.config.getini("filterwarnings") == ["error"]
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    """Under the suite's settings and conftest, a failing Hypothesis test
+    prints its falsifying example and the run ends normally. On a failure,
+    the Hypothesis plugin imports a module whose import warns, inside its
+    report hook, where a warning made an error would end the whole run."""
+    tests = Path(__file__).resolve().parent
+    shutil.copy(tests / "conftest.py", tmp_path)
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    # the child imports fairrec as this process does
+    path = [str(Path(fairrec.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(tests.parent / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert "Falsifying example: test_fails(" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert result.returncode == 1

@@ -355,15 +355,17 @@ class TestDensePath:
                               0.0 if predict == "dense" else np.inf)
                 patch.setattr(factorization, "DENSE_GRADIENT_FILL",
                               0.0 if scatter == "dense" else np.inf)
-                entries = Entries(data)
+                # a fresh copy: a dataset keeps the paths of its first use
+                fresh = replace(data)
+                entries = fresh._kept(Entries)
                 assert entries.dense_predict == (predict == "dense")
                 assert entries.dense_gradient == (scatter == "dense")
                 results[predict, scatter] = (
                     entries.predict(model),
-                    TrainingObjective(data, 0.1, ALL_TERMS, 0.3)(model),
-                    objective_gradient(model, data, 0.1),
-                    penalty_gradient(model, data, ALL_TERMS),
-                    full_report(model, data))
+                    TrainingObjective(fresh, 0.1, ALL_TERMS, 0.3)(model),
+                    objective_gradient(model, fresh, 0.1),
+                    penalty_gradient(model, fresh, ALL_TERMS),
+                    full_report(model, fresh))
         want_preds, want_loss, want_obj_grad, want_pen_grad, want_report = \
             results["gather", "csr"]
         assert scaled_close(want_preds, predict_entries(model, data.user_idx, data.item_idx))

@@ -1,5 +1,7 @@
 """Experiment orchestration, statistics, and table formats."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,13 +22,16 @@ from fairrec import (
     ResultTable,
     config_experiment,
     emit,
+    full_report,
     generate,
     parse_penalty,
     regime_comparison,
     run_experiment,
+    train,
     welch_t_test,
 )
 from fairrec import factorization, harness
+from fairrec.factorization import Entries
 from fairrec.harness import (
     DEFAULT_PENALTIES,
     config_hyper,
@@ -35,7 +40,9 @@ from fairrec.harness import (
     parse_config_file,
     run_trial,
 )
+from fairrec.metrics import Unfairness
 
+from conftest import counting_builds, make_train_dataset
 from oracles import oracle_welch
 
 
@@ -277,6 +284,79 @@ class TestRunTrials:
             copy_ml_dir(ml_dir, tmp_path / "fresh", ratings=flip_stars))))
         np.testing.assert_array_equal(after.raw, fresh.raw)
         assert not np.array_equal(after.raw, before.raw)
+
+
+@pytest.fixture(params=["synthetic", "synthetic-gathers-and-csr", "movielens"])
+def seven_specs(request, ml_dir, monkeypatch):
+    """A config of every default penalty spec, and its MovieLens source."""
+    if request.param.startswith("synthetic"):
+        if request.param.endswith("csr"):
+            monkeypatch.setattr(factorization, "DENSE_FILL", np.inf)
+            monkeypatch.setattr(factorization, "DENSE_GRADIENT_FILL", np.inf)
+        return tiny_config(penalties=DEFAULT_PENALTIES), None
+    config = tiny_config(source="movielens", ml_path=str(ml_dir), min_ratings=2,
+                         split_fraction=0.7, penalties=DEFAULT_PENALTIES)
+    return config, harness.load_movielens(config)
+
+
+class TestSharedIndexes:
+    """A dataset builds its prediction and group-cell indexes at its first
+    use, and every penalty spec of the trial shares them."""
+
+    def test_reports_do_not_depend_on_the_other_specs(self, seven_specs, monkeypatch):
+        config, source = seven_specs
+        trained = counting(monkeypatch, "train")
+        scored = counting(monkeypatch, "full_report")
+        reports = run_trial(config, 0, source)
+        backwards = run_trial(replace(config, penalties=config.penalties[::-1]), 0, source)
+        assert backwards[::-1] == reports
+        (train_set, hyper, _), (_, eval_set) = trained[0], scored[0]
+        for spec, report in zip(config.penalties, reports):
+            # alone, on copies that have built nothing yet
+            model, _ = train(replace(train_set), hyper, spec)
+            assert full_report(model, replace(eval_set)) == report
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_no_use_writes_the_shared_index_arrays(self, rng, dense):
+        data, _ = (generate(RegimeConfig("P+O", 40, 30, seed=0)) if dense
+                   else make_train_dataset(rng, num_users=60, num_items=40, density=0.045))
+        for spec in DEFAULT_PENALTIES:
+            model, _ = train(data, tiny_config().hyper, spec)
+            full_report(model, data)
+        fresh = replace(data)
+        train(fresh, replace(tiny_config().hyper, iterations=1))
+        assert data._kept(Entries).dense_gradient == dense
+        for cls, index_names in ((Entries, {"_flat"} if dense else set()), (Unfairness, {"cell"})):
+            used, built = vars(data._kept(cls)), vars(fresh._kept(cls))
+            arrays = {name for name, value in used.items() if isinstance(value, np.ndarray)}
+            assert arrays == {name for name, value in built.items()
+                              if isinstance(value, np.ndarray)}
+            for name in arrays:
+                assert used[name].tobytes() == built[name].tobytes(), name
+            # numpy's take and bincount copy a read-only index at every call,
+            # so the arrays they read stay writeable; the others are read-only
+            assert {name for name in arrays if used[name].flags.writeable} == index_names
+
+    def test_indexes_built_once_per_dataset(self, monkeypatch):
+        built = [counting_builds(monkeypatch, cls) for cls in (Entries, Unfairness)]
+        run_experiment(tiny_config(trials=2, penalties=DEFAULT_PENALTIES))
+        for datasets in built:
+            # a training set and an evaluation set per trial
+            assert len(datasets) == len({id(data) for data in datasets}) == 4
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_dataset_freed_with_its_last_reference(self, rng, dense):
+        data, _ = (generate(RegimeConfig("P+O", 40, 30, seed=0)) if dense
+                   else make_train_dataset(rng, num_users=60, num_items=40, density=0.045))
+        model, _ = train(data, tiny_config().hyper, PenaltySpec.single("value"))
+        full_report(model, data)
+        ref = weakref.ref(data)
+        gc.disable()
+        try:
+            del data
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestResultTable:

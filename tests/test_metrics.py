@@ -43,7 +43,7 @@ class TestEvalData:
 class TestUnfairness:
     def test_counts_and_means(self, rng):
         _, data = make_eval_instance(rng, 5, 3, d=2)
-        unfairness = Unfairness(data, KINDS, "evaluation entries")
+        unfairness = Unfairness.of(data, KINDS, "evaluation entries")
         ref = {}
         for u, i, v in dataset_triples(data):
             # advantaged cells first, then protected ones
@@ -60,7 +60,7 @@ class TestUnfairness:
         model = make_model(rng, 4, 3, d=2)
         data = Dataset(4, 3, [0, 1, 2], [0, 1, 1], [1.0, 2.0, 3.0],
                        [True, True, False, False])
-        unfairness = Unfairness(data, KINDS, "evaluation entries")
+        unfairness = Unfairness.of(data, KINDS, "evaluation entries")
         assert unfairness.comparable.tolist() == [False, True, False]
         assert full_report(model, data).items_counted == 1
 
@@ -107,7 +107,7 @@ class TestMetricEdgeCases:
     def test_parity_needs_both_groups(self):
         data = Dataset(3, 2, [0, 1], [0, 1], [1.0, 2.0], [True, True, False])
         with pytest.raises(FairrecError, match="both groups need at least one training rating"):
-            Unfairness(data, ("parity",), "training ratings")
+            Unfairness.of(data, ("parity",), "training ratings")
 
     def test_sparse_overflow_raises_without_warning(self, rng):
         """Gathered predictions that overflow raise FairrecError, silently."""

@@ -13,9 +13,11 @@ from fairrec import (
     penalty_gradient,
     penalty_value,
 )
+from fairrec.metrics import Unfairness
 from fairrec.penalties import TrainingObjective
 
 from conftest import (
+    counting_builds,
     dataset_from_ratings,
     dataset_triples,
     make_eval_instance,
@@ -316,3 +318,17 @@ class TestTrainingObjective:
         num = np.asarray(central_difference(oracle, x, h=h))
         rel = np.linalg.norm(grad - num, np.inf) / max(np.linalg.norm(num, np.inf), 1e-12)
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("protected, kind, message", [
+        ([True, False], "value", "no item has training ratings from both groups"),
+        ([False, False, True], "parity", "both groups need at least one training rating"),
+    ], ids=["no-comparable-item", "no-protected-rating"])
+    def test_kinds_checked_at_each_use(self, monkeypatch, protected, kind, message):
+        """A second objective on the same dataset shares the first one's
+        group cells, and still checks them for its own kinds."""
+        built = counting_builds(monkeypatch, Unfairness)
+        data = dataset_from_ratings(len(protected), 2, [(0, 0, 1.0), (1, 1, 2.0)], protected)
+        TrainingObjective(data, 0.0, PenaltySpec.none(), 0.0)
+        with pytest.raises(FairrecError, match=f"^{message}$"):
+            TrainingObjective(data, 0.0, PenaltySpec.single(kind), 1.0)
+        assert built == [data]
