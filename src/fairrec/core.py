@@ -174,8 +174,9 @@ class Dataset:
     def _kept(self, build):
         """build(self), made at the first call and kept with this dataset,
         whose columns are frozen; dataclasses.replace gives a new dataset
-        without it. It must not refer to the dataset: a cycle would outlive
-        the last reference until the cyclic garbage collector runs."""
+        without it. It holds only arrays built from the dataset, never a
+        call's values, and must not refer to the dataset: a cycle would
+        outlive the last reference until the cyclic garbage collector runs."""
         kept, name = vars(self), f"_kept_{build.__name__}"
         if name not in kept:
             kept[name] = build(self)

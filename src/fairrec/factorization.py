@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, FactorModel, FairrecError, _frozen
+from .core import Dataset, FactorModel, FairrecError
 
 # Fill from which the score matrix is the faster path. With d = 4 on a
 # 2-core host, the matrix plus one read-out overtook the gathers near 10% fill
@@ -93,8 +93,9 @@ class Entries:
     a single block. Both storages run the same two products, the C^T ones
     summed over the blocks in order, and rely on entries sorted by (user,
     item): a row block's entries are one slice, and CSR data order is entry
-    order. The paths agree to rounding. The gradient's structure is built at
-    its first use, so prediction alone never loads scipy.
+    order. The paths agree to rounding. It keeps only arrays built from its
+    dataset, never a call's values; the CSR index arrays are built at the
+    first gradient, so prediction alone never loads scipy.
     """
 
     def __init__(self, data: Dataset):
@@ -105,7 +106,6 @@ class Entries:
         if self.dense_predict or self.dense_gradient:
             # writeable: numpy's take copies a read-only index at every call
             self._flat = self._users * m + self._items
-        self._row_starts = None
 
     def _check(self, model: FactorModel) -> None:
         if (model.num_users, model.num_items) != self._shape:
@@ -123,25 +123,23 @@ class Entries:
         block's product with a width-column matrix stays within
         _BLOCK_MULADDS. Each block is valid until the next is drawn."""
         n, m = self._shape
-        if self._row_starts is None:
-            # the entries of user u are row_starts[u]:row_starts[u + 1]
-            self._row_starts = _frozen(np.concatenate(
-                ([0], np.cumsum(np.bincount(self._users, minlength=n)))))
-            if not self.dense_gradient:
-                # imported here, its only use: scipy.sparse is most of a
-                # cold start, and dense data never needs it
-                from scipy.sparse import csr_matrix
-
-                self._matrix = csr_matrix((np.zeros(len(self._users)), self._items,
-                                           self._row_starts), shape=(n, m))
         if not self.dense_gradient:
-            self._matrix.data = coeffs
-            yield 0, n, self._matrix
+            # imported here, its only use: scipy.sparse is most of a cold
+            # start, and dense data never needs it
+            from scipy.sparse import csr_matrix
+
+            if not hasattr(self, "_csr"):
+                # scipy's own: it would down-cast the int64 columns every call
+                rows = np.searchsorted(self._users, np.arange(n + 1))
+                built = csr_matrix((coeffs, self._items, rows), shape=(n, m))
+                self._csr = built.indices, built.indptr
+            yield 0, n, csr_matrix((coeffs, *self._csr), shape=(n, m))
             return
         blocks = _row_blocks(n, m, width)
         buffer = np.empty((blocks[0][1] - blocks[0][0]) * m)
         for start, stop in blocks:
-            lo, hi = self._row_starts[start], self._row_starts[stop]
+            # _flat is sorted, so the entries of rows start:stop are one slice
+            lo, hi = np.searchsorted(self._flat, (start * m, stop * m))
             C = buffer[:(stop - start) * m]
             C.fill(0.0)
             C[self._flat[lo:hi] - start * m] = coeffs[lo:hi]

@@ -304,9 +304,9 @@ def parse_config_file(path, keys: tuple = CONFIG_KEYS) -> dict:
                 raise MalformedLineError(no, f"expected 'key = value', got {line[:1000]!r}")
             if key not in keys:
                 raise MalformedLineError(
-                    no, f"config key {key!r} is not read here; keys: {', '.join(keys)}")
+                    no, f"config key {key[:1000]!r} is not read here; keys: {', '.join(keys)}")
             if key in mapping:
-                raise MalformedLineError(no, f"config key {key!r} is set twice")
+                raise MalformedLineError(no, f"config key {key[:1000]!r} is set twice")
             mapping[key] = value
     return mapping
 

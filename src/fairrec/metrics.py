@@ -98,7 +98,7 @@ class Unfairness:
         of an entry in each cell. An entry weighs 1/(entries) in its cell's
         and its group's means, and a comparable item 1/(comparable items).
         """
-        values, parity = [], None
+        values = []
         cell_coeffs = np.zeros(len(self.count))
         if any(kind != "parity" for kind, _ in terms):
             D = (self._means(preds) - self.true_means).reshape(2, -1)[:, self.comparable]
@@ -106,15 +106,14 @@ class Unfairness:
             if kind == "parity":
                 phi, slope = smooth_abs(np.mean(preds[self._in_protected])
                                         - np.mean(preds[~self._in_protected]), eps)
-                parity = weight * (-slope / self.n_a), weight * (slope / self.n_p)
+                advantaged, protected = cell_coeffs.reshape(2, -1)
+                advantaged += weight * (-slope / self.n_a)
+                protected += weight * (slope / self.n_p)
             else:
                 phi, grad = item_terms(kind, D, eps)
                 phi = np.mean(phi)
                 cell_coeffs.reshape(2, -1)[:, self.comparable] += weight * (grad / self._scale)
             values.append(float(phi))
-        if parity is not None:
-            for half, coeff in zip(cell_coeffs.reshape(2, -1), parity):
-                half += coeff
         return values, cell_coeffs
 
 

@@ -299,6 +299,19 @@ def seven_specs(request, ml_dir, monkeypatch):
     return config, harness.load_movielens(config)
 
 
+def kept_arrays(value, path=""):
+    """(path, array) for every array that ``value`` holds: itself, or one
+    inside its tuples and attributes, scipy's matrices included."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, tuple):
+        for k, item in enumerate(value):
+            yield from kept_arrays(item, f"{path}[{k}]")
+    elif hasattr(value, "__dict__"):
+        for name, item in vars(value).items():
+            yield from kept_arrays(item, f"{path}.{name}" if path else name)
+
+
 class TestSharedIndexes:
     """A dataset builds its prediction and group-cell indexes at its first
     use, and every penalty spec of the trial shares them."""
@@ -326,16 +339,23 @@ class TestSharedIndexes:
         fresh = replace(data)
         train(fresh, replace(tiny_config().hyper, iterations=1))
         assert data._kept(Entries).dense_gradient == dense
-        for cls, index_names in ((Entries, {"_flat"} if dense else set()), (Unfairness, {"cell"})):
-            used, built = vars(data._kept(cls)), vars(fresh._kept(cls))
-            arrays = {name for name, value in used.items() if isinstance(value, np.ndarray)}
-            assert arrays == {name for name, value in built.items()
-                              if isinstance(value, np.ndarray)}
-            for name in arrays:
-                assert used[name].tobytes() == built[name].tobytes(), name
-            # numpy's take and bincount copy a read-only index at every call,
-            # so the arrays they read stay writeable; the others are read-only
-            assert {name for name in arrays if used[name].flags.writeable} == index_names
+        # after its constructor, an Entries sets its CSR structure only
+        assert set(vars(data._kept(Entries))) - set(vars(Entries(data))) == \
+            (set() if dense else {"_csr"})
+        # numpy's take and bincount copy a read-only index at every call, and
+        # scipy's products read its own index arrays, so these stay writeable;
+        # the others are read-only
+        writeable = {Entries: {"_flat"} if dense else {"_csr[0]", "_csr[1]"},
+                     Unfairness: {"cell"}}
+        for cls, index_names in writeable.items():
+            used, built = (dict(kept_arrays(dataset._kept(cls))) for dataset in (data, fresh))
+            assert used.keys() == built.keys()
+            for name, array in used.items():
+                assert array.tobytes() == built[name].tobytes(), name
+            assert {name for name, array in used.items() if array.flags.writeable} == index_names
+        # a call's predictions and coefficients are not kept with the data
+        assert [name for name, array in kept_arrays(data._kept(Entries))
+                if array.dtype.kind == "f"] == []
 
     def test_indexes_built_once_per_dataset(self, monkeypatch):
         built = [counting_builds(monkeypatch, cls) for cls in (Entries, Unfairness)]

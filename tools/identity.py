@@ -16,7 +16,7 @@ Every case exits 0: refusals (exit 2) are pinned in process by
 tests/test_cli.py. A command that exits otherwise on this working tree is
 reported as a difference, even where BASE_REV exits the same way. The
 inputs a case needs besides its own commands' outputs (the MovieLens-layout
-directory, the thinned dataset and the config files) are written by this
+directory, the thinned datasets and the config files) are written by this
 working tree's code for both trees.
 """
 
@@ -47,14 +47,21 @@ def write_ml(directory: str) -> None:
                            [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")])))
 
 
-def thin(directory: str) -> None:
-    """sparse.txt: d.txt with every fourth rating line kept (7% fill at 40 x 30)."""
-    with open(os.path.join(directory, "d.txt"), encoding="utf-8") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    ratings = itertools.count(1)
-    with open(os.path.join(directory, "sparse.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(line for line in lines
-                      if not line.startswith("r ") or next(ratings) % 4 == 0)
+def thin(name: str, keep: int, every: int, fill: tuple):
+    """A step that writes ``name``: d.txt (40 x 30) with ``keep`` of every
+    ``every`` rating lines kept. Its fill, which picks the factorization's
+    paths, must lie in [fill[0], fill[1])."""
+    def step(directory: str) -> None:
+        with open(os.path.join(directory, "d.txt"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        ratings = itertools.count(1)
+        kept = [line for line in lines
+                if not line.startswith("r ") or next(ratings) % every < keep]
+        share = sum(line.startswith("r ") for line in kept) / (40 * 30)
+        assert fill[0] <= share < fill[1], f"{name}: {share:.2%} fill"
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(kept)
+    return step
 
 
 def configs(directory: str) -> None:
@@ -85,7 +92,10 @@ CASES = {
     **{f"synth-gen {regime}": [["synth-gen", "--regime", regime, *GEN[1:]]]
        for regime in REGIMES},
     "train dense": [GEN, *trains("d.txt")],
-    "train sparse": [GEN, thin, *trains("sparse.txt")],
+    # gathered predictions and a CSR gradient (7% fill)
+    "train sparse": [GEN, thin("sparse.txt", 1, 4, (0.0, 0.10)), *trains("sparse.txt")],
+    # score-matrix predictions and a CSR gradient (11.25% fill)
+    "train mid": [GEN, thin("mid.txt", 2, 5, (0.10, 0.15)), *trains("mid.txt")],
     "reproduce-fig1": [["reproduce-fig1", *SMALL, "--out", "fig1.csv"]],
     "reproduce-table1": [["reproduce-table1", *SMALL, "--out", "t1.csv"]],
     "ml-prepare": [write_ml,
