@@ -441,7 +441,7 @@ def parse_dataset(fh) -> Dataset:
             else:
                 raise MalformedLineError(no, f"unrecognized line {line[:1000]!r}")
         except (ValueError, OverflowError) as exc:
-            raise MalformedLineError(no, str(exc)) from exc
+            raise MalformedLineError(no, str(exc)[:1000]) from exc
         return None
 
     columns = [np.zeros(0, _RATING_ROW)]

@@ -1,7 +1,7 @@
 """Biased matrix-factorization prediction, and the chain rule from the
 predictions to the parameters: the gradient of any loss that depends on the
-model through its predictions, plus that of the Frobenius term on the
-factors. The training loss itself is built in ``penalties``.
+model through its predictions only. The training loss itself is built in
+``penalties``.
 """
 
 from __future__ import annotations
@@ -145,10 +145,8 @@ class Entries:
             C[self._flat[lo:hi] - start * m] = coeffs[lo:hi]
             yield start, stop, C.reshape(stop - start, m)
 
-    def gradient(self, model: FactorModel, coeffs: np.ndarray, lam: float = 0.0) -> np.ndarray:
-        """The flat_params-layout gradient of sum_e coeffs[e] * prediction_e,
-        plus that of the Frobenius term lam/2 * (||P||^2 + ||Q||^2) when lam
-        is given."""
+    def gradient(self, model: FactorModel, coeffs: np.ndarray) -> np.ndarray:
+        """The flat_params-layout gradient of sum_e coeffs[e] * prediction_e."""
         self._check(model)
         n, m, d = model.num_users, model.num_items, model.d
         left = np.hstack([model.user_factors, np.ones((n, 1))])
@@ -158,9 +156,5 @@ class Entries:
         for start, stop, C in self._blocks(coeffs, d + 1):
             user[start:stop] = C @ right
             item += C.T @ left[start:stop]
-        return np.concatenate([
-            (user[:, :d] + lam * model.user_factors).ravel(),
-            (item[:, :d] + lam * model.item_factors).ravel(),
-            user[:, d], item[:, d],
-        ])
+        return np.concatenate([user[:, :d].ravel(), item[:, :d].ravel(), user[:, d], item[:, d]])
 

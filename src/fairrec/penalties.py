@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, FactorModel, FairrecError, _fmt
-from .factorization import Entries
+from .factorization import Entries, param_blocks
 from .metrics import KINDS as PENALTY_KINDS, Unfairness
 
 
@@ -98,7 +98,8 @@ def parse_penalty(text: str, smoothing: float = 0.0) -> PenaltySpec:
 class TrainingObjective:
     """objective + alpha * penalty on one training set, valued and
     differentiated from a single prediction pass: the only code that turns
-    training predictions into the loss.
+    training predictions into the loss, and that adds the Frobenius term's
+    gradient. Entries turns its per-prediction coefficients into the rest.
 
     The data-only work (prediction and gradient paths, group cells; the
     gradient's structure at the first call) is done once per dataset and
@@ -133,7 +134,11 @@ class TrainingObjective:
         """(objective, penalty, flat_params-layout gradient of the combination)."""
         obj, pen, coeffs, pen_coeffs = self.values(model)
         coeffs += self._alpha * pen_coeffs
-        return obj, pen, self._entries.gradient(model, coeffs, self._lam)
+        grad = self._entries.gradient(model, coeffs)
+        P, Q, _, _ = param_blocks(grad, model.num_users, model.num_items, model.d)
+        P += self._lam * model.user_factors
+        Q += self._lam * model.item_factors
+        return obj, pen, grad
 
 
 def objective(model: FactorModel, train: Dataset, lam: float) -> float:
@@ -142,14 +147,13 @@ def objective(model: FactorModel, train: Dataset, lam: float) -> float:
 
 
 def objective_gradient(model: FactorModel, train: Dataset, lam: float) -> np.ndarray:
-    """Analytic gradient of ``objective``, laid out as ``flat_params``.
+    """Gradient of ``objective``, a TrainingObjective with no penalty, laid out as flat_params.
 
     Each observed entry contributes (2/k) * residual through the prediction;
     the Frobenius term adds lam * P and lam * Q for every row, including rows
     untouched by any rating. Biases receive no regularization.
     """
-    loss = TrainingObjective(train, lam, PenaltySpec.none(), 0.0)
-    return loss._entries.gradient(model, loss.values(model)[2], lam)
+    return TrainingObjective(train, lam, PenaltySpec.none(), 0.0)(model)[2]
 
 
 def penalty_value(model: FactorModel, train: Dataset, spec: PenaltySpec) -> float:

@@ -169,7 +169,7 @@ def parse_model(fh) -> FactorModel:
         try:
             values = [float(x) for x in fields[1:]]
         except ValueError as exc:
-            raise MalformedLineError(no, f"bad number: {exc}") from exc
+            raise MalformedLineError(no, f"bad number: {str(exc)[:1000]}") from exc
         if not all(map(isfinite, values)):
             raise MalformedLineError(no, "parameters must be finite")
         return values

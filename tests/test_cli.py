@@ -793,18 +793,23 @@ PEAK_RSS = ("import os, sys\n"
     (["train", "--data", "{bad}", "--out", "{out}"], "{x}", "line 1: bad header '", 2.5),
     (["train", "--data", "{bad}", "--out", "{out}"],
      "users=2 items=1 scale=0.0,5.0\nu 0 1\nu 1 0\nr 0 0 {x}\n",
-     "line 4: could not convert string to float: '", 8.2),
+     "line 4: could not convert string to float: '", 7.0),
     (["synth-gen", "--config", "{bad}", "--out", "{out}"], "{x} = 1\n",
      "line 1: config key '", 5.0),
-], ids=["checkpoint-header", "dataset-header", "rating-value", "config-key"])
+    (["eval", "--model", "{bad}", "--data", "{data}"], "d=1 n=1 m=1\np {x}\nq 0\nbu 0\nbi 0\n",
+     "line 2: bad number: could not convert string to float: '", 4.6),
+], ids=["checkpoint-header", "dataset-header", "rating-value", "config-key", "checkpoint-value"])
 def test_huge_line_refused_in_bounded_memory(argv, text, quote, per_char, synth_file,
                                              tmp_path, capsys):
     """A file of one 20 MB line, a dataset whose one rating value is 20 MB,
-    or a config file whose one key is, is refused with the start of the line
-    quoted. Its peak RSS exceeds that of a one-character line by at most
-    per_char bytes per character. Measured on Linux: 2.0, 7.0 and 4.0,
-    against 3.0, 9.4 and 6.0 when the whole line or key was quoted and
-    numpy's C reader read the long piece."""
+    a config file whose one key is, or a checkpoint whose one factor is, is
+    refused with the start of the line quoted. Its peak RSS exceeds that of
+    a one-character line by at most per_char bytes per character. Measured
+    on Linux, in case order: 2.0, 2.0, 6.6, 4.0 and 4.0, against 3.0, 3.0,
+    7.4, 6.0 and 6.0 when the whole line, key or number was quoted (9.4 for
+    the rating value while numpy's C reader also read the long piece). Most
+    of the rating value's 6.6 is copies of its line and float()'s own
+    message, which quotes the whole field."""
     bad, out, size = tmp_path / "bad.txt", tmp_path / "m.txt", 20_000_000
     argv = [arg.format(bad=bad, data=synth_file, out=out) for arg in argv]
     message = quote + "x" * (1000 - len(quote)) + "..."

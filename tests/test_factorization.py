@@ -128,6 +128,18 @@ def gradients_on_both_paths(data):
     return [e.gradient for e in entries]
 
 
+def objectives_on_both_paths(data, lam):
+    """TrainingObjective(data, lam) with no penalty, on copies of data whose
+    C is forced into dense row blocks and into one CSR matrix."""
+    objectives = []
+    with pytest.MonkeyPatch.context() as patch:
+        for fill in (0.0, np.inf):
+            patch.setattr(factorization, "DENSE_GRADIENT_FILL", fill)
+            objectives.append(TrainingObjective(replace(data), lam, PenaltySpec.none(), 0.0))
+    assert [loss._entries.dense_gradient for loss in objectives] == [True, False]
+    return objectives
+
+
 class TestScatter:
     """Entries.gradient on both storages of C against an entry-by-entry loop
     on random datasets."""
@@ -170,30 +182,31 @@ class TestScatter:
 
 class TestEntryGradient:
     def test_matches_explicit_accumulation(self, rng):
+        """Entries.gradient, and the training objective's gradient with its
+        Frobenius term from the objective's own coefficients, on both storages
+        of C against an entry-by-entry loop."""
         m = make_model(rng, 4, 3, d=2)
         d = dataset_from_ratings(4, 3, [(0, 2, 1.0), (1, 0, 1.0), (1, 2, 1.0), (3, 1, 1.0)],
                                  [True, False, True, False], rating_scale=(0.0, 5.0))
+
+        def explicit(coeffs, lam):
+            dP, dQ, dbu, dbi = loop_gradient(m, d, coeffs)
+            return np.concatenate([(lam * m.user_factors + dP).ravel(),
+                                   (lam * m.item_factors + dQ).ravel(), dbu, dbi])
+
         coeffs = np.array([0.5, -1.0, 2.0, 0.25])
-        lam = 0.5
-        dP = lam * m.user_factors
-        dQ = lam * m.item_factors
-        dbu = np.zeros(4)
-        dbi = np.zeros(3)
-        for u, i, c in zip([0, 1, 1, 3], [2, 0, 2, 1], coeffs):
-            dP[u] += c * m.item_factors[i]
-            dQ[i] += c * m.user_factors[u]
-            dbu[u] += c
-            dbi[i] += c
         for gradient in gradients_on_both_paths(d):
-            assert np.allclose(gradient(m, coeffs, lam),
-                               np.concatenate([dP.ravel(), dQ.ravel(), dbu, dbi]),
-                               atol=1e-12)
+            assert np.allclose(gradient(m, coeffs), explicit(coeffs, 0.0), atol=1e-12)
+        for loss in objectives_on_both_paths(d, 0.5):
+            assert np.allclose(loss(m)[2], explicit(loss.values(m)[2], 0.5), atol=1e-12)
 
     @pytest.mark.parametrize("n, m, fill, d", [(50, 40, 0.10, 1), (300, 200, 0.12, 8),
                                                (400, 300, 0.05, 4), (2953, 1006, 0.08, 4)])
     def test_csr_matches_bincount_formula_bit_for_bit(self, n, m, fill, d):
         """The bias sums folded into the CSR products, against the former
-        formula's bincounts, with users, items and coefficients that are 0."""
+        formula's bincounts, with users, items and coefficients that are 0;
+        and the training objective's gradient, Frobenius term included, fed
+        the objective's own coefficients."""
         rng = np.random.default_rng(n)
         observed = rng.random((n, m)) < fill
         observed[::7] = False
@@ -205,10 +218,12 @@ class TestEntryGradient:
         coeffs[::3] = 0.0
         entries = Entries(data)
         assert not entries.dense_gradient
-        for lam in (0.0, 0.1):
-            want = oracle_csr_gradient(model.user_factors, model.item_factors,
-                                       u, i, coeffs, lam)
-            assert np.array_equal(entries.gradient(model, coeffs, lam), want)
+        want = oracle_csr_gradient(model.user_factors, model.item_factors, u, i, coeffs, 0.0)
+        assert np.array_equal(entries.gradient(model, coeffs), want)
+        loss = TrainingObjective(data, 0.1, PenaltySpec.none(), 0.0)
+        want = oracle_csr_gradient(model.user_factors, model.item_factors,
+                                   u, i, loss.values(model)[2], 0.1)
+        assert np.array_equal(loss(model)[2], want)
 
 
 class TestGradientContainer:
@@ -426,7 +441,7 @@ class TestDensePath:
             "    entries = Entries(Dataset(n, m, u, i, rng.uniform(1, 5, len(u)),\n"
             "                              np.arange(n) % 2 == 0))\n"
             "    assert entries.dense_gradient == (fill > 0.15)\n"
-            "    digest.update(entries.gradient(model, rng.normal(size=len(u)), 0.1).tobytes())\n"
+            "    digest.update(entries.gradient(model, rng.normal(size=len(u))).tobytes())\n"
             "print(digest.hexdigest())\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(fairrec.__file__)))
         digests = {
