@@ -24,11 +24,10 @@ from .core import (
 )
 from .harness import (
     CONFIG_KEYS,
+    SOURCES,
     ExperimentConfig,
     config_experiment,
     config_hyper,
-    default_alpha,
-    default_trials,
     emit,
     load_movielens,
     parse_config_file,
@@ -59,8 +58,8 @@ def _add_hyper_flags(sub):
     sub.add_argument("--lambda", dest="lambda", metavar="LAM", type=float,
                      help=f"Frobenius regularization weight (default {_BASE.lam})")
     sub.add_argument("--alpha", type=float,
-                     help=(f"penalty weight (default {default_alpha('synthetic')} "
-                           f"synthetic, {default_alpha('movielens')} movielens)"))
+                     help=(f"penalty weight (default {SOURCES['synthetic'][1]} "
+                           f"synthetic, {SOURCES['movielens'][1]} movielens)"))
     sub.add_argument("--lr", type=float,
                      help=f"Adam learning rate (default {_BASE.learning_rate})")
     sub.add_argument("--iterations", type=int,
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub, row in ((fig1, "regime"), (t1, "penalty")):
         _add_size_flags(sub)
         sub.add_argument("--trials", type=int,
-                         help=f"trials per {row} (default {default_trials('synthetic')})")
+                         help=f"trials per {row} (default {SOURCES['synthetic'][0]})")
 
     t2 = subs.add_parser("reproduce-table2",
                          help="penalty comparison on filtered MovieLens-1M")
@@ -138,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     mlp.set_defaults(func=_cmd_ml_prepare)
     t2.add_argument("--split", type=float,
                     help=f"train fraction (default {_CONFIG.split_fraction})")
-    t2.add_argument("--trials", type=int, help=f"trials (default {default_trials('movielens')})")
+    t2.add_argument("--trials", type=int, help=f"trials (default {SOURCES['movielens'][0]})")
 
     for sub in (fig1, t1, t2):
         _add_hyper_flags(sub)
@@ -184,7 +183,7 @@ def _cmd_ml_prepare(args, mapping) -> int:
 
 
 def _cmd_train(args, mapping) -> int:
-    hyper = config_hyper(mapping, mapping.get("source", "synthetic"))
+    hyper = config_hyper(mapping)
     spec = parse_penalty(mapping.get("penalty", "none"), args.smoothing)
     data = load_dataset(args.data)
     model, trace = train(data, hyper, spec)

@@ -99,8 +99,9 @@ class Dataset:
     never read by the metrics; they exist for generation and reporting.
 
     A Dataset is valid once built: construction raises FairrecError for an
-    index outside the shape, a repeated (user, item) pair, a rating outside
-    the scale (NaN included), or an empty user group.
+    index that is not an integer or lies outside the shape, a repeated (user,
+    item) pair, a rating outside the scale (NaN included), a protected flag
+    that is neither bool nor 0/1, or an empty user group.
     """
 
     num_users: int
@@ -116,14 +117,20 @@ class Dataset:
     def __post_init__(self):
         if _whole_number(self, "num_users") < 1 or _whole_number(self, "num_items") < 1:
             raise FairrecError("dataset needs at least one user and one item")
-        u = np.asarray(self.user_idx, dtype=np.int64)
-        i = np.asarray(self.item_idx, dtype=np.int64)
+        u, i = np.asarray(self.user_idx), np.asarray(self.item_idx)
         v = np.asarray(self.values, dtype=np.float64)
         if not (u.ndim == i.ndim == v.ndim == 1 and len(u) == len(i) == len(v)):
             raise FairrecError("user_idx, item_idx, values must be 1-d and equally long")
-        p = np.asarray(self.protected, dtype=bool)
+        # a cast would read user 1.7 as user 1 and item True as item 1
+        if len(v) and {u.dtype.kind, i.dtype.kind} - set("iu"):
+            raise FairrecError("user_idx and item_idx must hold integers")
+        u, i = u.astype(np.int64, copy=False), i.astype(np.int64, copy=False)
+        flags = np.asarray(self.protected)
+        p = flags.astype(bool)
         if p.shape != (self.num_users,):
             raise FairrecError("protected must have exactly one flag per user")
+        if not np.array_equal(flags, p):
+            raise FairrecError("protected flags must be bool or 0/1")
         lo, hi = (float(self.rating_scale[0]), float(self.rating_scale[1]))
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
             raise FairrecError(f"invalid rating scale ({lo}, {hi})")

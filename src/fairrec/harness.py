@@ -41,7 +41,8 @@ from .penalties import PenaltySpec
 from .synthgen import REGIMES, RegimeConfig, expected_value_eval, generate
 from .trainer import train
 
-SOURCES = ("synthetic", "movielens")
+# each data source with its default trial count and penalty weight (alpha)
+SOURCES = {"synthetic": (5, 0.3), "movielens": (3, 0.1)}
 
 DEFAULT_PENALTIES = (
     PenaltySpec.none(),
@@ -54,26 +55,20 @@ DEFAULT_PENALTIES = (
 )
 
 
-def _check_source(source: str) -> None:
+def source_defaults(source: str) -> tuple[int, float]:
+    """The (trials, alpha) defaults of a data source, which must be in SOURCES."""
     if source not in SOURCES:
-        raise FairrecError(f"source must be one of {SOURCES}, got {source!r}")
-
-
-def default_trials(source: str) -> int:
-    return 5 if source == "synthetic" else 3
-
-
-def default_alpha(source: str) -> float:
-    _check_source(source)
-    return 0.3 if source == "synthetic" else 0.1
+        raise FairrecError(f"source must be one of {tuple(SOURCES)}, got {source!r}")
+    return SOURCES[source]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment depends on: data source, training knobs,
     the penalty specs under comparison, and the trial plan. A bare
-    ExperimentConfig(source="movielens") runs 5 trials at alpha 0.3; the CLI's
-    3 and 0.1 come from config_experiment({"source": "movielens", ...}).
+    ExperimentConfig(source="movielens") runs 5 trials at alpha 0.3; a
+    source's own defaults, SOURCES[source], come from config_experiment.
+    The regime and the sizes are checked as a RegimeConfig for every source.
 
     hyper.seed is ignored: trial t trains with seed base_seed + t, which also
     drives its data. The config key ``seed`` sets base_seed."""
@@ -93,18 +88,14 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        _whole_number(self, "num_users"), _whole_number(self, "num_items")
-        _check_source(self.source)
-        if self.regime not in REGIMES:
-            raise FairrecError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        source_defaults(self.source)
+        # fails here, not at the first trial, on sizes the shares cannot split
+        RegimeConfig(self.regime, self.num_users, self.num_items)
         if self.genre_mode not in GENRE_MODES:
             raise FairrecError(
                 f"genre_mode must be one of {GENRE_MODES}, got {self.genre_mode!r}")
         if self.source == "movielens" and not self.ml_path:
             raise FairrecError("movielens experiments need ml_path")
-        if self.source == "synthetic":
-            # fails here, not at the first trial, on sizes the shares cannot split
-            RegimeConfig(self.regime, self.num_users, self.num_items)
         if _whole_number(self, "min_ratings") < 0:
             raise FairrecError("min_ratings must be >= 0")
         if not 0.0 < self.split_fraction < 1.0:
@@ -326,10 +317,11 @@ def _config_fields(mapping: dict, column: int) -> dict:
     return fields
 
 
-def config_hyper(mapping: dict, source: str) -> Hyperparams:
-    """Hyperparams from a config mapping; alpha defaults by data source,
-    which must be one of SOURCES."""
-    return Hyperparams(**{"alpha": default_alpha(source), **_config_fields(mapping, 1)})
+def config_hyper(mapping: dict) -> Hyperparams:
+    """Hyperparams from a config mapping; alpha defaults by the mapping's
+    source (synthetic when it has none), which must be in SOURCES."""
+    _, alpha = source_defaults(mapping.get("source", ExperimentConfig.source))
+    return Hyperparams(**{"alpha": alpha, **_config_fields(mapping, 1)})
 
 
 def config_experiment(mapping: dict) -> ExperimentConfig:
@@ -341,6 +333,5 @@ def config_experiment(mapping: dict) -> ExperimentConfig:
         raise FairrecError("config key 'penalty' is read by train only: "
                            "an experiment compares its own penalty specs")
     fields = _config_fields(mapping, 0)
-    source = fields.get("source", ExperimentConfig.source)
-    return ExperimentConfig(**{"trials": default_trials(source), **fields},
-                            hyper=config_hyper(mapping, source))
+    trials, _ = source_defaults(fields.get("source", ExperimentConfig.source))
+    return ExperimentConfig(**{"trials": trials, **fields}, hyper=config_hyper(mapping))

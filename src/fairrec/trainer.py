@@ -49,7 +49,8 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class TrainTrace:
-    """Per-iteration objective and penalty values (pre-update)."""
+    """Objective and penalty values, one row per model: row t holds the
+    model after t Adam steps, so the last row is the trained model's."""
 
     objective: np.ndarray
     penalty: np.ndarray
@@ -97,7 +98,8 @@ def adam_step(params: np.ndarray, grad: np.ndarray, first: np.ndarray, second: n
 
 def train(train_set: Dataset, hyper: Hyperparams,
           spec: PenaltySpec = PenaltySpec.none()) -> tuple[FactorModel, TrainTrace]:
-    """Full-batch Adam on objective + alpha * penalty for hyper.iterations steps."""
+    """Full-batch Adam on objective + alpha * penalty for hyper.iterations
+    steps; the trace's last row is the returned model's."""
     # Python ints, so that the memory estimate cannot overflow as a numpy integer
     n, m, d = map(int, (train_set.num_users, train_set.num_items, hyper.d))
     # the parameters, their gradient and Adam's two moments, at 8 bytes each
@@ -106,8 +108,8 @@ def train(train_set: Dataset, hyper: Hyperparams,
     model = init_model(n, m, d, hyper.seed, hyper.init_scale)
     params = flat_params(model)
     first, second = np.zeros_like(params), np.zeros_like(params)
-    obj_trace = np.empty(hyper.iterations)
-    pen_trace = np.empty(hyper.iterations)
+    obj_trace = np.empty(hyper.iterations + 1)
+    pen_trace = np.empty(hyper.iterations + 1)
     # a diverging model overflows to inf and nan anywhere in a step; the
     # checks below turn that into a DivergenceError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -120,9 +122,9 @@ def train(train_set: Dataset, hyper: Hyperparams,
             params, first, second = adam_step(params, grad, first, second, it + 1,
                                               hyper.learning_rate)
             model = FactorModel(*param_blocks(params, n, m, d))
-        obj, pen, _, _ = loss.values(model)
-    if not np.isfinite(obj + hyper.alpha * pen):
-        raise DivergenceError("combined objective became non-finite after the last step")
+        obj_trace[-1], pen_trace[-1], _, _ = loss.values(model)
+        if not np.isfinite(obj_trace[-1] + hyper.alpha * pen_trace[-1]):
+            raise DivergenceError("combined objective became non-finite after the last step")
     return model, TrainTrace(obj_trace, pen_trace)
 
 

@@ -18,8 +18,12 @@ from fairrec import (
     METRIC_FIELDS,
     REGIMES,
     Dataset,
+    Hyperparams,
     load_dataset,
     load_model,
+    objective,
+    parse_penalty,
+    penalty_value,
     save_dataset,
     save_model,
 )
@@ -237,9 +241,10 @@ class TestTrain:
         assert model.item_factors.shape == (30, 2)
         lines = (tmp_path / "model.txt.trace.csv").read_text().splitlines()
         assert lines[0] == "iteration,objective,penalty,combined"
-        assert len(lines) == 1 + 20
+        # one row per model: the initial one and the one after each step
+        assert len(lines) == 1 + 20 + 1
         assert lines[1].startswith("0,")
-        assert lines[-1].startswith("19,")
+        assert lines[-1].startswith("20,")
 
     def test_trace_flag_sets_path(self, synth_file, tmp_path, capsys):
         out, trace = tmp_path / "m.txt", tmp_path / "own-trace.csv"
@@ -265,6 +270,21 @@ class TestTrain:
                               "--out", str(out))
         assert code == 0
         assert float(stdout.rsplit("penalty=", 1)[1]) == 0.0
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_prints_the_values_of_the_written_model(self, synth_file, sparse_file,
+                                                    tmp_path, capsys, sparse):
+        data = sparse_file if sparse else synth_file
+        out = tmp_path / "m.txt"
+        code, stdout, _ = run(capsys, "train", "--data", str(data), "--penalty",
+                              "under:2+over", "--iterations", "20", "--out", str(out))
+        assert code == 0
+        model, dataset = load_model(out), load_dataset(data)
+        obj = repr(float(objective(model, dataset, Hyperparams().lam)))
+        pen = repr(float(penalty_value(model, dataset, parse_penalty("under:2+over"))))
+        assert stdout == f"final objective={obj} penalty={pen}\n"
+        last = (tmp_path / "m.txt.trace.csv").read_text().splitlines()[-1]
+        assert last.split(",")[:3] == ["20", obj, pen]
 
     def test_same_seed_reproduces_model(self, synth_file, tmp_path, capsys):
         outs = [tmp_path / "m1.txt", tmp_path / "m2.txt"]
@@ -472,13 +492,13 @@ class TestConfigFile:
         code, _, _ = run(capsys, "train", "--data", str(synth_file),
                          "--config", str(cfg), "--out", str(out))
         assert code == 0
-        assert len((tmp_path / "m.txt.trace.csv").read_text().splitlines()) == 1 + 8
+        assert len((tmp_path / "m.txt.trace.csv").read_text().splitlines()) == 1 + 8 + 1
 
         code, _, _ = run(capsys, "train", "--data", str(synth_file),
                          "--config", str(cfg), "--iterations", "5",
                          "--out", str(out), "--trace", str(tmp_path / "t.csv"))
         assert code == 0
-        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 5 + 1
 
     @pytest.mark.parametrize("command, text, message", [
         ("train", "# fast\nseed = 1\niteratons = U\n", "line 3: config key 'iteratons' is not "

@@ -102,10 +102,12 @@ class TestDataset:
 
     def test_sorted_input_is_copied(self):
         u, i, v = np.array([0, 1]), np.array([0, 0]), np.array([1.0, 2.0])
-        d = Dataset(2, 1, u, i, v, [True, False])
-        v[0] = 9.0
+        p = np.array([True, False])
+        d = Dataset(2, 1, u, i, v, p)
+        v[0], p[0] = 9.0, False
         assert d.values.tolist() == [1.0, 2.0]
-        assert v.flags.writeable
+        assert d.protected.tolist() == [True, False]
+        assert v.flags.writeable and p.flags.writeable
 
 
 class TestDatasetIsValidOnceBuilt:
@@ -118,6 +120,11 @@ class TestDatasetIsValidOnceBuilt:
         for bad in (5, -1):
             with pytest.raises(FairrecError, match=r"item index outside \[0, 2\)"):
                 small_dataset(ratings=[(0, 0, 2.0), (1, bad, 3.0)])
+
+    def test_integer_columns_and_zero_one_flags_accepted(self):
+        d = Dataset(2, 2, np.array([1, 0], dtype=np.uint8), [0, 1], [2.0, 3.0], [0, 1.0])
+        assert (d.user_idx.tolist(), d.protected.tolist()) == ([0, 1], [False, True])
+        assert Dataset(2, 2, [], [], [], [1, 0]).num_ratings == 0
 
     def test_duplicate_rating(self):
         with pytest.raises(FairrecError, match="duplicate rating for user 0, item 0"):
@@ -151,6 +158,11 @@ class TestDatasetIsValidOnceBuilt:
         ("rating_scale", (1.0, float("inf")), "invalid rating scale (1.0, inf)"),
         ("user_group_fine", ("W", "M"), "user_group_fine must have one label per user"),
         ("item_group", ("Fem",), "item_group must have one label per item"),
+        # each of these a cast would read silently: user 1.7 as 1, item True as 1
+        ("user_idx", np.array([0.9, 1.7, 1.0, 2.0]), "user_idx and item_idx must hold integers"),
+        ("item_idx", np.array([True, False, True, False]),
+         "user_idx and item_idx must hold integers"),
+        ("protected", [0.3, 0.0, 1.0], "protected flags must be bool or 0/1"),
     ])
     def test_malformed_field_rejected(self, field, bad, message):
         with pytest.raises(FairrecError) as exc:

@@ -34,11 +34,11 @@ from fairrec import factorization, harness
 from fairrec.factorization import Entries
 from fairrec.harness import (
     DEFAULT_PENALTIES,
+    SOURCES,
     config_hyper,
-    default_alpha,
-    default_trials,
     parse_config_file,
     run_trial,
+    source_defaults,
 )
 from fairrec.metrics import Unfairness
 
@@ -64,12 +64,15 @@ def tiny_config(**overrides):
 
 class TestDefaults:
     def test_trials(self):
-        assert default_trials("synthetic") == 5
-        assert default_trials("movielens") == 3
+        assert source_defaults("synthetic")[0] == 5
+        assert source_defaults("movielens")[0] == 3
 
     def test_alpha(self):
-        assert default_alpha("synthetic") == 0.3
-        assert default_alpha("movielens") == 0.1
+        assert source_defaults("synthetic")[1] == 0.3
+        assert source_defaults("movielens")[1] == 0.1
+
+    def test_bare_config_has_the_synthetic_defaults(self):
+        assert SOURCES["synthetic"] == (ExperimentConfig().trials, Hyperparams().alpha)
 
     def test_penalty_labels(self):
         labels = tuple(spec.label for spec in DEFAULT_PENALTIES)
@@ -79,12 +82,16 @@ class TestDefaults:
 
 class TestExperimentConfig:
     def test_rejects_unknown_source(self):
-        with pytest.raises(FairrecError):
+        with pytest.raises(FairrecError) as info:
             tiny_config(source="csv")
+        assert str(info.value) == "source must be one of ('synthetic', 'movielens'), got 'csv'"
 
-    def test_rejects_unknown_regime(self):
-        with pytest.raises(FairrecError):
-            tiny_config(regime="X")
+    @pytest.mark.parametrize("source", [{}, dict(source="movielens", ml_path="nowhere")],
+                             ids=["synthetic", "movielens"])
+    def test_rejects_unknown_regime(self, source):
+        with pytest.raises(FairrecError) as info:
+            tiny_config(regime="bogus", **source)
+        assert str(info.value) == f"regime must be one of {REGIMES}, got 'bogus'"
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(FairrecError):
@@ -105,8 +112,13 @@ class TestExperimentConfig:
         assert [spec.label for spec in config.penalties] == ["value:0.1234567",
                                                              "value:0.1234568"]
 
-    @pytest.mark.parametrize("sizes", [dict(num_users=401), dict(num_items=301),
-                                       dict(regime="U", num_users=42)])
+    @pytest.mark.parametrize("sizes", [
+        dict(num_users=401), dict(num_items=301), dict(regime="U", num_users=42),
+        # checked for every source, though no MovieLens trial reads them
+        dict(source="movielens", ml_path="nowhere", num_users=7),
+        dict(source="movielens", ml_path="nowhere", num_items=301),
+        dict(source="movielens", ml_path="nowhere", regime="U", num_users=42),
+    ])
     def test_rejects_indivisible_sizes_when_built(self, sizes):
         with pytest.raises(FairrecError, match="cannot be split"):
             tiny_config(**sizes)
@@ -601,14 +613,19 @@ class TestConfigParsing:
 
     def test_config_hyper_defaults(self):
         base = Hyperparams()
-        hyper = config_hyper({}, "synthetic")
+        hyper = config_hyper({})
         assert hyper == base
-        assert config_hyper({}, "movielens").alpha == default_alpha("movielens")
+        assert config_hyper({"source": "synthetic"}) == base
+        assert config_hyper({"source": "movielens"}).alpha == SOURCES["movielens"][1]
+
+    def test_config_hyper_rejects_unknown_source(self):
+        with pytest.raises(FairrecError, match=r"^source must be one of .*, got 'csv'$"):
+            config_hyper({"source": "csv", "alpha": "0.2"})
 
     def test_config_hyper_overrides(self):
         hyper = config_hyper({"d": "7", "lambda": "0.5", "alpha": "2",
                               "lr": "0.2", "iterations": "9", "seed": "4",
-                              "init_scale": "0.7"}, "synthetic")
+                              "init_scale": "0.7"})
         assert (hyper.d, hyper.lam, hyper.alpha) == (7, 0.5, 2.0)
         assert (hyper.learning_rate, hyper.iterations) == (0.2, 9)
         assert (hyper.seed, hyper.init_scale) == (4, 0.7)
@@ -643,7 +660,7 @@ class TestConfigParsing:
 
     def test_config_hyper_names_an_unreadable_key(self):
         with pytest.raises(FairrecError, match=r"^config key 'd': invalid literal"):
-            config_hyper({"d": "four"}, "synthetic")
+            config_hyper({"d": "four"})
 
     def test_config_experiment_rejects_unknown_key(self):
         with pytest.raises(FairrecError, match=r"unknown config keys: \['sauce'\]"):

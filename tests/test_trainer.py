@@ -126,9 +126,9 @@ class TestTrain:
         hyper = Hyperparams(d=2, lam=0.0, alpha=0.0, learning_rate=0.05,
                             iterations=60, seed=3, init_scale=0.1)
         model, trace = train(d, hyper)
-        assert len(trace) == 60
+        assert len(trace) == 60 + 1
         assert trace.objective[-1] < trace.objective[0]
-        assert objective(model, d, 0.0) <= trace.objective[-1] + 1e-9
+        assert objective(model, d, 0.0) == trace.objective[-1]
 
     def test_numpy_integer_d_is_sized_without_overflow(self, rng):
         # 32 * (n + m) * (d + 1) exceeds int64 at d = 2**60
